@@ -191,18 +191,17 @@ def era_identify_compressed(
         raise ConvergenceError("all Markov parameters are zero; Hankel is degenerate")
 
     t = np.transpose(blocks, (1, 0, 2)).copy()
+    reduced_pattern = replace(pattern, m=r1, n=r3)
     if tera:
         tk = tucker_partial(t, [r1, None, r3])
         u, w = tk.factors[0], tk.factors[2]
         mids = np.einsum("ra,kab,bc->krc", u.T, blocks, w)
-        reduced_pattern = replace(pattern, m=r1, n=r3)
         reduced = struct_assemble(reduced_pattern, mids)
     else:
         t *= weights[None, :, None]
         tk = hosvd(t, [r1, r2, r3])
         u, v, w = tk.factors
         items = np.einsum("kj,ajb->kab", v, tk.core)
-        reduced_pattern = replace(pattern, m=r1, n=r3)
         reduced = struct_expand(reduced_pattern, items)
 
     sing_u, sing_vals, sing_vt = np.linalg.svd(reduced, full_matrices=False)

@@ -7,6 +7,14 @@ block ``A_k``.  The normalized placement matrix ``E_k`` carries the value
 ``1/sqrt(eta_k)`` on those cells (``eta_k`` = cell count), so each ``E_k``
 has unit Frobenius norm and the supports are pairwise disjoint.
 
+The maps index the pattern in two ways.  ``BlockPattern.class_of`` is the
+``ell x q`` grid of class indices (``-1`` on cells no class claims).  A
+matrix is read through its 4-D block view ``a.reshape(ell, m, q, n)``, whose
+``[i, :, j, :]`` is the block at grid cell ``(i, j)``; with ``rows_k`` and
+``cols_k`` the columns of ``placements[k]``, ``view[rows_k, :, cols_k, :]``
+gathers every copy of class ``k`` at once, and the same index on the left of
+an assignment scatters them.  Loops run over classes, never over cells.
+
 With that normalization the matrix and its weighted tensor are isometric:
 ``mat_to_tensor`` stacks ``sqrt(eta_k) * A_k`` as lateral slices of an
 ``m x p x n`` tensor, ``tensor_to_mat`` sums ``E_k (x) slice_k`` back, and
@@ -49,9 +57,13 @@ class BlockPattern:
         m: Rows of each block.
         n: Columns of each block.
         placements: One ``(eta_k, 2)`` int array of 0-based grid cells per
-            class; supports must be pairwise disjoint and in range.
+            class; supports must be pairwise disjoint and in range.  Their
+            order is the class order, the container header order and the
+            equality key.
         structure_class: Report tag such as ``"toeplitz"`` or ``"banded:1"``;
             purely descriptive.
+        class_of: Derived read-only ``(ell, q)`` int64 grid holding the class
+            of every cell, ``-1`` where no class claims it.
     """
 
     ell: int
@@ -60,6 +72,7 @@ class BlockPattern:
     n: int
     placements: tuple[np.ndarray, ...]
     structure_class: str = "general"
+    class_of: np.ndarray = field(init=False, repr=False)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockPattern):
@@ -84,17 +97,26 @@ class BlockPattern:
         if min(self.ell, self.q, self.m, self.n) < 1:
             raise ShapeError("pattern extents must be positive")
         normalized = tuple(np.asarray(c, dtype=np.int64) for c in self.placements)
-        seen: set[tuple[int, int]] = set()
         for k, cells in enumerate(normalized):
             if cells.ndim != 2 or cells.shape[1] != 2 or cells.shape[0] < 1:
                 raise ShapeError(f"class {k + 1}: placements must be a nonempty (eta, 2) array")
             if cells.min() < 0 or cells[:, 0].max() >= self.ell or cells[:, 1].max() >= self.q:
                 raise ShapeError(f"class {k + 1}: placement outside the {self.ell} x {self.q} grid")
-            for i, j in cells:
-                if (int(i), int(j)) in seen:
-                    raise ShapeError(f"grid cell ({i + 1}, {j + 1}) claimed by two classes")
-                seen.add((int(i), int(j)))
+        class_of = np.full((self.ell, self.q), -1, dtype=np.int64)
+        if normalized:
+            cells = np.concatenate(normalized)
+            flat = cells[:, 0] * self.q + cells[:, 1]
+            first = np.unique(flat, return_index=True)[1]
+            if len(first) < len(flat):
+                repeated = np.ones(len(flat), dtype=bool)
+                repeated[first] = False
+                i, j = cells[np.argmax(repeated)]
+                raise ShapeError(f"grid cell ({i + 1}, {j + 1}) claimed by two classes")
+            class_of.flat[flat] = np.repeat(np.arange(len(normalized)),
+                                            [len(c) for c in normalized])
+        class_of.flags.writeable = False
         object.__setattr__(self, "placements", normalized)
+        object.__setattr__(self, "class_of", class_of)
 
     @property
     def p(self) -> int:
@@ -117,10 +139,7 @@ class BlockPattern:
 
     def placement_matrix(self, k: int) -> np.ndarray:
         """Dense ``E_k`` (0-based class index): ``1/sqrt(eta_k)`` on its cells."""
-        e = np.zeros((self.ell, self.q))
-        cells = self.placements[k]
-        e[cells[:, 0], cells[:, 1]] = 1.0 / np.sqrt(len(cells))
-        return e
+        return np.where(self.class_of == k, 1.0 / np.sqrt(self.counts[k]), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -130,10 +149,7 @@ class BlockPattern:
 
 def _toeplitz_cells(ell: int, offset: int) -> np.ndarray:
     """Cells of the diagonal ``col - row == offset`` of an ell x ell grid."""
-    if offset >= 0:
-        rows = np.arange(ell - offset)
-        return np.column_stack([rows, rows + offset])
-    rows = np.arange(-offset, ell)
+    rows = np.arange(max(0, -offset), min(ell, ell - offset))
     return np.column_stack([rows, rows + offset])
 
 
@@ -175,36 +191,30 @@ def build_pattern(
     elif kind == "banded":
         if band is None or band < 0 or band >= ell:
             raise ShapeError(f"banded pattern needs 0 <= band < {ell}")
-        index: dict[tuple[int, int], int] = {}
-        for i in range(ell):
-            for j in range(q):
-                if abs(i - j) > band:
-                    continue
-                key = (min(i, j), max(i, j)) if block_symmetric else (i, j)
-                if key in index:
-                    cells_per_class[index[key]] = np.vstack([cells_per_class[index[key]], [[i, j]]])
-                else:
-                    index[key] = len(cells_per_class)
-                    cells_per_class.append(np.array([[i, j]]))
+        rows, cols = np.nonzero(np.abs(np.arange(ell)[:, None] - np.arange(q)) <= band)
+        cells = np.column_stack([rows, cols])
+        if block_symmetric:
+            # a class first occurs at its upper cell, so ordering by the
+            # (min, max) key keeps first-occurrence order
+            key = np.minimum(rows, cols) * q + np.maximum(rows, cols)
+            order = np.argsort(key, kind="stable")
+            cells_per_class = np.split(cells[order], np.flatnonzero(np.diff(key[order])) + 1)
+        else:
+            cells_per_class = np.split(cells, len(cells))
         tag = f"banded_symmetric:{band}" if block_symmetric else f"banded:{band}"
     elif kind == "toeplitz":
         cutoff = ell - 1 if band is None else band
         if not 0 <= cutoff < ell:
             raise ShapeError(f"toeplitz cutoff must lie in [0, {ell - 1}]")
         if block_symmetric:
-            cells_per_class.append(_toeplitz_cells(ell, 0))
-            for d in range(1, cutoff + 1):
-                cells_per_class.append(
-                    np.vstack([_toeplitz_cells(ell, -d), _toeplitz_cells(ell, d)])
-                )
+            cells_per_class = [_toeplitz_cells(ell, 0)] + [
+                np.vstack([_toeplitz_cells(ell, -d), _toeplitz_cells(ell, d)])
+                for d in range(1, cutoff + 1)
+            ]
             tag = "toeplitz_symmetric"
         else:
-            cells_per_class.append(_toeplitz_cells(ell, 0))
-            for d in range(1, cutoff + 1):
-                cells_per_class.append(_toeplitz_cells(ell, -d))
-            for d in range(1, cutoff + 1):
-                cells_per_class.append(_toeplitz_cells(ell, d))
-            tag = "toeplitz"
+            offsets = [0, *range(-1, -cutoff - 1, -1), *range(1, cutoff + 1)]
+            cells_per_class = [_toeplitz_cells(ell, d) for d in offsets]
         if band is not None and band < ell - 1:
             tag += f":{band}"
     elif kind == "hankel":
@@ -212,7 +222,6 @@ def build_pattern(
             lo, hi = max(0, s - ell + 1), min(s, ell - 1)
             rows = np.arange(lo, hi + 1)
             cells_per_class.append(np.column_stack([rows, s - rows]))
-        tag = "hankel"
     else:
         raise ValueError(f"unknown pattern kind {kind!r}")
 
@@ -232,7 +241,7 @@ def classify_placements(placements: tuple[np.ndarray, ...], ell: int, q: int) ->
         return "diagonal"
 
     def full_diagonal(cells: np.ndarray) -> int | None:
-        offs = set(int(j - i) for i, j in cells)
+        offs = set(np.unique(cells[:, 1] - cells[:, 0]).tolist())
         if ell != q:
             return None
         if len(offs) == 1:
@@ -245,7 +254,7 @@ def classify_placements(placements: tuple[np.ndarray, ...], ell: int, q: int) ->
         return None
 
     def full_antidiagonal(cells: np.ndarray) -> int | None:
-        sums = set(int(i + j) for i, j in cells)
+        sums = set(np.unique(cells.sum(axis=1)).tolist())
         if ell != q or len(sums) != 1:
             return None
         (s,) = sums
@@ -334,30 +343,26 @@ def detect_pattern(
 # ---------------------------------------------------------------------------
 
 
-def _check_blocks(pattern: BlockPattern, blocks) -> list[np.ndarray]:
-    if len(blocks) != pattern.p:
-        raise ShapeError(f"expected {pattern.p} blocks, got {len(blocks)}")
-    out = []
-    for k, blk in enumerate(blocks):
-        blk = np.asarray(blk, dtype=np.float64)
-        if blk.shape != (pattern.m, pattern.n):
-            raise ShapeError(
-                f"class {k + 1}: block shape {blk.shape} != ({pattern.m}, {pattern.n})"
-            )
-        out.append(blk)
-    return out
+def _scatter(pattern: BlockPattern, items, divisors, block_shape=None) -> np.ndarray:
+    """Grid of blocks holding ``items[k] / divisors[k]`` on every cell of
+    class ``k`` and zeros elsewhere.  Every item must have ``block_shape``
+    (default: the first item's shape)."""
+    if len(items) != pattern.p:
+        raise ShapeError(f"expected {pattern.p} blocks, got {len(items)}")
+    items = [np.atleast_2d(np.asarray(it, dtype=np.float64)) for it in items]
+    bm, bn = block_shape or items[0].shape
+    out = np.zeros((pattern.ell, bm, pattern.q, bn))
+    for k, (item, divisor, cells) in enumerate(zip(items, divisors, pattern.placements)):
+        if item.shape != (bm, bn):
+            raise ShapeError(f"class {k + 1}: block shape {item.shape} != {(bm, bn)}")
+        out[cells[:, 0], :, cells[:, 1], :] = item / divisor
+    return out.reshape(pattern.ell * bm, pattern.q * bn)
 
 
 def struct_assemble(pattern: BlockPattern, blocks) -> np.ndarray:
     """Assemble ``sum_k E_k (x) sqrt(eta_k) A_k``: block ``A_k`` lands
     verbatim on every cell of class ``k``."""
-    blocks = _check_blocks(pattern, blocks)
-    m, n = pattern.m, pattern.n
-    out = np.zeros(pattern.shape)
-    for blk, cells in zip(blocks, pattern.placements):
-        for i, j in cells:
-            out[i * m : (i + 1) * m, j * n : (j + 1) * n] = blk
-    return out
+    return _scatter(pattern, blocks, np.ones(pattern.p), (pattern.m, pattern.n))
 
 
 def struct_expand(pattern: BlockPattern, items) -> np.ndarray:
@@ -367,18 +372,7 @@ def struct_expand(pattern: BlockPattern, items) -> np.ndarray:
     ``items`` may have any common block shape; the output grid is
     ``ell x q`` blocks of that shape.
     """
-    if len(items) != pattern.p:
-        raise ShapeError(f"expected {pattern.p} items, got {len(items)}")
-    items = [np.atleast_2d(np.asarray(it, dtype=np.float64)) for it in items]
-    bm, bn = items[0].shape
-    out = np.zeros((pattern.ell * bm, pattern.q * bn))
-    for item, cells in zip(items, pattern.placements):
-        if item.shape != (bm, bn):
-            raise ShapeError("struct_expand items must share one shape")
-        scaled = item / np.sqrt(len(cells))
-        for i, j in cells:
-            out[i * bm : (i + 1) * bm, j * bn : (j + 1) * bn] = scaled
-    return out
+    return _scatter(pattern, items, np.sqrt(pattern.counts))
 
 
 def struct_scalars(pattern: BlockPattern, coeffs: np.ndarray) -> np.ndarray:
@@ -386,10 +380,7 @@ def struct_scalars(pattern: BlockPattern, coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.shape != (pattern.p,):
         raise ShapeError(f"expected {pattern.p} coefficients")
-    out = np.zeros((pattern.ell, pattern.q))
-    for c, cells in zip(coeffs, pattern.placements):
-        out[cells[:, 0], cells[:, 1]] = c / np.sqrt(len(cells))
-    return out
+    return _scatter(pattern, coeffs, np.sqrt(pattern.counts), (1, 1))
 
 
 def extract_blocks(a: np.ndarray, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarray, ...]:
@@ -404,26 +395,25 @@ def extract_blocks(a: np.ndarray, pattern: BlockPattern, tol: float = 0.0) -> tu
     """
     if a.shape != pattern.shape:
         raise ShapeError(f"matrix shape {a.shape} != pattern shape {pattern.shape}")
-    m, n = pattern.m, pattern.n
-    covered = np.zeros((pattern.ell, pattern.q), dtype=bool)
+    view = a.reshape(pattern.ell, pattern.m, pattern.q, pattern.n)
     blocks = []
     for k, cells in enumerate(pattern.placements):
-        i0, j0 = cells[0]
-        rep = np.ascontiguousarray(a[i0 * m : (i0 + 1) * m, j0 * n : (j0 + 1) * n])
-        for i, j in cells:
-            covered[i, j] = True
-            blk = a[i * m : (i + 1) * m, j * n : (j + 1) * n]
-            if np.max(np.abs(blk - rep)) > tol:
-                raise PatternMismatchError(
-                    f"class {k + 1}: block at grid cell ({i + 1}, {j + 1}) "
-                    f"differs from its representative"
-                )
-        blocks.append(rep)
-    for i, j in np.argwhere(~covered):
-        blk = a[i * m : (i + 1) * m, j * n : (j + 1) * n]
-        if np.max(np.abs(blk)) > tol:
+        rep = np.ascontiguousarray(view[cells[0, 0], :, cells[0, 1], :])
+        dev = view[cells[:, 0], :, cells[:, 1], :] - rep
+        bad = np.flatnonzero(np.max(np.abs(dev, out=dev), axis=(1, 2)) > tol)
+        if bad.size:
+            i, j = cells[bad[0]]
             raise PatternMismatchError(
-                f"grid cell ({i + 1}, {j + 1}) is outside every class but not zero"
+                f"class {k + 1}: block at grid cell ({i + 1}, {j + 1}) "
+                f"differs from its representative"
+            )
+        blocks.append(rep)
+    for i in np.flatnonzero((pattern.class_of < 0).any(axis=1)):
+        cols = np.flatnonzero(pattern.class_of[i] < 0)
+        bad = np.flatnonzero(np.max(np.abs(view[i][:, cols, :]), axis=(0, 2)) > tol)
+        if bad.size:
+            raise PatternMismatchError(
+                f"grid cell ({i + 1}, {cols[bad[0]] + 1}) is outside every class but not zero"
             )
     return tuple(blocks)
 
@@ -442,10 +432,11 @@ def mat_to_tensor(
     when the uncovered cells of ``a`` are zero.
     """
     blocks = extract_blocks(a, pattern, tol=tol)
-    t = np.zeros((pattern.m, pattern.p, pattern.n))
-    for k, blk in enumerate(blocks):
-        w = np.sqrt(len(pattern.placements[k])) if weighted else 1.0
-        t[:, k, :] = w * blk
+    if not blocks:
+        return np.zeros((pattern.m, 0, pattern.n))
+    t = np.stack(blocks, axis=1)
+    if weighted:
+        t *= np.sqrt(pattern.counts)[:, None]
     return t
 
 

@@ -151,6 +151,7 @@ def _resolve_pattern(a, args):
     m, n = args.block_rows, args.block_cols
     if m < 1 or n < 1:
         raise _UsageError("block extents must be positive")
+    _check_tolerance("--detect-tol", args.detect_tol)
     if args.pattern == "auto":
         return detect_pattern(a, m, n, tol=args.detect_tol)[0]
     if a.shape[0] % m or a.shape[1] % n:
@@ -159,6 +160,11 @@ def _resolve_pattern(a, args):
         args.pattern, a.shape[0] // m, a.shape[1] // n, m, n,
         band=args.band, block_symmetric=args.symmetric,
     )
+
+
+def _check_tolerance(flag: str, value: float) -> None:
+    if not (np.isfinite(value) and value >= 0):
+        raise _UsageError(f"{flag} must be a finite number >= 0, got {value!r}")
 
 
 def _mode_singular_values(t) -> list[np.ndarray]:
@@ -295,6 +301,8 @@ def _cmd_compress(args) -> int:
         raise _UsageError("--randomized applies to --method hosvd/mode2 only")
     if args.rank is not None and args.rank < 1:
         raise _UsageError("--rank must be positive")
+    if args.tol is not None:
+        _check_tolerance("--tol", args.tol)
 
     if args.method in ("hosvd", "mode2"):
         t = mat_to_tensor(a, pattern, tol=args.detect_tol)

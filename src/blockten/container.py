@@ -16,7 +16,6 @@ Representation kinds: ``kron_sum``, ``blr``, ``tucker_raw``, ``spsd``,
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +23,7 @@ import numpy as np
 from .blocks import BlockPattern
 from .decomp import TuckerRep
 from .errors import ContainerExtentError, ContainerFormatError
+from .fileio import _replace_into
 from .multilevel import MultilevelPattern, MultilevelTuckerRep
 from .psd import SpdRep, SpsdRep
 from .reconstruct import BlockLowRankRep, KronSumRep, TuckerBlockRep
@@ -218,13 +218,7 @@ def container_write(path, rep, seed: int | None = None, ranks=None) -> None:
     lines += array_lines
     blob = ("\n".join(lines) + "\n---\n").encode("utf-8") + payload
 
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    try:
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
+    _replace_into(path, lambda tmp: tmp.write_bytes(blob))
 
 
 def _split(blob: bytes) -> tuple[dict, list[str], bytes]:

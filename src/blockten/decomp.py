@@ -146,6 +146,15 @@ class SketchConfig:
 # ---------------------------------------------------------------------------
 
 
+def _positive_lead(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Flip columns of ``u`` so each has its largest-magnitude entry
+    positive; returns the flipped ``u`` and the ``+-1`` signs applied."""
+    lead = np.argmax(np.abs(u), axis=0)
+    signs = np.sign(u[lead, np.arange(u.shape[1])])
+    signs[signs == 0] = 1.0
+    return u * signs, signs
+
+
 def svd_truncated(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rank-``r`` truncated SVD with deterministic singular-vector signs.
 
@@ -172,11 +181,8 @@ def svd_truncated(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    u, vt = u[:, :r], vt[:r, :]
-    lead = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[lead, np.arange(r)])
-    signs[signs == 0] = 1.0
-    return u * signs, s[:r].copy(), (vt * signs[:, None]).T
+    u, signs = _positive_lead(u[:, :r])
+    return u, s[:r].copy(), (vt[:r, :] * signs[:, None]).T
 
 
 def qr_thin(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,11 +233,7 @@ def _mode_basis(mat: np.ndarray, r: int) -> np.ndarray:
         u, _, _ = np.linalg.svd(mat, full_matrices=True)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
-    u = u[:, :r]
-    lead = np.argmax(np.abs(u), axis=0)
-    signs = np.sign(u[lead, np.arange(r)])
-    signs[signs == 0] = 1.0
-    return u * signs
+    return _positive_lead(u[:, :r])[0]
 
 
 def hosvd(t: np.ndarray, ranks: tuple[int, ...] | list[int]) -> TuckerRep:

@@ -17,7 +17,7 @@ import scipy.io
 import scipy.sparse
 
 from .errors import ContainerFormatError, ShapeError
-from .reconstruct import DENSIFY_LIMIT
+from .reconstruct import _check_dense_size
 
 __all__ = [
     "read_matrix",
@@ -59,8 +59,7 @@ def read_matrix(path) -> np.ndarray:
         raise ContainerFormatError(f"malformed Matrix Market file: {exc}") from exc
     if field not in ("real", "integer", "unsigned-integer"):
         raise ContainerFormatError(f"unsupported Matrix Market field {field!r}")
-    if rows * cols > DENSIFY_LIMIT:
-        raise ShapeError(f"matrix of {rows * cols} entries exceeds limit {DENSIFY_LIMIT}")
+    _check_dense_size(rows, cols)
     mat = scipy.io.mmread(path)
     if scipy.sparse.issparse(mat):
         mat = mat.toarray()
@@ -106,6 +105,8 @@ def read_vector(path) -> np.ndarray:
                 raise ContainerFormatError(
                     f"{path}:{lineno}: not a decimal literal: {text!r}"
                 ) from exc
+            if not np.isfinite(values[-1]):
+                raise ContainerFormatError(f"{path}:{lineno}: non-finite value {text!r}")
     if not values:
         raise ContainerFormatError(f"{path}: no values")
     return np.array(values, dtype=np.float64)

@@ -20,10 +20,10 @@ from itertools import product
 
 import numpy as np
 
-from .blocks import BlockPattern, struct_scalars
+from .blocks import BlockPattern, _toeplitz_cells, extract_blocks, struct_expand, struct_scalars
 from .decomp import TuckerRep
 from .errors import PatternMismatchError, ShapeError
-from .reconstruct import DENSIFY_LIMIT
+from .reconstruct import _check_dense_size
 
 __all__ = [
     "MultilevelPattern",
@@ -91,9 +91,10 @@ class MultilevelPattern:
 def ml_mat_to_tensor(a: np.ndarray, mlp: MultilevelPattern, tol: float = 0.0) -> np.ndarray:
     """Extract the order-``L+2`` weighted tensor of a conforming matrix.
 
-    Descends the level chain: at each level the representative sub-block of
-    every class is pulled from its first placement, all other placements are
-    verified against it (within ``tol``), and uncovered cells must be zero.
+    Descends the level chain with :func:`extract_blocks`: at each level the
+    representative sub-block of every class is pulled from its first
+    placement, all other placements are verified against it (within
+    ``tol``), and uncovered cells must be zero.
 
     Raises:
         PatternMismatchError: On any disagreement at any level.
@@ -107,34 +108,21 @@ def ml_mat_to_tensor(a: np.ndarray, mlp: MultilevelPattern, tol: float = 0.0) ->
             out[(slice(None), *prefix, slice(None))] = weight * block
             return
         pat = mlp.levels[level]
-        bm, bn = pat.m, pat.n
-        covered = np.zeros((pat.ell, pat.q), dtype=bool)
-        for k, cells in enumerate(pat.placements):
-            i0, j0 = cells[0]
-            rep = block[i0 * bm : (i0 + 1) * bm, j0 * bn : (j0 + 1) * bn]
-            for i, j in cells:
-                covered[i, j] = True
-                sub = block[i * bm : (i + 1) * bm, j * bn : (j + 1) * bn]
-                if np.max(np.abs(sub - rep)) > tol:
-                    raise PatternMismatchError(
-                        f"level {level + 1}, class {k + 1}: block at "
-                        f"({i + 1}, {j + 1}) differs from its representative"
-                    )
-            descend(rep, level + 1, prefix + (k,), weight * np.sqrt(len(cells)))
-        for i, j in np.argwhere(~covered):
-            sub = block[i * bm : (i + 1) * bm, j * bn : (j + 1) * bn]
-            if np.max(np.abs(sub)) > tol:
-                raise PatternMismatchError(
-                    f"level {level + 1}: uncovered cell ({i + 1}, {j + 1}) is not zero"
-                )
+        try:
+            reps = extract_blocks(block, pat, tol=tol)
+        except PatternMismatchError as exc:
+            raise PatternMismatchError(f"level {level + 1}, {exc}") from None
+        for k, rep in enumerate(reps):
+            descend(rep, level + 1, prefix + (k,), weight * np.sqrt(pat.counts[k]))
 
     descend(a, 0, (), 1.0)
     return out
 
 
 def ml_tensor_to_mat(t: np.ndarray, mlp: MultilevelPattern) -> np.ndarray:
-    """Assemble the matrix ``sum E^(1) (x) ... (x) E^(L) (x) slice``; exact
-    inverse of :func:`ml_mat_to_tensor` on its image."""
+    """Assemble the matrix ``sum E^(1) (x) ... (x) E^(L) (x) slice`` with
+    :func:`struct_expand` at every level; exact inverse of
+    :func:`ml_mat_to_tensor` on its image."""
     if t.shape != mlp.dims:
         raise ShapeError(f"tensor extents {t.shape} != pattern dims {mlp.dims}")
 
@@ -142,13 +130,7 @@ def ml_tensor_to_mat(t: np.ndarray, mlp: MultilevelPattern) -> np.ndarray:
         if level == mlp.depth:
             return t[(slice(None), *prefix, slice(None))]
         pat = mlp.levels[level]
-        bm, bn = pat.m, pat.n
-        out = np.zeros(pat.shape)
-        for k, cells in enumerate(pat.placements):
-            sub = assemble(level + 1, prefix + (k,)) / np.sqrt(len(cells))
-            for i, j in cells:
-                out[i * bm : (i + 1) * bm, j * bn : (j + 1) * bn] = sub
-        return out
+        return struct_expand(pat, [assemble(level + 1, prefix + (k,)) for k in range(pat.p)])
 
     return assemble(0, ())
 
@@ -175,11 +157,7 @@ class MultilevelTuckerRep:
         return ml_kron_sum_from_tucker(self.tucker, self.pattern)
 
     def densify(self) -> np.ndarray:
-        rows, cols = self.pattern.shape
-        if rows * cols > DENSIFY_LIMIT:
-            raise ShapeError(
-                f"dense result would hold {rows * cols} entries (limit {DENSIFY_LIMIT})"
-            )
+        _check_dense_size(*self.pattern.shape)
         return ml_tensor_to_mat(self.tucker.reconstruct(), self.pattern)
 
 
@@ -208,9 +186,7 @@ def ml_kron_sum_from_tucker(t: TuckerRep, mlp: MultilevelPattern) -> list[MlKron
         raise ShapeError(f"Tucker dims {t.dims} != pattern dims {mlp.dims}")
     u = t.factors[0]
     w = t.factors[-1]
-    level_factors = []
-    for lv, f in zip(mlp.levels, t.factors[1:-1]):
-        level_factors.append(np.eye(lv.p) if f is None else f)
+    level_factors = [np.eye(lv.p) if f is None else f for lv, f in zip(mlp.levels, t.factors[1:-1])]
 
     terms: list[MlKronTerm] = []
     for multi in product(*(range(f.shape[1]) for f in level_factors)):
@@ -231,8 +207,7 @@ def ml_kron_densify(terms: list[MlKronTerm]) -> np.ndarray:
         raise ShapeError("no terms to densify")
     rows = int(np.prod([m.shape[0] for m in terms[0].level_mats])) * terms[0].block.shape[0]
     cols = int(np.prod([m.shape[1] for m in terms[0].level_mats])) * terms[0].block.shape[1]
-    if rows * cols > DENSIFY_LIMIT:
-        raise ShapeError(f"dense result would hold {rows * cols} entries (limit {DENSIFY_LIMIT})")
+    _check_dense_size(rows, cols)
     out = np.zeros((rows, cols))
     for term in terms:
         out += term.densify()
@@ -252,17 +227,19 @@ def _kernel_level_pattern(k: int, bm: int, bn: int) -> BlockPattern:
     center tap lands on the main diagonal.  ``eta_i = k - |i - h|``.
     """
     h = (k - 1) // 2
-    cells = []
-    for i in range(k):
-        offset = h - i
-        if offset >= 0:
-            rows = np.arange(k - offset)
-            cells.append(np.column_stack([rows, rows + offset]))
-        else:
-            rows = np.arange(-offset, k)
-            cells.append(np.column_stack([rows, rows + offset]))
-    return BlockPattern(ell=k, q=k, m=bm, n=bn, placements=tuple(cells),
+    cells = tuple(_toeplitz_cells(k, h - i) for i in range(k))
+    return BlockPattern(ell=k, q=k, m=bm, n=bn, placements=cells,
                         structure_class=f"toeplitz:{h}")
+
+
+def _checked_psf(psf) -> tuple[np.ndarray, int]:
+    """``psf`` as a float cube and its odd extent ``K``."""
+    psf = np.asarray(psf, dtype=np.float64)
+    if psf.ndim != 3 or len(set(psf.shape)) != 1:
+        raise ShapeError("psf must be a K x K x K cube")
+    if psf.shape[0] % 2 == 0:
+        raise ShapeError("psf extent K must be odd")
+    return psf, psf.shape[0]
 
 
 def psf_weighted_tensor(psf: np.ndarray) -> tuple[np.ndarray, MultilevelPattern]:
@@ -279,19 +256,10 @@ def psf_weighted_tensor(psf: np.ndarray) -> tuple[np.ndarray, MultilevelPattern]
     Returns:
         ``(tensor, pattern)`` with tensor extents ``(1, K, K, K, 1)``.
     """
-    psf = np.asarray(psf, dtype=np.float64)
-    if psf.ndim != 3 or len(set(psf.shape)) != 1:
-        raise ShapeError("psf must be a K x K x K cube")
-    k = psf.shape[0]
-    if k % 2 == 0:
-        raise ShapeError("psf extent K must be odd")
+    psf, k = _checked_psf(psf)
     h = (k - 1) // 2
     eta = k - np.abs(np.arange(k) - h)
-
-    lv3 = _kernel_level_pattern(k, 1, 1)
-    lv2 = _kernel_level_pattern(k, k, k)
-    lv1 = _kernel_level_pattern(k, k * k, k * k)
-    mlp = MultilevelPattern(levels=(lv1, lv2, lv3))
+    mlp = MultilevelPattern(levels=tuple(_kernel_level_pattern(k, b, b) for b in (k * k, k, 1)))
 
     weights = np.sqrt(np.einsum("a,b,c->abc", eta, eta, eta))
     tensor = (weights * np.transpose(psf, (2, 1, 0)))[None, :, :, :, None]
@@ -304,12 +272,7 @@ def blur_operator_dense(psf: np.ndarray) -> np.ndarray:
     (it exists to cross-check the structured path on small cases):
     ``A[(a1,a2,a3),(b1,b2,b3)] = psf[h+a1-b1, h+a2-b2, h+a3-b3]``.
     """
-    psf = np.asarray(psf, dtype=np.float64)
-    if psf.ndim != 3 or len(set(psf.shape)) != 1:
-        raise ShapeError("psf must be a K x K x K cube")
-    k = psf.shape[0]
-    if k % 2 == 0:
-        raise ShapeError("psf extent K must be odd")
+    psf, k = _checked_psf(psf)
     if k > 7:
         raise ShapeError("dense blur operator capped at K <= 7")
     h = (k - 1) // 2

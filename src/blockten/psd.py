@@ -35,7 +35,7 @@ from .blocks import (
 )
 from .decomp import _mode_basis, cholesky
 from .errors import PatternMismatchError, ShapeError
-from .reconstruct import DENSIFY_LIMIT, BlockLowRankRep
+from .reconstruct import BlockLowRankRep, _check_dense_size
 from .tensor import unfold
 
 __all__ = [
@@ -88,20 +88,15 @@ class SpsdRep:
         )
 
     def densify(self) -> np.ndarray:
-        total = self.pattern.shape[0] * self.pattern.shape[1]
-        if total > DENSIFY_LIMIT:
-            raise ShapeError(f"dense result would hold {total} entries (limit {DENSIFY_LIMIT})")
+        _check_dense_size(*self.pattern.shape)
         u = self.basis
         return struct_assemble(self.pattern, [u @ b @ u.T for b in self.blocks])
 
     def trace(self) -> float:
         """Trace of the represented matrix, computed without densifying."""
-        total = 0.0
-        for k, cells in enumerate(self.pattern.placements):
-            diag_cells = int(np.sum(cells[:, 0] == cells[:, 1]))
-            if diag_cells:
-                total += diag_cells * float(np.trace(self.blocks[k]))
-        return total
+        classes, diag_cells = np.unique(np.diag(self.pattern.class_of), return_counts=True)
+        return float(sum(c * float(np.trace(self.blocks[k]))
+                         for k, c in zip(classes, diag_cells) if k >= 0))
 
 
 @dataclass(frozen=True)
@@ -128,9 +123,7 @@ class SpdRep:
 
     def densify(self) -> np.ndarray:
         n = self.chol.shape[0]
-        total = (self.ell * n) ** 2
-        if total > DENSIFY_LIMIT:
-            raise ShapeError(f"dense result would hold {total} entries (limit {DENSIFY_LIMIT})")
+        _check_dense_size(*self.shape)
         inner = np.eye(self.ell * n)
         if self.remainder.pattern.p:
             inner = inner + self.remainder.densify()
@@ -148,12 +141,14 @@ def check_transpose_closed(pattern: BlockPattern, blocks, tol: float = 0.0) -> N
     Raises:
         PatternMismatchError: If any class has no transpose partner.
     """
-    supports = [frozenset((int(i), int(j)) for i, j in cells) for cells in pattern.placements]
-    index = {s: k for k, s in enumerate(supports)}
-    for k, s in enumerate(supports):
-        mirrored = frozenset((j, i) for i, j in s)
-        partner = index.get(mirrored)
-        if partner is None:
+    ell, q = pattern.ell, pattern.q
+    grid = np.full((max(ell, q),) * 2, -1)
+    grid[:ell, :q] = pattern.class_of
+    mirror = grid.T[:ell, :q]  # class of the transposed cell, -1 if none
+    for k, cells in enumerate(pattern.placements):
+        partners = mirror[cells[:, 0], cells[:, 1]]
+        partner = int(partners[0])
+        if partner < 0 or np.any(partners != partner) or pattern.counts[partner] != len(cells):
             raise PatternMismatchError(f"class {k + 1}: transposed support matches no class")
         if np.max(np.abs(np.asarray(blocks[partner]) - np.asarray(blocks[k]).T)) > tol:
             raise PatternMismatchError(
@@ -169,9 +164,7 @@ def _shared_basis_rep(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
     if pattern.p == 0:
         return SpsdRep(pattern=pattern, basis=np.eye(n)[:, :r],
                        blocks=np.zeros((0, r, r)))
-    t = np.zeros((n, pattern.p, n))
-    for k, blk in enumerate(blocks):
-        t[:, k, :] = np.sqrt(pattern.counts[k]) * blk
+    t = np.stack(blocks, axis=1) * np.sqrt(pattern.counts)[:, None]
     u = _mode_basis(unfold(t, 1), r)
     proj = np.stack([u.T @ blk @ u for blk in blocks])
     return SpsdRep(pattern=pattern, basis=u, blocks=proj)
@@ -227,13 +220,10 @@ def spd_compress(a: np.ndarray, pattern: BlockPattern, r: int) -> SpdRep:
         raise ShapeError("spd_compress needs a square grid of square blocks")
     blocks = extract_blocks(a, pattern)
 
-    anchor = None
-    for k, cells in enumerate(pattern.placements):
-        if any(i == 0 and j == 0 for i, j in cells):
-            anchor = blocks[k]
-            break
-    if anchor is None:
+    anchor_class = pattern.class_of[0, 0]
+    if anchor_class < 0:
         raise PatternMismatchError("grid cell (1, 1) belongs to no class; no anchor block")
+    anchor = blocks[anchor_class]
     low = cholesky(anchor)
 
     # split every class into its diagonal and off-diagonal cells, subtract
@@ -242,30 +232,20 @@ def spd_compress(a: np.ndarray, pattern: BlockPattern, r: int) -> SpdRep:
     rem_blocks: list[np.ndarray] = []
     for k, cells in enumerate(pattern.placements):
         on_diag = cells[:, 0] == cells[:, 1]
-        for mask, shift in ((on_diag, anchor), (~on_diag, None)):
-            if not mask.any():
-                continue
-            blk = blocks[k] - shift if shift is not None else blocks[k]
-            if not blk.any():
-                continue
-            rem_cells.append(cells[mask])
-            rem_blocks.append(blk)
+        for mask, blk in ((on_diag, blocks[k] - anchor), (~on_diag, blocks[k])):
+            if mask.any() and blk.any():
+                rem_cells.append(cells[mask])
+                rem_blocks.append(blk)
 
     scaled = []
     for blk in rem_blocks:
         half = solve_triangular(low, blk, lower=True)
         scaled.append(solve_triangular(low, half.T, lower=True).T)
 
-    if rem_cells:
-        rem_pattern = BlockPattern(
-            ell=pattern.ell, q=pattern.q, m=pattern.m, n=pattern.n,
-            placements=tuple(rem_cells),
-            structure_class=classify_placements(tuple(rem_cells), pattern.ell, pattern.q),
-        )
-    else:
-        rem_pattern = BlockPattern(
-            ell=pattern.ell, q=pattern.q, m=pattern.m, n=pattern.n,
-            placements=(), structure_class="general",
-        )
+    rem_pattern = BlockPattern(
+        ell=pattern.ell, q=pattern.q, m=pattern.m, n=pattern.n,
+        placements=tuple(rem_cells),
+        structure_class=classify_placements(tuple(rem_cells), pattern.ell, pattern.q),
+    )
     rep = spsd_compress_blocks(rem_pattern, tuple(scaled), r)
     return SpdRep(chol=low, remainder=rep, ell=pattern.ell)

@@ -45,6 +45,13 @@ __all__ = [
 DENSIFY_LIMIT = 10**8  # refuse to build dense matrices beyond this many entries
 
 
+def _check_dense_size(rows: int, cols: int) -> None:
+    """Raise :class:`ShapeError` if a dense ``rows x cols`` result would
+    exceed ``DENSIFY_LIMIT`` entries."""
+    if rows * cols > DENSIFY_LIMIT:
+        raise ShapeError(f"dense result would hold {rows * cols} entries (limit {DENSIFY_LIMIT})")
+
+
 class FlopCounter:
     """Accumulates multiply-add counts reported by :func:`matvec`."""
 
@@ -90,13 +97,19 @@ class KronSumRep:
 
     def c_matrix(self, j: int) -> sp.csr_matrix:
         """Sparse ``C_j`` (0-based term index)."""
+        return self._c_stack(self.coeffs[:, [j]])
+
+    def _c_stack(self, coeffs: np.ndarray) -> sp.csr_matrix:
+        """Sparse ``[C_1 ... C_r]`` side by side for the ``(p, r)`` class
+        scalars ``coeffs``, read off the pattern's class grid."""
         pat = self.pattern
-        rows, cols, data = [], [], []
-        for k, cells in enumerate(pat.placements):
-            rows.extend(cells[:, 0])
-            cols.extend(cells[:, 1])
-            data.extend([self.coeffs[k, j] / np.sqrt(len(cells))] * len(cells))
-        return sp.csr_matrix((data, (rows, cols)), shape=(pat.ell, pat.q))
+        rows, cols = np.nonzero(pat.class_of >= 0)
+        values = (coeffs / np.sqrt(pat.counts)[:, None])[pat.class_of[rows, cols]]
+        r = coeffs.shape[1]
+        return sp.csr_matrix(
+            (values.T.ravel(), (np.tile(rows, r), (cols + pat.q * np.arange(r)[:, None]).ravel())),
+            shape=(pat.ell, pat.q * r),
+        )
 
 
 @dataclass(frozen=True)
@@ -157,13 +170,17 @@ class TuckerBlockRep:
 # ---------------------------------------------------------------------------
 
 
+def _check_dims(kind: str, dims: tuple[int, ...], pattern: BlockPattern) -> None:
+    if dims != (pattern.m, pattern.p, pattern.n):
+        raise ShapeError(
+            f"{kind} dims {dims} do not match pattern ({pattern.m}, {pattern.p}, {pattern.n})"
+        )
+
+
 def _tucker_side(t: TuckerRep, pattern: BlockPattern) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
     if t.core.ndim != 3:
         raise ShapeError("expected an order-3 Tucker representation")
-    if t.dims != (pattern.m, pattern.p, pattern.n):
-        raise ShapeError(
-            f"Tucker dims {t.dims} do not match pattern ({pattern.m}, {pattern.p}, {pattern.n})"
-        )
+    _check_dims("Tucker", t.dims, pattern)
     return t.factors
 
 
@@ -177,16 +194,12 @@ def kron_sum_from_tucker(t: TuckerRep, pattern: BlockPattern) -> KronSumRep:
     """
     u, v, w = _tucker_side(t, pattern)
     coeffs = np.eye(pattern.p) if v is None else v.copy()
-    r2 = t.core.shape[1]
-    terms = np.empty((r2, pattern.m, pattern.n))
-    for j in range(r2):
-        d = t.core[:, j, :]
-        if u is not None:
-            d = u @ d
-        if w is not None:
-            d = d @ w.T
-        terms[j] = d
-    return KronSumRep(pattern=pattern, coeffs=coeffs, terms=terms)
+    terms = np.moveaxis(t.core, 1, 0)  # core[:, j, :] for every term j
+    if u is not None:
+        terms = u @ terms
+    if w is not None:
+        terms = terms @ w.T
+    return KronSumRep(pattern=pattern, coeffs=coeffs, terms=np.array(terms))
 
 
 def kron_sum_from_kruskal(
@@ -205,10 +218,7 @@ def kron_sum_from_kruskal(
             ``Y = Q R`` with ``F = Q``, giving orthonormal coefficient
             columns at the price of dense ``D_j``.
     """
-    if k.dims != (pattern.m, pattern.p, pattern.n):
-        raise ShapeError(
-            f"CP dims {k.dims} do not match pattern ({pattern.m}, {pattern.p}, {pattern.n})"
-        )
+    _check_dims("CP", k.dims, pattern)
     r = k.rank
     if split == "factor":
         f = k.y
@@ -248,10 +258,7 @@ def blr_from_kruskal(k: KruskalRep, pattern: BlockPattern) -> BlockLowRankRep:
         ShapeError: If the CP rank exceeds ``m`` or ``n`` (the QR of a wide
             factor gives no orthonormal column basis).
     """
-    if k.dims != (pattern.m, pattern.p, pattern.n):
-        raise ShapeError(
-            f"CP dims {k.dims} do not match pattern ({pattern.m}, {pattern.p}, {pattern.n})"
-        )
+    _check_dims("CP", k.dims, pattern)
     r = k.rank
     if pattern.m < r or pattern.n < r:
         raise ShapeError(f"CP rank {r} exceeds a block extent ({pattern.m} x {pattern.n})")
@@ -286,14 +293,11 @@ def matvec(rep: KronSumRep | BlockLowRankRep, x: np.ndarray, counter: FlopCounte
     xmat = x.reshape((n, q), order="F")
 
     if isinstance(rep, KronSumRep):
-        acc = np.zeros((m, ell))
-        nnz = sum(pat.counts)
-        for j in range(rep.n_terms):
-            dx = rep.terms[j] @ xmat
-            acc += (rep.c_matrix(j) @ dx.T).T
-            if counter is not None:
-                counter.add(2 * m * n * q + 2 * m * nnz)
-        return acc.reshape(-1, order="F")
+        r = rep.n_terms
+        dx = rep.terms @ xmat  # D_j X for every term, (r, m, q)
+        if counter is not None:
+            counter.add(r * (2 * m * n * q + 2 * m * sum(pat.counts)))
+        return (rep._c_stack(rep.coeffs) @ dx.transpose(0, 2, 1).reshape(r * q, m)).ravel()
 
     if isinstance(rep, BlockLowRankRep):
         rl, rr = rep.left.shape[1], rep.right.shape[1]
@@ -303,13 +307,10 @@ def matvec(rep: KronSumRep | BlockLowRankRep, x: np.ndarray, counter: FlopCounte
         yb = np.zeros((rl, ell))
         for k, cells in enumerate(pat.placements):
             s_k = rep.middles[k] / np.sqrt(len(cells))
-            for i, j in cells:
-                yb[:, i] += s_k @ z[:, j]
-                if counter is not None:
-                    counter.add(2 * rl * rr)
+            np.add.at(yb, (slice(None), cells[:, 0]), s_k @ z[:, cells[:, 1]])
         y = rep.left @ yb
         if counter is not None:
-            counter.add(2 * m * rl * ell)
+            counter.add(2 * rl * rr * sum(pat.counts) + 2 * m * rl * ell)
         return y.reshape(-1, order="F")
 
     raise TypeError(f"unsupported representation {type(rep).__name__}")
@@ -323,9 +324,7 @@ def densify(rep: KronSumRep | BlockLowRankRep) -> np.ndarray:
             entries.
     """
     pat = rep.pattern
-    total = pat.ell * pat.m * pat.q * pat.n
-    if total > DENSIFY_LIMIT:
-        raise ShapeError(f"dense result would hold {total} entries (limit {DENSIFY_LIMIT})")
+    _check_dense_size(*pat.shape)
     if isinstance(rep, KronSumRep):
         items = [np.tensordot(rep.coeffs[k, :], rep.terms, axes=(0, 0)) for k in range(pat.p)]
         return struct_expand(pat, items)

@@ -271,12 +271,32 @@ def test_exit_2_usage_errors(toep, tmp_path, capsys):
         ("--method", "spsd", "--rank", 0),
         ("--method", "hosvd", "--ranks", "1,2"),
         ("--method", "hosvd", "--ranks", "a,b,c"),
+        ("--method", "hosvd", "--tol", "-1"),
+        ("--method", "hosvd", "--tol", "nan"),
+        ("--method", "mode2", "--tol", "inf"),
+        ("--method", "hosvd", "--rank", 2, "--detect-tol", "-1"),
+        ("--method", "hosvd", "--rank", 2, "--detect-tol", "nan"),
     ]
     for extra in cases:
         code, _, err = run_cli(capsys, "compress", path, "-o", out_c,
                                "--block-rows", 4, "--block-cols", 4, *extra)
         assert code == 2, extra
         assert "error" in err
+
+
+def test_exit_2_matvec_nonfinite_vector(toep, tmp_path, capsys):
+    path, a = toep
+    out_c = tmp_path / "c.btc"
+    run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", 4,
+            "--block-cols", 4, "--method", "hosvd", "--rank", 2)
+    xp = tmp_path / "x.txt"
+    x = np.ones(a.shape[1])
+    x[3] = np.nan
+    write_vector(xp, x)
+    code, _, err = run_cli(capsys, "matvec", out_c, xp, "-o", tmp_path / "y.txt")
+    assert code == 2
+    assert "non-finite" in err
+    assert not (tmp_path / "y.txt").exists()
 
 
 def test_exit_2_argparse_level(capsys):

@@ -363,3 +363,36 @@ def test_container_rejects_shape_inconsistent_with_pattern(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(ShapeError):
         container_read(path)
+
+
+def test_container_bytes_are_stable(tmp_path):
+    # digests pin the header layout, the placements order and the payload
+    # encoding across versions, not just two writes of one version
+    import hashlib
+
+    from blockten import BlockPattern
+
+    toep = build_pattern("toeplitz", 4, 4, 2, 2, block_symmetric=True)
+    kron = KronSumRep(
+        pattern=toep,
+        coeffs=np.arange(8, dtype=np.float64).reshape(4, 2) / 8.0 - 0.25,
+        terms=np.arange(8, dtype=np.float64).reshape(2, 2, 2) * 0.75 + 1.0,
+    )
+    general = BlockPattern(
+        ell=2, q=3, m=2, n=2,
+        placements=(np.array([[0, 0], [0, 2]]), np.array([[1, 1]])),
+    )
+    blr = BlockLowRankRep(
+        pattern=general,
+        left=np.array([[1.0, 0.5], [-0.5, 2.0]]),
+        right=np.array([[0.25], [-1.5]]),
+        middles=np.arange(4, dtype=np.float64).reshape(2, 2, 1) - 1.5,
+    )
+    expected = {
+        "kron_sum": "2c4ca9b86e1d005c5b807c8aa57f56b5d35aa3ac84fff3d6d4fe31db31fbf21f",
+        "blr": "51be502e6adf4b4c8f8a2503b4fb9b425aebb98e28963c07d900cf1ffe8ff26b",
+    }
+    for name, rep in (("kron_sum", kron), ("blr", blr)):
+        path = tmp_path / f"{name}.btc"
+        container_write(path, rep, seed=3, ranks=(2,))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[name], name
