@@ -346,11 +346,12 @@ def detect_pattern(
 def _scatter(pattern: BlockPattern, items, divisors, block_shape=None) -> np.ndarray:
     """Grid of blocks holding ``items[k] / divisors[k]`` on every cell of
     class ``k`` and zeros elsewhere.  Every item must have ``block_shape``
-    (default: the first item's shape)."""
+    (default: the first item's shape, or the pattern's block shape when
+    there are no classes)."""
     if len(items) != pattern.p:
         raise ShapeError(f"expected {pattern.p} blocks, got {len(items)}")
     items = [np.atleast_2d(np.asarray(it, dtype=np.float64)) for it in items]
-    bm, bn = block_shape or items[0].shape
+    bm, bn = block_shape or (items[0].shape if items else (pattern.m, pattern.n))
     out = np.zeros((pattern.ell, bm, pattern.q, bn))
     for k, (item, divisor, cells) in enumerate(zip(items, divisors, pattern.placements)):
         if item.shape != (bm, bn):

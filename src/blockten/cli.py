@@ -167,8 +167,9 @@ def _check_tolerance(flag: str, value: float) -> None:
         raise _UsageError(f"{flag} must be a finite number >= 0, got {value!r}")
 
 
-def _mode_singular_values(t) -> list[np.ndarray]:
-    return [np.linalg.svd(unfold(t, k), compute_uv=False) for k in (1, 2, 3)]
+def _mode_singular_values(t, modes=(1, 2, 3)) -> dict[int, np.ndarray]:
+    """Exact singular values of the unfolding of each mode in ``modes``."""
+    return {k: np.linalg.svd(unfold(t, k), compute_uv=False) for k in modes}
 
 
 def _ranks_from_tol(sv_per_mode, modes, eps, norm_a) -> list[int]:
@@ -177,7 +178,7 @@ def _ranks_from_tol(sv_per_mode, modes, eps, norm_a) -> list[int]:
     budget = (eps * norm_a) ** 2 / len(modes)
     ranks = []
     for mode in modes:
-        sv = sv_per_mode[mode - 1]
+        sv = sv_per_mode[mode]
         tails = np.concatenate([np.cumsum((sv**2)[::-1])[::-1], [0.0]])
         r = 1
         while r < len(sv) and tails[r] > budget:
@@ -222,7 +223,7 @@ def _tucker_for(args, t, norm_a):
     elif args.rank is not None:
         ranks = [min(args.rank, t.shape[m - 1]) for m in modes]
     else:
-        sv = _mode_singular_values(t)
+        sv = _mode_singular_values(t, modes)
         ranks = _ranks_from_tol(sv, modes, args.tol, norm_a)
 
     if args.randomized:
@@ -283,11 +284,11 @@ def _cmd_analyze(args) -> int:
     sv_modes = _mode_singular_values(t)
     if args.machine:
         print("mode\tindex\tsingular_value")
-        for mode, sv in enumerate(sv_modes, start=1):
+        for mode, sv in sv_modes.items():
             for idx, val in enumerate(sv, start=1):
                 print(f"{mode}\t{idx}\t{float(val)!r}")
     else:
-        for mode, sv in enumerate(sv_modes, start=1):
+        for mode, sv in sv_modes.items():
             head = " ".join(f"{v:.6e}" for v in sv[:8])
             print(f"mode{mode}_sv: {head}" + (" ..." if len(sv) > 8 else ""))
     return 0
@@ -303,6 +304,8 @@ def _cmd_compress(args) -> int:
         raise _UsageError("--rank must be positive")
     if args.tol is not None:
         _check_tolerance("--tol", args.tol)
+    if args.sketch is not None and args.sketch < 1:
+        raise _UsageError(f"--sketch must be positive, got {args.sketch}")
 
     if args.method in ("hosvd", "mode2"):
         t = mat_to_tensor(a, pattern, tol=args.detect_tol)

@@ -8,6 +8,16 @@ Cholesky pivots.  The tensor routines (:func:`hosvd`,
 :func:`tucker_partial`, :func:`cp_als`, :func:`randomized_mode_basis`) are
 implemented directly on top of the mode arithmetic in :mod:`blockten.tensor`.
 
+Exact mode bases (HOSVD, partial Tucker, the shared SPSD basis, CP init) all
+come from one kernel, :func:`_mode_basis`.  Unfoldings are short and fat
+(``m x pn`` or ``p x mn``), so it first reduces a wide unfolding ``M`` to the
+``rows x rows`` triangular factor ``L`` of its LQ factorisation ``M = L Q``
+(a Householder QR of ``M^T`` that never forms ``Q``), and takes the SVD of
+``L``: ``M`` and ``L`` share their left singular vectors, and both steps are
+backward stable, so the basis is as accurate as the full SVD's at every
+spectrum, with no accuracy gate or fallback.  A full SVD of ``M`` would also
+compute the ``rows x cols`` right factor, only to discard it.
+
 Randomness: sketching matrices are drawn from ``numpy.random.default_rng``
 (PCG64) via ``standard_normal`` (ziggurat sampling), so a fixed seed fixes
 the basis bit-for-bit.
@@ -179,8 +189,8 @@ def svd_truncated(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
         raise ShapeError(f"rank {r} out of range for shape {a.shape}")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
     u, signs = _positive_lead(u[:, :r])
     return u, s[:r].copy(), (vt[:r, :] * signs[:, None]).T
 
@@ -224,15 +234,25 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 
 
 def _mode_basis(mat: np.ndarray, r: int) -> np.ndarray:
-    """Leading ``r`` left singular vectors, orthonormally completed when the
-    unfolding has fewer columns than ``r`` (possible for wide-thin modes)."""
+    """Leading ``r`` left singular vectors of ``mat``, each with its
+    largest-magnitude entry positive.
+
+    A wide unfolding is first replaced by the triangular factor of its LQ
+    factorisation, which has the same left singular vectors (see the module
+    docstring).  When ``r`` exceeds the column count of a tall unfolding the
+    basis is orthonormally completed from the full SVD.
+
+    Raises:
+        ConvergenceError: If the SVD fails (for example on NaN entries).
+    """
+    if mat.shape[0] < mat.shape[1]:
+        mat = np.linalg.qr(mat.T, mode="r").T
     if r <= min(mat.shape):
-        u, _, _ = svd_truncated(mat, r)
-        return u
+        return svd_truncated(mat, r)[0]
     try:
-        u, _, _ = np.linalg.svd(mat, full_matrices=True)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - hardware dependent
-        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+        u = np.linalg.svd(mat, full_matrices=True)[0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(str(exc)) from exc
     return _positive_lead(u[:, :r])[0]
 
 
@@ -336,7 +356,7 @@ def _cp_init(t: np.ndarray, r: int) -> list[np.ndarray]:
         extent = t.shape[k]
         mat = unfold(t, k + 1)
         keep = min(r, extent, mat.shape[1])
-        u, _, _ = svd_truncated(mat, keep)
+        u = _mode_basis(mat, keep)
         if keep < r:
             u = np.hstack([u, rng.standard_normal((extent, r - keep))])
         factors.append(u)

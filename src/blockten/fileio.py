@@ -50,7 +50,8 @@ def read_matrix(path) -> np.ndarray:
     are densified (guarded against enormous results).
 
     Raises:
-        ContainerFormatError: Malformed header or complex/pattern fields.
+        ContainerFormatError: Malformed header, complex/pattern fields, or
+            a NaN or infinite entry.
         ShapeError: Matrix too large to densify.
     """
     try:
@@ -61,9 +62,22 @@ def read_matrix(path) -> np.ndarray:
         raise ContainerFormatError(f"unsupported Matrix Market field {field!r}")
     _check_dense_size(rows, cols)
     mat = scipy.io.mmread(path)
+    # a finite sum of the stored values (far fewer than the dense entries
+    # for a coordinate file) proves every entry finite without a mask; the
+    # exact scan runs only when it is not (non-finite entries or overflow)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite((mat.data if scipy.sparse.issparse(mat) else mat).sum())
     if scipy.sparse.issparse(mat):
         mat = mat.toarray()
-    return np.asarray(mat, dtype=np.float64)
+    mat = np.asarray(mat, dtype=np.float64)
+    if not finite:
+        bad = np.argwhere(~np.isfinite(mat))
+        if bad.size:
+            i, j = bad[0]
+            raise ContainerFormatError(
+                f"{path}: non-finite entry {float(mat[i, j])!r} at row {i + 1}, column {j + 1}"
+            )
+    return mat
 
 
 def write_matrix(path, a, sparse_threshold: float = 0.25) -> None:

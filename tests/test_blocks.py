@@ -232,6 +232,12 @@ def test_tensor_to_mat_shape_validation():
         tensor_to_mat(np.zeros((2, 2)), pat)
 
 
+def test_zero_class_pattern_maps_to_zero_matrix():
+    pat = BlockPattern(2, 2, 2, 2, placements=())
+    np.testing.assert_array_equal(tensor_to_mat(np.zeros((2, 0, 2)), pat), np.zeros((4, 4)))
+    np.testing.assert_array_equal(struct_scalars(pat, np.zeros(0)), np.zeros((2, 2)))
+
+
 def test_struct_assemble_block_count_validation():
     pat = build_pattern("diagonal", 2, 2, 2, 2)
     with pytest.raises(ShapeError):

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from blockten.blocks import build_pattern, struct_assemble
 from blockten.cli import main
 from blockten.container import container_read
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
@@ -135,6 +136,25 @@ def test_tol_selects_minimal_rank(tmp_path, capsys):
     pairs = kv(out)
     assert pairs["ranks"] == "2"
     assert float(pairs["relerr_fro"]) < 1e-10
+
+
+def test_tight_tol_budget_is_met_on_a_decaying_spectrum(tmp_path, capsys):
+    # mode-2 singular values fall from 1 to 1e-12 over noise of 1e-11, so a
+    # 1e-10 budget keeps directions far below sqrt(eps) * sigma_1
+    rng = np.random.default_rng(3)
+    pattern = build_pattern("toeplitz", 12, 12, 6, 6)
+    p = pattern.p
+    u = np.linalg.qr(rng.standard_normal((p, p)))[0]
+    v = np.linalg.qr(rng.standard_normal((36, p)))[0]
+    slices = (u * np.geomspace(1.0, 1e-12, p)) @ v.T + 1e-11 * rng.standard_normal((p, 36))
+    path = tmp_path / "a.mtx"
+    write_matrix(path, struct_assemble(pattern, list(slices.reshape(p, 6, 6))))
+    for tol in (1e-6, 1e-8, 1e-9, 1e-10):
+        code, out, _ = run_cli(capsys, "compress", path, "-o", tmp_path / "t.btc",
+                               "--block-rows", 6, "--block-cols", 6, "--pattern", "toeplitz",
+                               "--method", "mode2", "--tol", tol)
+        assert code == 0
+        assert float(kv(out)["relerr_fro"]) <= tol
 
 
 def test_randomized_seed_reproducibility(toep, tmp_path, capsys):
@@ -276,6 +296,8 @@ def test_exit_2_usage_errors(toep, tmp_path, capsys):
         ("--method", "mode2", "--tol", "inf"),
         ("--method", "hosvd", "--rank", 2, "--detect-tol", "-1"),
         ("--method", "hosvd", "--rank", 2, "--detect-tol", "nan"),
+        ("--method", "hosvd", "--rank", 2, "--randomized", "--sketch", 0),
+        ("--method", "mode2", "--rank", 2, "--randomized", "--sketch", -3),
     ]
     for extra in cases:
         code, _, err = run_cli(capsys, "compress", path, "-o", out_c,
@@ -297,6 +319,24 @@ def test_exit_2_matvec_nonfinite_vector(toep, tmp_path, capsys):
     assert code == 2
     assert "non-finite" in err
     assert not (tmp_path / "y.txt").exists()
+
+
+def test_exit_2_nonfinite_matrix(toep, tmp_path, capsys):
+    _, a = toep
+    dense = a.copy()  # written in array format
+    dense[5, 2] = np.nan
+    sparse = np.zeros_like(a)  # written in coordinate format
+    sparse[0, 0] = 1.0
+    sparse[9, 1] = -np.inf
+    out_c = tmp_path / "c.btc"
+    for bad, where in ((dense, "nan at row 6, column 3"), (sparse, "-inf at row 10, column 2")):
+        path = tmp_path / "bad.mtx"
+        write_matrix(path, bad)
+        code, _, err = run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", 4,
+                               "--block-cols", 4, "--method", "hosvd", "--rank", 2)
+        assert code == 2
+        assert f"non-finite entry {where}" in err
+        assert not out_c.exists()
 
 
 def test_exit_2_argparse_level(capsys):

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockten.decomp import (
     SketchConfig,
     TuckerRep,
+    _mode_basis,
     cholesky,
     cp_als,
     hosvd,
@@ -16,7 +19,7 @@ from blockten.decomp import (
     svd_truncated,
     tucker_partial,
 )
-from blockten.errors import NotPositiveDefiniteError, ShapeError
+from blockten.errors import ConvergenceError, NotPositiveDefiniteError, ShapeError
 from blockten.tensor import fro_norm, mode_multiply, unfold
 
 
@@ -75,6 +78,71 @@ def test_cholesky_rejects_indefinite_and_asymmetric():
         cholesky(np.diag([1.0, -1.0]))
     with pytest.raises(ShapeError):
         cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+# ---------------------------------------------------------------------------
+# mode basis kernel
+# ---------------------------------------------------------------------------
+
+
+def _decaying_matrix(rng, rows, cols, k, tau, noise):
+    """``rows x cols`` matrix with singular values ``geomspace(1, tau, k)``,
+    plus Gaussian noise of Frobenius norm about ``noise``."""
+    u = np.linalg.qr(rng.standard_normal((rows, k)))[0]
+    v = np.linalg.qr(rng.standard_normal((cols, k)))[0]
+    mat = (u * np.geomspace(1.0, tau, k)) @ v.T
+    return mat + noise * rng.standard_normal((rows, cols)) / np.sqrt(rows * cols)
+
+
+def _residual(mat, u):
+    return np.linalg.norm(mat - u @ (u.T @ mat))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    rows=st.integers(1, 40),
+    widen=st.integers(1, 8),
+    tau=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]),
+    noisy=st.booleans(),
+    data=st.data(),
+)
+def test_mode_basis_matches_svd_on_wide_matrices(seed, rows, widen, tau, noisy, data):
+    rng = np.random.default_rng(seed)
+    cols = rows * widen
+    k = data.draw(st.integers(1, rows), label="numerical rank")
+    r = data.draw(st.integers(1, rows), label="basis rank")  # may exceed k
+    mat = _decaying_matrix(rng, rows, cols, k, tau, tau * 1e-3 if noisy else 0.0)
+    u = _mode_basis(mat, r)
+    assert u.shape == (rows, r)
+    np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-13)
+    for col in u.T:
+        assert col[np.argmax(np.abs(col))] > 0
+    u_svd = svd_truncated(mat, r)[0]
+    assert _residual(mat, u) <= _residual(mat, u_svd) + 1e-12 * np.linalg.norm(mat)
+
+
+def test_mode_basis_tall_unfolding_is_the_truncated_svd():
+    mat = np.random.default_rng(15).standard_normal((30, 5))
+    np.testing.assert_array_equal(_mode_basis(mat, 3), svd_truncated(mat, 3)[0])
+    completed = _mode_basis(mat, 7)  # more vectors than columns
+    np.testing.assert_allclose(completed.T @ completed, np.eye(7), atol=1e-13)
+    assert _residual(mat, completed) < 1e-12 * np.linalg.norm(mat)
+
+
+def test_mode_basis_ignores_extreme_magnitudes():
+    mat = _decaying_matrix(np.random.default_rng(16), 12, 60, 6, 1e-8, 0.0)
+    u = _mode_basis(mat, 4)
+    for scale in (1e250, 1e-250):
+        np.testing.assert_allclose(_mode_basis(mat * scale, 4), u, atol=1e-12)
+
+
+def test_mode_basis_nan_raises_convergence_error():
+    for shape in ((4, 20), (20, 4)):
+        mat = np.ones(shape)
+        mat[1, 2] = np.nan
+        with pytest.raises(ConvergenceError):
+            _mode_basis(mat, 2)
 
 
 # ---------------------------------------------------------------------------
