@@ -318,18 +318,24 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
     Args:
         a_or_pattern: The dense source matrix, or just its
             :class:`BlockPattern` when the matrix is too large to hold (then
-            only pattern-based metrics are reported).
+            only pattern-based metrics are reported).  It must have the
+            representation's shape.
         rep: Any representation produced by this package.
         trace_ref: Reference trace when the matrix itself is not supplied
             (e.g. ``N * T`` for a unit-diagonal covariance kernel).
 
     Returns:
         Dict with the computable subset of ``relerr_fro`` (dense matrix
-        available and the representation densifiable), ``relerr_trace``
+        available and nonzero; an SPD form must also be densifiable),
+        ``relerr_trace``
         (representation exposes a trace), and ``storage_ratio``:
         stored scalars over ``nnz`` of the matrix (Kronecker-sum / block
         low-rank), or over the ``p`` distinct dense blocks (shared-basis
         kinds, pattern alone suffices).
+
+    Raises:
+        ShapeError: If the representation kind is unsupported or the matrix
+            shape differs from the representation's.
     """
     metrics: dict[str, float] = {}
     matrix = a_or_pattern if isinstance(a_or_pattern, np.ndarray) else None
@@ -348,6 +354,8 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
         stored = n * (n + 1) // 2 + rep.remainder.basis.size + rep.remainder.blocks.size
     else:
         raise ShapeError(f"unsupported representation {type(rep).__name__}")
+    if matrix is not None and matrix.shape != rep.shape:
+        raise ShapeError(f"matrix shape {matrix.shape} != representation shape {rep.shape}")
 
     if isinstance(rep, (SpsdRep, SpdRep)):
         metrics["storage_ratio"] = stored / (pattern.p * pattern.m * pattern.n)
@@ -356,14 +364,16 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
 
     if matrix is not None:
         try:
-            if isinstance(rep, (SpsdRep, SpdRep)):
+            if isinstance(rep, SpdRep):
+                # its cells mix the Cholesky anchor with the remainder pattern
                 metrics["relerr_fro"] = float(
                     np.linalg.norm(matrix - rep.densify()) / np.linalg.norm(matrix)
                 )
             else:
-                metrics["relerr_fro"] = error_fro(matrix, rep)
+                metrics["relerr_fro"] = error_fro(
+                    matrix, rep.as_blr() if isinstance(rep, SpsdRep) else rep)
         except ShapeError:
-            pass  # too large to densify; trace/storage metrics still apply
+            pass  # shapes agree: a zero matrix, or an SPD form too large to densify
 
     if hasattr(rep, "trace"):
         if trace_ref is None and matrix is not None:

@@ -33,6 +33,7 @@ from .decomp import (
     cp_als,
     hosvd,
     randomized_mode_basis,
+    tail_rank,
     tucker_partial,
 )
 from .errors import (
@@ -57,7 +58,7 @@ from .reconstruct import (
     kron_sum_from_tucker,
     matvec,
 )
-from .tensor import mode_multiply, unfold
+from .tensor import unfold
 
 __all__ = ["main"]
 
@@ -172,21 +173,6 @@ def _mode_singular_values(t, modes=(1, 2, 3)) -> dict[int, np.ndarray]:
     return {k: np.linalg.svd(unfold(t, k), compute_uv=False) for k in modes}
 
 
-def _ranks_from_tol(sv_per_mode, modes, eps, norm_a) -> list[int]:
-    """Smallest rank per compressed mode with tail energy within the equal
-    split of the squared budget ``(eps * ||A||_F)^2``."""
-    budget = (eps * norm_a) ** 2 / len(modes)
-    ranks = []
-    for mode in modes:
-        sv = sv_per_mode[mode]
-        tails = np.concatenate([np.cumsum((sv**2)[::-1])[::-1], [0.0]])
-        r = 1
-        while r < len(sv) and tails[r] > budget:
-            r += 1
-        ranks.append(r)
-    return ranks
-
-
 def _sketch_sizes(t, mode, sketch) -> tuple[int | None, ...]:
     sizes: list[int | None] = []
     for j in range(1, t.ndim + 1):
@@ -199,17 +185,15 @@ def _sketch_sizes(t, mode, sketch) -> tuple[int | None, ...]:
 
 def _randomized_tucker(t, modes, ranks, sketch, seed) -> TuckerRep:
     factors: list[np.ndarray | None] = [None, None, None]
-    core = t
     for mode, r in zip(modes, ranks):
         cfg = SketchConfig(seed=seed + mode, sizes=_sketch_sizes(t, mode, sketch))
-        u = randomized_mode_basis(t, mode, r, cfg)
-        factors[mode - 1] = u
-        core = mode_multiply(core, mode, u.T)
-    return TuckerRep(core=core, factors=tuple(factors))
+        factors[mode - 1] = randomized_mode_basis(t, mode, r, cfg)
+    return TuckerRep.project(t, factors)
 
 
 def _tucker_for(args, t, norm_a):
     modes = (1, 2, 3) if args.method == "hosvd" else (2,)
+    budget = None
     if args.ranks is not None:
         if args.method != "hosvd":
             raise _UsageError("--ranks applies to --method hosvd only")
@@ -223,17 +207,24 @@ def _tucker_for(args, t, norm_a):
     elif args.rank is not None:
         ranks = [min(args.rank, t.shape[m - 1]) for m in modes]
     else:
-        sv = _mode_singular_values(t, modes)
-        ranks = _ranks_from_tol(sv, modes, args.tol, norm_a)
+        # an equal split of the squared budget (eps * ||A||_F)^2 per mode
+        budget = (args.tol * norm_a) ** 2 / len(modes)
+        if args.randomized:
+            sv = _mode_singular_values(t, modes)
+            ranks = [tail_rank(sv[k], budget) for k in modes]
+        else:
+            # the extents are caps: the budget picks each rank from the
+            # spectrum of the factorisation that also yields the basis
+            ranks = [t.shape[k - 1] for k in modes]
 
     if args.randomized:
         sketch = args.sketch if args.sketch is not None else max(ranks) + 5
         tk = _randomized_tucker(t, modes, ranks, sketch, args.seed)
     elif args.method == "hosvd":
-        tk = hosvd(t, list(ranks))
+        tk = hosvd(t, list(ranks), tail_budget=budget)
     else:
-        tk = tucker_partial(t, [None, ranks[0], None])
-    return tk, ranks
+        tk = tucker_partial(t, [None, ranks[0], None], tail_budget=budget)
+    return tk, [tk.ranks[k - 1] for k in modes]
 
 
 def _rep_matvec(rep, x):

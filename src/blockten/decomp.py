@@ -39,6 +39,7 @@ __all__ = [
     "CpResult",
     "SketchConfig",
     "svd_truncated",
+    "tail_rank",
     "qr_thin",
     "cholesky",
     "hosvd",
@@ -87,6 +88,17 @@ class TuckerRep:
     @property
     def ranks(self) -> tuple[int, ...]:
         return self.core.shape
+
+    @classmethod
+    def project(cls, t: np.ndarray, factors) -> TuckerRep:
+        """Tucker form of ``t`` on the given orthonormal mode bases: the core
+        is ``t`` contracted with each factor's transpose in mode order
+        (``None`` leaves a mode alone)."""
+        core = t
+        for k, u in enumerate(factors):
+            if u is not None:
+                core = mode_multiply(core, k + 1, u.T)
+        return cls(core=core, factors=tuple(factors))
 
     def reconstruct(self) -> np.ndarray:
         """Expand back to a dense tensor."""
@@ -233,20 +245,35 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _mode_basis(mat: np.ndarray, r: int) -> np.ndarray:
+def tail_rank(sv: np.ndarray, budget: float) -> int:
+    """Fewest leading singular values (at least one) whose discarded tail
+    ``sum(sv[r:] ** 2)`` is at most ``budget``; ``sv`` is nonincreasing."""
+    tails = np.concatenate([np.cumsum((sv**2)[::-1])[::-1], [0.0]])
+    r = 1
+    while r < len(sv) and tails[r] > budget:
+        r += 1
+    return r
+
+
+def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.ndarray:
     """Leading ``r`` left singular vectors of ``mat``, each with its
     largest-magnitude entry positive.
 
     A wide unfolding is first replaced by the triangular factor of its LQ
-    factorisation, which has the same left singular vectors (see the module
-    docstring).  When ``r`` exceeds the column count of a tall unfolding the
-    basis is orthonormally completed from the full SVD.
+    factorisation, which has the same left singular vectors and singular
+    values (see the module docstring).  With ``tail_budget``, ``r`` is a cap:
+    the basis keeps ``min(r, tail_rank(sv, tail_budget))`` vectors, read from
+    the same SVD.  When ``r`` exceeds the column count of a tall unfolding
+    the basis is orthonormally completed from the full SVD.
 
     Raises:
         ConvergenceError: If the SVD fails (for example on NaN entries).
     """
     if mat.shape[0] < mat.shape[1]:
         mat = np.linalg.qr(mat.T, mode="r").T
+    if tail_budget is not None:
+        u, sv, _ = svd_truncated(mat, min(mat.shape))
+        return u[:, : min(r, tail_rank(sv, tail_budget))]
     if r <= min(mat.shape):
         return svd_truncated(mat, r)[0]
     try:
@@ -256,17 +283,26 @@ def _mode_basis(mat: np.ndarray, r: int) -> np.ndarray:
     return _positive_lead(u[:, :r])[0]
 
 
-def hosvd(t: np.ndarray, ranks: tuple[int, ...] | list[int]) -> TuckerRep:
+def hosvd(
+    t: np.ndarray,
+    ranks: tuple[int, ...] | list[int],
+    tail_budget: float | None = None,
+) -> TuckerRep:
     """Higher-order SVD: per-mode truncated bases plus the projected core.
 
     Args:
         t: Tensor of any order >= 2.
         ranks: Target multilinear rank, one entry per mode with
             ``1 <= ranks[k] <= t.shape[k]``.
+        tail_budget: Optional squared-energy budget per mode.  Each entry of
+            ``ranks`` is then a cap, and mode ``k`` keeps
+            ``min(ranks[k], tail_rank(sv_k, tail_budget))`` vectors, where
+            ``sv_k`` is the spectrum of its unfolding (factored once).
 
     Returns:
         :class:`TuckerRep` whose factor for mode ``k`` holds the ``ranks[k]``
-        leading left singular vectors of the mode-``k`` unfolding of ``t``.
+        (or, under ``tail_budget``, at most that many) leading left singular
+        vectors of the mode-``k`` unfolding of ``t``.
     """
     if len(ranks) != t.ndim:
         raise ShapeError(f"expected {t.ndim} ranks, got {len(ranks)}")
@@ -274,11 +310,8 @@ def hosvd(t: np.ndarray, ranks: tuple[int, ...] | list[int]) -> TuckerRep:
     for k, r in enumerate(ranks):
         if not 1 <= r <= t.shape[k]:
             raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
-        factors.append(_mode_basis(unfold(t, k + 1), r))
-    core = t
-    for k, u in enumerate(factors):
-        core = mode_multiply(core, k + 1, u.T)  # type: ignore[union-attr]
-    return TuckerRep(core=core, factors=tuple(factors))
+        factors.append(_mode_basis(unfold(t, k + 1), r, tail_budget))
+    return TuckerRep.project(t, factors)
 
 
 def tucker_partial(
@@ -286,6 +319,7 @@ def tucker_partial(
     ranks: list[int | None] | tuple[int | None, ...],
     shared: tuple[int, int] | None = None,
     shared_from: str = "first",
+    tail_budget: float | None = None,
 ) -> TuckerRep:
     """Tucker compression of a chosen subset of modes.
 
@@ -299,6 +333,8 @@ def tucker_partial(
         shared_from: Where the shared factor comes from: ``"first"`` uses the
             unfolding of the first mode of the pair, ``"concat"`` the
             column-concatenation of both unfoldings.
+        tail_budget: Optional squared-energy budget per compressed mode, as
+            in :func:`hosvd`: the int entries of ``ranks`` become caps.
 
     Returns:
         :class:`TuckerRep` with ``None`` factors marking untouched modes.
@@ -324,7 +360,7 @@ def tucker_partial(
             basis_src = np.hstack([unfold(t, a), unfold(t, b)])
         else:
             raise ValueError(f"unknown shared_from {shared_from!r}")
-        u = _mode_basis(basis_src, r)
+        u = _mode_basis(basis_src, r, tail_budget)
         factors[a - 1] = u
         factors[b - 1] = u
         share = (a - 1, b - 1)
@@ -334,13 +370,8 @@ def tucker_partial(
             continue
         if not 1 <= r <= t.shape[k]:
             raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
-        factors[k] = _mode_basis(unfold(t, k + 1), r)
-
-    core = t
-    for k, u in enumerate(factors):
-        if u is not None:
-            core = mode_multiply(core, k + 1, u.T)
-    return TuckerRep(core=core, factors=tuple(factors))
+        factors[k] = _mode_basis(unfold(t, k + 1), r, tail_budget)
+    return TuckerRep.project(t, factors)
 
 
 # ---------------------------------------------------------------------------

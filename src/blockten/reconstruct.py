@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .blocks import BlockPattern, struct_expand, struct_scalars
+from .blocks import BlockPattern, struct_assemble, struct_scalars
 from .decomp import KruskalRep, TuckerRep, qr_thin
 from .errors import ShapeError
-from .tensor import fro_norm
 
 __all__ = [
     "KronSumRep",
@@ -316,6 +315,19 @@ def matvec(rep: KronSumRep | BlockLowRankRep, x: np.ndarray, counter: FlopCounte
     raise TypeError(f"unsupported representation {type(rep).__name__}")
 
 
+def _cell_blocks(rep: KronSumRep | BlockLowRankRep) -> np.ndarray:
+    """``(p, m, n)`` stack of the block every cell of class ``k`` holds:
+    the class item (``sum_j coeffs[k, j] D_j`` or ``left @ middles[k] @
+    right^T``) divided by ``sqrt(eta_k)``."""
+    if isinstance(rep, KronSumRep):
+        items = np.tensordot(rep.coeffs, rep.terms, axes=(1, 0))
+    elif isinstance(rep, BlockLowRankRep):
+        items = rep.left @ rep.middles @ rep.right.T
+    else:
+        raise TypeError(f"unsupported representation {type(rep).__name__}")
+    return items / np.sqrt(rep.pattern.counts)[:, None, None]
+
+
 def densify(rep: KronSumRep | BlockLowRankRep) -> np.ndarray:
     """Materialize the represented matrix (guarded against huge outputs).
 
@@ -325,23 +337,40 @@ def densify(rep: KronSumRep | BlockLowRankRep) -> np.ndarray:
     """
     pat = rep.pattern
     _check_dense_size(*pat.shape)
-    if isinstance(rep, KronSumRep):
-        items = [np.tensordot(rep.coeffs[k, :], rep.terms, axes=(0, 0)) for k in range(pat.p)]
-        return struct_expand(pat, items)
-    if isinstance(rep, BlockLowRankRep):
-        items = [rep.left @ rep.middles[k] @ rep.right.T for k in range(pat.p)]
-        return struct_expand(pat, items)
-    raise TypeError(f"unsupported representation {type(rep).__name__}")
+    return struct_assemble(pat, _cell_blocks(rep))
 
 
 def error_fro(a: np.ndarray, rep: KronSumRep | BlockLowRankRep) -> float:
-    """Relative Frobenius error ``||a - densify(rep)|| / ||a||``."""
+    """Relative Frobenius error ``||a - densify(rep)|| / ||a||`` for any
+    ``a`` of the representation's shape, without forming ``densify(rep)``.
+
+    On the block view ``a.reshape(ell, m, q, n)`` the squared residual is a
+    sum of nonnegative terms, each computed entrywise (so it does not cancel
+    at small errors): the energy of the cells no class claims, plus, per
+    class ``k``, ``||view[rows_k, :, cols_k, :] - B_k||^2`` over its gathered
+    copies, where ``B_k`` is the block the representation puts on each of
+    them.  Cost: one read of ``a`` for the per-cell energies plus
+    ``sum(eta_k) * m * n`` gathered entries; the dense approximation is
+    never formed.
+
+    Raises:
+        ShapeError: If the shapes differ or ``a`` is zero.
+    """
     if a.shape != rep.shape:
         raise ShapeError(f"matrix shape {a.shape} != representation shape {rep.shape}")
-    base = fro_norm(a)
+    pat = rep.pattern
+    # a C-ordered copy of any other layout keeps the summation order fixed
+    view = np.ascontiguousarray(a, dtype=np.float64).reshape(pat.ell, pat.m, pat.q, pat.n)
+    cell = np.einsum("imjn,imjn->ij", view, view)
+    base = cell.sum()
     if base == 0.0:
         raise ShapeError("relative error undefined for a zero matrix")
-    return fro_norm(a - densify(rep)) / base
+    resid = cell[pat.class_of < 0].sum()
+    for cells, block in zip(pat.placements, _cell_blocks(rep)):
+        diff = view[cells[:, 0], :, cells[:, 1], :]  # a copy: "-=" leaves a intact
+        diff -= block
+        resid += np.vdot(diff, diff)
+    return float(np.sqrt(resid) / np.sqrt(base))
 
 
 def c_term_dense(rep: KronSumRep, j: int) -> np.ndarray:

@@ -157,6 +157,23 @@ def test_tight_tol_budget_is_met_on_a_decaying_spectrum(tmp_path, capsys):
         assert float(kv(out)["relerr_fro"]) <= tol
 
 
+@pytest.mark.parametrize("method, tol", [("hosvd", "0.7"), ("hosvd", "0.5"),
+                                         ("mode2", "0.3"), ("mode2", "1e-8")])
+def test_tol_container_equals_the_explicit_rank_container(toep, tmp_path, capsys, method, tol):
+    # --tol builds its bases from the factorisation that picked the ranks;
+    # the result must be the one the explicit ranks give
+    path, _ = toep
+    args = ("--block-rows", 4, "--block-cols", 4, "--method", method)
+    code, out, _ = run_cli(capsys, "compress", path, "-o", tmp_path / "tol.btc", *args,
+                           "--tol", tol)
+    assert code == 0
+    ranks = kv(out)["ranks"]
+    flag = ("--ranks", ranks) if method == "hosvd" else ("--rank", ranks)
+    code, _, _ = run_cli(capsys, "compress", path, "-o", tmp_path / "rank.btc", *args, *flag)
+    assert code == 0
+    assert (tmp_path / "tol.btc").read_bytes() == (tmp_path / "rank.btc").read_bytes()
+
+
 def test_randomized_seed_reproducibility(toep, tmp_path, capsys):
     path, _ = toep
     blobs = {}
@@ -364,6 +381,23 @@ def test_exit_3_matvec_length_mismatch(toep, tmp_path, capsys):
     write_vector(xp, np.ones(7))
     code, _, _ = run_cli(capsys, "matvec", out_c, xp, "-o", tmp_path / "y.txt")
     assert code == 3
+
+
+@pytest.mark.parametrize("method", ["mode2", "spsd"])
+def test_exit_3_report_matrix_shape_mismatch(tmp_path, capsys, method):
+    a = spd_block_toeplitz(np.random.default_rng(108), s=4, m=6)
+    path, wrong = tmp_path / "a.mtx", tmp_path / "wrong.mtx"
+    write_matrix(path, a)
+    write_matrix(wrong, a[:18, :18])
+    out_c = tmp_path / "c.btc"
+    code, _, _ = run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", 6,
+                         "--block-cols", 6, "--pattern", "toeplitz", "--method", method,
+                         "--rank", 3)
+    assert code == 0
+    code, out, err = run_cli(capsys, "report", out_c, "--matrix", wrong)
+    assert code == 3
+    assert "matrix shape (18, 18) != representation shape (24, 24)" in err
+    assert "relerr" not in out and "storage_ratio" not in out
 
 
 def test_exit_2_truncated_container(toep, tmp_path, capsys):

@@ -17,6 +17,7 @@ from blockten.decomp import (
     qr_thin,
     randomized_mode_basis,
     svd_truncated,
+    tail_rank,
     tucker_partial,
 )
 from blockten.errors import ConvergenceError, NotPositiveDefiniteError, ShapeError
@@ -143,6 +144,29 @@ def test_mode_basis_nan_raises_convergence_error():
         mat[1, 2] = np.nan
         with pytest.raises(ConvergenceError):
             _mode_basis(mat, 2)
+
+
+def test_tail_rank_keeps_the_fewest_values_within_budget():
+    sv = np.array([4.0, 2.0, 1.0, 0.5])
+    assert tail_rank(sv, 0.0) == 4
+    assert tail_rank(sv, 0.25) == 3  # the tail 0.5^2 fits exactly
+    assert tail_rank(sv, 1.25) == 2
+    assert tail_rank(sv, 1e9) == 1  # at least one value is kept
+
+
+@pytest.mark.parametrize("shape", [(5, 6, 7), (4, 30, 3)])  # wide and tall unfoldings
+def test_tail_budget_picks_ranks_from_the_basis_svd(shape):
+    t = np.random.default_rng(17).standard_normal(shape)
+    budget = 0.2 * fro_norm(t) ** 2
+    want = [tail_rank(np.linalg.svd(unfold(t, k), compute_uv=False), budget)
+            for k in (1, 2, 3)]
+    tk = hosvd(t, t.shape, tail_budget=budget)
+    assert list(tk.ranks) == want
+    ref = hosvd(t, want)
+    for u, v in zip(tk.factors, ref.factors):
+        np.testing.assert_array_equal(u, v)
+    capped = tucker_partial(t, [None, 1, None], tail_budget=budget)
+    assert capped.ranks == (shape[0], 1, shape[2])
 
 
 # ---------------------------------------------------------------------------

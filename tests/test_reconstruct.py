@@ -7,9 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockten.blocks import build_pattern, mat_to_tensor, struct_assemble, tensor_to_mat
+from blockten.blocks import (
+    BlockPattern,
+    build_pattern,
+    mat_to_tensor,
+    struct_assemble,
+    tensor_to_mat,
+)
 from blockten.decomp import TuckerRep, cp_als, hosvd, tucker_partial
 from blockten.errors import ShapeError
+from blockten.psd import SpsdRep
 from blockten.reconstruct import (
     BlockLowRankRep,
     FlopCounter,
@@ -184,6 +191,84 @@ def test_error_fro_zero_matrix_rejected():
     rep = kron_sum_from_tucker(hosvd(t, t.shape), pat)
     with pytest.raises(ShapeError):
         error_fro(np.zeros_like(a), rep)
+
+
+def test_error_fro_rejections_keep_their_messages():
+    rng, pat, a, t = _setup(10)
+    rep = kron_sum_from_tucker(hosvd(t, t.shape), pat)
+    with pytest.raises(ShapeError, match="relative error undefined for a zero matrix"):
+        error_fro(np.zeros_like(a), rep)
+    with pytest.raises(ShapeError, match=r"matrix shape \(.*\) != representation shape"):
+        error_fro(a[:, 1:], rep)
+
+
+def test_error_fro_ignores_memory_layout():
+    rng, pat, a, t = _setup(11, kind="banded")
+    a = a + 0.1 * rng.standard_normal(a.shape)  # nonconforming everywhere
+    rep = blr_from_tucker(hosvd(t, random_ranks(rng, t.shape)), pat)
+    want = error_fro(a, rep)
+    host = np.zeros((a.shape[0] + 2, 2 * a.shape[1]))
+    host[1:-1, ::2] = a
+    assert error_fro(np.asfortranarray(a), rep) == want
+    assert error_fro(host[1:-1, ::2], rep) == want
+
+
+def _oracle_error(a, dense):
+    return float(np.linalg.norm(a - dense) / np.linalg.norm(a))
+
+
+def _form_of(form, pat, t, rng):
+    """A compressed form of ``pat`` (square blocks for ``spsd``) and the
+    dense matrix an independent path assigns it."""
+    if form == "spsd":
+        r = int(rng.integers(1, pat.m + 1))
+        basis = np.linalg.qr(rng.standard_normal((pat.m, r)))[0]
+        rep = SpsdRep(pattern=pat, basis=basis, blocks=rng.standard_normal((pat.p, r, r)))
+        return rep.as_blr(), rep.densify()
+    tk = hosvd(t, random_ranks(rng, t.shape))
+    rep = kron_sum_from_tucker(tk, pat) if form == "kron" else blr_from_tucker(tk, pat)
+    return rep, densify(rep)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS),
+       form=st.sampled_from(("kron", "blr", "spsd")),
+       variant=st.sampled_from(("conforming", "uncovered", "disagreeing")))
+def test_error_fro_matches_dense_oracle(seed, kind, form, variant):
+    rng = np.random.default_rng(seed)
+    pat = random_pattern(rng, kind)
+    if form == "spsd":
+        pat = BlockPattern(pat.ell, pat.q, pat.m, pat.m, pat.placements, pat.structure_class)
+    a = struct_assemble(pat, random_blocks(rng, pat))
+    rep, dense = _form_of(form, pat, mat_to_tensor(a, pat), rng)
+    view = a.reshape(pat.ell, pat.m, pat.q, pat.n)
+    if variant == "uncovered":
+        empty = pat.class_of < 0
+        view.transpose(0, 2, 1, 3)[empty] = rng.standard_normal((empty.sum(), pat.m, pat.n))
+    elif variant == "disagreeing":
+        i, j = pat.placements[int(np.argmax(pat.counts))][-1]
+        view[i, :, j, :] += rng.standard_normal((pat.m, pat.n))
+    want = _oracle_error(a, dense)
+    # 1e-13 relative; the absolute floor of ~50 roundoffs covers near-exact forms
+    assert abs(error_fro(a, rep) - want) <= 1e-13 * want + 1e-14
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS),
+       form=st.sampled_from(("kron", "blr")))
+def test_error_fro_resolves_roundoff_level_errors(seed, kind, form):
+    # a full-rank Tucker form is exact up to rounding: the residual must not
+    # cancel to zero, and it must agree with the dense one to 1e-12 ||A||
+    rng = np.random.default_rng(seed)
+    pat = random_pattern(rng, kind)
+    pat = BlockPattern(pat.ell, pat.q, 3, 4, pat.placements, pat.structure_class)
+    a = struct_assemble(pat, random_blocks(rng, pat))
+    t = mat_to_tensor(a, pat)
+    tk = hosvd(t, t.shape)
+    rep = kron_sum_from_tucker(tk, pat) if form == "kron" else blr_from_tucker(tk, pat)
+    got = error_fro(a, rep)
+    assert 0.0 < got < 1e-13
+    assert abs(got - _oracle_error(a, densify(rep))) <= 1e-12
 
 
 def test_rep_shape_validation():
