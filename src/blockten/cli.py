@@ -114,8 +114,9 @@ def _build_parser() -> argparse.ArgumentParser:
                               "split evenly across compressed modes")
     co.add_argument("--output", choices=("kron_sum", "blr"), default="kron_sum",
                     help="structured output format")
-    co.add_argument("--split", choices=("factor", "qr"), default="factor",
-                    help="how CP components map to Kronecker terms")
+    co.add_argument("--split", choices=("factor", "qr"), default=None,
+                    help="how CP components map to Kronecker terms "
+                         "(--method cp --output kron_sum only; default factor)")
     co.add_argument("--randomized", action="store_true",
                     help="sketched range finder instead of exact SVD (hosvd/mode2)")
     co.add_argument("--sketch", type=int, default=None, metavar="S",
@@ -291,6 +292,8 @@ def _cmd_compress(args) -> int:
     norm_a = float(np.linalg.norm(a))
     if args.randomized and args.method not in ("hosvd", "mode2"):
         raise _UsageError("--randomized applies to --method hosvd/mode2 only")
+    if args.split is not None and (args.method != "cp" or args.output != "kron_sum"):
+        raise _UsageError("--split applies to --method cp --output kron_sum only")
     if args.rank is not None and args.rank < 1:
         raise _UsageError("--rank must be positive")
     if args.tol is not None:
@@ -311,7 +314,8 @@ def _cmd_compress(args) -> int:
         ranks = [args.rank]
         print(f"cp_fit: {result.fit!r}")
         print(f"cp_iterations: {result.n_iters}")
-        rep = (kron_sum_from_kruskal(result.rep, pattern, split=args.split)
+        print(f"cp_converged: {result.converged}")
+        rep = (kron_sum_from_kruskal(result.rep, pattern, split=args.split or "factor")
                if args.output == "kron_sum"
                else blr_from_kruskal(result.rep, pattern))
     else:  # spsd / spd

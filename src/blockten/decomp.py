@@ -49,6 +49,9 @@ __all__ = [
 ]
 
 _CP_FALLBACK_SEED = 0  # fixed seed for random init columns when r exceeds an extent
+# cp_als trusts its Gram-matrix residual^2 only above this share of the
+# squared size of its largest term (see cp_als)
+_CP_GRAM_FIT_FLOOR = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -341,6 +344,9 @@ def tucker_partial(
     """
     if len(ranks) != t.ndim:
         raise ShapeError(f"expected {t.ndim} rank entries, got {len(ranks)}")
+    for k, r in enumerate(ranks):
+        if r is not None and not 1 <= r <= t.shape[k]:
+            raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
     factors: list[np.ndarray | None] = [None] * t.ndim
 
     share = ()
@@ -368,8 +374,6 @@ def tucker_partial(
     for k, r in enumerate(ranks):
         if k in share or r is None:
             continue
-        if not 1 <= r <= t.shape[k]:
-            raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
         factors[k] = _mode_basis(unfold(t, k + 1), r, tail_budget)
     return TuckerRep.project(t, factors)
 
@@ -379,18 +383,23 @@ def tucker_partial(
 # ---------------------------------------------------------------------------
 
 
-def _cp_init(t: np.ndarray, r: int) -> list[np.ndarray]:
-    """Leading left singular vectors per mode, random-padded when r is large."""
+def _cp_init(unfoldings: list[np.ndarray], r: int) -> list[np.ndarray | None]:
+    """Initial CP factors from the mode unfoldings: the leading left singular
+    vectors per mode, random-padded when ``r`` exceeds what a mode offers.
+
+    The mode-1 entry is ``None``: the first update of a sweep overwrites it
+    before anything reads it.  Its padding is still drawn, so modes 2 and 3
+    get the same random columns as when every mode had a basis.
+    """
     rng = np.random.default_rng(_CP_FALLBACK_SEED)
-    factors = []
-    for k in range(3):
-        extent = t.shape[k]
-        mat = unfold(t, k + 1)
-        keep = min(r, extent, mat.shape[1])
+    factors: list[np.ndarray | None] = [None]
+    for k, mat in enumerate(unfoldings):
+        keep = min(r, *mat.shape)
+        pad = rng.standard_normal((mat.shape[0], r - keep)) if keep < r else None
+        if k == 0:
+            continue
         u = _mode_basis(mat, keep)
-        if keep < r:
-            u = np.hstack([u, rng.standard_normal((extent, r - keep))])
-        factors.append(u)
+        factors.append(u if pad is None else np.hstack([u, pad]))
     return factors
 
 
@@ -408,6 +417,19 @@ def cp_als(
     ``1 - ||t - t_hat||_F / ||t||_F`` is nondecreasing.  Iteration stops once
     the fit improves by less than ``tol`` or after ``max_iters`` sweeps.
 
+    The fit is computed without forming ``t_hat`` (Kolda & Bader, SIAM Review
+    2009, section 3.4): with unit-norm factor columns, weights ``lam``, Gram
+    matrices ``G_k`` and the mode-3 MTTKRP ``M3`` of the sweep's last update,
+    ``||t - t_hat||^2 = ||t||^2 + lam^T (G_1 * G_2 * G_3) lam
+    - 2 sum_r lam_r <z_r, M3[:, r]>``, an identity whether or not the
+    pseudoinverse solved the subproblem exactly.  Each term is at most
+    ``s = (||t|| + sum(lam))^2`` in size, so the rounding error of the sum
+    moves the fit by about ``eps s / (||t - t_hat|| ||t||)``.  The sweep
+    therefore forms ``t_hat`` and takes the norm of ``t - t_hat`` instead
+    when the sum is below ``1e-6 s^2 / ||t||^2`` or negative: near a perfect
+    fit (above about 0.99 for well-separated components), and for diverging
+    components whose weights dwarf ``||t||``.
+
     Raises:
         ShapeError: If ``t`` is not order 3 or ``r < 1``.
         ValueError: If ``t`` is identically zero.
@@ -422,9 +444,9 @@ def cp_als(
     if norm_t == 0.0:
         raise ValueError("cp_als: zero tensor has no meaningful CP factorization")
 
-    factors = _cp_init(t, r)
     unfoldings = [unfold(t, k + 1) for k in range(3)]
-    grams = [f.T @ f for f in factors]
+    factors = _cp_init(unfoldings, r)
+    grams = [None] + [f.T @ f for f in factors[1:]]
 
     fit_history: list[float] = []
     fit_prev = -np.inf
@@ -437,7 +459,8 @@ def cp_als(
             # the earlier one fastest, hence the reversed khatri-rao order
             kr = khatri_rao(factors[others[1]], factors[others[0]])
             v = grams[others[0]] * grams[others[1]]
-            factors[k] = unfoldings[k] @ kr @ np.linalg.pinv(v)
+            mttkrp = unfoldings[k] @ kr
+            factors[k] = mttkrp @ np.linalg.pinv(v)
             norms = np.linalg.norm(factors[k], axis=0)
             norms[norms == 0] = 1.0
             factors[k] = factors[k] / norms
@@ -445,8 +468,17 @@ def cp_als(
                 lam = norms  # weights from the last update of each sweep
             grams[k] = factors[k].T @ factors[k]
 
-        approx = np.einsum("ir,jr,kr->ijk", factors[0] * lam, factors[1], factors[2])
-        fit = 1.0 - fro_norm(t - approx) / norm_t
+        # relative to ||t||^2; mttkrp is the mode-3 one here, paired with
+        # the unit columns of z
+        w = lam / norm_t
+        resid2 = (1.0 + w @ (grams[0] * grams[1] * grams[2]) @ w
+                  - 2.0 * w @ np.sum(factors[2] * mttkrp, axis=0) / norm_t)
+        scale = (1.0 + w.sum()) ** 2  # bounds every term of resid2
+        if resid2 >= _CP_GRAM_FIT_FLOOR * scale**2:
+            fit = 1.0 - float(np.sqrt(resid2))
+        else:
+            approx = np.einsum("ir,jr,kr->ijk", factors[0] * lam, factors[1], factors[2])
+            fit = 1.0 - fro_norm(t - approx) / norm_t
         fit_history.append(fit)
         if abs(fit - fit_prev) < tol:
             converged = True

@@ -286,6 +286,20 @@ def test_cp_compress_runs(toep, tmp_path, capsys):
     assert "cp_fit" in pairs
 
 
+@pytest.mark.parametrize("extra", [(), ("--split", "qr"), ("--output", "blr")])
+def test_cp_fit_is_one_minus_the_certified_error(toep, tmp_path, capsys, extra):
+    # the fit cp_als reports without forming the model agrees with the error
+    # certified on the written representation
+    path, _ = toep
+    code, out, _ = run_cli(capsys, "compress", path, "-o", tmp_path / "cp.btc",
+                           "--block-rows", 4, "--block-cols", 4,
+                           "--method", "cp", "--rank", 3, *extra)
+    assert code == 0
+    pairs = kv(out)
+    assert pairs["cp_converged"] in ("True", "False")
+    assert abs(float(pairs["cp_fit"]) - (1.0 - float(pairs["relerr_fro"]))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # failure taxonomy
 # ---------------------------------------------------------------------------
@@ -315,6 +329,9 @@ def test_exit_2_usage_errors(toep, tmp_path, capsys):
         ("--method", "hosvd", "--rank", 2, "--detect-tol", "nan"),
         ("--method", "hosvd", "--rank", 2, "--randomized", "--sketch", 0),
         ("--method", "mode2", "--rank", 2, "--randomized", "--sketch", -3),
+        ("--method", "hosvd", "--rank", 2, "--split", "qr"),
+        ("--method", "spsd", "--rank", 2, "--split", "factor"),
+        ("--method", "cp", "--rank", 2, "--output", "blr", "--split", "qr"),
     ]
     for extra in cases:
         code, _, err = run_cli(capsys, "compress", path, "-o", out_c,

@@ -231,6 +231,9 @@ def test_tucker_partial_shared_modes():
         tucker_partial(t, [2, None, 3], shared=(1, 3))
     with pytest.raises(ShapeError):
         tucker_partial(rng.standard_normal((3, 3, 4)), [2, None, 2], shared=(1, 3))
+    # a shared rank is range-checked like any other
+    with pytest.raises(ShapeError, match="mode-1 rank 5 out of range for extent 3"):
+        tucker_partial(rng.standard_normal((3, 4, 3)), [5, None, 5], shared=(1, 3))
 
 
 def test_tucker_rep_validates_factor_shapes():
@@ -264,6 +267,88 @@ def test_cp_als_rank_exceeding_extent_uses_padded_init():
     res = cp_als(t, 4, max_iters=200)  # r=4 > extent 2 on mode 1
     assert res.rep.x.shape == (2, 4)
     assert 0 < res.fit <= 1 + 1e-12
+
+
+def _low_rank_plus_noise(rng, dims, rank, noise):
+    """Sum of ``rank`` random rank-1 terms plus Gaussian noise of relative
+    Frobenius size ``noise``."""
+    t = np.einsum("ir,jr,kr->ijk", *(rng.standard_normal((d, rank)) for d in dims))
+    e = rng.standard_normal(dims)
+    return t + noise * fro_norm(t) / fro_norm(e) * e
+
+
+def _model_fit(t, res):
+    return 1.0 - fro_norm(t - res.rep.reconstruct()) / fro_norm(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    dims=st.tuples(st.integers(2, 6), st.integers(2, 6), st.integers(2, 6)),
+    sweeps=st.integers(1, 30),
+    log_noise=st.one_of(st.none(), st.floats(-8.0, 0.5)),
+    data=st.data(),
+)
+def test_cp_als_fit_is_the_model_residual(seed, dims, sweeps, log_noise, data):
+    # exact low rank converges into the cancelling regime of the Gram-matrix
+    # residual; noisy draws with r above the true rank grow diverging
+    # components whose weights dwarf ||t||
+    r = data.draw(st.integers(1, max(dims) + 2), label="CP rank")  # padded init
+    true_rank = data.draw(st.integers(1, r), label="rank of the exact part")
+    noise = 0.0 if log_noise is None else 10.0**log_noise
+    t = _low_rank_plus_noise(np.random.default_rng(seed), dims, true_rank, noise)
+    res = cp_als(t, r, max_iters=sweeps, tol=0)
+    assert res.n_iters == sweeps
+    assert abs(res.fit - _model_fit(t, res)) <= 1e-12
+    assert res.fit <= 1 + 1e-12
+
+
+def test_cp_als_fit_with_diverging_components():
+    # rank 7 on a noisy rank-3 tensor: the weights reach about 1e6 ||t||, and
+    # the Gram-matrix residual cancels although the fit is below 0.999
+    t = _low_rank_plus_noise(np.random.default_rng(26), (6, 6, 5), 3, 3e-8)
+    res = cp_als(t, 7, max_iters=23, tol=0)
+    assert np.linalg.norm(res.rep.x, axis=0).sum() > 1e5 * fro_norm(t)
+    assert res.fit < 0.999
+    assert abs(res.fit - _model_fit(t, res)) <= 1e-12
+
+
+def test_cp_als_trajectory_is_pinned():
+    # ALS amplifies roundoff several hundredfold per sweep, so these digests
+    # (recorded before the fit stopped forming the model) catch any change to
+    # the order of the update arithmetic; they hold for one BLAS kernel set
+    import hashlib
+
+    from blockten.blocks import build_pattern, mat_to_tensor, struct_assemble
+
+    rng = np.random.default_rng(2024)
+    ell = m = 12
+    idx = np.arange(m)
+    pattern = build_pattern("toeplitz", ell, ell, m, m)
+    blocks = [
+        np.exp(-(((idx[:, None] - idx[None, :] + 0.3 * d) / 4.0) ** 2)) / (1 + (d / 5.0) ** 2)
+        + 1e-2 * rng.standard_normal((m, m))
+        for d in range(-(ell - 1), ell)
+    ]
+    t = mat_to_tensor(struct_assemble(pattern, blocks), pattern)
+    assert t.shape == (12, 23, 12)
+    res = cp_als(t, 4, max_iters=20, tol=0)
+    expected = {
+        "x": "93c6556ffbe508e00e7c5011d6ff83a9e6f015abfa1947726d9bd1cb3162dfc0",
+        "y": "299ccca5db0315182e6530ecadaa37ab5dc6d978d2181f9eb882cdd8e96a4e17",
+        "z": "786fa2dfef2a9ad14cdde99659b09aeb509635a05b2133475a66a27474961135",
+    }
+    for name, digest in expected.items():
+        factor = np.ascontiguousarray(getattr(res.rep, name))
+        assert hashlib.sha256(factor.tobytes()).hexdigest() == digest, name
+    history = [
+        0.4931250339326112, 0.7424188788332053, 0.8275042519673523, 0.8505112497470784,
+        0.8744794534861512, 0.8839320425993835, 0.8871658498464773, 0.88890529402152,
+        0.8900180037386484, 0.8907753226007104, 0.8913120410479868, 0.8917058867683467,
+        0.8920044655147039, 0.8922381050691245, 0.8924267359559295, 0.8925837997515313,
+        0.8927185643128719, 0.8928375433055861, 0.8929453925825541, 0.8930454909362596,
+    ]
+    np.testing.assert_allclose(res.fit_history, history, rtol=0, atol=1e-12)
 
 
 def test_cp_als_rejects_zero_tensor_and_bad_args():
