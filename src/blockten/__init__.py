@@ -53,7 +53,7 @@ from .apps import (
     report_metrics,
     spacetime_build,
 )
-from .container import container_kind, container_read, container_write
+from .container import container_read, container_write
 from .multilevel import (
     MlKronTerm,
     MultilevelPattern,
@@ -77,7 +77,6 @@ from .reconstruct import (
     BlockLowRankRep,
     FlopCounter,
     KronSumRep,
-    TuckerBlockRep,
     blr_from_kruskal,
     blr_from_tucker,
     densify,
@@ -86,6 +85,6 @@ from .reconstruct import (
     kron_sum_from_tucker,
     matvec,
 )
-from .tensor import fold, fro_norm, mode_multiply, squeeze, twist, unfold
+from .tensor import fold, fro_norm, mode_multiply, unfold
 
 __version__ = "0.1.0"

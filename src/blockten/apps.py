@@ -25,8 +25,7 @@ from scipy.spatial.distance import cdist
 from .blocks import BlockPattern, build_pattern, struct_assemble, struct_expand
 from .decomp import hosvd, tucker_partial
 from .errors import ConvergenceError, ShapeError
-from .psd import SpdRep, SpsdRep
-from .reconstruct import BlockLowRankRep, KronSumRep, error_fro
+from .reconstruct import error_fro
 
 __all__ = [
     "MarkovSequence",
@@ -316,66 +315,40 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
     """Quality/size metrics for a compressed representation.
 
     Args:
-        a_or_pattern: The dense source matrix, or just its
-            :class:`BlockPattern` when the matrix is too large to hold (then
-            only pattern-based metrics are reported).  It must have the
-            representation's shape.
+        a_or_pattern: The dense source matrix, or its :class:`BlockPattern`
+            (or ``None``) when the matrix is too large to hold; then only
+            the metrics the representation certifies alone are reported.
+            A matrix must have the representation's shape.
         rep: Any representation produced by this package.
         trace_ref: Reference trace when the matrix itself is not supplied
             (e.g. ``N * T`` for a unit-diagonal covariance kernel).
 
     Returns:
-        Dict with the computable subset of ``relerr_fro`` (dense matrix
-        available and nonzero; an SPD form must also be densifiable),
-        ``relerr_trace``
-        (representation exposes a trace), and ``storage_ratio``:
-        stored scalars over ``nnz`` of the matrix (Kronecker-sum / block
-        low-rank), or over the ``p`` distinct dense blocks (shared-basis
-        kinds, pattern alone suffices).
+        The computable subset of ``relerr_fro`` (nonzero matrix supplied),
+        ``relerr_trace`` (``rep.trace`` is not None) and ``storage_ratio``:
+        ``rep.stored_scalars()`` over the matrix's ``nnz``, or over
+        ``rep.distinct_scalars()`` when the kind defines it.
 
     Raises:
-        ShapeError: If the representation kind is unsupported or the matrix
-            shape differs from the representation's.
+        ShapeError: If the matrix shape differs from the representation's.
     """
     metrics: dict[str, float] = {}
     matrix = a_or_pattern if isinstance(a_or_pattern, np.ndarray) else None
-    pattern = rep.pattern if hasattr(rep, "pattern") else None
-    if isinstance(rep, SpdRep):
-        pattern = rep.remainder.pattern
-
-    if isinstance(rep, KronSumRep):
-        stored = rep.coeffs.size + int(sum(np.count_nonzero(d) for d in rep.terms))
-    elif isinstance(rep, BlockLowRankRep):
-        stored = rep.left.size + rep.right.size + rep.middles.size
-    elif isinstance(rep, SpsdRep):
-        stored = rep.basis.size + rep.blocks.size
-    elif isinstance(rep, SpdRep):
-        n = rep.chol.shape[0]
-        stored = n * (n + 1) // 2 + rep.remainder.basis.size + rep.remainder.blocks.size
-    else:
-        raise ShapeError(f"unsupported representation {type(rep).__name__}")
     if matrix is not None and matrix.shape != rep.shape:
         raise ShapeError(f"matrix shape {matrix.shape} != representation shape {rep.shape}")
 
-    if isinstance(rep, (SpsdRep, SpdRep)):
-        metrics["storage_ratio"] = stored / (pattern.p * pattern.m * pattern.n)
+    if rep.distinct_scalars is not None:
+        metrics["storage_ratio"] = rep.stored_scalars() / rep.distinct_scalars()
     elif matrix is not None:
-        metrics["storage_ratio"] = stored / int(np.count_nonzero(matrix))
+        metrics["storage_ratio"] = rep.stored_scalars() / int(np.count_nonzero(matrix))
 
     if matrix is not None:
         try:
-            if isinstance(rep, SpdRep):
-                # its cells mix the Cholesky anchor with the remainder pattern
-                metrics["relerr_fro"] = float(
-                    np.linalg.norm(matrix - rep.densify()) / np.linalg.norm(matrix)
-                )
-            else:
-                metrics["relerr_fro"] = error_fro(
-                    matrix, rep.as_blr() if isinstance(rep, SpsdRep) else rep)
+            metrics["relerr_fro"] = error_fro(matrix, rep)
         except ShapeError:
-            pass  # shapes agree: a zero matrix, or an SPD form too large to densify
+            pass  # shapes agree, so the matrix is zero
 
-    if hasattr(rep, "trace"):
+    if rep.trace is not None:
         if trace_ref is None and matrix is not None:
             trace_ref = float(np.trace(matrix))
         if trace_ref is not None and trace_ref != 0.0:

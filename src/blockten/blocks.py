@@ -74,24 +74,17 @@ class BlockPattern:
     structure_class: str = "general"
     class_of: np.ndarray = field(init=False, repr=False)
 
+    def _key(self) -> tuple:  # placements are normalized: equal bytes, equal arrays
+        return (self.ell, self.q, self.m, self.n, self.structure_class,
+                tuple(c.tobytes() for c in self.placements))
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockPattern):
             return NotImplemented
-        return (
-            (self.ell, self.q, self.m, self.n, self.structure_class)
-            == (other.ell, other.q, other.m, other.n, other.structure_class)
-            and len(self.placements) == len(other.placements)
-            and all(
-                np.array_equal(a, b)
-                for a, b in zip(self.placements, other.placements)
-            )
-        )
+        return self._key() == other._key()
 
     def __hash__(self) -> int:
-        return hash(
-            (self.ell, self.q, self.m, self.n, self.structure_class,
-             tuple(c.tobytes() for c in self.placements))
-        )
+        return hash(self._key())
 
     def __post_init__(self) -> None:
         if min(self.ell, self.q, self.m, self.n) < 1:
@@ -132,14 +125,6 @@ class BlockPattern:
     def shape(self) -> tuple[int, int]:
         """Shape of the assembled matrix."""
         return (self.ell * self.m, self.q * self.n)
-
-    def weights(self) -> np.ndarray:
-        """The per-class normalizations ``1/sqrt(eta_k)``."""
-        return 1.0 / np.sqrt(np.array(self.counts, dtype=np.float64))
-
-    def placement_matrix(self, k: int) -> np.ndarray:
-        """Dense ``E_k`` (0-based class index): ``1/sqrt(eta_k)`` on its cells."""
-        return np.where(self.class_of == k, 1.0 / np.sqrt(self.counts[k]), 0.0)
 
 
 # ---------------------------------------------------------------------------

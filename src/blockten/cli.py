@@ -45,18 +45,12 @@ from .errors import (
     ShapeError,
 )
 from .fileio import read_matrix, read_vector, write_matrix, write_vector
-from .multilevel import MultilevelTuckerRep
-from .psd import SpdRep, SpsdRep, spd_compress, spsd_compress_blocks
+from .psd import spd_compress, spsd_compress_blocks
 from .reconstruct import (
-    BlockLowRankRep,
-    KronSumRep,
-    TuckerBlockRep,
     blr_from_kruskal,
     blr_from_tucker,
-    densify,
     kron_sum_from_kruskal,
     kron_sum_from_tucker,
-    matvec,
 )
 from .tensor import unfold
 
@@ -174,21 +168,13 @@ def _mode_singular_values(t, modes=(1, 2, 3)) -> dict[int, np.ndarray]:
     return {k: np.linalg.svd(unfold(t, k), compute_uv=False) for k in modes}
 
 
-def _sketch_sizes(t, mode, sketch) -> tuple[int | None, ...]:
-    sizes: list[int | None] = []
-    for j in range(1, t.ndim + 1):
-        if j == mode or t.shape[j - 1] <= sketch:
-            sizes.append(None)
-        else:
-            sizes.append(sketch)
-    return tuple(sizes)
-
-
 def _randomized_tucker(t, modes, ranks, sketch, seed) -> TuckerRep:
     factors: list[np.ndarray | None] = [None, None, None]
     for mode, r in zip(modes, ranks):
-        cfg = SketchConfig(seed=seed + mode, sizes=_sketch_sizes(t, mode, sketch))
-        factors[mode - 1] = randomized_mode_basis(t, mode, r, cfg)
+        # every other mode wider than the sketch is sketched
+        sizes = tuple(None if j == mode or t.shape[j - 1] <= sketch else sketch
+                      for j in range(1, t.ndim + 1))
+        factors[mode - 1] = randomized_mode_basis(t, mode, r, SketchConfig(seed + mode, sizes))
     return TuckerRep.project(t, factors)
 
 
@@ -226,30 +212,6 @@ def _tucker_for(args, t, norm_a):
     else:
         tk = tucker_partial(t, [None, ranks[0], None], tail_budget=budget)
     return tk, [tk.ranks[k - 1] for k in modes]
-
-
-def _rep_matvec(rep, x):
-    if isinstance(rep, (KronSumRep, BlockLowRankRep)):
-        return matvec(rep, x)
-    if isinstance(rep, SpsdRep):
-        return matvec(rep.as_blr(), x)
-    if isinstance(rep, TuckerBlockRep):
-        return matvec(rep.to_kron_sum(), x)
-    if isinstance(rep, SpdRep):
-        ell, nb = rep.ell, rep.chol.shape[0]
-        if x.size != ell * nb:
-            raise ShapeError(f"vector length {x.size} != matrix side {ell * nb}")
-        z = (x.reshape(ell, nb) @ rep.chol).ravel()  # blockwise L^T x_i
-        if rep.remainder.pattern.p:
-            z = z + matvec(rep.remainder.as_blr(), z)
-        return (z.reshape(ell, nb) @ rep.chol.T).ravel()
-    if isinstance(rep, MultilevelTuckerRep):
-        return rep.densify() @ x
-    raise ShapeError(f"no matvec for representation {type(rep).__name__}")
-
-
-def _rep_dense(rep):
-    return rep.densify() if hasattr(rep, "densify") else densify(rep)
 
 
 def _print_metrics(metrics: dict) -> None:
@@ -332,7 +294,7 @@ def _cmd_compress(args) -> int:
     print(f"kind: {type(rep).__name__}")
     print(f"method: {args.method}")
     print("ranks: " + ",".join(str(r) for r in ranks))
-    if isinstance(rep, KronSumRep):
+    if rep.n_terms is not None:
         print(f"terms: {rep.n_terms}")
     _print_metrics(report_metrics(a, rep))
     return 0
@@ -340,7 +302,7 @@ def _cmd_compress(args) -> int:
 
 def _cmd_reconstruct(args) -> int:
     rep = container_read(args.input)
-    write_matrix(args.output_file, _rep_dense(rep))
+    write_matrix(args.output_file, rep.densify())
     print(f"wrote: {args.output_file}")
     return 0
 
@@ -348,7 +310,7 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_matvec(args) -> int:
     rep = container_read(args.input)
     x = read_vector(args.vector)
-    write_vector(args.output_file, _rep_matvec(rep, x))
+    write_vector(args.output_file, rep.matvec(x))
     print(f"wrote: {args.output_file}")
     return 0
 
@@ -358,19 +320,11 @@ def _cmd_report(args) -> int:
     print(f"kind: {type(rep).__name__}")
     rows, cols = rep.shape
     print(f"shape: {rows} x {cols}")
-    if isinstance(rep, KronSumRep):
-        print(f"terms: {rep.n_terms}")
-    if isinstance(rep, (SpsdRep, SpdRep)):
-        print(f"rank: {rep.rank}")
-    if args.matrix is not None:
-        metrics = report_metrics(read_matrix(args.matrix), rep)
-    elif isinstance(rep, (SpsdRep, SpdRep)):
-        metrics = report_metrics(
-            rep.pattern if isinstance(rep, SpsdRep) else rep.remainder.pattern, rep
-        )
-    else:
-        metrics = {}
-    _print_metrics(metrics)
+    for key, value in (("terms", rep.n_terms), ("rank", rep.rank)):
+        if value is not None:
+            print(f"{key}: {value}")
+    matrix = read_matrix(args.matrix) if args.matrix is not None else None
+    _print_metrics(report_metrics(matrix, rep))
     return 0
 
 

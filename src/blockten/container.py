@@ -10,8 +10,11 @@ field and raises the extent error); running out of bytes is a truncation
 and raises the format error.  Writers emit no timestamps, so identical
 representations produce identical bytes.
 
-Representation kinds: ``kron_sum``, ``blr``, ``tucker_raw``, ``spsd``,
-``spd``, ``multilevel``.
+Representation kinds, one entry each in the kind table ``_KINDS`` keyed by
+class: ``kron_sum``, ``blr`` and ``spsd`` are a block pattern plus named
+field arrays and share one writer and reader; ``spd`` adds the anchor count
+``ell`` and its Cholesky factor, and ``multilevel`` stores one pattern per
+level plus Tucker factor markers.
 """
 
 from __future__ import annotations
@@ -26,9 +29,9 @@ from .errors import ContainerExtentError, ContainerFormatError
 from .fileio import _replace_into
 from .multilevel import MultilevelPattern, MultilevelTuckerRep
 from .psd import SpdRep, SpsdRep
-from .reconstruct import BlockLowRankRep, KronSumRep, TuckerBlockRep
+from .reconstruct import BlockLowRankRep, KronSumRep
 
-__all__ = ["container_write", "container_read", "container_kind", "MAGIC"]
+__all__ = ["container_write", "container_read", "MAGIC"]
 
 MAGIC = "blockten-container/1"
 _MAX_RANK = 6  # no stored array has more than core-order extents
@@ -92,17 +95,6 @@ def _parse_pattern(kv: dict, prefix: str) -> BlockPattern:
     )
 
 
-def _factor_lines(factors) -> tuple[str, list[tuple[str, np.ndarray]]]:
-    markers, arrays = [], []
-    for idx, f in enumerate(factors, start=1):
-        if f is None:
-            markers.append("identity")
-        else:
-            markers.append("dense")
-            arrays.append((f"factor{idx}", f))
-    return " ".join(markers), arrays
-
-
 # ---------------------------------------------------------------------------
 # payload helpers
 # ---------------------------------------------------------------------------
@@ -120,43 +112,40 @@ def _pack_arrays(arrays: list[tuple[str, np.ndarray]]) -> tuple[list[str], bytes
     return lines, b"".join(chunks)
 
 
-class _PayloadReader:
-    def __init__(self, buf: bytes):
-        self.buf = buf
-        self.pos = 0
+def _read_arrays(kv: dict, names: list[str], payload: bytes) -> dict[str, np.ndarray]:
+    """The named payload arrays, each checked against its header extents."""
+    pos = 0
 
-    def _ints(self, count: int) -> np.ndarray:
-        end = self.pos + 8 * count
-        if end > len(self.buf):
-            raise ContainerFormatError("truncated payload (length prefix)")
-        out = np.frombuffer(self.buf, dtype="<i8", count=count, offset=self.pos)
-        self.pos = end
+    def take(count: int, dtype: str, what: str) -> np.ndarray:
+        nonlocal pos
+        if pos + 8 * count > len(payload):
+            raise ContainerFormatError(f"truncated payload {what}")
+        out = np.frombuffer(payload, dtype=dtype, count=count, offset=pos)
+        pos += 8 * count
         return out
 
-    def array(self, name: str, declared: tuple[int, ...]) -> np.ndarray:
-        ndim = int(self._ints(1)[0])
+    out = {}
+    for name in names:
+        spec = _take(kv, f"array.{name}")
+        try:
+            declared = tuple(int(tok) for tok in spec.split())
+        except ValueError as exc:
+            raise ContainerFormatError(f"bad extents for array {name!r}: {spec!r}") from exc
+        ndim = int(take(1, "<i8", "(length prefix)")[0])
         if not 1 <= ndim <= _MAX_RANK:
             raise ContainerExtentError(f"array {name!r}: implausible rank {ndim}")
-        extents = tuple(int(e) for e in self._ints(ndim))
+        extents = tuple(int(e) for e in take(ndim, "<i8", "(length prefix)"))
         if any(e < 0 for e in extents):
             raise ContainerExtentError(f"array {name!r}: negative extent {extents}")
         if extents != declared:
             raise ContainerExtentError(
                 f"array {name!r}: payload extents {extents} != header extents {declared}"
             )
-        count = int(np.prod(extents)) if extents else 0
-        end = self.pos + 8 * count
-        if end > len(self.buf):
-            raise ContainerFormatError(f"truncated payload in array {name!r}")
-        flat = np.frombuffer(self.buf, dtype="<f8", count=count, offset=self.pos)
-        self.pos = end
-        return flat.reshape(extents, order="F").copy()
-
-    def finish(self) -> None:
-        if self.pos != len(self.buf):
-            raise ContainerFormatError(
-                f"{len(self.buf) - self.pos} trailing bytes after the last array"
-            )
+        flat = take(int(np.prod(extents)), "<f8", f"in array {name!r}")
+        out[name] = flat.reshape(extents, order="F").copy()
+    if pos != len(payload):
+        raise ContainerFormatError(f"{len(payload) - pos} trailing bytes after the last array")
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -176,44 +165,13 @@ def container_write(path, rep, seed: int | None = None, ranks=None) -> None:
     if ranks is not None:
         lines.append("ranks: " + " ".join(str(r) for r in ranks))
 
-    if isinstance(rep, KronSumRep):
-        lines.append("kind: kron_sum")
-        lines += _pattern_lines("pattern.", rep.pattern)
-        arrays = [("coeffs", rep.coeffs), ("terms", rep.terms)]
-    elif isinstance(rep, BlockLowRankRep):
-        lines.append("kind: blr")
-        lines += _pattern_lines("pattern.", rep.pattern)
-        arrays = [("left", rep.left), ("right", rep.right), ("middles", rep.middles)]
-    elif isinstance(rep, TuckerBlockRep):
-        lines.append("kind: tucker_raw")
-        lines += _pattern_lines("pattern.", rep.pattern)
-        markers, farrays = _factor_lines(rep.tucker.factors)
-        lines.append(f"factors: {markers}")
-        arrays = [("core", rep.tucker.core)] + farrays
-    elif isinstance(rep, SpsdRep):
-        lines.append("kind: spsd")
-        lines += _pattern_lines("pattern.", rep.pattern)
-        arrays = [("basis", rep.basis), ("blocks", rep.blocks)]
-    elif isinstance(rep, SpdRep):
-        lines.append("kind: spd")
-        lines.append(f"ell: {rep.ell}")
-        lines += _pattern_lines("pattern.", rep.remainder.pattern)
-        arrays = [
-            ("chol", rep.chol),
-            ("basis", rep.remainder.basis),
-            ("blocks", rep.remainder.blocks),
-        ]
-    elif isinstance(rep, MultilevelTuckerRep):
-        lines.append("kind: multilevel")
-        lines.append(f"levels: {rep.pattern.depth}")
-        for t, lv in enumerate(rep.pattern.levels, start=1):
-            lines += _pattern_lines(f"pattern{t}.", lv)
-        markers, farrays = _factor_lines(rep.tucker.factors)
-        lines.append(f"factors: {markers}")
-        arrays = [("core", rep.tucker.core)] + farrays
-    else:
+    entry = _KINDS.get(type(rep))
+    if entry is None:
         raise ContainerFormatError(f"unsupported representation {type(rep).__name__}")
-
+    kind, write, _ = entry
+    lines.append(f"kind: {kind}")
+    kind_lines, arrays = write(rep)
+    lines += kind_lines
     array_lines, payload = _pack_arrays(arrays)
     lines += array_lines
     blob = ("\n".join(lines) + "\n---\n").encode("utf-8") + payload
@@ -248,43 +206,6 @@ def _split(blob: bytes) -> tuple[dict, list[str], bytes]:
     return kv, names, blob[sep + 5 :]
 
 
-def _read_arrays(kv: dict, names: list[str], payload: bytes) -> dict[str, np.ndarray]:
-    reader = _PayloadReader(payload)
-    out = {}
-    for name in names:
-        spec = _take(kv, f"array.{name}")
-        try:
-            declared = tuple(int(tok) for tok in spec.split())
-        except ValueError as exc:
-            raise ContainerFormatError(f"bad extents for array {name!r}: {spec!r}") from exc
-        out[name] = reader.array(name, declared)
-    reader.finish()
-    return out
-
-
-def _factors_from(kv: dict, arrays: dict, order: int):
-    markers = _take(kv, "factors").split()
-    if len(markers) != order:
-        raise ContainerFormatError(f"expected {order} factor markers, got {len(markers)}")
-    factors = []
-    for idx, marker in enumerate(markers, start=1):
-        if marker == "identity":
-            factors.append(None)
-        elif marker == "dense":
-            if f"factor{idx}" not in arrays:
-                raise ContainerFormatError(f"dense factor {idx} missing from payload")
-            factors.append(arrays[f"factor{idx}"])
-        else:
-            raise ContainerFormatError(f"unknown factor marker {marker!r}")
-    return tuple(factors)
-
-
-def container_kind(path) -> str:
-    """Peek at a container's representation kind without loading arrays."""
-    kv, _, _ = _split(Path(path).read_bytes())
-    return _take(kv, "kind")
-
-
 def container_read(path):
     """Deserialize a container back into its representation object.
 
@@ -298,43 +219,80 @@ def container_read(path):
     arrays = _read_arrays(kv, names, payload)
     kind = _take(kv, "kind")
 
-    if kind == "kron_sum":
-        return KronSumRep(
-            pattern=_parse_pattern(kv, "pattern."),
-            coeffs=arrays["coeffs"],
-            terms=arrays["terms"],
-        )
-    if kind == "blr":
-        return BlockLowRankRep(
-            pattern=_parse_pattern(kv, "pattern."),
-            left=arrays["left"],
-            right=arrays["right"],
-            middles=arrays["middles"],
-        )
-    if kind == "tucker_raw":
-        return TuckerBlockRep(
-            pattern=_parse_pattern(kv, "pattern."),
-            tucker=TuckerRep(core=arrays["core"], factors=_factors_from(kv, arrays, 3)),
-        )
-    if kind == "spsd":
-        return SpsdRep(
-            pattern=_parse_pattern(kv, "pattern."),
-            basis=arrays["basis"],
-            blocks=arrays["blocks"],
-        )
-    if kind == "spd":
-        remainder = SpsdRep(
-            pattern=_parse_pattern(kv, "pattern."),
-            basis=arrays["basis"],
-            blocks=arrays["blocks"],
-        )
-        return SpdRep(chol=arrays["chol"], remainder=remainder, ell=_take_int(kv, "ell"))
-    if kind == "multilevel":
-        depth = _take_int(kv, "levels")
-        levels = tuple(_parse_pattern(kv, f"pattern{t}.") for t in range(1, depth + 1))
-        pattern = MultilevelPattern(levels=levels)
-        tucker = TuckerRep(
-            core=arrays["core"], factors=_factors_from(kv, arrays, depth + 2)
-        )
-        return MultilevelTuckerRep(pattern=pattern, tucker=tucker)
-    raise ContainerFormatError(f"unknown representation kind {kind!r}")
+    if kind not in _READERS:
+        raise ContainerFormatError(f"unknown representation kind {kind!r}")
+    return _READERS[kind](kv, arrays)
+
+
+# ---------------------------------------------------------------------------
+# the kind table
+# ---------------------------------------------------------------------------
+
+
+def _array(arrays: dict, name: str) -> np.ndarray:
+    if name not in arrays:
+        raise ContainerFormatError(f"array {name!r} missing from payload")
+    return arrays[name]
+
+
+def _pattern_kind(cls, *fields):
+    """Writer and reader of a kind stored as ``pattern.*`` header lines plus
+    one payload array per named field."""
+
+    def write(rep):
+        return _pattern_lines("pattern.", rep.pattern), [(f, getattr(rep, f)) for f in fields]
+
+    def read(kv, arrays):
+        return cls(pattern=_parse_pattern(kv, "pattern."), **{f: _array(arrays, f) for f in fields})
+
+    return write, read
+
+
+_write_spsd, _read_spsd = _pattern_kind(SpsdRep, "basis", "blocks")
+
+
+def _write_spd(rep: SpdRep):
+    lines, arrays = _write_spsd(rep.remainder)
+    return [f"ell: {rep.ell}", *lines], [("chol", rep.chol), *arrays]
+
+
+def _read_spd(kv, arrays) -> SpdRep:
+    return SpdRep(chol=_array(arrays, "chol"), remainder=_read_spsd(kv, arrays),
+                  ell=_take_int(kv, "ell"))
+
+
+def _write_multilevel(rep: MultilevelTuckerRep):
+    lines = [f"levels: {rep.pattern.depth}"]
+    for t, lv in enumerate(rep.pattern.levels, start=1):
+        lines += _pattern_lines(f"pattern{t}.", lv)
+    # a factor left as None (identity) is marked and stores no array
+    factors = rep.tucker.factors
+    lines.append("factors: " + " ".join("identity" if f is None else "dense" for f in factors))
+    return lines, [("core", rep.tucker.core)] + [
+        (f"factor{i}", f) for i, f in enumerate(factors, start=1) if f is not None]
+
+
+def _read_multilevel(kv, arrays) -> MultilevelTuckerRep:
+    depth = _take_int(kv, "levels")
+    levels = tuple(_parse_pattern(kv, f"pattern{t}.") for t in range(1, depth + 1))
+    markers = _take(kv, "factors").split()
+    if len(markers) != depth + 2:
+        raise ContainerFormatError(f"expected {depth + 2} factor markers, got {len(markers)}")
+    unknown = set(markers) - {"identity", "dense"}
+    if unknown:
+        raise ContainerFormatError(f"unknown factor marker {min(unknown)!r}")
+    factors = tuple(None if mk == "identity" else _array(arrays, f"factor{i}")
+                    for i, mk in enumerate(markers, start=1))
+    tucker = TuckerRep(core=_array(arrays, "core"), factors=factors)
+    return MultilevelTuckerRep(pattern=MultilevelPattern(levels=levels), tucker=tucker)
+
+
+# class -> (kind name, writer returning header lines and named arrays, reader)
+_KINDS = {
+    KronSumRep: ("kron_sum", *_pattern_kind(KronSumRep, "coeffs", "terms")),
+    BlockLowRankRep: ("blr", *_pattern_kind(BlockLowRankRep, "left", "right", "middles")),
+    SpsdRep: ("spsd", _write_spsd, _read_spsd),
+    SpdRep: ("spd", _write_spd, _read_spd),
+    MultilevelTuckerRep: ("multilevel", _write_multilevel, _read_multilevel),
+}
+_READERS = {name: read for name, _, read in _KINDS.values()}

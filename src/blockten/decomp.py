@@ -31,7 +31,7 @@ import numpy as np
 from scipy.linalg import khatri_rao
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ShapeError
-from .tensor import fro_norm, mode_multiply, unfold
+from .tensor import fro_norm, mode_multiply, scale_exponent, unfold
 
 __all__ = [
     "TuckerRep",
@@ -286,6 +286,15 @@ def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np
     return _positive_lead(u[:, :r])[0]
 
 
+def _check_ranks(t: np.ndarray, ranks) -> None:
+    """One rank per mode, each ``None`` (mode left alone) or in ``1..extent``."""
+    if len(ranks) != t.ndim:
+        raise ShapeError(f"expected {t.ndim} ranks, got {len(ranks)}")
+    for k, r in enumerate(ranks):
+        if r is not None and not 1 <= r <= t.shape[k]:
+            raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
+
+
 def hosvd(
     t: np.ndarray,
     ranks: tuple[int, ...] | list[int],
@@ -307,13 +316,8 @@ def hosvd(
         (or, under ``tail_budget``, at most that many) leading left singular
         vectors of the mode-``k`` unfolding of ``t``.
     """
-    if len(ranks) != t.ndim:
-        raise ShapeError(f"expected {t.ndim} ranks, got {len(ranks)}")
-    factors: list[np.ndarray | None] = []
-    for k, r in enumerate(ranks):
-        if not 1 <= r <= t.shape[k]:
-            raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
-        factors.append(_mode_basis(unfold(t, k + 1), r, tail_budget))
+    _check_ranks(t, ranks)
+    factors = [_mode_basis(unfold(t, k + 1), r, tail_budget) for k, r in enumerate(ranks)]
     return TuckerRep.project(t, factors)
 
 
@@ -342,11 +346,7 @@ def tucker_partial(
     Returns:
         :class:`TuckerRep` with ``None`` factors marking untouched modes.
     """
-    if len(ranks) != t.ndim:
-        raise ShapeError(f"expected {t.ndim} rank entries, got {len(ranks)}")
-    for k, r in enumerate(ranks):
-        if r is not None and not 1 <= r <= t.shape[k]:
-            raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
+    _check_ranks(t, ranks)
     factors: list[np.ndarray | None] = [None] * t.ndim
 
     share = ()
@@ -428,7 +428,8 @@ def cp_als(
     therefore forms ``t_hat`` and takes the norm of ``t - t_hat`` instead
     when the sum is below ``1e-6 s^2 / ||t||^2`` or negative: near a perfect
     fit (above about 0.99 for well-separated components), and for diverging
-    components whose weights dwarf ``||t||``.
+    components whose weights dwarf ``||t||``.  The sweeps run on ``t``
+    rescaled exactly by a power of two, so no result depends on its scale.
 
     Raises:
         ShapeError: If ``t`` is not order 3 or ``r < 1``.
@@ -440,6 +441,8 @@ def cp_als(
         raise ShapeError("CP rank must be at least 1")
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
+    e = scale_exponent(t)
+    t = np.ldexp(t, -e)  # exact: the sweeps see the same digits at any scale
     norm_t = fro_norm(t)
     if norm_t == 0.0:
         raise ValueError("cp_als: zero tensor has no meaningful CP factorization")
@@ -485,7 +488,7 @@ def cp_als(
             break
         fit_prev = fit
 
-    rep = KruskalRep(x=factors[0] * lam, y=factors[1], z=factors[2])
+    rep = KruskalRep(x=factors[0] * np.ldexp(lam, e), y=factors[1], z=factors[2])
     return CpResult(
         rep=rep,
         fit=fit_history[-1],

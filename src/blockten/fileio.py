@@ -1,5 +1,4 @@
-"""File formats: Matrix Market matrices, plain-text vectors/points/cubes,
-and impulse-response directories.
+"""File formats: Matrix Market matrices and plain-text vectors.
 
 All writers go through a temp-file-then-rename so readers never observe a
 half-written file.  Text float serialization uses ``repr``, which round-trips
@@ -8,7 +7,6 @@ IEEE doubles exactly.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 
@@ -24,11 +22,6 @@ __all__ = [
     "write_matrix",
     "read_vector",
     "write_vector",
-    "read_points",
-    "read_psf_cube",
-    "write_psf_cube",
-    "read_markov_dir",
-    "write_markov_dir",
 ]
 
 
@@ -134,85 +127,3 @@ def write_vector(path, x) -> None:
             fh.writelines(repr(float(v)) + "\n" for v in x)
 
     _replace_into(path, _write)
-
-
-def read_points(path) -> np.ndarray:
-    """Spatial coordinates, one whitespace-delimited point per line."""
-    pts = np.loadtxt(path, ndmin=2, dtype=np.float64)
-    if pts.size == 0:
-        raise ContainerFormatError(f"{path}: no points")
-    return pts
-
-
-def read_psf_cube(path) -> np.ndarray:
-    """Read a ``K x K x K`` kernel cube: first line ``K``, then ``K^3``
-    decimal literals, first index fastest."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip() and not ln.startswith("%")]
-    if not lines:
-        raise ContainerFormatError(f"{path}: empty cube file")
-    try:
-        k = int(lines[0])
-    except ValueError as exc:
-        raise ContainerFormatError(f"{path}: first line must be the extent K") from exc
-    expected = k**3
-    if len(lines) - 1 != expected:
-        raise ContainerFormatError(
-            f"{path}: expected {expected} values for K={k}, found {len(lines) - 1}"
-        )
-    try:
-        flat = np.array([float(v) for v in lines[1:]], dtype=np.float64)
-    except ValueError as exc:
-        raise ContainerFormatError(f"{path}: non-decimal cube entry") from exc
-    return flat.reshape((k, k, k), order="F")
-
-
-def write_psf_cube(path, cube) -> None:
-    cube = np.asarray(cube, dtype=np.float64)
-    if cube.ndim != 3 or len(set(cube.shape)) != 1:
-        raise ShapeError("cube must be K x K x K")
-
-    def _write(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(f"{cube.shape[0]}\n")
-            fh.writelines(repr(float(v)) + "\n" for v in cube.ravel(order="F"))
-
-    _replace_into(path, _write)
-
-
-def read_markov_dir(path):
-    """Load an impulse-response directory: ``manifest.json`` with a
-    ``count`` field plus Matrix Market files ``h_0001.mtx .. h_<count>.mtx``
-    (1-based parameter index)."""
-    from .apps import MarkovSequence
-
-    root = Path(path)
-    manifest = root / "manifest.json"
-    if not manifest.is_file():
-        raise ContainerFormatError(f"{root}: missing manifest.json")
-    try:
-        meta = json.loads(manifest.read_text(encoding="utf-8"))
-        count = int(meta["count"])
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ContainerFormatError(f"{manifest}: bad manifest: {exc}") from exc
-    params = []
-    for k in range(1, count + 1):
-        f = root / f"h_{k:04d}.mtx"
-        if not f.is_file():
-            raise ContainerFormatError(f"{root}: missing {f.name}")
-        params.append(read_matrix(f))
-    shapes = {p.shape for p in params}
-    if len(shapes) != 1:
-        raise ShapeError(f"{root}: parameters have mixed extents {sorted(shapes)}")
-    return MarkovSequence(params=np.stack(params))
-
-
-def write_markov_dir(path, seq) -> None:
-    root = Path(path)
-    root.mkdir(parents=True, exist_ok=True)
-    count = seq.params.shape[0]
-    for k in range(count):
-        write_matrix(root / f"h_{k + 1:04d}.mtx", seq.params[k])
-    (root / "manifest.json").write_text(
-        json.dumps({"count": count}) + "\n", encoding="utf-8"
-    )

@@ -23,7 +23,7 @@ import numpy as np
 from .blocks import BlockPattern, _toeplitz_cells, extract_blocks, struct_expand, struct_scalars
 from .decomp import TuckerRep
 from .errors import PatternMismatchError, ShapeError
-from .reconstruct import _check_dense_size
+from .reconstruct import _check_dense_size, _check_vector
 
 __all__ = [
     "MultilevelPattern",
@@ -143,6 +143,8 @@ class MultilevelTuckerRep:
     pattern: MultilevelPattern
     tucker: TuckerRep
 
+    n_terms = rank = distinct_scalars = trace = None
+
     def __post_init__(self) -> None:
         if self.tucker.dims != self.pattern.dims:
             raise ShapeError(
@@ -153,8 +155,26 @@ class MultilevelTuckerRep:
     def shape(self) -> tuple[int, int]:
         return self.pattern.shape
 
-    def terms(self) -> list[MlKronTerm]:
-        return ml_kron_sum_from_tucker(self.tucker, self.pattern)
+    def matvec(self, x: np.ndarray, counter=None) -> np.ndarray:
+        """``densify() @ x``."""
+        rows, cols = self.shape
+        _check_vector(x, cols)
+        if counter is not None:
+            counter.add(2 * rows * cols)
+        return self.densify() @ x
+
+    def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
+        """The outermost level's pattern and, per class, its assembled inner
+        matrix over ``sqrt(eta_k)``."""
+        outer, inner = self.pattern.levels[0], self.pattern.levels[1:]
+        t = np.moveaxis(self.tucker.reconstruct(), 1, 0)
+        if inner:
+            t = [ml_tensor_to_mat(sub, MultilevelPattern(levels=inner)) for sub in t]
+        items = np.reshape(t, (outer.p, outer.m, outer.n))
+        return outer, items / np.sqrt(outer.counts)[:, None, None]
+
+    def stored_scalars(self) -> int:
+        return self.tucker.core.size + sum(f.size for f in self.tucker.factors if f is not None)
 
     def densify(self) -> np.ndarray:
         _check_dense_size(*self.pattern.shape)

@@ -27,15 +27,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .blocks import (
-    BlockPattern,
-    classify_placements,
-    extract_blocks,
-    struct_assemble,
-)
+from .blocks import BlockPattern, classify_placements, extract_blocks
 from .decomp import _mode_basis, cholesky
 from .errors import PatternMismatchError, ShapeError
-from .reconstruct import BlockLowRankRep, _check_dense_size
+from .reconstruct import BlockLowRankRep, FlopCounter, _check_vector, densify
 from .tensor import unfold
 
 __all__ = [
@@ -62,6 +57,8 @@ class SpsdRep:
     basis: np.ndarray
     blocks: np.ndarray
 
+    n_terms = None
+
     def __post_init__(self) -> None:
         n, r = self.basis.shape
         if self.pattern.m != n or self.pattern.n != n:
@@ -87,10 +84,22 @@ class SpsdRep:
             middles=self.blocks * eta[:, None, None],
         )
 
+    def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+        return self.as_blr().matvec(x, counter)
+
+    def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
+        """Every cell of class ``k`` holds ``U blocks[k] U^T``."""
+        return self.pattern, self.basis @ self.blocks @ self.basis.T
+
+    def stored_scalars(self) -> int:
+        return self.basis.size + self.blocks.size
+
+    def distinct_scalars(self) -> int:
+        """Scalars of the ``p`` distinct dense blocks the form replaces."""
+        return self.pattern.p * self.pattern.m * self.pattern.n
+
     def densify(self) -> np.ndarray:
-        _check_dense_size(*self.pattern.shape)
-        u = self.basis
-        return struct_assemble(self.pattern, [u @ b @ u.T for b in self.blocks])
+        return densify(self)
 
     def trace(self) -> float:
         """Trace of the represented matrix, computed without densifying."""
@@ -105,12 +114,15 @@ class SpdRep:
 
     ``M`` is the shared-basis projection (an :class:`SpsdRep` over the
     scaled remainder pattern, which may have zero classes when the input is
-    exactly block diagonal).
+    exactly block diagonal).  ``spd_compress`` splits every remainder class
+    into its diagonal and off-diagonal cells.
     """
 
     chol: np.ndarray
     remainder: SpsdRep
     ell: int
+
+    n_terms = trace = None
 
     @property
     def rank(self) -> int:
@@ -121,14 +133,51 @@ class SpdRep:
         n = self.chol.shape[0] * self.ell
         return (n, n)
 
-    def densify(self) -> np.ndarray:
-        n = self.chol.shape[0]
-        _check_dense_size(*self.shape)
-        inner = np.eye(self.ell * n)
+    def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+        """``(I (x) L)(I + M)(I (x) L^T) x`` blockwise, ``M`` applied in its
+        block-low-rank form."""
+        ell, nb = self.ell, self.chol.shape[0]
+        _check_vector(x, ell * nb)
+        z = (x.reshape(ell, nb) @ self.chol).ravel()  # blockwise L^T x_i
+        if counter is not None:
+            counter.add(4 * ell * nb * nb)
         if self.remainder.pattern.p:
-            inner = inner + self.remainder.densify()
-        lfull = np.kron(np.eye(self.ell), self.chol)
-        return lfull @ inner @ lfull.T
+            z = z + self.remainder.matvec(z, counter)
+        return (z.reshape(ell, nb) @ self.chol.T).ravel()
+
+    def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
+        """A diagonal cell holds ``T0 + L U b_k U^T L^T`` (``T0 = L L^T``, or
+        ``T0`` alone where no remainder class reaches), an off-diagonal one
+        ``L U b_k U^T L^T``."""
+        pat, inner = self.remainder.cell_blocks()
+        anchor = self.chol @ self.chol.T
+        parts = list(_split_diagonal(pat.placements, self.chol @ inner @ self.chol.T, anchor))
+        free = np.flatnonzero(np.diag(pat.class_of) < 0)
+        if free.size:
+            parts.append((np.column_stack([free, free]), anchor))
+        cells, items = zip(*parts)
+        return BlockPattern(self.ell, self.ell, pat.m, pat.n, cells), np.array(items)
+
+    def stored_scalars(self) -> int:
+        n = self.chol.shape[0]
+        return n * (n + 1) // 2 + self.remainder.stored_scalars()
+
+    def distinct_scalars(self) -> int:
+        return self.remainder.distinct_scalars()
+
+    def densify(self) -> np.ndarray:
+        return densify(self)
+
+
+def _split_diagonal(placements, items, shift: np.ndarray):
+    """Every class split into its diagonal cells, holding ``items[k] + shift``,
+    and its other cells, holding ``items[k]``: nonempty ``(cells, item)``
+    pairs in class order."""
+    for cells, item in zip(placements, items):
+        on_diag = cells[:, 0] == cells[:, 1]
+        for mask, part in ((on_diag, item + shift), (~on_diag, item)):
+            if mask.any():
+                yield cells[mask], part
 
 
 def check_transpose_closed(pattern: BlockPattern, blocks, tol: float = 0.0) -> None:
@@ -226,26 +275,15 @@ def spd_compress(a: np.ndarray, pattern: BlockPattern, r: int) -> SpdRep:
     anchor = blocks[anchor_class]
     low = cholesky(anchor)
 
-    # split every class into its diagonal and off-diagonal cells, subtract
-    # the anchor on the diagonal, drop exactly-zero remainders
-    rem_cells: list[np.ndarray] = []
-    rem_blocks: list[np.ndarray] = []
-    for k, cells in enumerate(pattern.placements):
-        on_diag = cells[:, 0] == cells[:, 1]
-        for mask, blk in ((on_diag, blocks[k] - anchor), (~on_diag, blocks[k])):
-            if mask.any() and blk.any():
-                rem_cells.append(cells[mask])
-                rem_blocks.append(blk)
-
-    scaled = []
-    for blk in rem_blocks:
-        half = solve_triangular(low, blk, lower=True)
-        scaled.append(solve_triangular(low, half.T, lower=True).T)
-
+    # subtract the anchor on the diagonal, drop exactly-zero remainders
+    parts = [(c, b) for c, b in _split_diagonal(pattern.placements, blocks, -anchor) if b.any()]
+    rem_cells = tuple(c for c, _ in parts)
+    scaled = [solve_triangular(low, solve_triangular(low, b, lower=True).T, lower=True).T
+              for _, b in parts]
     rem_pattern = BlockPattern(
         ell=pattern.ell, q=pattern.q, m=pattern.m, n=pattern.n,
-        placements=tuple(rem_cells),
-        structure_class=classify_placements(tuple(rem_cells), pattern.ell, pattern.q),
+        placements=rem_cells,
+        structure_class=classify_placements(rem_cells, pattern.ell, pattern.q),
     )
     rep = spsd_compress_blocks(rem_pattern, tuple(scaled), r)
     return SpdRep(chol=low, remainder=rep, ell=pattern.ell)

@@ -1,7 +1,10 @@
 """Structured matrix representations recovered from tensor factorizations.
 
-Two output formats, both of which keep the block structure of the source
-pattern without ever materializing Kronecker products:
+Every compressed form answers ``shape``, ``matvec(x, counter=None)``,
+``densify()``, ``stored_scalars()`` and ``cell_blocks()`` -- a pattern and
+the ``(p, m, n)`` stack of blocks every cell of class ``k`` holds, over which
+:func:`densify` and :func:`error_fro` are written once.  The two forms built
+here keep the source pattern without materializing Kronecker products:
 
 * :class:`KronSumRep` -- a sum ``sum_j C_j (x) D_j`` where each ``C_j`` is a
   sparse scalar assembly over the pattern's placements (support inside the
@@ -18,18 +21,18 @@ how the linear-in-rank cost claim is checked.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .blocks import BlockPattern, struct_assemble, struct_scalars
+from .blocks import BlockPattern, struct_assemble
 from .decomp import KruskalRep, TuckerRep, qr_thin
 from .errors import ShapeError
 
 __all__ = [
     "KronSumRep",
     "BlockLowRankRep",
-    "TuckerBlockRep",
     "FlopCounter",
     "kron_sum_from_tucker",
     "kron_sum_from_kruskal",
@@ -61,6 +64,11 @@ class FlopCounter:
         self.flops += int(n)
 
 
+def _check_vector(x: np.ndarray, cols: int) -> None:
+    if x.shape != (cols,):
+        raise ShapeError(f"vector length {x.shape} != {(cols,)}")
+
+
 @dataclass(frozen=True)
 class KronSumRep:
     """``sum_j C_j (x) terms[j]`` with ``C_j = sum_k coeffs[k, j] E_k``.
@@ -76,6 +84,8 @@ class KronSumRep:
     pattern: BlockPattern
     coeffs: np.ndarray
     terms: np.ndarray
+
+    rank = distinct_scalars = trace = None  # members of other kinds (see the README)
 
     def __post_init__(self) -> None:
         p, r = self.coeffs.shape
@@ -94,21 +104,38 @@ class KronSumRep:
     def shape(self) -> tuple[int, int]:
         return self.pattern.shape
 
-    def c_matrix(self, j: int) -> sp.csr_matrix:
-        """Sparse ``C_j`` (0-based term index)."""
-        return self._c_stack(self.coeffs[:, [j]])
-
-    def _c_stack(self, coeffs: np.ndarray) -> sp.csr_matrix:
-        """Sparse ``[C_1 ... C_r]`` side by side for the ``(p, r)`` class
-        scalars ``coeffs``, read off the pattern's class grid."""
+    @cached_property
+    def _c_stack(self) -> sp.csr_matrix:
+        """Sparse ``[C_1 ... C_r]`` side by side, read off the pattern's
+        class grid once and kept."""
         pat = self.pattern
         rows, cols = np.nonzero(pat.class_of >= 0)
-        values = (coeffs / np.sqrt(pat.counts)[:, None])[pat.class_of[rows, cols]]
-        r = coeffs.shape[1]
+        values = (self.coeffs / np.sqrt(pat.counts)[:, None])[pat.class_of[rows, cols]]
+        r = self.n_terms
         return sp.csr_matrix(
             (values.T.ravel(), (np.tile(rows, r), (cols + pat.q * np.arange(r)[:, None]).ravel())),
             shape=(pat.ell, pat.q * r),
         )
+
+    def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+        """``sum_j (C_j (x) D_j) x`` as one sparse product with ``[C_1 ... C_r]``."""
+        pat = self.pattern
+        _check_vector(x, pat.shape[1])
+        m, n, q, r = pat.m, pat.n, pat.q, self.n_terms
+        dx = self.terms @ x.reshape((n, q), order="F")  # D_j X for every term, (r, m, q)
+        if counter is not None:
+            counter.add(r * (2 * m * n * q + 2 * m * sum(pat.counts)))
+        return (self._c_stack @ dx.transpose(0, 2, 1).reshape(r * q, m)).ravel()
+
+    def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
+        items = np.tensordot(self.coeffs, self.terms, axes=(1, 0))
+        return self.pattern, items / np.sqrt(self.pattern.counts)[:, None, None]
+
+    def stored_scalars(self) -> int:
+        return self.coeffs.size + int(np.count_nonzero(self.terms))
+
+    def densify(self) -> np.ndarray:
+        return densify(self)
 
 
 @dataclass(frozen=True)
@@ -126,6 +153,8 @@ class BlockLowRankRep:
     right: np.ndarray
     middles: np.ndarray
 
+    n_terms = rank = distinct_scalars = trace = None  # members of other kinds
+
     def __post_init__(self) -> None:
         rl, rr = self.left.shape[1], self.right.shape[1]
         if self.left.shape[0] != self.pattern.m or self.right.shape[0] != self.pattern.n:
@@ -139,29 +168,30 @@ class BlockLowRankRep:
     def shape(self) -> tuple[int, int]:
         return self.pattern.shape
 
-
-@dataclass(frozen=True)
-class TuckerBlockRep:
-    """A block pattern paired with the raw Tucker factorization of its
-    weighted tensor -- the archival form from which either output format
-    can be derived."""
-
-    pattern: BlockPattern
-    tucker: TuckerRep
-
-    def __post_init__(self) -> None:
+    def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+        """``(I (x) left) S (I (x) right^T) x``, one middle product per class."""
         pat = self.pattern
-        if self.tucker.dims != (pat.m, pat.p, pat.n):
-            raise ShapeError(
-                f"tucker dims {self.tucker.dims} != pattern dims {(pat.m, pat.p, pat.n)}"
-            )
+        _check_vector(x, pat.shape[1])
+        rl, rr = self.left.shape[1], self.right.shape[1]
+        z = self.right.T @ x.reshape((pat.n, pat.q), order="F")
+        yb = np.zeros((rl, pat.ell))
+        for k, cells in enumerate(pat.placements):
+            s_k = self.middles[k] / np.sqrt(len(cells))
+            np.add.at(yb, (slice(None), cells[:, 0]), s_k @ z[:, cells[:, 1]])
+        if counter is not None:
+            counter.add(2 * pat.n * rr * pat.q + 2 * rl * rr * sum(pat.counts)
+                        + 2 * pat.m * rl * pat.ell)
+        return (self.left @ yb).reshape(-1, order="F")
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pattern.shape
+    def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
+        items = self.left @ self.middles @ self.right.T
+        return self.pattern, items / np.sqrt(self.pattern.counts)[:, None, None]
 
-    def to_kron_sum(self) -> KronSumRep:
-        return kron_sum_from_tucker(self.tucker, self.pattern)
+    def stored_scalars(self) -> int:
+        return self.left.size + self.right.size + self.middles.size
+
+    def densify(self) -> np.ndarray:
+        return densify(self)
 
 
 # ---------------------------------------------------------------------------
@@ -170,17 +200,11 @@ class TuckerBlockRep:
 
 
 def _check_dims(kind: str, dims: tuple[int, ...], pattern: BlockPattern) -> None:
+    """An order-3 factorization of the pattern's ``m x p x n`` tensor."""
     if dims != (pattern.m, pattern.p, pattern.n):
         raise ShapeError(
             f"{kind} dims {dims} do not match pattern ({pattern.m}, {pattern.p}, {pattern.n})"
         )
-
-
-def _tucker_side(t: TuckerRep, pattern: BlockPattern) -> tuple[np.ndarray | None, np.ndarray | None, np.ndarray | None]:
-    if t.core.ndim != 3:
-        raise ShapeError("expected an order-3 Tucker representation")
-    _check_dims("Tucker", t.dims, pattern)
-    return t.factors
 
 
 def kron_sum_from_tucker(t: TuckerRep, pattern: BlockPattern) -> KronSumRep:
@@ -191,7 +215,8 @@ def kron_sum_from_tucker(t: TuckerRep, pattern: BlockPattern) -> KronSumRep:
     reduces to one term per class: ``C_k = E_k`` and ``D_k`` the weighted
     slice ``sqrt(eta_k) A_k``.
     """
-    u, v, w = _tucker_side(t, pattern)
+    _check_dims("Tucker", t.dims, pattern)
+    u, v, w = t.factors
     coeffs = np.eye(pattern.p) if v is None else v.copy()
     terms = np.moveaxis(t.core, 1, 0)  # core[:, j, :] for every term j
     if u is not None:
@@ -239,7 +264,8 @@ def blr_from_tucker(t: TuckerRep, pattern: BlockPattern) -> BlockLowRankRep:
     """Block-low-rank form: side bases from modes 1 and 3, middle blocks
     ``sum_j V[k, j] core[:, j, :]`` (identity mode-2 factor means the middle
     block of class ``k`` is the core slice itself)."""
-    u, v, w = _tucker_side(t, pattern)
+    _check_dims("Tucker", t.dims, pattern)
+    u, v, w = t.factors
     left = np.eye(pattern.m) if u is None else u.copy()
     right = np.eye(pattern.n) if w is None else w.copy()
     if v is None:
@@ -274,91 +300,41 @@ def blr_from_kruskal(k: KruskalRep, pattern: BlockPattern) -> BlockLowRankRep:
 # ---------------------------------------------------------------------------
 
 
-def matvec(rep: KronSumRep | BlockLowRankRep, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-    """Apply the represented matrix to ``x`` without densifying.
-
-    Args:
-        rep: Either representation.
-        x: Vector of length ``q * n``.
-        counter: Optional; receives the multiply-add count of this product.
-
-    Returns:
-        Vector of length ``ell * m``.
-    """
-    pat = rep.pattern
-    m, n, ell, q = pat.m, pat.n, pat.ell, pat.q
-    if x.shape != (q * n,):
-        raise ShapeError(f"vector length {x.shape} != {(q * n,)}")
-    xmat = x.reshape((n, q), order="F")
-
-    if isinstance(rep, KronSumRep):
-        r = rep.n_terms
-        dx = rep.terms @ xmat  # D_j X for every term, (r, m, q)
-        if counter is not None:
-            counter.add(r * (2 * m * n * q + 2 * m * sum(pat.counts)))
-        return (rep._c_stack(rep.coeffs) @ dx.transpose(0, 2, 1).reshape(r * q, m)).ravel()
-
-    if isinstance(rep, BlockLowRankRep):
-        rl, rr = rep.left.shape[1], rep.right.shape[1]
-        z = rep.right.T @ xmat
-        if counter is not None:
-            counter.add(2 * n * rr * q)
-        yb = np.zeros((rl, ell))
-        for k, cells in enumerate(pat.placements):
-            s_k = rep.middles[k] / np.sqrt(len(cells))
-            np.add.at(yb, (slice(None), cells[:, 0]), s_k @ z[:, cells[:, 1]])
-        y = rep.left @ yb
-        if counter is not None:
-            counter.add(2 * rl * rr * sum(pat.counts) + 2 * m * rl * ell)
-        return y.reshape(-1, order="F")
-
-    raise TypeError(f"unsupported representation {type(rep).__name__}")
+def matvec(rep, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
+    """Apply any representation to ``x`` (``rep.matvec``): a vector of
+    length ``rep.shape[1]`` to one of length ``rep.shape[0]``; ``counter``
+    optionally receives the multiply-add count of the product."""
+    return rep.matvec(x, counter)
 
 
-def _cell_blocks(rep: KronSumRep | BlockLowRankRep) -> np.ndarray:
-    """``(p, m, n)`` stack of the block every cell of class ``k`` holds:
-    the class item (``sum_j coeffs[k, j] D_j`` or ``left @ middles[k] @
-    right^T``) divided by ``sqrt(eta_k)``."""
-    if isinstance(rep, KronSumRep):
-        items = np.tensordot(rep.coeffs, rep.terms, axes=(1, 0))
-    elif isinstance(rep, BlockLowRankRep):
-        items = rep.left @ rep.middles @ rep.right.T
-    else:
-        raise TypeError(f"unsupported representation {type(rep).__name__}")
-    return items / np.sqrt(rep.pattern.counts)[:, None, None]
-
-
-def densify(rep: KronSumRep | BlockLowRankRep) -> np.ndarray:
-    """Materialize the represented matrix (guarded against huge outputs).
+def densify(rep) -> np.ndarray:
+    """Materialize any representation from its ``cell_blocks()``.
 
     Raises:
         ShapeError: If the dense result would exceed ``DENSIFY_LIMIT``
             entries.
     """
-    pat = rep.pattern
-    _check_dense_size(*pat.shape)
-    return struct_assemble(pat, _cell_blocks(rep))
+    _check_dense_size(*rep.shape)
+    return struct_assemble(*rep.cell_blocks())
 
 
-def error_fro(a: np.ndarray, rep: KronSumRep | BlockLowRankRep) -> float:
+def error_fro(a: np.ndarray, rep) -> float:
     """Relative Frobenius error ``||a - densify(rep)|| / ||a||`` for any
     ``a`` of the representation's shape, without forming ``densify(rep)``.
 
-    On the block view ``a.reshape(ell, m, q, n)`` the squared residual is a
-    sum of nonnegative terms, each computed entrywise (so it does not cancel
-    at small errors): the energy of the cells no class claims, plus, per
-    class ``k``, ``||view[rows_k, :, cols_k, :] - B_k||^2`` over its gathered
-    copies, where ``B_k`` is the block the representation puts on each of
-    them.  Cost: one read of ``a`` for the per-cell energies plus
-    ``sum(eta_k) * m * n`` gathered entries; the dense approximation is
-    never formed.
+    On the block view ``a.reshape(ell, m, q, n)`` of the pattern that
+    ``rep.cell_blocks()`` returns, the squared residual is a sum of
+    nonnegative entrywise terms (so it does not cancel at small errors): the
+    energy of the cells no class claims, plus, per class ``k``,
+    ``||view[rows_k, :, cols_k, :] - B_k||^2`` over its copies of ``B_k``.
+    Cost: one read of ``a`` plus ``sum(eta_k) * m * n`` gathered entries.
 
     Raises:
         ShapeError: If the shapes differ or ``a`` is zero.
     """
     if a.shape != rep.shape:
         raise ShapeError(f"matrix shape {a.shape} != representation shape {rep.shape}")
-    pat = rep.pattern
+    pat, blocks = rep.cell_blocks()
     # a C-ordered copy of any other layout keeps the summation order fixed
     view = np.ascontiguousarray(a, dtype=np.float64).reshape(pat.ell, pat.m, pat.q, pat.n)
     cell = np.einsum("imjn,imjn->ij", view, view)
@@ -366,13 +342,8 @@ def error_fro(a: np.ndarray, rep: KronSumRep | BlockLowRankRep) -> float:
     if base == 0.0:
         raise ShapeError("relative error undefined for a zero matrix")
     resid = cell[pat.class_of < 0].sum()
-    for cells, block in zip(pat.placements, _cell_blocks(rep)):
+    for cells, block in zip(pat.placements, blocks):
         diff = view[cells[:, 0], :, cells[:, 1], :]  # a copy: "-=" leaves a intact
         diff -= block
         resid += np.vdot(diff, diff)
     return float(np.sqrt(resid) / np.sqrt(base))
-
-
-def c_term_dense(rep: KronSumRep, j: int) -> np.ndarray:
-    """Dense ``C_j`` of a Kron-sum term, mainly for tests and reports."""
-    return struct_scalars(rep.pattern, rep.coeffs[:, j])

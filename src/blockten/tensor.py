@@ -25,8 +25,6 @@ __all__ = [
     "unfold",
     "fold",
     "mode_multiply",
-    "twist",
-    "squeeze",
     "fro_norm",
 ]
 
@@ -90,20 +88,17 @@ def mode_multiply(t: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
     return fold(u @ unfold(t, mode), mode, tuple(dims))
 
 
-def twist(mat: np.ndarray) -> np.ndarray:
-    """Lift an ``m x n`` matrix to the ``m x 1 x n`` lateral-slice tensor."""
-    if mat.ndim != 2:
-        raise ShapeError("twist expects a matrix")
-    return np.ascontiguousarray(mat[:, None, :])
-
-
-def squeeze(t: np.ndarray) -> np.ndarray:
-    """Drop the singleton second mode of an ``m x 1 x n`` tensor."""
-    if t.ndim != 3 or t.shape[1] != 1:
-        raise ShapeError(f"squeeze expects an m x 1 x n tensor, got shape {t.shape}")
-    return np.ascontiguousarray(t[:, 0, :])
+def scale_exponent(t: np.ndarray) -> int:
+    """``e`` with ``max|t| = f 2**e``, ``0.5 <= f < 1`` (0 for a zero or empty
+    tensor), so ``ldexp(t, -e)`` rescales ``t`` exactly to ``max < 1``."""
+    t = np.asarray(t)
+    return int(np.frexp(np.max(np.abs(t)))[1]) if t.size else 0
 
 
 def fro_norm(t: np.ndarray) -> float:
-    """Frobenius norm of a tensor of any order."""
-    return float(np.linalg.norm(np.asarray(t).ravel()))
+    """Frobenius norm of a tensor of any order, at any scale: the squares are
+    summed after the exact rescale of :func:`scale_exponent`, which commutes
+    with rounding, so ordinary scales give ``np.linalg.norm`` bit for bit."""
+    t = np.asarray(t, dtype=np.float64)
+    e = scale_exponent(t)
+    return float(np.ldexp(np.linalg.norm(np.ldexp(t, -e).ravel()), e))

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from blockten.blocks import BlockPattern, build_pattern
+from blockten.blocks import BlockPattern, build_pattern, struct_scalars
 
 PATTERN_KINDS = ("diagonal", "banded", "banded_symmetric", "toeplitz",
                  "toeplitz_symmetric", "hankel", "general")
@@ -51,3 +51,13 @@ def random_blocks(rng: np.random.Generator, pattern: BlockPattern) -> list[np.nd
 
 def random_ranks(rng: np.random.Generator, dims: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(int(rng.integers(1, d + 1)) for d in dims)
+
+
+def placement_matrix(pattern: BlockPattern, k: int) -> np.ndarray:
+    """Dense ``E_k`` (0-based class index): ``1/sqrt(eta_k)`` on its cells."""
+    return np.where(pattern.class_of == k, 1.0 / np.sqrt(pattern.counts[k]), 0.0)
+
+
+def c_term_dense(rep, j: int) -> np.ndarray:
+    """Dense ``C_j`` of a Kron-sum term."""
+    return struct_scalars(rep.pattern, rep.coeffs[:, j])

@@ -19,7 +19,8 @@ from blockten.apps import (
     spacetime_build,
 )
 from blockten.errors import ConvergenceError, ShapeError
-from blockten.psd import spsd_compress_blocks
+from blockten import reconstruct
+from blockten.psd import spd_compress, spsd_compress_blocks
 from blockten.reconstruct import kron_sum_from_tucker
 from blockten.decomp import hosvd
 from blockten.blocks import mat_to_tensor
@@ -300,3 +301,22 @@ def test_kron_storage_ratio_counts_nonzeros():
     assert np.isclose(metrics["storage_ratio"], stored / np.count_nonzero(a),
                       rtol=1e-15)
     assert metrics["relerr_fro"] < 1e-12
+
+
+def test_spd_certificate_needs_no_dense_form(monkeypatch):
+    # the SPD form is certified on the block view like every other kind, so a
+    # matrix above the dense-size guard still gets its relerr_fro
+    rng = np.random.default_rng(13)
+    pat, blocks = spacetime_build(rng.uniform(0, 100, size=(6, 2)), np.arange(5.0) * 0.5)
+    a = struct_assemble(pat, blocks) + 1e-3 * np.eye(pat.shape[0])
+    rep = spd_compress(a, pat, 3)
+    u, rem = rep.remainder.basis, rep.remainder
+    lift = np.kron(np.eye(pat.ell), rep.chol)
+    inner = struct_assemble(rem.pattern, [u @ b @ u.T for b in rem.blocks])
+    dense = lift @ (np.eye(a.shape[0]) + inner) @ lift.T
+    want = np.linalg.norm(a - dense) / np.linalg.norm(a)
+    monkeypatch.setattr(reconstruct, "DENSIFY_LIMIT", a.size - 1)
+    with pytest.raises(ShapeError, match="dense result would hold"):
+        rep.densify()
+    got = report_metrics(a, rep)["relerr_fro"]
+    assert want > 1e-3 and abs(got - want) <= 1e-13 * want

@@ -7,7 +7,9 @@ import pytest
 
 from blockten.blocks import build_pattern, struct_assemble
 from blockten.cli import main
-from blockten.container import container_read
+from blockten.container import container_read, container_write
+from blockten.decomp import hosvd
+from blockten.multilevel import MultilevelPattern, MultilevelTuckerRep
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
 
 def run_cli(capsys, *argv):
@@ -273,6 +275,25 @@ def test_report_with_matrix_adds_error_metrics(toep, tmp_path, capsys):
     assert code == 0
     pairs = kv(out)
     assert "relerr_fro" in pairs and "storage_ratio" in pairs
+    # a multilevel container is certified the same way
+    ml_c, rep = _multilevel_container(tmp_path)
+    a = rep.densify() + 1e-3 * np.random.default_rng(110).standard_normal(rep.shape)
+    mp = tmp_path / "ml.mtx"
+    write_matrix(mp, a)
+    code, out, _ = run_cli(capsys, "report", ml_c, "--matrix", mp)
+    assert code == 0
+    want = np.linalg.norm(a - rep.densify()) / np.linalg.norm(a)
+    assert float(kv(out)["relerr_fro"]) == pytest.approx(want, rel=1e-12)
+
+
+def _multilevel_container(tmp_path):
+    inner = build_pattern("banded", 3, 3, 2, 2, band=1)
+    mlp = MultilevelPattern(levels=(build_pattern("toeplitz", 2, 2, 6, 6), inner))
+    tk = hosvd(np.random.default_rng(109).standard_normal(mlp.dims), [2, 3, 4, 2])
+    rep = MultilevelTuckerRep(pattern=mlp, tucker=tk)
+    path = tmp_path / "ml.btc"
+    container_write(path, rep)
+    return path, rep
 
 
 def test_cp_compress_runs(toep, tmp_path, capsys):
@@ -398,6 +419,9 @@ def test_exit_3_matvec_length_mismatch(toep, tmp_path, capsys):
     write_vector(xp, np.ones(7))
     code, _, _ = run_cli(capsys, "matvec", out_c, xp, "-o", tmp_path / "y.txt")
     assert code == 3
+    ml_c, _ = _multilevel_container(tmp_path)
+    code, _, err = run_cli(capsys, "matvec", ml_c, xp, "-o", tmp_path / "y.txt")
+    assert code == 3 and "vector length (7,) != (12,)" in err
 
 
 @pytest.mark.parametrize("method", ["mode2", "spsd"])

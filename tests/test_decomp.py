@@ -398,3 +398,16 @@ def test_randomized_mode_basis_validation():
         randomized_mode_basis(t, 2, 2, SketchConfig(seed=0, sizes=(9, None, 2)))  # too big
     with pytest.raises(ShapeError):
         randomized_mode_basis(t, 2, 2, SketchConfig(seed=0, sizes=(1, None, 2)))  # below rank
+
+
+def test_cp_als_is_scale_invariant():
+    # a tensor near 1e-200 used to be rejected as zero, one near 1e200 to fit 0.0
+    t = np.random.default_rng(31).standard_normal((5, 6, 4))
+    ref = cp_als(t, 3)
+    for scale in (1e-200, 1e200):
+        assert cp_als(t * scale, 3).fit == pytest.approx(ref.fit, rel=1e-12)
+    for e in (-660, 660):  # an exact rescale leaves the whole trajectory alone
+        got = cp_als(np.ldexp(t, e), 3)
+        assert got.fit_history == ref.fit_history
+        assert np.array_equal(got.rep.x, np.ldexp(ref.rep.x, e))
+        assert np.array_equal(got.rep.y, ref.rep.y) and np.array_equal(got.rep.z, ref.rep.z)

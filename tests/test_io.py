@@ -1,4 +1,4 @@
-"""File formats: Matrix Market, vectors, cubes, and the container."""
+"""File formats: Matrix Market, vectors, and the container."""
 
 import numpy as np
 import pytest
@@ -9,29 +9,16 @@ from blockten import (
     KronSumRep,
     MultilevelPattern,
     MultilevelTuckerRep,
-    TuckerBlockRep,
     build_pattern,
-    container_kind,
     container_read,
     container_write,
     hosvd,
     mat_to_tensor,
     struct_assemble,
 )
-from blockten.apps import LtiSystem, markov_from_lti
 from blockten.container import MAGIC
 from blockten.errors import ContainerExtentError, ContainerFormatError, ShapeError
-from blockten.fileio import (
-    read_markov_dir,
-    read_matrix,
-    read_points,
-    read_psf_cube,
-    read_vector,
-    write_markov_dir,
-    write_matrix,
-    write_psf_cube,
-    write_vector,
-)
+from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
 from blockten.multilevel import ml_mat_to_tensor
 from blockten.psd import spd_compress, spsd_compress
 from blockten.reconstruct import blr_from_tucker, densify, kron_sum_from_tucker
@@ -115,55 +102,6 @@ def test_vector_rejects_garbage(tmp_path):
         read_vector(empty)
 
 
-def test_points_reader(tmp_path):
-    path = tmp_path / "pts.txt"
-    path.write_text("0.0 1.0\n2.5 -3.0\n")
-    np.testing.assert_array_equal(read_points(path), [[0.0, 1.0], [2.5, -3.0]])
-
-
-def test_psf_cube_roundtrip(tmp_path):
-    rng = np.random.default_rng(3)
-    cube = rng.standard_normal((3, 3, 3))
-    path = tmp_path / "k.psf"
-    write_psf_cube(path, cube)
-    np.testing.assert_array_equal(read_psf_cube(path), cube)
-    # first-index-fastest layout: entry (2,1,1) is the second value
-    lines = path.read_text().splitlines()
-    assert float(lines[1]) == cube[0, 0, 0]
-    assert float(lines[2]) == cube[1, 0, 0]
-
-
-def test_psf_cube_count_mismatch(tmp_path):
-    path = tmp_path / "short.psf"
-    path.write_text("3\n1.0\n2.0\n")
-    with pytest.raises(ContainerFormatError):
-        read_psf_cube(path)
-
-
-def test_markov_dir_roundtrip(tmp_path):
-    rng = np.random.default_rng(4)
-    sys = LtiSystem(
-        a=0.5 * rng.standard_normal((3, 3)),
-        b=rng.standard_normal((3, 2)),
-        c=rng.standard_normal((2, 3)),
-    )
-    seq = markov_from_lti(sys, 9)
-    write_markov_dir(tmp_path / "markov", seq)
-    back = read_markov_dir(tmp_path / "markov")
-    np.testing.assert_array_equal(back.params, seq.params)
-    assert back.s == seq.s
-
-
-def test_markov_dir_missing_pieces(tmp_path):
-    root = tmp_path / "m"
-    root.mkdir()
-    with pytest.raises(ContainerFormatError):
-        read_markov_dir(root)  # no manifest
-    (root / "manifest.json").write_text('{"count": 2}\n')
-    with pytest.raises(ContainerFormatError):
-        read_markov_dir(root)  # missing h_0001.mtx
-
-
 # ---------------------------------------------------------------------------
 # container roundtrips, one per kind
 # ---------------------------------------------------------------------------
@@ -192,7 +130,6 @@ def test_container_kron_sum_roundtrip(tmp_path):
     assert "seed: 11" in header and "ranks: 3 4 3" in header
     back = container_read(path)
     assert isinstance(back, KronSumRep)
-    assert container_kind(path) == "kron_sum"
     np.testing.assert_array_equal(back.coeffs, rep.coeffs)
     np.testing.assert_array_equal(back.terms, rep.terms)
     assert back.pattern == rep.pattern
@@ -214,22 +151,22 @@ def test_container_blr_roundtrip(tmp_path):
     _assert_bit_identical_rewrite(path, back, tmp_path)
 
 
-def test_container_tucker_raw_roundtrip_keeps_identity_markers(tmp_path):
+def test_container_multilevel_keeps_identity_markers(tmp_path):
     rng = np.random.default_rng(7)
-    pat = build_pattern("banded", 4, 4, 3, 3, band=1)
-    a = struct_assemble(pat, rng.standard_normal((pat.p, 3, 3)))
-    t = mat_to_tensor(a, pat)
+    inner = build_pattern("banded", 4, 4, 3, 3, band=1)
+    mlp = MultilevelPattern(levels=(build_pattern("diagonal", 2, 2, 12, 12), inner))
     from blockten.decomp import tucker_partial
 
-    tk = tucker_partial(t, [None, 4, None])
-    rep = TuckerBlockRep(pattern=pat, tucker=tk)
+    tk = tucker_partial(rng.standard_normal(mlp.dims), [None, None, 4, None])
+    rep = MultilevelTuckerRep(pattern=mlp, tucker=tk)
     path = tmp_path / "rep.btc"
     container_write(path, rep)
+    assert b"factors: identity identity dense identity" in path.read_bytes()
     back = container_read(path)
-    assert isinstance(back, TuckerBlockRep)
-    assert back.tucker.factors[0] is None and back.tucker.factors[2] is None
+    assert isinstance(back, MultilevelTuckerRep)
+    assert [f is None for f in back.tucker.factors] == [True, True, False, True]
     np.testing.assert_array_equal(back.tucker.core, tk.core)
-    np.testing.assert_array_equal(back.tucker.factors[1], tk.factors[1])
+    np.testing.assert_array_equal(back.tucker.factors[2], tk.factors[2])
     _assert_bit_identical_rewrite(path, back, tmp_path)
 
 

@@ -1,10 +1,14 @@
-"""Kron-sum and block-low-rank representations: converters, matvec, densify."""
+"""Representations: converters, matvec, densify, the certificate and the
+protocol every kind answers."""
 
 from __future__ import annotations
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from blockten.blocks import (
@@ -14,16 +18,17 @@ from blockten.blocks import (
     struct_assemble,
     tensor_to_mat,
 )
+from blockten.container import container_read, container_write
 from blockten.decomp import TuckerRep, cp_als, hosvd, tucker_partial
 from blockten.errors import ShapeError
-from blockten.psd import SpsdRep
+from blockten.multilevel import MultilevelPattern, MultilevelTuckerRep
+from blockten.psd import SpdRep, SpsdRep
 from blockten.reconstruct import (
     BlockLowRankRep,
     FlopCounter,
     KronSumRep,
     blr_from_kruskal,
     blr_from_tucker,
-    c_term_dense,
     densify,
     error_fro,
     kron_sum_from_kruskal,
@@ -32,7 +37,8 @@ from blockten.reconstruct import (
 )
 from blockten.tensor import fro_norm
 
-from helpers import PATTERN_KINDS, random_blocks, random_pattern, random_ranks
+from helpers import (PATTERN_KINDS, c_term_dense, placement_matrix, random_blocks,
+                     random_pattern, random_ranks)
 
 
 def _setup(seed=0, kind="toeplitz"):
@@ -47,7 +53,7 @@ def test_identity_factor_kron_terms_are_placements_and_weighted_blocks():
     rep = kron_sum_from_tucker(TuckerRep(core=t, factors=(None, None, None)), pat)
     assert rep.n_terms == pat.p
     for k in range(pat.p):
-        np.testing.assert_allclose(c_term_dense(rep, k), pat.placement_matrix(k), atol=1e-15)
+        np.testing.assert_allclose(c_term_dense(rep, k), placement_matrix(pat, k), atol=1e-15)
         np.testing.assert_allclose(rep.terms[k], t[:, k, :], atol=1e-15)
     np.testing.assert_allclose(densify(rep), a, atol=1e-13)
 
@@ -218,27 +224,44 @@ def _oracle_error(a, dense):
 
 
 def _form_of(form, pat, t, rng):
-    """A compressed form of ``pat`` (square blocks for ``spsd``) and the
-    dense matrix an independent path assigns it."""
-    if form == "spsd":
+    """A compressed form of ``pat`` (square blocks for ``spsd``, and a square
+    grid too for ``spd``) and the dense matrix an independent path assigns it."""
+    if form in ("spsd", "spd"):
         r = int(rng.integers(1, pat.m + 1))
         basis = np.linalg.qr(rng.standard_normal((pat.m, r)))[0]
         rep = SpsdRep(pattern=pat, basis=basis, blocks=rng.standard_normal((pat.p, r, r)))
-        return rep.as_blr(), rep.densify()
+        dense = struct_assemble(pat, [basis @ b @ basis.T for b in rep.blocks])
+        if form == "spsd":
+            return rep, dense
+        chol = np.tril(rng.standard_normal((pat.m, pat.m)), -1) + np.diag(
+            rng.uniform(0.5, 2.0, pat.m))
+        lift = np.kron(np.eye(pat.ell), chol)
+        return (SpdRep(chol=chol, remainder=rep, ell=pat.ell),
+                lift @ (np.eye(pat.shape[0]) + dense) @ lift.T)
     tk = hosvd(t, random_ranks(rng, t.shape))
     rep = kron_sum_from_tucker(tk, pat) if form == "kron" else blr_from_tucker(tk, pat)
     return rep, densify(rep)
 
 
-@settings(max_examples=60, deadline=None)
+def _square_blocks(pat, square_grid=False):
+    """``pat`` with ``n = m`` and, with ``square_grid``, its cells cut to a
+    square grid (classes left empty are dropped)."""
+    q = pat.ell if square_grid else pat.q
+    cells = tuple(c[c[:, 1] < q] for c in pat.placements)
+    return BlockPattern(pat.ell, q, pat.m, pat.m, tuple(c for c in cells if len(c)),
+                        pat.structure_class)
+
+
+@settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS),
-       form=st.sampled_from(("kron", "blr", "spsd")),
+       form=st.sampled_from(("kron", "blr", "spsd", "spd")),
        variant=st.sampled_from(("conforming", "uncovered", "disagreeing")))
 def test_error_fro_matches_dense_oracle(seed, kind, form, variant):
     rng = np.random.default_rng(seed)
     pat = random_pattern(rng, kind)
-    if form == "spsd":
-        pat = BlockPattern(pat.ell, pat.q, pat.m, pat.m, pat.placements, pat.structure_class)
+    if form in ("spsd", "spd"):
+        pat = _square_blocks(pat, square_grid=form == "spd")
+        assume(pat.p > 0)  # a zero matrix has no relative error
     a = struct_assemble(pat, random_blocks(rng, pat))
     rep, dense = _form_of(form, pat, mat_to_tensor(a, pat), rng)
     view = a.reshape(pat.ell, pat.m, pat.q, pat.n)
@@ -278,3 +301,55 @@ def test_rep_shape_validation():
     with pytest.raises(ShapeError):
         BlockLowRankRep(pattern=pat, left=np.ones((2, 1)), right=np.ones((2, 1)),
                         middles=np.ones((1, 1, 1)))
+
+
+# ---------------------------------------------------------------------------
+# the representation protocol, every kind
+# ---------------------------------------------------------------------------
+
+REP_KINDS = ("kron", "blr", "spsd", "spd", "multilevel")
+
+
+def _any_rep(form, rng):
+    """A random representation of kind ``form`` on a small random pattern."""
+    pat = random_pattern(rng, max_grid=4, max_block=3)
+    if form in ("kron", "blr"):
+        a = struct_assemble(pat, random_blocks(rng, pat))
+        t = mat_to_tensor(a, pat)
+        return _form_of(form, pat, t, rng)[0]
+    if form in ("spsd", "spd"):
+        return _form_of(form, _square_blocks(pat, square_grid=form == "spd"), None, rng)[0]
+    inner = random_pattern(rng, max_grid=3, max_block=2)
+    outer = BlockPattern(pat.ell, pat.q, *inner.shape, pat.placements, pat.structure_class)
+    mlp = MultilevelPattern(levels=(outer, inner))
+    tk = hosvd(rng.standard_normal(mlp.dims), random_ranks(rng, mlp.dims))
+    keep = rng.random(len(mlp.dims)) < 0.5  # some modes stay uncompressed (identity)
+    return MultilevelTuckerRep(pattern=mlp, tucker=tucker_partial(
+        tk.reconstruct(), [r if k else None for r, k in zip(tk.ranks, keep)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), form=st.sampled_from(REP_KINDS))
+def test_every_kind_answers_the_protocol(seed, form):
+    rng = np.random.default_rng(seed)
+    rep = _any_rep(form, rng)
+    dense = rep.densify()
+    assert dense.shape == rep.shape
+    scale = max(float(np.linalg.norm(dense)), 1e-300)
+    # the generic assembly of cell_blocks() is the kind's own densify
+    pat, blocks = rep.cell_blocks()
+    assert pat.shape == rep.shape and blocks.shape == (pat.p, pat.m, pat.n)
+    assert np.linalg.norm(densify(rep) - dense) <= 1e-13 * scale
+    x = rng.standard_normal(rep.shape[1])
+    counter = FlopCounter()
+    y = rep.matvec(x, counter)
+    assert np.linalg.norm(y - dense @ x) <= 1e-13 * scale * np.linalg.norm(x)
+    assert counter.flops > 0 and rep.stored_scalars() > 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "rep.btc"
+        container_write(path, rep)
+        back = container_read(path)
+        assert type(back) is type(rep) and back.shape == rep.shape
+        # every stored array and header line comes back bit for bit
+        container_write(path.with_suffix(".again"), back)
+        assert path.with_suffix(".again").read_bytes() == path.read_bytes()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockten.errors import ShapeError
-from blockten.tensor import fold, fro_norm, mode_multiply, squeeze, twist, unfold
+from blockten.tensor import fold, fro_norm, mode_multiply, unfold
 
 dims_strategy = st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=5)
 
@@ -87,20 +87,17 @@ def test_fold_rejects_inconsistent_shapes():
         fold(np.zeros((3, 5)), 1, (3, 2, 2))
 
 
-def test_twist_squeeze_roundtrip():
-    mat = _random_tensor((4, 3))
-    t = twist(mat)
-    assert t.shape == (4, 1, 3)
-    assert np.array_equal(squeeze(t), mat)
-
-
-def test_squeeze_requires_singleton_second_mode():
-    with pytest.raises(ShapeError):
-        squeeze(np.zeros((2, 3, 2)))
-    with pytest.raises(ShapeError):
-        squeeze(np.zeros((2, 1, 2, 1)))
-
-
 def test_fro_norm_any_order():
     t = _random_tensor((2, 3, 2, 2), seed=11)
     assert np.isclose(fro_norm(t), np.sqrt((t**2).sum()), rtol=1e-14)
+
+
+def test_fro_norm_is_scale_safe():
+    t = _random_tensor((5, 6, 4), seed=12)
+    ref = fro_norm(t)
+    assert ref == np.linalg.norm(t.ravel())  # bit for bit at ordinary scales
+    for scale in (1e-200, 1e200):  # the plain sum of squares gives 0.0 and inf
+        assert fro_norm(t * scale) == pytest.approx(ref * scale, rel=1e-15)
+    for e in (-660, 660):
+        assert fro_norm(np.ldexp(t, e)) == np.ldexp(ref, e)
+    assert fro_norm(np.zeros((2, 3))) == 0.0
