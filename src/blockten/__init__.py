@@ -55,12 +55,9 @@ from .apps import (
 )
 from .container import container_read, container_write
 from .multilevel import (
-    MlKronTerm,
     MultilevelPattern,
     MultilevelTuckerRep,
     blur_operator_dense,
-    ml_kron_densify,
-    ml_kron_sum_from_tucker,
     ml_mat_to_tensor,
     ml_tensor_to_mat,
     psf_weighted_tensor,

@@ -404,25 +404,18 @@ def extract_blocks(a: np.ndarray, pattern: BlockPattern, tol: float = 0.0) -> tu
     return tuple(blocks)
 
 
-def mat_to_tensor(
-    a: np.ndarray,
-    pattern: BlockPattern,
-    tol: float = 0.0,
-    weighted: bool = True,
-) -> np.ndarray:
+def mat_to_tensor(a: np.ndarray, pattern: BlockPattern, tol: float = 0.0) -> np.ndarray:
     """Map a conforming matrix to its ``m x p x n`` tensor.
 
-    Lateral slice ``k`` holds ``sqrt(eta_k) * A_k`` (or the raw ``A_k`` with
-    ``weighted=False``, used by methods that skip the isometric weighting).
-    The norm identity ``||T|| == ||a||`` holds exactly in the weighted case
-    when the uncovered cells of ``a`` are zero.
+    Lateral slice ``k`` holds ``sqrt(eta_k) * A_k``.  The norm identity
+    ``||T|| == ||a||`` holds exactly when the uncovered cells of ``a`` are
+    zero.
     """
     blocks = extract_blocks(a, pattern, tol=tol)
     if not blocks:
         return np.zeros((pattern.m, 0, pattern.n))
     t = np.stack(blocks, axis=1)
-    if weighted:
-        t *= np.sqrt(pattern.counts)[:, None]
+    t *= np.sqrt(pattern.counts)[:, None]
     return t
 
 

@@ -52,7 +52,7 @@ from .reconstruct import (
     kron_sum_from_kruskal,
     kron_sum_from_tucker,
 )
-from .tensor import unfold
+from .tensor import fro_norm, in_normal_range, scale_exponent, unfold
 
 __all__ = ["main"]
 
@@ -178,9 +178,10 @@ def _randomized_tucker(t, modes, ranks, sketch, seed) -> TuckerRep:
     return TuckerRep.project(t, factors)
 
 
-def _tucker_for(args, t, norm_a):
+def _tucker_for(args, t, a):
     modes = (1, 2, 3) if args.method == "hosvd" else (2,)
     budget = None
+    scale = 0  # the core is scaled back by 2**scale
     if args.ranks is not None:
         if args.method != "hosvd":
             raise _UsageError("--ranks applies to --method hosvd only")
@@ -195,7 +196,14 @@ def _tucker_for(args, t, norm_a):
         ranks = [min(args.rank, t.shape[m - 1]) for m in modes]
     else:
         # an equal split of the squared budget (eps * ||A||_F)^2 per mode
-        budget = (args.tol * norm_a) ** 2 / len(modes)
+        with np.errstate(over="ignore"):
+            budget = (args.tol * float(np.linalg.norm(a))) ** 2 / len(modes)
+        if args.tol > 0 and not in_normal_range(budget):
+            # the squares left the float range: pick the ranks on t rescaled
+            # exactly by a power of two
+            scale = scale_exponent(t)
+            t = np.ldexp(t, -scale)
+            budget = (args.tol * np.ldexp(fro_norm(a), -scale)) ** 2 / len(modes)
         if args.randomized:
             sv = _mode_singular_values(t, modes)
             ranks = [tail_rank(sv[k], budget) for k in modes]
@@ -211,6 +219,8 @@ def _tucker_for(args, t, norm_a):
         tk = hosvd(t, list(ranks), tail_budget=budget)
     else:
         tk = tucker_partial(t, [None, ranks[0], None], tail_budget=budget)
+    if scale:
+        tk = TuckerRep(core=np.ldexp(tk.core, scale), factors=tk.factors)
     return tk, [tk.ranks[k - 1] for k in modes]
 
 
@@ -251,7 +261,6 @@ def _cmd_analyze(args) -> int:
 def _cmd_compress(args) -> int:
     a = read_matrix(args.input)
     pattern = _resolve_pattern(a, args)
-    norm_a = float(np.linalg.norm(a))
     if args.randomized and args.method not in ("hosvd", "mode2"):
         raise _UsageError("--randomized applies to --method hosvd/mode2 only")
     if args.split is not None and (args.method != "cp" or args.output != "kron_sum"):
@@ -265,7 +274,7 @@ def _cmd_compress(args) -> int:
 
     if args.method in ("hosvd", "mode2"):
         t = mat_to_tensor(a, pattern, tol=args.detect_tol)
-        tk, ranks = _tucker_for(args, t, norm_a)
+        tk, ranks = _tucker_for(args, t, a)
         rep = (kron_sum_from_tucker(tk, pattern) if args.output == "kron_sum"
                else blr_from_tucker(tk, pattern))
     elif args.method == "cp":

@@ -324,8 +324,6 @@ def hosvd(
 def tucker_partial(
     t: np.ndarray,
     ranks: list[int | None] | tuple[int | None, ...],
-    shared: tuple[int, int] | None = None,
-    shared_from: str = "first",
     tail_budget: float | None = None,
 ) -> TuckerRep:
     """Tucker compression of a chosen subset of modes.
@@ -334,12 +332,6 @@ def tucker_partial(
         t: Tensor.
         ranks: Per-mode entry: an int compresses that mode to the given
             rank, ``None`` leaves it alone (identity factor).
-        shared: Optional pair of 1-based modes forced to share one factor;
-            both entries of ``ranks`` must carry the same rank and the two
-            extents must agree.
-        shared_from: Where the shared factor comes from: ``"first"`` uses the
-            unfolding of the first mode of the pair, ``"concat"`` the
-            column-concatenation of both unfoldings.
         tail_budget: Optional squared-energy budget per compressed mode, as
             in :func:`hosvd`: the int entries of ``ranks`` become caps.
 
@@ -347,34 +339,8 @@ def tucker_partial(
         :class:`TuckerRep` with ``None`` factors marking untouched modes.
     """
     _check_ranks(t, ranks)
-    factors: list[np.ndarray | None] = [None] * t.ndim
-
-    share = ()
-    if shared is not None:
-        a, b = shared
-        for mode in (a, b):
-            if not 1 <= mode <= t.ndim:
-                raise ShapeError(f"shared mode {mode} out of range")
-        if t.shape[a - 1] != t.shape[b - 1]:
-            raise ShapeError("shared modes must have equal extents")
-        if ranks[a - 1] != ranks[b - 1] or ranks[a - 1] is None:
-            raise ShapeError("shared modes must request one common rank")
-        r = int(ranks[a - 1])
-        if shared_from == "first":
-            basis_src = unfold(t, a)
-        elif shared_from == "concat":
-            basis_src = np.hstack([unfold(t, a), unfold(t, b)])
-        else:
-            raise ValueError(f"unknown shared_from {shared_from!r}")
-        u = _mode_basis(basis_src, r, tail_budget)
-        factors[a - 1] = u
-        factors[b - 1] = u
-        share = (a - 1, b - 1)
-
-    for k, r in enumerate(ranks):
-        if k in share or r is None:
-            continue
-        factors[k] = _mode_basis(unfold(t, k + 1), r, tail_budget)
+    factors = [None if r is None else _mode_basis(unfold(t, k + 1), r, tail_budget)
+               for k, r in enumerate(ranks)]
     return TuckerRep.project(t, factors)
 
 

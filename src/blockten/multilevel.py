@@ -9,30 +9,30 @@ level ``t`` (level 1 outermost).  Lateral "slices" along a class multi-index
 ``sqrt(eta^(1)_{k_1} * ... * eta^(L)_{k_L})``, which again makes the map an
 isometry, so tensor-side truncation error equals matrix-side error exactly.
 
+A Tucker factorization ``core x U x V_1 ... x V_L x W`` of that tensor is the
+matrix ``sum_c C_{1,c_1} (x) ... (x) C_{L,c_L} (x) U core[:, c, :] W^T`` with
+``C_{t,c} = sum_k V_t[k, c] E^(t)_k``.  :class:`MultilevelTuckerRep` applies
+it one level at a time and never forms the matrix or its Kronecker terms.
+
 Levels are capped at 3 (tensor order 5).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from itertools import product
 
 import numpy as np
 
-from .blocks import BlockPattern, _toeplitz_cells, extract_blocks, struct_expand, struct_scalars
+from .blocks import BlockPattern, _toeplitz_cells, extract_blocks, struct_expand
 from .decomp import TuckerRep
 from .errors import PatternMismatchError, ShapeError
-from .reconstruct import _check_dense_size, _check_vector
+from .reconstruct import _check_vector, densify
 
 __all__ = [
     "MultilevelPattern",
     "MultilevelTuckerRep",
-    "MlKronTerm",
     "ml_mat_to_tensor",
     "ml_tensor_to_mat",
-    "ml_kron_sum_from_tucker",
-    "ml_kron_densify",
     "psf_weighted_tensor",
     "blur_operator_dense",
 ]
@@ -156,12 +156,42 @@ class MultilevelTuckerRep:
         return self.pattern.shape
 
     def matvec(self, x: np.ndarray, counter=None) -> np.ndarray:
-        """``densify() @ x``."""
-        rows, cols = self.shape
-        _check_vector(x, cols)
+        """``A x`` level by level, innermost first, never forming ``A``.
+
+        ``x`` is read as a ``(q_1, ..., q_L, n)`` array and ``W`` applied to
+        its last axis.  Level ``t`` applies its stack ``S_t[i, j, c] =
+        C_{t,c}[i, j]`` along its grid axis ``j``.  The innermost level's
+        ``c`` and ``W``'s mode are contracted with the core right after it;
+        every outer level contracts ``j`` and its own core mode at once.
+        ``U`` maps the last core mode to block rows.  Work and the largest
+        intermediate grow with the ranks, not with ``rows x cols``;
+        ``counter`` receives two flops per multiply-add done.
+        """
+        _check_vector(x, self.shape[1])
+        levels, factors = self.pattern.levels, self.tucker.factors
+        stacks = [_level_stack(lv, f) for lv, f in zip(levels, factors[1:-1])]
+        # C-ordered operands: a form and its container copy round alike
+        core = np.ascontiguousarray(self.tucker.core)
+        u, w = (None if f is None else np.ascontiguousarray(f) for f in (factors[0], factors[-1]))
+        last = len(levels) - 1
+        z = x.reshape(*(lv.q for lv in levels), -1)
+        madds = 0
+        if w is not None:
+            z = z @ w
+            madds += z.size * w.shape[0]
+        z = np.tensordot(z, stacks[last], axes=(last, 1))  # (q.., r_W, ell_last, r_last)
+        madds += z.size * stacks[last].shape[1]
+        z = np.tensordot(z, core, axes=([last + 2, last], [last + 1, last + 2]))
+        madds += z.size * core.shape[-2] * core.shape[-1]
+        for t in range(last - 1, -1, -1):  # 0-based t; z: (q_0..q_t, ell_t+1.., r_U, r_0..r_t)
+            z = np.moveaxis(np.tensordot(z, stacks[t], axes=([t, -1], [1, 2])), -1, t)
+            madds += z.size * stacks[t].shape[1] * stacks[t].shape[2]
+        if u is not None:
+            z = z @ u.T
+            madds += z.size * u.shape[1]
         if counter is not None:
-            counter.add(2 * rows * cols)
-        return self.densify() @ x
+            counter.add(2 * madds)
+        return z.ravel()
 
     def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
         """The outermost level's pattern and, per class, its assembled inner
@@ -177,61 +207,15 @@ class MultilevelTuckerRep:
         return self.tucker.core.size + sum(f.size for f in self.tucker.factors if f is not None)
 
     def densify(self) -> np.ndarray:
-        _check_dense_size(*self.pattern.shape)
-        return ml_tensor_to_mat(self.tucker.reconstruct(), self.pattern)
+        return densify(self)
 
 
-@dataclass(frozen=True)
-class MlKronTerm:
-    """One multilevel Kronecker term ``level_mats[0] (x) ... (x) block``."""
-
-    level_mats: tuple[np.ndarray, ...]
-    block: np.ndarray
-
-    def densify(self) -> np.ndarray:
-        return reduce(np.kron, (*self.level_mats, self.block))
-
-
-def ml_kron_sum_from_tucker(t: TuckerRep, mlp: MultilevelPattern) -> list[MlKronTerm]:
-    """Kronecker terms of ``M[tucker]``: one term per mode-2..L+1 core index.
-
-    Term ``(j_1, ..., j_L)`` pairs the scalar assemblies of column ``j_t`` of
-    each level's mode factor with the innermost block
-    ``U core[:, j_1, ..., j_L, :] W^T``.  Identity factors contribute
-    one-hot columns, i.e. plain placement matrices.
-    """
-    if t.core.ndim != mlp.depth + 2:
-        raise ShapeError(f"Tucker order {t.core.ndim} != pattern order {mlp.depth + 2}")
-    if t.dims != mlp.dims:
-        raise ShapeError(f"Tucker dims {t.dims} != pattern dims {mlp.dims}")
-    u = t.factors[0]
-    w = t.factors[-1]
-    level_factors = [np.eye(lv.p) if f is None else f for lv, f in zip(mlp.levels, t.factors[1:-1])]
-
-    terms: list[MlKronTerm] = []
-    for multi in product(*(range(f.shape[1]) for f in level_factors)):
-        mats = tuple(
-            struct_scalars(lv, level_factors[tt][:, multi[tt]])
-            for tt, lv in enumerate(mlp.levels)
-        )
-        core_slice = t.core[(slice(None), *multi, slice(None))]
-        blk = core_slice if u is None else u @ core_slice
-        blk = blk if w is None else blk @ w.T
-        terms.append(MlKronTerm(level_mats=mats, block=blk))
-    return terms
-
-
-def ml_kron_densify(terms: list[MlKronTerm]) -> np.ndarray:
-    """Sum the dense Kronecker products of the terms (size-guarded)."""
-    if not terms:
-        raise ShapeError("no terms to densify")
-    rows = int(np.prod([m.shape[0] for m in terms[0].level_mats])) * terms[0].block.shape[0]
-    cols = int(np.prod([m.shape[1] for m in terms[0].level_mats])) * terms[0].block.shape[1]
-    _check_dense_size(rows, cols)
-    out = np.zeros((rows, cols))
-    for term in terms:
-        out += term.densify()
-    return out
+def _level_stack(level: BlockPattern, factor: np.ndarray | None) -> np.ndarray:
+    """``(ell, q, r)`` array whose ``[:, :, c]`` is ``sum_k factor[k, c] E_k``,
+    read off the class grid (an identity ``factor`` when it is ``None``)."""
+    f = np.eye(level.p) if factor is None else factor
+    coef = np.vstack([f / np.sqrt(level.counts)[:, None], np.zeros(f.shape[1])])
+    return coef[level.class_of]  # class -1 (no class) picks the zero row
 
 
 # ---------------------------------------------------------------------------

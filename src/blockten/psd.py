@@ -211,7 +211,7 @@ def _shared_basis_rep(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
     if not 1 <= r <= n:
         raise ShapeError(f"rank {r} out of range for block extent {n}")
     if pattern.p == 0:
-        return SpsdRep(pattern=pattern, basis=np.eye(n)[:, :r],
+        return SpsdRep(pattern=pattern, basis=np.eye(n, r),
                        blocks=np.zeros((0, r, r)))
     t = np.stack(blocks, axis=1) * np.sqrt(pattern.counts)[:, None]
     u = _mode_basis(unfold(t, 1), r)

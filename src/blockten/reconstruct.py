@@ -29,6 +29,7 @@ import scipy.sparse as sp
 from .blocks import BlockPattern, struct_assemble
 from .decomp import KruskalRep, TuckerRep, qr_thin
 from .errors import ShapeError
+from .tensor import in_normal_range, scale_exponent
 
 __all__ = [
     "KronSumRep",
@@ -223,7 +224,7 @@ def kron_sum_from_tucker(t: TuckerRep, pattern: BlockPattern) -> KronSumRep:
         terms = u @ terms
     if w is not None:
         terms = terms @ w.T
-    return KronSumRep(pattern=pattern, coeffs=coeffs, terms=np.array(terms))
+    return KronSumRep(pattern=pattern, coeffs=coeffs, terms=np.ascontiguousarray(terms))
 
 
 def kron_sum_from_kruskal(
@@ -268,11 +269,9 @@ def blr_from_tucker(t: TuckerRep, pattern: BlockPattern) -> BlockLowRankRep:
     u, v, w = t.factors
     left = np.eye(pattern.m) if u is None else u.copy()
     right = np.eye(pattern.n) if w is None else w.copy()
-    if v is None:
-        middles = np.ascontiguousarray(np.moveaxis(t.core, 1, 0))
-    else:
-        middles = np.einsum("ajb,kj->kab", t.core, v)
-    return BlockLowRankRep(pattern=pattern, left=left, right=right, middles=middles)
+    middles = np.moveaxis(t.core, 1, 0) if v is None else np.einsum("ajb,kj->kab", t.core, v)
+    return BlockLowRankRep(pattern=pattern, left=left, right=right,
+                           middles=np.ascontiguousarray(middles))
 
 
 def blr_from_kruskal(k: KruskalRep, pattern: BlockPattern) -> BlockLowRankRep:
@@ -318,6 +317,17 @@ def densify(rep) -> np.ndarray:
     return struct_assemble(*rep.cell_blocks())
 
 
+def _squared_error(view: np.ndarray, pat: BlockPattern, blocks) -> tuple[float, float]:
+    """``(||a||^2, ||a - densify(rep)||^2)`` on the block view of ``a``."""
+    cell = np.einsum("imjn,imjn->ij", view, view)
+    resid = cell[pat.class_of < 0].sum()
+    for cells, block in zip(pat.placements, blocks):
+        diff = view[cells[:, 0], :, cells[:, 1], :]  # a copy: "-=" leaves a intact
+        diff -= block
+        resid += np.vdot(diff, diff)
+    return cell.sum(), resid
+
+
 def error_fro(a: np.ndarray, rep) -> float:
     """Relative Frobenius error ``||a - densify(rep)|| / ||a||`` for any
     ``a`` of the representation's shape, without forming ``densify(rep)``.
@@ -328,6 +338,8 @@ def error_fro(a: np.ndarray, rep) -> float:
     energy of the cells no class claims, plus, per class ``k``,
     ``||view[rows_k, :, cols_k, :] - B_k||^2`` over its copies of ``B_k``.
     Cost: one read of ``a`` plus ``sum(eta_k) * m * n`` gathered entries.
+    When either sum of squares leaves the normal float range, both are
+    redone on ``a`` and the blocks rescaled exactly by one power of two.
 
     Raises:
         ShapeError: If the shapes differ or ``a`` is zero.
@@ -336,14 +348,13 @@ def error_fro(a: np.ndarray, rep) -> float:
         raise ShapeError(f"matrix shape {a.shape} != representation shape {rep.shape}")
     pat, blocks = rep.cell_blocks()
     # a C-ordered copy of any other layout keeps the summation order fixed
-    view = np.ascontiguousarray(a, dtype=np.float64).reshape(pat.ell, pat.m, pat.q, pat.n)
-    cell = np.einsum("imjn,imjn->ij", view, view)
-    base = cell.sum()
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    block_view = (pat.ell, pat.m, pat.q, pat.n)
+    base, resid = _squared_error(a.reshape(block_view), pat, blocks)
+    if not (in_normal_range(base) and in_normal_range(resid)):
+        e = scale_exponent(a)
+        base, resid = _squared_error(np.ldexp(a, -e).reshape(block_view), pat,
+                                     np.ldexp(blocks, -e))
     if base == 0.0:
         raise ShapeError("relative error undefined for a zero matrix")
-    resid = cell[pat.class_of < 0].sum()
-    for cells, block in zip(pat.placements, blocks):
-        diff = view[cells[:, 0], :, cells[:, 1], :]  # a copy: "-=" leaves a intact
-        diff -= block
-        resid += np.vdot(diff, diff)
     return float(np.sqrt(resid) / np.sqrt(base))

@@ -28,6 +28,8 @@ __all__ = [
     "fro_norm",
 ]
 
+_TINY, _HUGE = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+
 
 def _check_mode(mode: int, order: int) -> int:
     if not 1 <= mode <= order:
@@ -93,6 +95,13 @@ def scale_exponent(t: np.ndarray) -> int:
     tensor), so ``ldexp(t, -e)`` rescales ``t`` exactly to ``max < 1``."""
     t = np.asarray(t)
     return int(np.frexp(np.max(np.abs(t)))[1]) if t.size else 0
+
+
+def in_normal_range(s: float) -> bool:
+    """Whether ``s`` is a normal float.  A sum of squares outside that range
+    overflowed, or lost digits to underflow; redo it on the rescale of
+    :func:`scale_exponent`."""
+    return _TINY <= s <= _HUGE
 
 
 def fro_norm(t: np.ndarray) -> float:

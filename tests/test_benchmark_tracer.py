@@ -1,0 +1,40 @@
+"""The benchmark's span tracer (perfbench/tracing.py) wraps library functions
+and a few methods by name.  It must still install over the library as it is,
+and put every original back, or traced benchmark runs break."""
+
+import importlib
+import importlib.util
+import inspect
+import sys
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def _functions(namespace) -> dict:
+    return {name: val for name, val in vars(namespace).items() if inspect.isfunction(val)}
+
+
+def test_tracer_installs_and_restores_every_function():
+    tracing = _load_tracing()
+    targets = [importlib.import_module(f"blockten.{layer}") for layer in tracing.LAYERS]
+    targets += [getattr(importlib.import_module(f"blockten.{layer}"), cls)
+                for layer, cls, _ in tracing.METHODS]
+    before = [_functions(target) for target in targets]
+    patches = tracing.install(tracing.Tracer())  # a method it names must exist
+    try:
+        assert len(patches) > len(tracing.METHODS)
+        for target, attr, original in patches:
+            assert vars(target)[attr] is not original
+    finally:
+        tracing.uninstall(patches)
+    for target, functions in zip(targets, before):
+        assert _functions(target) == functions, target

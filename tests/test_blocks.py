@@ -203,9 +203,6 @@ def test_mat_to_tensor_slices_are_weighted_blocks():
     t = mat_to_tensor(struct_assemble(pat, blocks), pat)
     for k, blk in enumerate(blocks):
         np.testing.assert_allclose(t[:, k, :], np.sqrt(pat.counts[k]) * blk, atol=1e-15)
-    raw = mat_to_tensor(struct_assemble(pat, blocks), pat, weighted=False)
-    for k, blk in enumerate(blocks):
-        np.testing.assert_allclose(raw[:, k, :], blk, atol=1e-15)
 
 
 def test_mat_to_tensor_rejects_nonconforming_matrix():

@@ -4,13 +4,15 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.ndimage import convolve
 
 from blockten.blocks import build_pattern, struct_assemble
 from blockten.cli import main
 from blockten.container import container_read, container_write
 from blockten.decomp import hosvd
-from blockten.multilevel import MultilevelPattern, MultilevelTuckerRep
+from blockten.multilevel import MultilevelPattern, MultilevelTuckerRep, psf_weighted_tensor
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
+from blockten.reconstruct import DENSIFY_LIMIT
 
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
@@ -204,6 +206,49 @@ def test_matvec_matches_dense_product(toep, tmp_path, capsys):
     assert code == 0
     y = read_vector(yp)
     assert np.linalg.norm(a @ x - y) <= 1e-12 * np.linalg.norm(a @ x)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+def test_tol_compress_does_not_depend_on_the_matrix_scale(tmp_path, capsys, scale):
+    # near 1e160 the squared norm overflows, near 1e-170 it underflows to 0
+    rng = np.random.default_rng(112)
+    pattern = build_pattern("toeplitz", 5, 5, 4, 4)
+    base = rng.standard_normal((3, 4, 4)) * np.array([1.0, 0.3, 0.1])[:, None, None]
+    blocks = np.einsum("kc,cij->kij", rng.standard_normal((pattern.p, 3)), base)
+    a = struct_assemble(pattern, blocks + 1e-4 * rng.standard_normal(blocks.shape))
+    runs = []
+    for factor in (1.0, scale):
+        path = tmp_path / "a.mtx"
+        write_matrix(path, factor * a)
+        code, out, err = run_cli(capsys, "compress", path, "-o", tmp_path / "t.btc",
+                                 "--block-rows", 4, "--block-cols", 4,
+                                 "--method", "mode2", "--tol", "1e-3")
+        assert code == 0 and not err
+        runs.append(kv(out))
+    assert runs[1]["ranks"] == runs[0]["ranks"] == "3"
+    assert float(runs[1]["relerr_fro"]) == pytest.approx(float(runs[0]["relerr_fro"]),
+                                                         rel=1e-12)
+
+
+def test_matvec_applies_a_psf_container_beyond_the_dense_limit(tmp_path, capsys):
+    # the full-rank K = 23 blur operator has 23^6 > DENSIFY_LIMIT entries;
+    # its product is the zero-padded 3-D convolution with the kernel
+    k = 23
+    assert k**6 > DENSIFY_LIMIT
+    rng = np.random.default_rng(113)
+    psf = rng.standard_normal((k, k, k))
+    t, mlp = psf_weighted_tensor(psf)
+    path = tmp_path / "psf.btc"
+    container_write(path, MultilevelTuckerRep(pattern=mlp, tucker=hosvd(t, t.shape)))
+    x = rng.standard_normal(k**3)
+    write_vector(tmp_path / "x.txt", x)
+    code, _, err = run_cli(capsys, "matvec", path, tmp_path / "x.txt", "-o", tmp_path / "y.txt")
+    assert code == 0, err
+    want = convolve(x.reshape((k, k, k), order="F"), psf, mode="constant").ravel(order="F")
+    assert np.linalg.norm(read_vector(tmp_path / "y.txt") - want) <= 1e-12 * np.linalg.norm(want)
+    # writing the matrix out still needs the dense form
+    code, _, _ = run_cli(capsys, "reconstruct", path, "-o", tmp_path / "a.mtx")
+    assert code == 3
 
 
 def spd_block_toeplitz(rng, s, m):

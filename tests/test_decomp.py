@@ -219,23 +219,6 @@ def test_tucker_partial_identity_modes():
     np.testing.assert_allclose(full.reconstruct(), t, atol=1e-12)
 
 
-def test_tucker_partial_shared_modes():
-    rng = np.random.default_rng(9)
-    t = rng.standard_normal((4, 3, 4))
-    t = t + np.transpose(t, (2, 1, 0))  # mode-1/mode-3 symmetric slices
-    rep = tucker_partial(t, [2, None, 2], shared=(1, 3))
-    assert rep.factors[0] is rep.factors[2]
-    rep2 = tucker_partial(t, [2, None, 2], shared=(1, 3), shared_from="concat")
-    assert rep2.factors[0] is rep2.factors[2]
-    with pytest.raises(ShapeError):
-        tucker_partial(t, [2, None, 3], shared=(1, 3))
-    with pytest.raises(ShapeError):
-        tucker_partial(rng.standard_normal((3, 3, 4)), [2, None, 2], shared=(1, 3))
-    # a shared rank is range-checked like any other
-    with pytest.raises(ShapeError, match="mode-1 rank 5 out of range for extent 3"):
-        tucker_partial(rng.standard_normal((3, 4, 3)), [5, None, 5], shared=(1, 3))
-
-
 def test_tucker_rep_validates_factor_shapes():
     with pytest.raises(ShapeError):
         TuckerRep(core=np.zeros((2, 2, 2)), factors=(np.zeros((4, 3)), None, None))

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockten import build_pattern, hosvd, mat_to_tensor, struct_assemble
+from blockten import build_pattern, error_fro, hosvd, mat_to_tensor, struct_assemble
+from blockten.decomp import TuckerRep
 from blockten.errors import PatternMismatchError, ShapeError
 from blockten.multilevel import (
-    MlKronTerm,
     MultilevelPattern,
+    MultilevelTuckerRep,
     blur_operator_dense,
-    ml_kron_densify,
-    ml_kron_sum_from_tucker,
     ml_mat_to_tensor,
     ml_tensor_to_mat,
     psf_weighted_tensor,
@@ -90,21 +89,21 @@ def test_full_rank_tucker_terms_reproduce_matrix():
     rng = np.random.default_rng(6)
     a, mlp = _nested_two_level(rng)
     t = ml_mat_to_tensor(a, mlp)
-    terms = ml_kron_sum_from_tucker(hosvd(t, list(t.shape)), mlp)
-    assert len(terms) == mlp.class_counts[0] * mlp.class_counts[1]
-    np.testing.assert_allclose(ml_kron_densify(terms), a, atol=1e-12)
+    rep = MultilevelTuckerRep(pattern=mlp, tucker=hosvd(t, list(t.shape)))
+    np.testing.assert_allclose(rep.densify(), a, atol=1e-12)
+    x = rng.standard_normal(a.shape[1])
+    np.testing.assert_allclose(rep.matvec(x), a @ x, atol=1e-12)
 
 
 def test_truncation_error_transfers_exactly_to_matrix():
     rng = np.random.default_rng(7)
     a, mlp = _nested_two_level(rng)
     t = ml_mat_to_tensor(a, mlp)
-    ranks = [min(2, s) for s in t.shape]
-    tk = hosvd(t, ranks)
-    terms = ml_kron_sum_from_tucker(tk, mlp)
-    mat_err = np.linalg.norm(ml_kron_densify(terms) - a)
+    tk = hosvd(t, [min(2, s) for s in t.shape])
+    rep = MultilevelTuckerRep(pattern=mlp, tucker=tk)
     ten_err = np.linalg.norm(tk.reconstruct() - t)
-    assert np.isclose(mat_err, ten_err, rtol=1e-10)
+    assert np.isclose(np.linalg.norm(rep.densify() - a), ten_err, rtol=1e-10)
+    assert np.isclose(error_fro(a, rep) * np.linalg.norm(a), ten_err, rtol=1e-10)
 
 
 def test_delta_kernel_tensor_entry():
@@ -137,11 +136,12 @@ def test_separable_psf_compresses_to_single_term():
     u, v, w = (rng.standard_normal(5) for _ in range(3))
     psf = np.einsum("a,b,c->abc", u, v, w)
     x, mlp = psf_weighted_tensor(psf)
-    terms = ml_kron_sum_from_tucker(hosvd(x, [1, 1, 1, 1, 1]), mlp)
-    assert len(terms) == 1
-    np.testing.assert_allclose(
-        ml_kron_densify(terms), blur_operator_dense(psf), atol=1e-12
-    )
+    rep = MultilevelTuckerRep(pattern=mlp, tucker=hosvd(x, [1, 1, 1, 1, 1]))
+    assert np.prod(rep.tucker.ranks[1:-1]) == 1  # one Kronecker term
+    dense = blur_operator_dense(psf)
+    np.testing.assert_allclose(rep.densify(), dense, atol=1e-12)
+    v = rng.standard_normal(dense.shape[1])
+    np.testing.assert_allclose(rep.matvec(v), dense @ v, atol=1e-12)
 
 
 def test_psf_validation():
@@ -153,17 +153,13 @@ def test_psf_validation():
         blur_operator_dense(np.zeros((9, 9, 9)))  # above dense cap
 
 
-def test_kron_term_densify_is_plain_kron():
-    rng = np.random.default_rng(10)
-    c = rng.standard_normal((2, 2))
-    d = rng.standard_normal((3, 4))
-    term = MlKronTerm(level_mats=(c,), block=d)
-    np.testing.assert_array_equal(term.densify(), np.kron(c, d))
-
-
 def test_tucker_order_must_match_pattern_depth():
     rng = np.random.default_rng(11)
     a, mlp = _nested_two_level(rng)
     t3 = rng.standard_normal((2, 5, 2))
-    with pytest.raises(ShapeError):
-        ml_kron_sum_from_tucker(hosvd(t3, [2, 5, 2]), mlp)
+    with pytest.raises(ShapeError, match="tucker dims"):
+        MultilevelTuckerRep(pattern=mlp, tucker=hosvd(t3, [2, 5, 2]))
+    # right order, one extent off
+    core = rng.standard_normal(tuple(d + (k == 1) for k, d in enumerate(mlp.dims)))
+    with pytest.raises(ShapeError, match="tucker dims"):
+        MultilevelTuckerRep(pattern=mlp, tucker=TuckerRep(core=core, factors=(None,) * 4))

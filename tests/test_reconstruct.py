@@ -21,7 +21,7 @@ from blockten.blocks import (
 from blockten.container import container_read, container_write
 from blockten.decomp import TuckerRep, cp_als, hosvd, tucker_partial
 from blockten.errors import ShapeError
-from blockten.multilevel import MultilevelPattern, MultilevelTuckerRep
+from blockten.multilevel import MAX_LEVELS, MultilevelPattern, MultilevelTuckerRep
 from blockten.psd import SpdRep, SpsdRep
 from blockten.reconstruct import (
     BlockLowRankRep,
@@ -219,6 +219,18 @@ def test_error_fro_ignores_memory_layout():
     assert error_fro(host[1:-1, ::2], rep) == want
 
 
+@pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
+def test_error_fro_does_not_depend_on_the_matrix_scale(scale):
+    # the squared sums overflow near 1e160 and underflow near 1e-170
+    rng, pat, a, t = _setup(12)
+    ranks = (max(1, pat.m - 1), max(1, pat.p - 1), pat.n)
+    want = error_fro(a, kron_sum_from_tucker(hosvd(t, ranks), pat))
+    assert want > 1e-3
+    scaled = scale * a
+    rep = kron_sum_from_tucker(hosvd(mat_to_tensor(scaled, pat), ranks), pat)
+    assert error_fro(scaled, rep) == pytest.approx(want, rel=1e-12)
+
+
 def _oracle_error(a, dense):
     return float(np.linalg.norm(a - dense) / np.linalg.norm(a))
 
@@ -319,9 +331,14 @@ def _any_rep(form, rng):
         return _form_of(form, pat, t, rng)[0]
     if form in ("spsd", "spd"):
         return _form_of(form, _square_blocks(pat, square_grid=form == "spd"), None, rng)[0]
-    inner = random_pattern(rng, max_grid=3, max_block=2)
-    outer = BlockPattern(pat.ell, pat.q, *inner.shape, pat.placements, pat.structure_class)
-    mlp = MultilevelPattern(levels=(outer, inner))
+    # a chain of 1 to MAX_LEVELS levels, each outer block the next level's matrix
+    levels = [pat] + [random_pattern(rng, max_grid=3, max_block=2)
+                      for _ in range(int(rng.integers(MAX_LEVELS)))]
+    for t in range(len(levels) - 2, -1, -1):
+        lv = levels[t]
+        levels[t] = BlockPattern(lv.ell, lv.q, *levels[t + 1].shape, lv.placements,
+                                 lv.structure_class)
+    mlp = MultilevelPattern(levels=tuple(levels))
     tk = hosvd(rng.standard_normal(mlp.dims), random_ranks(rng, mlp.dims))
     keep = rng.random(len(mlp.dims)) < 0.5  # some modes stay uncompressed (identity)
     return MultilevelTuckerRep(pattern=mlp, tucker=tucker_partial(
@@ -350,6 +367,8 @@ def test_every_kind_answers_the_protocol(seed, form):
         container_write(path, rep)
         back = container_read(path)
         assert type(back) is type(rep) and back.shape == rep.shape
-        # every stored array and header line comes back bit for bit
+        # every stored array and header line comes back bit for bit, and so
+        # does the product
         container_write(path.with_suffix(".again"), back)
         assert path.with_suffix(".again").read_bytes() == path.read_bytes()
+        assert np.array_equal(back.matvec(x), y)
