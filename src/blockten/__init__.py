@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from .blocks import (
     BlockPattern,
+    blocks_to_tensor,
     build_pattern,
     detect_pattern,
     extract_blocks,

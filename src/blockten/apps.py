@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .blocks import BlockPattern, build_pattern, struct_assemble, struct_expand
+from .blocks import BlockPattern, _cells, build_pattern, struct_assemble, struct_expand
 from .decomp import hosvd, tucker_partial
 from .errors import ConvergenceError, ShapeError
 from .reconstruct import error_fro
@@ -315,10 +315,10 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
     """Quality/size metrics for a compressed representation.
 
     Args:
-        a_or_pattern: The dense source matrix, or its :class:`BlockPattern`
-            (or ``None``) when the matrix is too large to hold; then only
-            the metrics the representation certifies alone are reported.
-            A matrix must have the representation's shape.
+        a_or_pattern: The source matrix (dense or scipy sparse), or its
+            :class:`BlockPattern` (or ``None``) when the matrix is not at
+            hand; then only the metrics the representation certifies alone
+            are reported.  A matrix must have the representation's shape.
         rep: Any representation produced by this package.
         trace_ref: Reference trace when the matrix itself is not supplied
             (e.g. ``N * T`` for a unit-diagonal covariance kernel).
@@ -326,21 +326,25 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
     Returns:
         The computable subset of ``relerr_fro`` (nonzero matrix supplied),
         ``relerr_trace`` (``rep.trace`` is not None) and ``storage_ratio``:
-        ``rep.stored_scalars()`` over the matrix's ``nnz``, or over
-        ``rep.distinct_scalars()`` when the kind defines it.
+        ``rep.stored_scalars()`` over the matrix's ``nnz`` (its nonzero
+        values), or over ``rep.distinct_scalars()`` when the kind defines
+        it.  Both read a matrix through its nonzero cells.
 
     Raises:
         ShapeError: If the matrix shape differs from the representation's.
     """
     metrics: dict[str, float] = {}
-    matrix = a_or_pattern if isinstance(a_or_pattern, np.ndarray) else None
+    matrix = a_or_pattern
+    if isinstance(matrix, BlockPattern):
+        matrix = None
     if matrix is not None and matrix.shape != rep.shape:
         raise ShapeError(f"matrix shape {matrix.shape} != representation shape {rep.shape}")
 
     if rep.distinct_scalars is not None:
         metrics["storage_ratio"] = rep.stored_scalars() / rep.distinct_scalars()
     elif matrix is not None:
-        metrics["storage_ratio"] = rep.stored_scalars() / int(np.count_nonzero(matrix))
+        nnz = _cells(matrix, *matrix.shape, 1, 1).nnz()  # 1 x 1 cells: just the entries
+        metrics["storage_ratio"] = rep.stored_scalars() / nnz
 
     if matrix is not None:
         try:
@@ -350,7 +354,7 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
 
     if rep.trace is not None:
         if trace_ref is None and matrix is not None:
-            trace_ref = float(np.trace(matrix))
+            trace_ref = float(matrix.diagonal().sum())
         if trace_ref is not None and trace_ref != 0.0:
             metrics["relerr_trace"] = abs(trace_ref - rep.trace()) / abs(trace_ref)
     return metrics

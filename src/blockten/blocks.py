@@ -21,6 +21,14 @@ With that normalization the matrix and its weighted tensor are isometric:
 the Frobenius error of any tensor approximation equals the Frobenius error
 of the reassembled matrix.
 
+Every map reads its input through one private view of the nonzero cells
+(:func:`_cells`), built from a dense array or a scipy sparse matrix alike: a
+per-cell *present* test (some entry has a nonzero bit, so a ``-0.0`` cell is
+present) and a gather of cells by flat id ``row * q + col``.  A dense input
+is read in place through ``a.reshape(ell, m, q, n)``; a sparse one is
+scattered once into a stack of its present cells.  All-zero cells are never
+copied, and no map builds anything the size of a dense matrix.
+
 Grid cells are 0-based ``(row, col)`` internally; file formats and printed
 reports are 1-based.
 """
@@ -30,8 +38,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse
 
 from .errors import PatternMismatchError, ShapeError
+from .tensor import scale_exponent
 
 __all__ = [
     "BlockPattern",
@@ -43,8 +53,19 @@ __all__ = [
     "struct_scalars",
     "extract_blocks",
     "mat_to_tensor",
+    "blocks_to_tensor",
     "tensor_to_mat",
+    "DENSIFY_LIMIT",
 ]
+
+DENSIFY_LIMIT = 10**8  # refuse to build dense matrices beyond this many entries
+
+
+def _check_dense_size(rows: int, cols: int) -> None:
+    """Raise :class:`ShapeError` if a dense ``rows x cols`` result would
+    exceed ``DENSIFY_LIMIT`` entries."""
+    if rows * cols > DENSIFY_LIMIT:
+        raise ShapeError(f"dense result would hold {rows * cols} entries (limit {DENSIFY_LIMIT})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,6 +236,162 @@ def build_pattern(
 
 
 # ---------------------------------------------------------------------------
+# the nonzero-cell view
+# ---------------------------------------------------------------------------
+
+_SIGN = np.uint64(1 << 63)
+
+
+def _fingerprint(bits: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Fingerprint of every cell of an ``(m, c, n)`` stack of cell bits: the
+    sum of ``bits * keys`` modulo ``2**64``, which no summation order
+    changes.  Equal cells get equal fingerprints; unequal cells collide only
+    by chance, and detection checks every group on its bytes."""
+    return np.einsum("rjs,rs->j", bits, keys)
+
+
+def _fingerprint_keys(m: int, n: int) -> np.ndarray:
+    """Fixed odd random ``uint64`` keys, one per entry of an ``m x n`` block."""
+    keys = np.random.default_rng(0x5EED).integers(
+        0, 2**64 - 1, size=(m, n), dtype=np.uint64, endpoint=True)
+    return keys | np.uint64(1)
+
+
+class _DenseCells:
+    """The cells of a dense float64 array, read in place: nothing the size
+    of the array is allocated."""
+
+    def __init__(self, a: np.ndarray, ell: int, q: int, m: int, n: int) -> None:
+        self.ell, self.q, self.m, self.n = ell, q, m, n
+        self.a = a
+        # splitting axes needs no copy at any strides, so these are views
+        self.view = a.reshape(ell, m, q, n)
+        self.bits = a.view(np.uint64).reshape(ell, m, q, n)
+
+    def _row_or(self, i: int) -> np.ndarray:
+        """Bitwise OR of the entries of every cell of block row ``i``."""
+        down = np.bitwise_or.reduce(self.bits[i].reshape(self.m, -1), axis=0)
+        return np.bitwise_or.reduce(down.reshape(self.q, self.n), axis=1)
+
+    def present(self, rows) -> np.ndarray:
+        return np.array([self._row_or(i) != 0 for i in rows], dtype=bool).reshape(-1, self.q)
+
+    def take(self, ids) -> np.ndarray:
+        return self.view[ids // self.q, :, ids % self.q, :]
+
+    def nonzero_fingerprints(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        ids, prints = [], []
+        for i in range(self.ell):
+            cols = np.flatnonzero(self._row_or(i) & ~_SIGN)  # a nonzero value
+            bits = self.bits[i] if len(cols) == self.q else self.bits[i][:, cols]
+            ids.append(i * self.q + cols)
+            prints.append(_fingerprint(bits, keys))
+        return np.concatenate(ids), np.concatenate(prints)
+
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.a))
+
+    def scale_exponent(self) -> int:
+        return scale_exponent(self.a)
+
+
+class _SparseCells:
+    """The present cells of a scipy sparse matrix, scattered once into a
+    ``(c, m, n)`` stack ordered by flat cell id."""
+
+    def __init__(self, a, ell: int, q: int, m: int, n: int) -> None:
+        self.ell, self.q, self.m, self.n = ell, q, m, n
+        coo = a.tocoo()
+        flat = coo.row.astype(np.int64) * (q * n) + coo.col
+        values = np.asarray(coo.data, dtype=np.float64)
+        # duplicates add up in storage order, as toarray() adds them
+        order = np.argsort(flat, kind="stable")
+        flat, values = flat[order], values[order]
+        first = np.flatnonzero(np.diff(flat, prepend=-1))
+        if len(first) < len(flat):
+            flat, values = flat[first], np.add.reduceat(values, first)
+        keep = values.view(np.uint64) != 0  # a stored +0.0 is no entry; -0.0 is one
+        rows, cols = np.divmod(flat[keep], q * n)
+        self.ids, slot = np.unique((rows // m) * q + cols // n, return_inverse=True)
+        size = len(self.ids) * m * n
+        if size > DENSIFY_LIMIT:
+            raise ShapeError(f"the {len(self.ids)} nonzero {m} x {n} cells would hold "
+                             f"{size} entries (limit {DENSIFY_LIMIT})")
+        self.stack = np.zeros((len(self.ids), m, n))
+        self.stack[slot, rows % m, cols % n] = values[keep]
+
+    def present(self, rows) -> np.ndarray:
+        mask = np.zeros(self.ell * self.q, dtype=bool)
+        mask[self.ids] = True
+        return mask.reshape(self.ell, self.q)[rows]
+
+    def take(self, ids) -> np.ndarray:
+        out = np.zeros((len(ids), self.m, self.n))
+        if len(self.ids):
+            pos = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
+            hit = self.ids[pos] == ids
+            out[hit] = self.stack[pos[hit]]
+        return out
+
+    def nonzero_fingerprints(self, keys) -> tuple[np.ndarray, np.ndarray]:
+        nonzero = self.stack.any(axis=(1, 2))
+        bits = self.stack[nonzero].view(np.uint64).transpose(1, 0, 2)
+        return self.ids[nonzero], _fingerprint(bits, keys)
+
+    def nnz(self) -> int:
+        return int(np.count_nonzero(self.stack))
+
+    def scale_exponent(self) -> int:
+        return scale_exponent(self.stack)
+
+
+def _cells(a, ell: int, q: int, m: int, n: int):
+    """The nonzero-cell view of ``a``, a dense array or a scipy sparse
+    matrix of shape ``(ell * m, q * n)``, on its ``ell x q`` grid of
+    ``m x n`` cells.  A cell is *present* when one of its entries has a
+    nonzero bit.  Both kinds answer:
+
+    * ``present(rows)`` -- the ``(len(rows), q)`` presence mask of the block
+      rows ``rows`` (a dense array reads only those rows);
+    * ``take(ids)`` -- a fresh ``(len(ids), m, n)`` stack of the cells with
+      flat ids ``row * q + col``, an absent cell reading as zeros;
+    * ``nonzero_fingerprints(keys)`` -- the flat ids, in row-major order, of
+      the cells holding a nonzero value, and their :func:`_fingerprint`;
+    * ``nnz()`` and ``scale_exponent()`` of the whole matrix.
+
+    Raises:
+        ShapeError: If the present cells of a sparse matrix would hold more
+            than ``DENSIFY_LIMIT`` entries.
+    """
+    if scipy.sparse.issparse(a):
+        return _SparseCells(a, ell, q, m, n)
+    return _DenseCells(np.asarray(a, dtype=np.float64), ell, q, m, n)
+
+
+def _per_cell(cells, ids: np.ndarray, reduce) -> np.ndarray:
+    """``reduce(stack, where)`` over the cells ``ids``, taken at most one block
+    row's worth at a time: ``stack`` holds the cells ``ids[where]``."""
+    step = cells.q
+    parts = [reduce(cells.take(ids[s:s + step]), slice(s, s + step))
+             for s in range(0, len(ids), step)]
+    return np.concatenate(parts) if parts else np.zeros(0)
+
+
+def _to_check(cells, pattern: BlockPattern) -> tuple[np.ndarray, np.ndarray]:
+    """Flat ids of every copy of every class, class by class in placement
+    order, then of the present cells no class claims (row-major), and the
+    class of each (``p`` for an unclaimed cell).  Only dense block rows
+    holding an unclaimed cell are read."""
+    free = pattern.class_of < 0
+    rows = np.flatnonzero(free.any(axis=1))
+    grid = rows[:, None] * pattern.q + np.arange(pattern.q)
+    unclaimed = grid[free[rows] & cells.present(rows)]
+    placed = np.concatenate([*pattern.placements, np.zeros((0, 2), dtype=np.int64)])
+    ids = np.concatenate([placed[:, 0] * pattern.q + placed[:, 1], unclaimed])
+    return ids, np.repeat(np.arange(pattern.p + 1), [*pattern.counts, len(unclaimed)])
+
+
+# ---------------------------------------------------------------------------
 # detection
 # ---------------------------------------------------------------------------
 
@@ -258,25 +435,32 @@ def classify_placements(placements: tuple[np.ndarray, ...], ell: int, q: int) ->
 
 
 def detect_pattern(
-    a: np.ndarray,
+    a,
     m: int,
     n: int,
     tol: float = 0.0,
 ) -> tuple[BlockPattern, tuple[np.ndarray, ...]]:
     """Partition ``a`` into ``m x n`` blocks and group the repeated ones.
 
-    Blocks are compared for exact bit equality when ``tol == 0`` (hashed on
-    their bytes) and entrywise within ``tol`` otherwise (linear scan against
-    class representatives).  Classes are ordered by first occurrence in
-    row-major block order; all-zero blocks are skipped entirely, so they
-    never become a class.
+    ``a`` is a dense array or a scipy sparse matrix.  With ``tol == 0``
+    blocks are grouped by exact bit equality: every cell holding a nonzero
+    value gets a ``uint64`` fingerprint of its bits, cells are grouped by
+    fingerprint, and each group is checked against the bytes of its first
+    member, a collision splitting it.  With ``tol > 0`` every present cell is
+    compared entrywise within ``tol`` against the class representatives in
+    turn.  Classes are ordered by first occurrence in row-major block order;
+    blocks with no nonzero value (every entry ``+0.0`` or ``-0.0``) never
+    become a class.
 
     Returns:
         ``(pattern, blocks)`` where ``blocks[k]`` is the representative (the
-        first occurrence) of class ``k``.
+        first occurrence) of class ``k``.  The matrix is verified against
+        them, so ``blocks_to_tensor(pattern, blocks)`` equals
+        ``mat_to_tensor(a, pattern, tol)``.
 
     Raises:
         ShapeError: If ``a``'s shape is not divisible into ``m x n`` blocks.
+        PatternMismatchError: If ``a`` holds no nonzero value.
     """
     if a.ndim != 2:
         raise ShapeError("detect_pattern expects a matrix")
@@ -284,43 +468,63 @@ def detect_pattern(
     if rows % m or cols % n:
         raise ShapeError(f"matrix {a.shape} does not tile into {m} x {n} blocks")
     ell, q = rows // m, cols // n
-
-    reps: list[np.ndarray] = []
-    cells: list[list[tuple[int, int]]] = []
-    by_bytes: dict[bytes, int] = {}
-    for i in range(ell):
-        for j in range(q):
-            blk = np.ascontiguousarray(a[i * m : (i + 1) * m, j * n : (j + 1) * n])
-            if tol == 0.0:
-                if not blk.any():
-                    continue
-                key = blk.tobytes()
-                k = by_bytes.get(key)
-                if k is None:
-                    k = len(reps)
-                    by_bytes[key] = k
-                    reps.append(blk)
-                    cells.append([])
-            else:
-                if np.max(np.abs(blk)) <= tol:
-                    continue
-                for k, rep in enumerate(reps):
-                    if np.max(np.abs(blk - rep)) <= tol:
-                        break
-                else:
-                    k = len(reps)
-                    reps.append(blk)
-                    cells.append([])
-            cells[k].append((i, j))
-
-    if not reps:
+    cells = _cells(a, ell, q, m, n)
+    classes = _exact_classes(cells) if tol == 0.0 else _tolerant_classes(cells, tol)
+    if not classes:
         raise PatternMismatchError("matrix is identically zero; nothing to detect")
-    placements = tuple(np.array(c, dtype=np.int64) for c in cells)
+    at = np.concatenate([ids for ids, _ in classes])
+    placements = tuple(np.split(np.column_stack(np.divmod(at, q)),
+                                np.cumsum([len(ids) for ids, _ in classes[:-1]])))
     pattern = BlockPattern(
         ell=ell, q=q, m=m, n=n, placements=placements,
         structure_class=classify_placements(placements, ell, q),
     )
-    return pattern, tuple(reps)
+    return pattern, tuple(rep for _, rep in classes)
+
+
+def _exact_classes(cells) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(ids, block)`` of every class of bit-equal nonzero cells, in order of
+    first occurrence, with the ids of each class in row-major order.
+
+    Cells are grouped by fingerprint and every cell is checked against the
+    bytes of its group's first cell; the cells that differ (fingerprint
+    collisions) are grouped again in another round."""
+    ids, prints = cells.nonzero_fingerprints(_fingerprint_keys(cells.m, cells.n))
+    classes = []
+    while ids.size:
+        _, first, group = np.unique(prints, return_index=True, return_inverse=True)
+        reps = cells.take(ids[first])
+        same = _per_cell(cells, ids, lambda b, where: (
+            b.view(np.uint64) == reps[group[where]].view(np.uint64)).all(axis=(1, 2)))
+        order = np.argsort(group[same], kind="stable")  # keeps each group row-major
+        members = np.split(ids[same][order], np.flatnonzero(np.diff(group[same][order])) + 1)
+        classes += zip(members, reps)
+        ids, prints = ids[~same], prints[~same]
+    classes.sort(key=lambda c: c[0][0])
+    return classes
+
+
+def _tolerant_classes(cells, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``(ids, block)`` of every class of cells within ``tol`` of its first
+    cell, by a linear scan of the present cells in row-major order."""
+    rows = np.arange(cells.ell)
+    ids = (rows[:, None] * cells.q + np.arange(cells.q))[cells.present(rows)]
+    reps: list[np.ndarray] = []
+    members: list[list[int]] = []
+    for start in range(0, len(ids), cells.q):
+        chunk = ids[start:start + cells.q]
+        for cell, blk in zip(chunk, cells.take(chunk)):
+            if np.max(np.abs(blk)) <= tol:
+                continue
+            for k, rep in enumerate(reps):
+                if np.max(np.abs(blk - rep)) <= tol:
+                    break
+            else:
+                k = len(reps)
+                reps.append(blk.copy())
+                members.append([])
+            members[k].append(cell)
+    return [(np.array(c, dtype=np.int64), rep) for c, rep in zip(members, reps)]
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +573,16 @@ def struct_scalars(pattern: BlockPattern, coeffs: np.ndarray) -> np.ndarray:
     return _scatter(pattern, coeffs, np.sqrt(pattern.counts), (1, 1))
 
 
-def extract_blocks(a: np.ndarray, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarray, ...]:
+def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarray, ...]:
     """Pull the representative block of every class out of ``a``.
 
-    Verifies that every placement of a class agrees with its representative
-    within ``tol`` and that cells claimed by no class are zero.
+    ``a`` is a dense array or a scipy sparse matrix.  Verifies that every
+    copy of a class agrees with its representative (the first copy) within
+    ``tol``, an absent copy reading as zeros, and that the present cells no
+    class claims are within ``tol`` of zero.  It gathers the class copies and
+    the present unclaimed cells, one block row's worth at a time; an
+    all-zero unclaimed cell is never copied, and a dense block row is read
+    only when it holds an unclaimed cell.
 
     Raises:
         PatternMismatchError: On any disagreement.
@@ -381,42 +590,56 @@ def extract_blocks(a: np.ndarray, pattern: BlockPattern, tol: float = 0.0) -> tu
     """
     if a.shape != pattern.shape:
         raise ShapeError(f"matrix shape {a.shape} != pattern shape {pattern.shape}")
-    view = a.reshape(pattern.ell, pattern.m, pattern.q, pattern.n)
-    blocks = []
-    for k, cells in enumerate(pattern.placements):
-        rep = np.ascontiguousarray(view[cells[0, 0], :, cells[0, 1], :])
-        dev = view[cells[:, 0], :, cells[:, 1], :] - rep
-        bad = np.flatnonzero(np.max(np.abs(dev, out=dev), axis=(1, 2)) > tol)
-        if bad.size:
-            i, j = cells[bad[0]]
+    cells = _cells(a, pattern.ell, pattern.q, pattern.m, pattern.n)
+    ids, klass = _to_check(cells, pattern)
+    first = np.cumsum([0, *pattern.counts])[:-1]
+    reps = cells.take(ids[first])
+    later = np.ones(len(ids), dtype=bool)
+    later[first] = False  # a first copy is its class's representative
+    ids, klass = ids[later], klass[later]
+
+    def deviation(stack, where):
+        k = klass[where]
+        claimed = np.searchsorted(k, pattern.p)  # unclaimed cells come last
+        stack[:claimed] -= reps[k[:claimed]]
+        return np.max(np.abs(stack, out=stack), axis=(1, 2))
+
+    bad = np.flatnonzero(_per_cell(cells, ids, deviation) > tol)
+    if bad.size:
+        i, j = divmod(int(ids[bad[0]]), pattern.q)
+        k = klass[bad[0]]
+        if k < pattern.p:
             raise PatternMismatchError(
                 f"class {k + 1}: block at grid cell ({i + 1}, {j + 1}) "
                 f"differs from its representative"
             )
-        blocks.append(rep)
-    for i in np.flatnonzero((pattern.class_of < 0).any(axis=1)):
-        cols = np.flatnonzero(pattern.class_of[i] < 0)
-        bad = np.flatnonzero(np.max(np.abs(view[i][:, cols, :]), axis=(0, 2)) > tol)
-        if bad.size:
-            raise PatternMismatchError(
-                f"grid cell ({i + 1}, {cols[bad[0]] + 1}) is outside every class but not zero"
-            )
-    return tuple(blocks)
+        raise PatternMismatchError(
+            f"grid cell ({i + 1}, {j + 1}) is outside every class but not zero"
+        )
+    return tuple(reps)
 
 
-def mat_to_tensor(a: np.ndarray, pattern: BlockPattern, tol: float = 0.0) -> np.ndarray:
-    """Map a conforming matrix to its ``m x p x n`` tensor.
+def blocks_to_tensor(pattern: BlockPattern, blocks) -> np.ndarray:
+    """The ``m x p x n`` tensor whose lateral slice ``k`` holds
+    ``sqrt(eta_k) * blocks[k]``."""
+    if len(blocks) != pattern.p:
+        raise ShapeError(f"expected {pattern.p} blocks, got {len(blocks)}")
+    if pattern.p == 0:
+        return np.zeros((pattern.m, 0, pattern.n))
+    t = np.stack(blocks, axis=1)
+    t *= np.sqrt(pattern.counts)[:, None]
+    return t
+
+
+def mat_to_tensor(a, pattern: BlockPattern, tol: float = 0.0) -> np.ndarray:
+    """Map a conforming matrix (dense or scipy sparse) to its ``m x p x n``
+    tensor: :func:`blocks_to_tensor` of :func:`extract_blocks`.
 
     Lateral slice ``k`` holds ``sqrt(eta_k) * A_k``.  The norm identity
     ``||T|| == ||a||`` holds exactly when the uncovered cells of ``a`` are
     zero.
     """
-    blocks = extract_blocks(a, pattern, tol=tol)
-    if not blocks:
-        return np.zeros((pattern.m, 0, pattern.n))
-    t = np.stack(blocks, axis=1)
-    t *= np.sqrt(pattern.counts)[:, None]
-    return t
+    return blocks_to_tensor(pattern, extract_blocks(a, pattern, tol=tol))
 
 
 def tensor_to_mat(t: np.ndarray, pattern: BlockPattern) -> np.ndarray:

@@ -20,12 +20,7 @@ from collections import Counter
 import numpy as np
 
 from .apps import report_metrics
-from .blocks import (
-    build_pattern,
-    detect_pattern,
-    extract_blocks,
-    mat_to_tensor,
-)
+from .blocks import blocks_to_tensor, build_pattern, detect_pattern, extract_blocks
 from .container import container_read, container_write
 from .decomp import (
     SketchConfig,
@@ -52,7 +47,7 @@ from .reconstruct import (
     kron_sum_from_kruskal,
     kron_sum_from_tucker,
 )
-from .tensor import fro_norm, in_normal_range, scale_exponent, unfold
+from .tensor import fro_norm, unfold
 
 __all__ = ["main"]
 
@@ -144,18 +139,25 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_pattern(a, args):
+    """``(pattern, blocks)``: a detected pattern comes with the blocks its
+    detection verified, a named one with ``None``."""
     m, n = args.block_rows, args.block_cols
     if m < 1 or n < 1:
         raise _UsageError("block extents must be positive")
     _check_tolerance("--detect-tol", args.detect_tol)
     if args.pattern == "auto":
-        return detect_pattern(a, m, n, tol=args.detect_tol)[0]
+        return detect_pattern(a, m, n, tol=args.detect_tol)
     if a.shape[0] % m or a.shape[1] % n:
         raise ShapeError(f"matrix {a.shape} is not tiled by {m} x {n} blocks")
     return build_pattern(
         args.pattern, a.shape[0] // m, a.shape[1] // n, m, n,
         band=args.band, block_symmetric=args.symmetric,
-    )
+    ), None
+
+
+def _blocks(a, pattern, blocks, args):
+    """The verified blocks of ``a``: the detected ones, or extracted now."""
+    return blocks if blocks is not None else extract_blocks(a, pattern, tol=args.detect_tol)
 
 
 def _check_tolerance(flag: str, value: float) -> None:
@@ -178,10 +180,9 @@ def _randomized_tucker(t, modes, ranks, sketch, seed) -> TuckerRep:
     return TuckerRep.project(t, factors)
 
 
-def _tucker_for(args, t, a):
+def _tucker_for(args, t):
     modes = (1, 2, 3) if args.method == "hosvd" else (2,)
     budget = None
-    scale = 0  # the core is scaled back by 2**scale
     if args.ranks is not None:
         if args.method != "hosvd":
             raise _UsageError("--ranks applies to --method hosvd only")
@@ -195,15 +196,10 @@ def _tucker_for(args, t, a):
     elif args.rank is not None:
         ranks = [min(args.rank, t.shape[m - 1]) for m in modes]
     else:
-        # an equal split of the squared budget (eps * ||A||_F)^2 per mode
-        with np.errstate(over="ignore"):
-            budget = (args.tol * float(np.linalg.norm(a))) ** 2 / len(modes)
-        if args.tol > 0 and not in_normal_range(budget):
-            # the squares left the float range: pick the ranks on t rescaled
-            # exactly by a power of two
-            scale = scale_exponent(t)
-            t = np.ldexp(t, -scale)
-            budget = (args.tol * np.ldexp(fro_norm(a), -scale)) ** 2 / len(modes)
+        # each mode's tail gets an equal share of the squared budget
+        # (eps * ||T||_F)^2, passed as a norm; ||T|| = ||A|| for a
+        # conforming matrix
+        budget = args.tol * fro_norm(t) / np.sqrt(len(modes))
         if args.randomized:
             sv = _mode_singular_values(t, modes)
             ranks = [tail_rank(sv[k], budget) for k in modes]
@@ -219,8 +215,6 @@ def _tucker_for(args, t, a):
         tk = hosvd(t, list(ranks), tail_budget=budget)
     else:
         tk = tucker_partial(t, [None, ranks[0], None], tail_budget=budget)
-    if scale:
-        tk = TuckerRep(core=np.ldexp(tk.core, scale), factors=tk.factors)
     return tk, [tk.ranks[k - 1] for k in modes]
 
 
@@ -236,7 +230,7 @@ def _print_metrics(metrics: dict) -> None:
 
 def _cmd_analyze(args) -> int:
     a = read_matrix(args.input)
-    pattern = _resolve_pattern(a, args)
+    pattern, blocks = _resolve_pattern(a, args)
     print(f"structure_class: {pattern.structure_class}")
     print(f"grid: {pattern.ell} x {pattern.q}")
     print(f"block: {pattern.m} x {pattern.n}")
@@ -244,7 +238,7 @@ def _cmd_analyze(args) -> int:
     hist = Counter(pattern.counts)
     print("eta_histogram: " + " ".join(
         f"{eta}x{freq}" for eta, freq in sorted(hist.items(), reverse=True)))
-    t = mat_to_tensor(a, pattern, tol=args.detect_tol)
+    t = blocks_to_tensor(pattern, _blocks(a, pattern, blocks, args))
     sv_modes = _mode_singular_values(t)
     if args.machine:
         print("mode\tindex\tsingular_value")
@@ -260,7 +254,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_compress(args) -> int:
     a = read_matrix(args.input)
-    pattern = _resolve_pattern(a, args)
+    pattern, blocks = _resolve_pattern(a, args)
     if args.randomized and args.method not in ("hosvd", "mode2"):
         raise _UsageError("--randomized applies to --method hosvd/mode2 only")
     if args.split is not None and (args.method != "cp" or args.output != "kron_sum"):
@@ -273,14 +267,14 @@ def _cmd_compress(args) -> int:
         raise _UsageError(f"--sketch must be positive, got {args.sketch}")
 
     if args.method in ("hosvd", "mode2"):
-        t = mat_to_tensor(a, pattern, tol=args.detect_tol)
-        tk, ranks = _tucker_for(args, t, a)
+        t = blocks_to_tensor(pattern, _blocks(a, pattern, blocks, args))
+        tk, ranks = _tucker_for(args, t)
         rep = (kron_sum_from_tucker(tk, pattern) if args.output == "kron_sum"
                else blr_from_tucker(tk, pattern))
     elif args.method == "cp":
         if args.rank is None:
             raise _UsageError("--method cp needs --rank")
-        t = mat_to_tensor(a, pattern, tol=args.detect_tol)
+        t = blocks_to_tensor(pattern, _blocks(a, pattern, blocks, args))
         result = cp_als(t, args.rank)
         ranks = [args.rank]
         print(f"cp_fit: {result.fit!r}")
@@ -294,8 +288,7 @@ def _cmd_compress(args) -> int:
             raise _UsageError(f"--method {args.method} needs --rank")
         ranks = [args.rank]
         if args.method == "spsd":
-            blocks = extract_blocks(a, pattern, tol=args.detect_tol)
-            rep = spsd_compress_blocks(pattern, blocks, args.rank)
+            rep = spsd_compress_blocks(pattern, _blocks(a, pattern, blocks, args), args.rank)
         else:
             rep = spd_compress(a, pattern, args.rank)
 

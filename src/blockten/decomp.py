@@ -250,10 +250,16 @@ def cholesky(a: np.ndarray) -> np.ndarray:
 
 def tail_rank(sv: np.ndarray, budget: float) -> int:
     """Fewest leading singular values (at least one) whose discarded tail
-    ``sum(sv[r:] ** 2)`` is at most ``budget``; ``sv`` is nonincreasing."""
-    tails = np.concatenate([np.cumsum((sv**2)[::-1])[::-1], [0.0]])
+    has Frobenius norm ``norm(sv[r:])`` at most ``budget``; ``sv`` is
+    nonincreasing.  The squares are compared after rescaling ``sv`` and
+    ``budget`` exactly by the power of two of :func:`scale_exponent`, so they
+    neither overflow nor underflow at any scale of ``sv``."""
+    e = scale_exponent(sv)
+    sq = np.ldexp(sv, -e) ** 2
+    limit = np.ldexp(budget, -e) ** 2
+    tails = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
     r = 1
-    while r < len(sv) and tails[r] > budget:
+    while r < len(sv) and tails[r] > limit:
         r += 1
     return r
 
@@ -306,10 +312,11 @@ def hosvd(
         t: Tensor of any order >= 2.
         ranks: Target multilinear rank, one entry per mode with
             ``1 <= ranks[k] <= t.shape[k]``.
-        tail_budget: Optional squared-energy budget per mode.  Each entry of
-            ``ranks`` is then a cap, and mode ``k`` keeps
+        tail_budget: Optional Frobenius-norm budget per mode.  Each entry
+            of ``ranks`` is then a cap, and mode ``k`` keeps
             ``min(ranks[k], tail_rank(sv_k, tail_budget))`` vectors, where
-            ``sv_k`` is the spectrum of its unfolding (factored once).
+            ``sv_k`` is the spectrum of its unfolding (factored once): the
+            fewest whose discarded tail has norm at most ``tail_budget``.
 
     Returns:
         :class:`TuckerRep` whose factor for mode ``k`` holds the ``ranks[k]``
@@ -332,7 +339,7 @@ def tucker_partial(
         t: Tensor.
         ranks: Per-mode entry: an int compresses that mode to the given
             rank, ``None`` leaves it alone (identity factor).
-        tail_budget: Optional squared-energy budget per compressed mode, as
+        tail_budget: Optional Frobenius-norm budget per compressed mode, as
             in :func:`hosvd`: the int entries of ``ranks`` become caps.
 
     Returns:

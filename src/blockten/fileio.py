@@ -14,10 +14,11 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
+from .blocks import _check_dense_size
 from .errors import ContainerFormatError, ShapeError
-from .reconstruct import _check_dense_size
 
 __all__ = [
+    "SparseMatrix",
     "read_matrix",
     "write_matrix",
     "read_vector",
@@ -36,39 +37,60 @@ def _replace_into(path, write_fn) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def read_matrix(path) -> np.ndarray:
-    """Read a real Matrix Market file as a dense array.
+class SparseMatrix(scipy.sparse.csr_matrix):
+    """The CSR matrix :func:`read_matrix` returns for a coordinate file.
 
-    Symmetric/skew-symmetric storage is expanded to full; coordinate files
-    are densified (guarded against enormous results).
+    numpy converts it to its dense value (``np.asarray``, ``np.array_equal``),
+    refused above ``DENSIFY_LIMIT`` entries; the package itself reads it
+    only through its stored entries.
+    """
+
+    def __array__(self, dtype=None, copy=None):
+        _check_dense_size(*self.shape)
+        dense = self.toarray()
+        return dense if dtype is None else dense.astype(dtype, copy=False)
+
+
+def read_matrix(path):
+    """Read a real Matrix Market file.
+
+    An array file gives a dense ``float64`` array (guarded against enormous
+    results).  A coordinate file gives a :class:`SparseMatrix` in canonical
+    CSR form (sorted entries, duplicates summed) at any size; every map in
+    the package reads it through its nonzero cells.  Symmetric and
+    skew-symmetric storage is expanded to full.
 
     Raises:
         ContainerFormatError: Malformed header, complex/pattern fields, or
             a NaN or infinite entry.
-        ShapeError: Matrix too large to densify.
+        ShapeError: Array file too large to hold densely.
     """
     try:
-        rows, cols, _, _, field, _ = scipy.io.mminfo(path)
+        rows, cols, _, fmt, field, _ = scipy.io.mminfo(path)
     except ValueError as exc:
         raise ContainerFormatError(f"malformed Matrix Market file: {exc}") from exc
     if field not in ("real", "integer", "unsigned-integer"):
         raise ContainerFormatError(f"unsupported Matrix Market field {field!r}")
-    _check_dense_size(rows, cols)
-    mat = scipy.io.mmread(path)
-    # a finite sum of the stored values (far fewer than the dense entries
-    # for a coordinate file) proves every entry finite without a mask; the
-    # exact scan runs only when it is not (non-finite entries or overflow)
+    if fmt == "coordinate":
+        mat = SparseMatrix(scipy.io.mmread(path).tocsr(), dtype=np.float64)
+        values = mat.data
+    else:
+        _check_dense_size(rows, cols)
+        mat = values = np.asarray(scipy.io.mmread(path), dtype=np.float64)
+    # a finite sum of the stored values proves every entry finite without a
+    # mask; the exact scan runs only when it is not (non-finite entries or
+    # overflow)
     with np.errstate(over="ignore"):
-        finite = np.isfinite((mat.data if scipy.sparse.issparse(mat) else mat).sum())
-    if scipy.sparse.issparse(mat):
-        mat = mat.toarray()
-    mat = np.asarray(mat, dtype=np.float64)
+        finite = np.isfinite(values.sum())
     if not finite:
-        bad = np.argwhere(~np.isfinite(mat))
+        bad = np.flatnonzero(~np.isfinite(values.ravel()))
         if bad.size:
-            i, j = bad[0]
+            k = int(bad[0])  # canonical CSR stores its entries in row-major order
+            i, j = ((np.searchsorted(mat.indptr, k, side="right") - 1, mat.indices[k])
+                    if fmt == "coordinate" else divmod(k, cols))
             raise ContainerFormatError(
-                f"{path}: non-finite entry {float(mat[i, j])!r} at row {i + 1}, column {j + 1}"
+                f"{path}: non-finite entry {float(values.flat[k])!r} "
+                f"at row {i + 1}, column {j + 1}"
             )
     return mat
 

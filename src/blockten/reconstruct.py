@@ -26,10 +26,16 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .blocks import BlockPattern, struct_assemble
+from .blocks import (
+    BlockPattern,
+    _cells,
+    _check_dense_size,
+    _to_check,
+    struct_assemble,
+)
 from .decomp import KruskalRep, TuckerRep, qr_thin
 from .errors import ShapeError
-from .tensor import in_normal_range, scale_exponent
+from .tensor import in_normal_range
 
 __all__ = [
     "KronSumRep",
@@ -42,17 +48,7 @@ __all__ = [
     "matvec",
     "densify",
     "error_fro",
-    "DENSIFY_LIMIT",
 ]
-
-DENSIFY_LIMIT = 10**8  # refuse to build dense matrices beyond this many entries
-
-
-def _check_dense_size(rows: int, cols: int) -> None:
-    """Raise :class:`ShapeError` if a dense ``rows x cols`` result would
-    exceed ``DENSIFY_LIMIT`` entries."""
-    if rows * cols > DENSIFY_LIMIT:
-        raise ShapeError(f"dense result would hold {rows * cols} entries (limit {DENSIFY_LIMIT})")
 
 
 class FlopCounter:
@@ -317,29 +313,42 @@ def densify(rep) -> np.ndarray:
     return struct_assemble(*rep.cell_blocks())
 
 
-def _squared_error(view: np.ndarray, pat: BlockPattern, blocks) -> tuple[float, float]:
-    """``(||a||^2, ||a - densify(rep)||^2)`` on the block view of ``a``."""
-    cell = np.einsum("imjn,imjn->ij", view, view)
-    resid = cell[pat.class_of < 0].sum()
-    for cells, block in zip(pat.placements, blocks):
-        diff = view[cells[:, 0], :, cells[:, 1], :]  # a copy: "-=" leaves a intact
-        diff -= block
-        resid += np.vdot(diff, diff)
-    return cell.sum(), resid
+def _squared_error(cells, pat: BlockPattern, blocks, e: int) -> tuple[float, float]:
+    """``(||a||^2, ||a - densify(rep)||^2)`` with ``a`` and the blocks scaled
+    by ``2**-e``, summed over each class's copies (an absent copy reads as
+    zeros, so it adds ``||B_k||^2``) and the present cells no class claims
+    (whole energy), one block row's worth of cells at a time."""
+    ids, klass = _to_check(cells, pat)
+    blocks = np.asarray(blocks, dtype=np.float64)
+    if e:
+        blocks = np.ldexp(blocks, -e)
+    base = resid = 0.0
+    for s in range(0, len(ids), pat.q):
+        x = cells.take(ids[s:s + pat.q])  # a fresh copy, scaled in place
+        if e:
+            np.ldexp(x, -e, out=x)
+        base += np.vdot(x, x)
+        k = klass[s:s + pat.q]
+        claimed = np.searchsorted(k, pat.p)  # unclaimed cells come last
+        x[:claimed] -= blocks[k[:claimed]]
+        resid += np.vdot(x, x)
+    return base, resid
 
 
-def error_fro(a: np.ndarray, rep) -> float:
+def error_fro(a, rep) -> float:
     """Relative Frobenius error ``||a - densify(rep)|| / ||a||`` for any
-    ``a`` of the representation's shape, without forming ``densify(rep)``.
+    ``a`` (dense or scipy sparse) of the representation's shape, without
+    forming ``densify(rep)``.
 
-    On the block view ``a.reshape(ell, m, q, n)`` of the pattern that
-    ``rep.cell_blocks()`` returns, the squared residual is a sum of
-    nonnegative entrywise terms (so it does not cancel at small errors): the
-    energy of the cells no class claims, plus, per class ``k``,
-    ``||view[rows_k, :, cols_k, :] - B_k||^2`` over its copies of ``B_k``.
-    Cost: one read of ``a`` plus ``sum(eta_k) * m * n`` gathered entries.
-    When either sum of squares leaves the normal float range, both are
-    redone on ``a`` and the blocks rescaled exactly by one power of two.
+    On the grid of the pattern that ``rep.cell_blocks()`` returns, the
+    squared residual is a sum of nonnegative entrywise terms (so it does not
+    cancel at small errors): per class ``k``, ``||copy - B_k||^2`` over its
+    copies of ``B_k``, plus the energy of the present cells no class claims.
+    ``||a||^2`` is summed over the same cells.  Cost: ``sum(eta_k) * m * n``
+    gathered entries, plus one read of the dense block rows holding an
+    unclaimed cell (or one scatter of a sparse matrix's entries).  When
+    either sum of squares leaves the normal float range, both are redone
+    with ``a`` and the blocks rescaled exactly by one power of two.
 
     Raises:
         ShapeError: If the shapes differ or ``a`` is zero.
@@ -347,14 +356,11 @@ def error_fro(a: np.ndarray, rep) -> float:
     if a.shape != rep.shape:
         raise ShapeError(f"matrix shape {a.shape} != representation shape {rep.shape}")
     pat, blocks = rep.cell_blocks()
-    # a C-ordered copy of any other layout keeps the summation order fixed
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    block_view = (pat.ell, pat.m, pat.q, pat.n)
-    base, resid = _squared_error(a.reshape(block_view), pat, blocks)
+    cells = _cells(a, pat.ell, pat.q, pat.m, pat.n)
+    base, resid = _squared_error(cells, pat, blocks, 0)
     if not (in_normal_range(base) and in_normal_range(resid)):
-        e = scale_exponent(a)
-        base, resid = _squared_error(np.ldexp(a, -e).reshape(block_view), pat,
-                                     np.ldexp(blocks, -e))
+        e = cells.scale_exponent()
+        base, resid = _squared_error(cells, pat, blocks, e)
     if base == 0.0:
         raise ShapeError("relative error undefined for a zero matrix")
     return float(np.sqrt(resid) / np.sqrt(base))

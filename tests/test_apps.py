@@ -19,7 +19,7 @@ from blockten.apps import (
     spacetime_build,
 )
 from blockten.errors import ConvergenceError, ShapeError
-from blockten import reconstruct
+from blockten import blocks as block_maps
 from blockten.psd import spd_compress, spsd_compress_blocks
 from blockten.reconstruct import kron_sum_from_tucker
 from blockten.decomp import hosvd
@@ -315,7 +315,7 @@ def test_spd_certificate_needs_no_dense_form(monkeypatch):
     inner = struct_assemble(rem.pattern, [u @ b @ u.T for b in rem.blocks])
     dense = lift @ (np.eye(a.shape[0]) + inner) @ lift.T
     want = np.linalg.norm(a - dense) / np.linalg.norm(a)
-    monkeypatch.setattr(reconstruct, "DENSIFY_LIMIT", a.size - 1)
+    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", a.size - 1)
     with pytest.raises(ShapeError, match="dense result would hold"):
         rep.densify()
     got = report_metrics(a, rep)["relerr_fro"]

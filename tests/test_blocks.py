@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockten import blocks as block_maps
 from blockten.blocks import (
     BlockPattern,
     build_pattern,
@@ -18,7 +22,9 @@ from blockten.blocks import (
     struct_scalars,
     tensor_to_mat,
 )
+from blockten.decomp import tucker_partial
 from blockten.errors import PatternMismatchError, ShapeError
+from blockten.reconstruct import error_fro, kron_sum_from_tucker
 from blockten.tensor import fro_norm
 
 from helpers import PATTERN_KINDS, placement_matrix, random_blocks, random_pattern
@@ -241,3 +247,126 @@ def test_struct_assemble_block_count_validation():
         struct_assemble(pat, [np.zeros((2, 2))])
     with pytest.raises(ShapeError):
         struct_assemble(pat, [np.zeros((2, 2)), np.zeros((3, 2))])
+
+
+# ---------------------------------------------------------------------------
+# the nonzero-cell view: dense and sparse inputs alike
+# ---------------------------------------------------------------------------
+
+
+def sparse_copies(a: np.ndarray):
+    """CSR and COO copies of ``a`` storing every entry with a nonzero bit,
+    so a ``-0.0`` entry is stored too."""
+    rows, cols = np.nonzero(a.view(np.uint64))
+    triplets = (a[rows, cols], (rows, cols))
+    return (scipy.sparse.csr_matrix(triplets, shape=a.shape),
+            scipy.sparse.coo_matrix(triplets, shape=a.shape))
+
+
+def signed_zero_matrix(rng, pat):
+    """A matrix conforming to ``pat`` whose blocks hold ``+0.0`` and ``-0.0``
+    entries, with ``-0.0`` entries in some cells no class claims."""
+    blocks = random_blocks(rng, pat)
+    for b in blocks:
+        b[rng.random(b.shape) < 0.3] = 0.0
+        b[rng.random(b.shape) < 0.2] = -0.0
+    a = struct_assemble(pat, blocks)
+    view = a.reshape(pat.ell, pat.m, pat.q, pat.n)
+    for i, j in np.argwhere(pat.class_of < 0)[::2]:
+        view[i, :, j, :][rng.random((pat.m, pat.n)) < 0.5] = -0.0
+    return a
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of ``fn``, or the text of the PatternMismatchError or
+    ShapeError it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (PatternMismatchError, ShapeError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def same_detection(got, want) -> bool:
+    if isinstance(want, str):
+        return got == want
+    return got[0] == want[0] and [b.tobytes() for b in got[1]] == [b.tobytes() for b in want[1]]
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS))
+def test_dense_and_sparse_inputs_agree(seed, kind):
+    rng = np.random.default_rng(seed)
+    pat = random_pattern(rng, kind)
+    a = signed_zero_matrix(rng, pat)
+    t = mat_to_tensor(a, pat)
+    for s in sparse_copies(a):
+        assert mat_to_tensor(s, pat).tobytes() == t.tobytes()  # -0.0 included
+        for tol in (0.0, 1e-12):
+            assert same_detection(outcome(detect_pattern, s, pat.m, pat.n, tol=tol),
+                                  outcome(detect_pattern, a, pat.m, pat.n, tol=tol))
+    if t.any():
+        rep = kron_sum_from_tucker(tucker_partial(t, [None, 1, None]), pat)
+        want = error_fro(a, rep)
+        for s in sparse_copies(a):
+            assert abs(error_fro(s, rep) - want) <= 1e-13 * max(want, 1e-300)
+
+    # one entry off: in a class copy other than the first, or an unclaimed cell
+    firsts = {tuple(c[0]) for c in pat.placements}
+    cells = [(i, j) for i in range(pat.ell) for j in range(pat.q) if (i, j) not in firsts]
+    if cells:
+        i, j = cells[rng.integers(len(cells))]
+        bad = a.copy()
+        bad[i * pat.m + rng.integers(pat.m), j * pat.n + rng.integers(pat.n)] += 1.0
+        want = outcome(mat_to_tensor, bad, pat)
+        assert isinstance(want, str) and want.startswith("PatternMismatchError")
+        for s in sparse_copies(bad):
+            assert outcome(mat_to_tensor, s, pat) == want
+
+
+def test_sparse_duplicates_add_up_and_stored_zeros_drop_out():
+    rng = np.random.default_rng(33)
+    pat = build_pattern("banded", 4, 4, 3, 3, band=1)
+    a = struct_assemble(pat, random_blocks(rng, pat))
+    rows, cols = np.nonzero(a)
+    part = rng.uniform(0.2, 0.8, size=rows.size) * a[rows, cols]
+    zeros = 3 * np.argwhere(pat.class_of < 0)  # a stored +0.0 in every unclaimed cell
+    coo = scipy.sparse.coo_matrix(
+        (np.concatenate([part, a[rows, cols] - part, np.zeros(len(zeros))]),
+         (np.concatenate([rows, rows, zeros[:, 0]]), np.concatenate([cols, cols, zeros[:, 1]]))),
+        shape=a.shape)
+    assert coo.nnz == 2 * rows.size + len(zeros)
+    assert mat_to_tensor(coo, pat).tobytes() == mat_to_tensor(coo.toarray(), pat).tobytes()
+    assert len(block_maps._cells(coo, 4, 4, 3, 3).ids) == sum(pat.counts)  # no zero cell kept
+
+
+def test_fingerprint_collisions_split_into_exact_classes(monkeypatch):
+    rng = np.random.default_rng(31)
+    pat = build_pattern("toeplitz", 5, 5, 3, 3)
+    blocks = random_blocks(rng, pat)
+    blocks[0][1, 1] = 0.0
+    blocks[3] = blocks[0].copy()
+    blocks[3][1, 1] = -0.0  # differs from class 1 only in the sign of a zero
+    a = struct_assemble(pat, blocks)
+    want = detect_pattern(a, 3, 3)
+    assert want[0].p == pat.p
+    assert {b.tobytes() for b in want[1]} == {b.tobytes() for b in blocks}
+    monkeypatch.setattr(block_maps, "_fingerprint",
+                        lambda bits, keys: np.zeros(bits.shape[1], dtype=np.uint64))
+    for m in (a, *sparse_copies(a)):
+        assert same_detection(detect_pattern(m, 3, 3), want)
+
+
+def test_block_maps_allocate_nothing_the_size_of_a_dense_matrix():
+    rng = np.random.default_rng(32)
+    pat = build_pattern("banded", 30, 30, 40, 40, band=1)
+    a = struct_assemble(pat, random_blocks(rng, pat))
+    rep = kron_sum_from_tucker(tucker_partial(mat_to_tensor(a, pat), [None, 5, None]), pat)
+    for fn, args in ((mat_to_tensor, (a, pat)), (error_fro, (a, rep)),
+                     (detect_pattern, (a, 40, 40))):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 4, f"{fn.__name__}: peak {peak} of {a.nbytes}"

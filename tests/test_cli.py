@@ -4,15 +4,17 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse
 from scipy.ndimage import convolve
 
+from blockten import blocks as block_maps
 from blockten.blocks import build_pattern, struct_assemble
 from blockten.cli import main
 from blockten.container import container_read, container_write
 from blockten.decomp import hosvd
 from blockten.multilevel import MultilevelPattern, MultilevelTuckerRep, psf_weighted_tensor
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
-from blockten.reconstruct import DENSIFY_LIMIT
+from blockten.blocks import DENSIFY_LIMIT
 
 def run_cli(capsys, *argv):
     code = main([str(a) for a in argv])
@@ -249,6 +251,34 @@ def test_matvec_applies_a_psf_container_beyond_the_dense_limit(tmp_path, capsys)
     # writing the matrix out still needs the dense form
     code, _, _ = run_cli(capsys, "reconstruct", path, "-o", tmp_path / "a.mtx")
     assert code == 3
+
+
+def test_coordinate_file_beyond_the_dense_limit_stays_sparse(tmp_path, capsys, monkeypatch):
+    # a 20000^2 block-tridiagonal Toeplitz matrix of sparse 20 x 20 blocks:
+    # 4e8 entries densely, 1.2e6 in its 2998 nonzero cells
+    s, m = 1000, 20
+    assert (s * m) ** 2 > DENSIFY_LIMIT
+    terms = [scipy.sparse.kron(scipy.sparse.eye(s, k=d),
+                               scipy.sparse.random(m, m, density=0.1, random_state=d + 1)
+                               + scipy.sparse.eye(m))
+             for d in (-1, 0, 1)]
+    a = (terms[0] + terms[1] + terms[2]).tocsr()
+    path = tmp_path / "big.mtx"
+    write_matrix(path, a)
+    out_c = tmp_path / "big.btc"
+    code, out, err = run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", m,
+                             "--block-cols", m, "--method", "hosvd", "--rank", 2)
+    assert code == 0, err
+    pairs = kv(out)
+    assert container_read(out_c).pattern.counts == (s, s - 1, s - 1)
+    code, out, err = run_cli(capsys, "report", out_c, "--matrix", path)
+    assert code == 0, err
+    assert float(kv(out)["relerr_fro"]) == pytest.approx(float(pairs["relerr_fro"]), rel=1e-12)
+    # the stack of nonzero cells keeps the dense-size guard
+    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", 10**6)
+    code, _, err = run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", m,
+                           "--block-cols", m, "--method", "hosvd", "--rank", 2)
+    assert code == 3 and "nonzero 20 x 20 cells would hold 1199200 entries" in err
 
 
 def spd_block_toeplitz(rng, s, m):

@@ -149,15 +149,15 @@ def test_mode_basis_nan_raises_convergence_error():
 def test_tail_rank_keeps_the_fewest_values_within_budget():
     sv = np.array([4.0, 2.0, 1.0, 0.5])
     assert tail_rank(sv, 0.0) == 4
-    assert tail_rank(sv, 0.25) == 3  # the tail 0.5^2 fits exactly
-    assert tail_rank(sv, 1.25) == 2
+    assert tail_rank(sv, 0.5) == 3  # the tail norm 0.5 fits exactly
+    assert tail_rank(sv, 1.2) == 2  # norm(1, 0.5) = 1.118...
     assert tail_rank(sv, 1e9) == 1  # at least one value is kept
 
 
 @pytest.mark.parametrize("shape", [(5, 6, 7), (4, 30, 3)])  # wide and tall unfoldings
 def test_tail_budget_picks_ranks_from_the_basis_svd(shape):
     t = np.random.default_rng(17).standard_normal(shape)
-    budget = 0.2 * fro_norm(t) ** 2
+    budget = 0.45 * fro_norm(t)
     want = [tail_rank(np.linalg.svd(unfold(t, k), compute_uv=False), budget)
             for k in (1, 2, 3)]
     tk = hosvd(t, t.shape, tail_budget=budget)
@@ -167,6 +167,20 @@ def test_tail_budget_picks_ranks_from_the_basis_svd(shape):
         np.testing.assert_array_equal(u, v)
     capped = tucker_partial(t, [None, 1, None], tail_budget=budget)
     assert capped.ranks == (shape[0], 1, shape[2])
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-170])
+def test_tail_budget_ranks_do_not_depend_on_the_scale(scale):
+    # the squared budget would overflow near 1e160 and underflow near 1e-170
+    rng = np.random.default_rng(19)
+    t = np.einsum("ia,ja,ka->ijk", *(rng.standard_normal((d, 4)) for d in (6, 7, 5)))
+    t += 1e-3 * rng.standard_normal(t.shape)
+    budget = 1e-2 * fro_norm(t)
+    want = hosvd(t, t.shape, tail_budget=budget).ranks
+    assert 1 < min(want) and max(want) < 5
+    assert hosvd(scale * t, t.shape, tail_budget=scale * budget).ranks == want
+    partial = tucker_partial(scale * t, [None, 7, None], tail_budget=scale * budget)
+    assert partial.ranks[1] == want[1]
 
 
 # ---------------------------------------------------------------------------

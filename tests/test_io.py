@@ -34,7 +34,9 @@ def test_mm_identity_coordinate_file(tmp_path):
     path.write_text(
         "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 1.0\n"
     )
-    np.testing.assert_array_equal(read_matrix(path), np.eye(2))
+    got = read_matrix(path)
+    assert scipy.sparse.issparse(got)  # coordinate files stay sparse
+    np.testing.assert_array_equal(got.toarray(), np.eye(2))
 
 
 def test_mm_symmetric_lower_triangle_expands(tmp_path):
@@ -43,7 +45,8 @@ def test_mm_symmetric_lower_triangle_expands(tmp_path):
         "%%MatrixMarket matrix coordinate real symmetric\n"
         "2 2 3\n1 1 2.0\n2 1 5.0\n2 2 3.0\n"
     )
-    np.testing.assert_array_equal(read_matrix(path), np.array([[2.0, 5.0], [5.0, 3.0]]))
+    np.testing.assert_array_equal(read_matrix(path).toarray(),
+                                  np.array([[2.0, 5.0], [5.0, 3.0]]))
 
 
 def test_mm_roundtrip_bitwise(tmp_path):
@@ -56,7 +59,7 @@ def test_mm_roundtrip_bitwise(tmp_path):
     sparse = scipy.sparse.random(20, 20, density=0.1, random_state=1)
     path2 = tmp_path / "sparse.mtx"
     write_matrix(path2, sparse)
-    np.testing.assert_array_equal(read_matrix(path2), sparse.toarray())
+    np.testing.assert_array_equal(read_matrix(path2).toarray(), sparse.toarray())
 
 
 def test_mm_rejects_complex_and_malformed(tmp_path):
@@ -76,6 +79,23 @@ def test_mm_rejects_complex_and_malformed(tmp_path):
     )
     with pytest.raises(ContainerFormatError):
         read_matrix(pattern_field)
+
+
+def test_mm_coordinate_file_sums_duplicates_and_converts_to_dense(tmp_path):
+    path = tmp_path / "dup.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "2 3 3\n1 1 1.5\n2 3 -1.0\n1 1 2.0\n")
+    got = read_matrix(path)
+    assert got.nnz == 2
+    np.testing.assert_array_equal(np.asarray(got), [[3.5, 0.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+def test_mm_coordinate_file_names_its_first_nonfinite_entry(tmp_path):
+    path = tmp_path / "nan.mtx"
+    path.write_text("%%MatrixMarket matrix coordinate real general\n"
+                    "3 3 3\n3 1 inf\n2 3 nan\n1 2 2.0\n")
+    with pytest.raises(ContainerFormatError, match="nan at row 2, column 3"):
+        read_matrix(path)
 
 
 # ---------------------------------------------------------------------------
