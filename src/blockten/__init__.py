@@ -18,13 +18,11 @@ from .blocks import (
     mat_to_tensor,
     struct_assemble,
     struct_expand,
-    struct_scalars,
     tensor_to_mat,
 )
 from .decomp import (
     CpResult,
     KruskalRep,
-    SketchConfig,
     TuckerRep,
     cholesky,
     cp_als,

@@ -22,7 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .blocks import BlockPattern, _cells, build_pattern, struct_assemble, struct_expand
+from .blocks import (
+    BlockPattern,
+    _cells,
+    blocks_to_tensor,
+    build_pattern,
+    struct_assemble,
+    struct_expand,
+)
 from .decomp import hosvd, tucker_partial
 from .errors import ConvergenceError, ShapeError
 from .reconstruct import error_fro
@@ -184,21 +191,17 @@ def era_identify_compressed(
         raise ShapeError("need s >= 2 Hankel block rows to shift")
     pattern, blocks = hankel_pattern_from_markov(seq)
     r1, r2, r3 = ranks
-    weights = np.sqrt(np.asarray(pattern.counts, dtype=np.float64))
-
     if not np.any(blocks):
         raise ConvergenceError("all Markov parameters are zero; Hankel is degenerate")
 
-    t = np.transpose(blocks, (1, 0, 2)).copy()
     reduced_pattern = replace(pattern, m=r1, n=r3)
     if tera:
-        tk = tucker_partial(t, [r1, None, r3])
+        tk = tucker_partial(np.transpose(blocks, (1, 0, 2)).copy(), [r1, None, r3])
         u, w = tk.factors[0], tk.factors[2]
         mids = np.einsum("ra,kab,bc->krc", u.T, blocks, w)
         reduced = struct_assemble(reduced_pattern, mids)
     else:
-        t *= weights[None, :, None]
-        tk = hosvd(t, [r1, r2, r3])
+        tk = hosvd(blocks_to_tensor(pattern, blocks), [r1, r2, r3])
         u, v, w = tk.factors
         items = np.einsum("kj,ajb->kab", v, tk.core)
         reduced = struct_expand(reduced_pattern, items)
@@ -253,14 +256,11 @@ class KernelConfig:
 
     spatial_scale: float = 90.0
     temporal_scale: float = 0.5
-    family: str = "squared-exponential"
     nugget: float = 1e-8
 
     def __post_init__(self) -> None:
         if self.spatial_scale <= 0 or self.temporal_scale <= 0:
             raise ShapeError("kernel length-scales must be positive")
-        if self.family != "squared-exponential":
-            raise ShapeError(f"unsupported kernel family {self.family!r}")
         if self.nugget < 0:
             raise ShapeError("nugget must be nonnegative")
 

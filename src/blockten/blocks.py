@@ -7,11 +7,13 @@ block ``A_k``.  The normalized placement matrix ``E_k`` carries the value
 ``1/sqrt(eta_k)`` on those cells (``eta_k`` = cell count), so each ``E_k``
 has unit Frobenius norm and the supports are pairwise disjoint.
 
-The maps index the pattern in two ways.  ``BlockPattern.class_of`` is the
-``ell x q`` grid of class indices (``-1`` on cells no class claims).  A
-matrix is read through its 4-D block view ``a.reshape(ell, m, q, n)``, whose
-``[i, :, j, :]`` is the block at grid cell ``(i, j)``; with ``rows_k`` and
-``cols_k`` the columns of ``placements[k]``, ``view[rows_k, :, cols_k, :]``
+A pattern is one table, sorted by class: the ``N x 2`` grid ``cells`` and
+the class ``klass`` of each.  The maps index it in two ways.
+``BlockPattern.class_of`` is the ``ell x q`` grid of class indices (``-1`` on
+cells no class claims).  A matrix is read through its 4-D block view
+``a.reshape(ell, m, q, n)``, whose ``[i, :, j, :]`` is the block at grid cell
+``(i, j)``; with ``rows_k`` and ``cols_k`` the columns of ``placements[k]``
+(class ``k``'s rows of the table), ``view[rows_k, :, cols_k, :]``
 gathers every copy of class ``k`` at once, and the same index on the left of
 an assignment scatters them.  Loops run over classes, never over cells.
 
@@ -36,6 +38,7 @@ reports are 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse
@@ -47,10 +50,8 @@ __all__ = [
     "BlockPattern",
     "build_pattern",
     "detect_pattern",
-    "classify_placements",
     "struct_assemble",
     "struct_expand",
-    "struct_scalars",
     "extract_blocks",
     "mat_to_tensor",
     "blocks_to_tensor",
@@ -72,32 +73,41 @@ def _check_dense_size(rows: int, cols: int) -> None:
 class BlockPattern:
     """Placement structure of a block matrix with repeated blocks.
 
+    The pattern is one table: ``cells`` lists grid cells and ``klass`` the
+    class of each.  The constructor sorts the table stably by class, so the
+    order of the cells inside a class is the order they were given in; that
+    order, and the class order, are the container order and the equality key.
+
     Attributes:
         ell: Block-grid rows.
         q: Block-grid columns.
         m: Rows of each block.
         n: Columns of each block.
-        placements: One ``(eta_k, 2)`` int array of 0-based grid cells per
-            class; supports must be pairwise disjoint and in range.  Their
-            order is the class order, the container header order and the
-            equality key.
+        cells: ``(N, 2)`` int array of 0-based grid cells, pairwise distinct
+            and in range.
+        klass: ``(N,)`` int array, the class of each cell; the classes are
+            numbered ``0 .. p-1`` and none is empty.
         structure_class: Report tag such as ``"toeplitz"`` or ``"banded:1"``;
             purely descriptive.
         class_of: Derived read-only ``(ell, q)`` int64 grid holding the class
             of every cell, ``-1`` where no class claims it.
+
+    ``counts`` and ``placements`` (one read-only ``(eta_k, 2)`` view of
+    ``cells`` per class) are derived from the table on first use.
     """
 
     ell: int
     q: int
     m: int
     n: int
-    placements: tuple[np.ndarray, ...]
+    cells: np.ndarray
+    klass: np.ndarray
     structure_class: str = "general"
     class_of: np.ndarray = field(init=False, repr=False)
 
-    def _key(self) -> tuple:  # placements are normalized: equal bytes, equal arrays
+    def _key(self) -> tuple:  # the table is normalized: equal bytes, equal tables
         return (self.ell, self.q, self.m, self.n, self.structure_class,
-                tuple(c.tobytes() for c in self.placements))
+                self.cells.tobytes(), self.klass.tobytes())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockPattern):
@@ -110,37 +120,51 @@ class BlockPattern:
     def __post_init__(self) -> None:
         if min(self.ell, self.q, self.m, self.n) < 1:
             raise ShapeError("pattern extents must be positive")
-        normalized = tuple(np.asarray(c, dtype=np.int64) for c in self.placements)
-        for k, cells in enumerate(normalized):
-            if cells.ndim != 2 or cells.shape[1] != 2 or cells.shape[0] < 1:
-                raise ShapeError(f"class {k + 1}: placements must be a nonempty (eta, 2) array")
-            if cells.min() < 0 or cells[:, 0].max() >= self.ell or cells[:, 1].max() >= self.q:
-                raise ShapeError(f"class {k + 1}: placement outside the {self.ell} x {self.q} grid")
+        cells = np.asarray(self.cells, dtype=np.int64)
+        klass = np.asarray(self.klass, dtype=np.int64)
+        if cells.ndim != 2 or cells.shape[1] != 2 or klass.shape != cells.shape[:1]:
+            raise ShapeError("cells must be an (N, 2) array with one class per cell")
+        order = np.argsort(klass, kind="stable")
+        cells, klass = cells[order], klass[order]
+        if klass.size and klass[0] < 0:
+            raise ShapeError("classes must be numbered from 0")
+        counts = np.bincount(klass)
+        outside = (cells < 0).any(axis=1) | (cells >= (self.ell, self.q)).any(axis=1)
+        bad = [*klass[outside][:1], *np.flatnonzero(counts == 0)[:1]]
+        if bad:  # the lowest class at fault, as a class-by-class check finds it
+            k = min(bad)
+            raise ShapeError(f"class {k + 1}: " + (
+                f"placement outside the {self.ell} x {self.q} grid" if counts[k]
+                else "placements must be a nonempty (eta, 2) array"))
+        flat = cells[:, 0] * self.q + cells[:, 1]
+        first = np.unique(flat, return_index=True)[1]
+        if len(first) < len(flat):
+            repeated = np.ones(len(flat), dtype=bool)
+            repeated[first] = False
+            i, j = cells[np.argmax(repeated)]
+            raise ShapeError(f"grid cell ({i + 1}, {j + 1}) claimed by two classes")
         class_of = np.full((self.ell, self.q), -1, dtype=np.int64)
-        if normalized:
-            cells = np.concatenate(normalized)
-            flat = cells[:, 0] * self.q + cells[:, 1]
-            first = np.unique(flat, return_index=True)[1]
-            if len(first) < len(flat):
-                repeated = np.ones(len(flat), dtype=bool)
-                repeated[first] = False
-                i, j = cells[np.argmax(repeated)]
-                raise ShapeError(f"grid cell ({i + 1}, {j + 1}) claimed by two classes")
-            class_of.flat[flat] = np.repeat(np.arange(len(normalized)),
-                                            [len(c) for c in normalized])
-        class_of.flags.writeable = False
-        object.__setattr__(self, "placements", normalized)
+        class_of.flat[flat] = klass
+        for arr in (cells, klass, class_of):
+            arr.flags.writeable = False
+        object.__setattr__(self, "cells", cells)
+        object.__setattr__(self, "klass", klass)
         object.__setattr__(self, "class_of", class_of)
+
+    @cached_property
+    def counts(self) -> tuple[int, ...]:
+        """Repetition count ``eta_k`` of every class."""
+        return tuple(np.bincount(self.klass).tolist())
+
+    @cached_property
+    def placements(self) -> tuple[np.ndarray, ...]:
+        """The ``(eta_k, 2)`` cells of every class: read-only views of ``cells``."""
+        return tuple(np.split(self.cells, np.cumsum(self.counts)[:-1])) if self.p else ()
 
     @property
     def p(self) -> int:
         """Number of block classes."""
-        return len(self.placements)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        """Repetition count ``eta_k`` of every class."""
-        return tuple(len(c) for c in self.placements)
+        return len(self.counts)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -153,10 +177,10 @@ class BlockPattern:
 # ---------------------------------------------------------------------------
 
 
-def _toeplitz_cells(ell: int, offset: int) -> np.ndarray:
-    """Cells of the diagonal ``col - row == offset`` of an ell x ell grid."""
-    rows = np.arange(max(0, -offset), min(ell, ell - offset))
-    return np.column_stack([rows, rows + offset])
+def _band_cells(ell: int, band: int) -> np.ndarray:
+    """The cells ``|col - row| <= band`` of an ell x ell grid, row-major."""
+    grid = np.arange(ell)
+    return np.argwhere(np.abs(grid[:, None] - grid) <= band)
 
 
 def build_pattern(
@@ -185,54 +209,48 @@ def build_pattern(
     first occurrence in row-major order; ``toeplitz`` lists the main
     diagonal, then subdiagonals by distance, then superdiagonals (or, in the
     block-symmetric case, offsets ``0, 1, 2, ...``); ``hankel`` walks
-    anti-diagonals ``i + j = const`` top-left to bottom-right.
+    anti-diagonals ``i + j = const`` top-left to bottom-right.  Inside a
+    class, cells run down the rows; a block-symmetric toeplitz class lists
+    its subdiagonal before its superdiagonal.
     """
     if ell != q:
         raise ShapeError(f"{kind} patterns need a square block grid, got {ell} x {q}")
-    cells_per_class: list[np.ndarray] = []
     tag = kind
-
     if kind == "diagonal":
-        cells_per_class = [np.array([[k, k]]) for k in range(ell)]
+        cells = _band_cells(ell, 0)
+        klass = np.arange(ell)
     elif kind == "banded":
         if band is None or band < 0 or band >= ell:
             raise ShapeError(f"banded pattern needs 0 <= band < {ell}")
-        rows, cols = np.nonzero(np.abs(np.arange(ell)[:, None] - np.arange(q)) <= band)
-        cells = np.column_stack([rows, cols])
+        cells = _band_cells(ell, band)
         if block_symmetric:
-            # a class first occurs at its upper cell, so ordering by the
-            # (min, max) key keeps first-occurrence order
-            key = np.minimum(rows, cols) * q + np.maximum(rows, cols)
-            order = np.argsort(key, kind="stable")
-            cells_per_class = np.split(cells[order], np.flatnonzero(np.diff(key[order])) + 1)
+            # a class first occurs at its upper cell, so numbering classes
+            # by the (min, max) key keeps first-occurrence order
+            key = cells.min(axis=1) * q + cells.max(axis=1)
+            klass = np.unique(key, return_inverse=True)[1]
         else:
-            cells_per_class = np.split(cells, len(cells))
+            klass = np.arange(len(cells))
         tag = f"banded_symmetric:{band}" if block_symmetric else f"banded:{band}"
     elif kind == "toeplitz":
         cutoff = ell - 1 if band is None else band
         if not 0 <= cutoff < ell:
             raise ShapeError(f"toeplitz cutoff must lie in [0, {ell - 1}]")
+        cells = _band_cells(ell, cutoff)
+        d = cells[:, 1] - cells[:, 0]
         if block_symmetric:
-            cells_per_class = [_toeplitz_cells(ell, 0)] + [
-                np.vstack([_toeplitz_cells(ell, -d), _toeplitz_cells(ell, d)])
-                for d in range(1, cutoff + 1)
-            ]
+            cells = cells[np.argsort(d > 0, kind="stable")]  # subdiagonal cells first
+            klass = np.abs(cells[:, 1] - cells[:, 0])
             tag = "toeplitz_symmetric"
         else:
-            offsets = [0, *range(-1, -cutoff - 1, -1), *range(1, cutoff + 1)]
-            cells_per_class = [_toeplitz_cells(ell, d) for d in offsets]
+            klass = np.where(d > 0, cutoff + d, -d)
         if band is not None and band < ell - 1:
             tag += f":{band}"
     elif kind == "hankel":
-        for s in range(2 * ell - 1):
-            lo, hi = max(0, s - ell + 1), min(s, ell - 1)
-            rows = np.arange(lo, hi + 1)
-            cells_per_class.append(np.column_stack([rows, s - rows]))
+        cells = _band_cells(ell, ell - 1)
+        klass = cells.sum(axis=1)
     else:
         raise ValueError(f"unknown pattern kind {kind!r}")
-
-    return BlockPattern(ell=ell, q=q, m=m, n=n,
-                        placements=tuple(cells_per_class), structure_class=tag)
+    return BlockPattern(ell, q, m, n, cells, klass, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -378,17 +396,16 @@ def _per_cell(cells, ids: np.ndarray, reduce) -> np.ndarray:
 
 
 def _to_check(cells, pattern: BlockPattern) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ids of every copy of every class, class by class in placement
-    order, then of the present cells no class claims (row-major), and the
-    class of each (``p`` for an unclaimed cell).  Only dense block rows
-    holding an unclaimed cell are read."""
+    """Flat ids of every copy of every class, in table order, then of the
+    present cells no class claims (row-major), and the class of each (``p``
+    for an unclaimed cell).  Only dense block rows holding an unclaimed cell
+    are read."""
     free = pattern.class_of < 0
     rows = np.flatnonzero(free.any(axis=1))
     grid = rows[:, None] * pattern.q + np.arange(pattern.q)
     unclaimed = grid[free[rows] & cells.present(rows)]
-    placed = np.concatenate([*pattern.placements, np.zeros((0, 2), dtype=np.int64)])
-    ids = np.concatenate([placed[:, 0] * pattern.q + placed[:, 1], unclaimed])
-    return ids, np.repeat(np.arange(pattern.p + 1), [*pattern.counts, len(unclaimed)])
+    ids = np.concatenate([pattern.cells[:, 0] * pattern.q + pattern.cells[:, 1], unclaimed])
+    return ids, np.concatenate([pattern.klass, np.full(len(unclaimed), pattern.p)])
 
 
 # ---------------------------------------------------------------------------
@@ -396,42 +413,30 @@ def _to_check(cells, pattern: BlockPattern) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-def classify_placements(placements: tuple[np.ndarray, ...], ell: int, q: int) -> str:
-    """Best-fitting descriptive tag for a placement family."""
-    all_cells = np.vstack(placements) if placements else np.zeros((0, 2), dtype=np.int64)
-    if len(all_cells) and np.all(all_cells[:, 0] == all_cells[:, 1]):
+def _classify(cells: np.ndarray, klass: np.ndarray, ell: int, q: int) -> str:
+    """Best-fitting descriptive tag for a table of grid cells whose classes
+    ``klass`` are sorted and numbered ``0 .. p-1``."""
+    if not len(cells):
+        return "general"
+    d = cells[:, 1] - cells[:, 0]
+    if not d.any():
         return "diagonal"
-
-    def full_diagonal(cells: np.ndarray) -> int | None:
-        offs = set(np.unique(cells[:, 1] - cells[:, 0]).tolist())
-        if ell != q:
-            return None
-        if len(offs) == 1:
-            (d,) = offs
-            return d if len(cells) == ell - abs(d) else None
-        if len(offs) == 2:
-            d1, d2 = sorted(offs)
-            if d1 == -d2 and d2 > 0 and len(cells) == 2 * (ell - d2):
-                return d2
-        return None
-
-    def full_antidiagonal(cells: np.ndarray) -> int | None:
-        sums = set(np.unique(cells.sum(axis=1)).tolist())
-        if ell != q or len(sums) != 1:
-            return None
-        (s,) = sums
-        expected = min(s + 1, ell, 2 * ell - 1 - s)
-        return s if len(cells) == expected else None
-
-    if placements and all(full_diagonal(c) is not None for c in placements):
-        return "toeplitz"
-    if placements and all(full_antidiagonal(c) is not None for c in placements):
-        return "hankel"
-    if len(all_cells):
-        b = int(np.max(np.abs(all_cells[:, 0] - all_cells[:, 1])))
-        if b < max(ell, q) - 1:
-            return f"banded:{b}"
-    return "general"
+    counts = np.bincount(klass)
+    starts = np.cumsum(counts) - counts
+    if ell == q:
+        # toeplitz: every class is one full diagonal or a full +-d pair
+        lo, hi = np.minimum.reduceat(d, starts), np.maximum.reduceat(d, starts)
+        ends = np.logical_and.reduceat((d == lo[klass]) | (d == hi[klass]), starts)
+        if np.all(ends & ((lo == hi) | (lo == -hi))
+                  & (counts == (ell - np.abs(hi)) * (1 + (lo != hi)))):
+            return "toeplitz"
+        # hankel: every class is one full anti-diagonal
+        s = cells.sum(axis=1)
+        lo, hi = np.minimum.reduceat(s, starts), np.maximum.reduceat(s, starts)
+        if np.all((lo == hi) & (counts == np.minimum(np.minimum(lo + 1, ell), 2 * ell - 1 - lo))):
+            return "hankel"
+    b = int(np.max(np.abs(d)))
+    return f"banded:{b}" if b < max(ell, q) - 1 else "general"
 
 
 def detect_pattern(
@@ -469,48 +474,51 @@ def detect_pattern(
         raise ShapeError(f"matrix {a.shape} does not tile into {m} x {n} blocks")
     ell, q = rows // m, cols // n
     cells = _cells(a, ell, q, m, n)
-    classes = _exact_classes(cells) if tol == 0.0 else _tolerant_classes(cells, tol)
-    if not classes:
+    ids, klass, reps = _exact_classes(cells) if tol == 0.0 else _tolerant_classes(cells, tol)
+    if not ids.size:
         raise PatternMismatchError("matrix is identically zero; nothing to detect")
-    at = np.concatenate([ids for ids, _ in classes])
-    placements = tuple(np.split(np.column_stack(np.divmod(at, q)),
-                                np.cumsum([len(ids) for ids, _ in classes[:-1]])))
-    pattern = BlockPattern(
-        ell=ell, q=q, m=m, n=n, placements=placements,
-        structure_class=classify_placements(placements, ell, q),
-    )
-    return pattern, tuple(rep for _, rep in classes)
+    order = np.argsort(klass, kind="stable")
+    at, klass = np.column_stack(np.divmod(ids[order], q)), klass[order]
+    pattern = BlockPattern(ell, q, m, n, at, klass, _classify(at, klass, ell, q))
+    return pattern, tuple(reps)
 
 
-def _exact_classes(cells) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(ids, block)`` of every class of bit-equal nonzero cells, in order of
-    first occurrence, with the ids of each class in row-major order.
+def _exact_classes(cells) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """``(ids, klass, reps)``: the flat ids of the nonzero cells, each class
+    of bit-equal cells in row-major order, the class of each, numbered in
+    order of first occurrence, and the first cell of each class.
 
     Cells are grouped by fingerprint and every cell is checked against the
     bytes of its group's first cell; the cells that differ (fingerprint
     collisions) are grouped again in another round."""
     ids, prints = cells.nonzero_fingerprints(_fingerprint_keys(cells.m, cells.n))
-    classes = []
+    members, groups, firsts, reps = [], [], [], []
     while ids.size:
         _, first, group = np.unique(prints, return_index=True, return_inverse=True)
-        reps = cells.take(ids[first])
+        round_reps = cells.take(ids[first])
         same = _per_cell(cells, ids, lambda b, where: (
-            b.view(np.uint64) == reps[group[where]].view(np.uint64)).all(axis=(1, 2)))
-        order = np.argsort(group[same], kind="stable")  # keeps each group row-major
-        members = np.split(ids[same][order], np.flatnonzero(np.diff(group[same][order])) + 1)
-        classes += zip(members, reps)
+            b.view(np.uint64) == round_reps[group[where]].view(np.uint64)).all(axis=(1, 2)))
+        members.append(ids[same])
+        groups.append(group[same] + len(reps))  # numbered apart from earlier rounds
+        firsts.append(ids[first])
+        reps.extend(round_reps)
         ids, prints = ids[~same], prints[~same]
-    classes.sort(key=lambda c: c[0][0])
-    return classes
+    if not reps:
+        return ids, ids, reps
+    by_first = np.argsort(np.concatenate(firsts))
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(len(by_first))
+    return (np.concatenate(members), rank[np.concatenate(groups)],
+            [reps[g] for g in by_first])
 
 
-def _tolerant_classes(cells, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``(ids, block)`` of every class of cells within ``tol`` of its first
+def _tolerant_classes(cells, tol: float) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+    """:func:`_exact_classes` for cells within ``tol`` of their class's first
     cell, by a linear scan of the present cells in row-major order."""
     rows = np.arange(cells.ell)
     ids = (rows[:, None] * cells.q + np.arange(cells.q))[cells.present(rows)]
     reps: list[np.ndarray] = []
-    members: list[list[int]] = []
+    kept: list[tuple[int, int]] = []  # (cell, class)
     for start in range(0, len(ids), cells.q):
         chunk = ids[start:start + cells.q]
         for cell, blk in zip(chunk, cells.take(chunk)):
@@ -522,9 +530,9 @@ def _tolerant_classes(cells, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
             else:
                 k = len(reps)
                 reps.append(blk.copy())
-                members.append([])
-            members[k].append(cell)
-    return [(np.array(c, dtype=np.int64), rep) for c, rep in zip(members, reps)]
+            kept.append((cell, k))
+    ids, klass = np.array(kept, dtype=np.int64).reshape(-1, 2).T
+    return ids, klass, reps
 
 
 # ---------------------------------------------------------------------------
@@ -563,14 +571,6 @@ def struct_expand(pattern: BlockPattern, items) -> np.ndarray:
     ``ell x q`` blocks of that shape.
     """
     return _scatter(pattern, items, np.sqrt(pattern.counts))
-
-
-def struct_scalars(pattern: BlockPattern, coeffs: np.ndarray) -> np.ndarray:
-    """Dense ``sum_k coeffs[k] * E_k``; see :func:`struct_expand` with 1x1 items."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.shape != (pattern.p,):
-        raise ShapeError(f"expected {pattern.p} coefficients")
-    return _scatter(pattern, coeffs, np.sqrt(pattern.counts), (1, 1))
 
 
 def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarray, ...]:

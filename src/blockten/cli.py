@@ -23,7 +23,6 @@ from .apps import report_metrics
 from .blocks import blocks_to_tensor, build_pattern, detect_pattern, extract_blocks
 from .container import container_read, container_write
 from .decomp import (
-    SketchConfig,
     TuckerRep,
     cp_als,
     hosvd,
@@ -40,7 +39,7 @@ from .errors import (
     ShapeError,
 )
 from .fileio import read_matrix, read_vector, write_matrix, write_vector
-from .psd import spd_compress, spsd_compress_blocks
+from .psd import spd_compress_blocks, spsd_compress_blocks
 from .reconstruct import (
     blr_from_kruskal,
     blr_from_tucker,
@@ -145,6 +144,10 @@ def _resolve_pattern(a, args):
     if m < 1 or n < 1:
         raise _UsageError("block extents must be positive")
     _check_tolerance("--detect-tol", args.detect_tol)
+    if args.pattern not in ("banded", "toeplitz") and (args.band is not None or args.symmetric):
+        raise _UsageError("--band and --symmetric apply to --pattern banded/toeplitz only")
+    if args.pattern == "banded" and args.band is None:
+        raise _UsageError("--pattern banded needs --band")
     if args.pattern == "auto":
         return detect_pattern(a, m, n, tol=args.detect_tol)
     if a.shape[0] % m or a.shape[1] % n:
@@ -173,10 +176,7 @@ def _mode_singular_values(t, modes=(1, 2, 3)) -> dict[int, np.ndarray]:
 def _randomized_tucker(t, modes, ranks, sketch, seed) -> TuckerRep:
     factors: list[np.ndarray | None] = [None, None, None]
     for mode, r in zip(modes, ranks):
-        # every other mode wider than the sketch is sketched
-        sizes = tuple(None if j == mode or t.shape[j - 1] <= sketch else sketch
-                      for j in range(1, t.ndim + 1))
-        factors[mode - 1] = randomized_mode_basis(t, mode, r, SketchConfig(seed + mode, sizes))
+        factors[mode - 1] = randomized_mode_basis(t, mode, r, sketch, seed + mode)
     return TuckerRep.project(t, factors)
 
 
@@ -287,10 +287,8 @@ def _cmd_compress(args) -> int:
         if args.rank is None:
             raise _UsageError(f"--method {args.method} needs --rank")
         ranks = [args.rank]
-        if args.method == "spsd":
-            rep = spsd_compress_blocks(pattern, _blocks(a, pattern, blocks, args), args.rank)
-        else:
-            rep = spd_compress(a, pattern, args.rank)
+        compress = spsd_compress_blocks if args.method == "spsd" else spd_compress_blocks
+        rep = compress(pattern, _blocks(a, pattern, blocks, args), args.rank)
 
     container_write(args.output_file, rep, seed=args.seed, ranks=ranks)
     print(f"kind: {type(rep).__name__}")

@@ -19,13 +19,14 @@ level plus Tucker factor markers.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
 
 from .blocks import BlockPattern
 from .decomp import TuckerRep
-from .errors import ContainerExtentError, ContainerFormatError
+from .errors import ContainerExtentError, ContainerFormatError, ShapeError
 from .fileio import _replace_into
 from .multilevel import MultilevelPattern, MultilevelTuckerRep
 from .psd import SpdRep, SpsdRep
@@ -51,9 +52,10 @@ def _pattern_lines(prefix: str, pat: BlockPattern) -> list[str]:
         f"{prefix}structure_class: {pat.structure_class}",
         f"{prefix}classes: {pat.p}",
     ]
-    for k, cells in enumerate(pat.placements, start=1):
-        body = " ".join(f"{i + 1},{j + 1}" for i, j in cells)
-        lines.append(f"{prefix}class.{k}: {body}")
+    if pat.p:  # one line of 1-based "i,j" cells per class, formatted in one go
+        fmt = "\n".join([" ".join(["%d,%d"] * eta) for eta in pat.counts])
+        bodies = (fmt % tuple((pat.cells + 1).ravel().tolist())).split("\n")
+        lines += [f"{prefix}class.{k}: {body}" for k, body in enumerate(bodies, start=1)]
     return lines
 
 
@@ -70,29 +72,28 @@ def _take_int(kv: dict, key: str) -> int:
         raise ContainerFormatError(f"header key {key!r} is not an integer") from exc
 
 
+_BAD_CELL = re.compile(r"(?<!\S)(?![+-]?[0-9]+,[+-]?[0-9]+(?!\S))\S+")  # not an "i,j" token
+
+
 def _parse_pattern(kv: dict, prefix: str) -> BlockPattern:
     p = _take_int(kv, f"{prefix}classes")
-    placements = []
-    for k in range(1, p + 1):
-        body = _take(kv, f"{prefix}class.{k}")
-        cells = []
-        for tok in body.split():
-            try:
-                i, j = tok.split(",")
-                cells.append((int(i) - 1, int(j) - 1))
-            except ValueError as exc:
-                raise ContainerFormatError(
-                    f"bad cell {tok!r} in {prefix}class.{k}"
-                ) from exc
-        placements.append(np.array(cells, dtype=np.int64).reshape(-1, 2))
-    return BlockPattern(
-        ell=_take_int(kv, f"{prefix}ell"),
-        q=_take_int(kv, f"{prefix}q"),
-        m=_take_int(kv, f"{prefix}m"),
-        n=_take_int(kv, f"{prefix}n"),
-        placements=tuple(placements),
-        structure_class=_take(kv, f"{prefix}structure_class"),
-    )
+    text = "\n".join([_take(kv, f"{prefix}class.{k}") for k in range(1, p + 1)])
+    bad = _BAD_CELL.search(text)
+    if bad:
+        k = text.count("\n", 0, bad.start()) + 1
+        raise ContainerFormatError(f"bad cell {bad.group()!r} in {prefix}class.{k}")
+    # one class per line and one comma per cell: a cell's class is the
+    # number of line ends before its comma
+    code = np.frombuffer(text.encode(), dtype=np.uint8)
+    klass = np.cumsum(code == ord("\n"))[code == ord(",")]
+    cells = np.array(text.replace(",", " ").split(), dtype=np.int64).reshape(-1, 2) - 1
+    pattern = BlockPattern(
+        _take_int(kv, f"{prefix}ell"), _take_int(kv, f"{prefix}q"),
+        _take_int(kv, f"{prefix}m"), _take_int(kv, f"{prefix}n"),
+        cells, klass, _take(kv, f"{prefix}structure_class"))
+    if pattern.p < p:  # the last classes have no cells
+        raise ShapeError(f"class {pattern.p + 1}: placements must be a nonempty (eta, 2) array")
+    return pattern
 
 
 # ---------------------------------------------------------------------------

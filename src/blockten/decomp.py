@@ -25,7 +25,7 @@ the basis bit-for-bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import khatri_rao
@@ -37,7 +37,6 @@ __all__ = [
     "TuckerRep",
     "KruskalRep",
     "CpResult",
-    "SketchConfig",
     "svd_truncated",
     "tail_rank",
     "qr_thin",
@@ -151,19 +150,6 @@ class CpResult:
     fit_history: tuple[float, ...]
     n_iters: int
     converged: bool
-
-
-@dataclass(frozen=True)
-class SketchConfig:
-    """Sketch sizes and seed for :func:`randomized_mode_basis`.
-
-    ``sizes[k-1]`` is the Gaussian sketch size applied to mode ``k``;
-    ``None`` leaves that mode untouched (identity sketch).  The target mode
-    of the basis computation must be ``None``.
-    """
-
-    seed: int
-    sizes: tuple[int | None, ...] = field(default_factory=tuple)
 
 
 # ---------------------------------------------------------------------------
@@ -476,43 +462,28 @@ def cp_als(
 # ---------------------------------------------------------------------------
 
 
-def randomized_mode_basis(
-    t: np.ndarray,
-    mode: int,
-    r: int,
-    config: SketchConfig,
-) -> np.ndarray:
+def randomized_mode_basis(t: np.ndarray, mode: int, r: int, sketch: int, seed: int) -> np.ndarray:
     """Orthonormal mode-``mode`` basis computed from a Gaussian sketch.
 
-    Every other mode listed with a size in ``config.sizes`` is contracted
-    with an i.i.d. standard normal matrix (drawn in ascending mode order
-    from one PCG64 stream seeded with ``config.seed``); the basis is the
-    ``r`` leading left singular vectors of the sketched tensor's
-    mode-``mode`` unfolding.
+    Every other mode wider than ``sketch`` is contracted with an i.i.d.
+    standard normal ``sketch x extent`` matrix (drawn in ascending mode order
+    from one PCG64 stream seeded with ``seed``); the basis is the ``r``
+    leading left singular vectors of the sketched tensor's mode-``mode``
+    unfolding.
 
     Raises:
-        ShapeError: If a sketch size exceeds its extent, is smaller than
-            ``r``, or targets the basis mode itself.
+        ShapeError: If ``mode`` is out of range, or a mode is sketched with
+            ``sketch`` below ``r``.
     """
     if not 1 <= mode <= t.ndim:
         raise ShapeError(f"mode {mode} out of range for order-{t.ndim} tensor")
-    if len(config.sizes) != t.ndim:
-        raise ShapeError(f"expected {t.ndim} sketch sizes, got {len(config.sizes)}")
-    if config.sizes[mode - 1] is not None:
-        raise ShapeError("the basis mode itself must not be sketched")
-
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     y = t
-    for j in range(1, t.ndim + 1):
-        size = config.sizes[j - 1]
-        if j == mode or size is None:
+    for j, extent in enumerate(t.shape, start=1):
+        if j == mode or extent <= sketch:
             continue
-        extent = y.shape[j - 1]
-        if size > extent:
-            raise ShapeError(f"sketch size {size} exceeds mode-{j} extent {extent}")
-        if size < r:
-            raise ShapeError(f"sketch size {size} is below the target rank {r}")
-        omega = rng.standard_normal((size, extent))
-        y = mode_multiply(y, j, omega)
+        if sketch < r:
+            raise ShapeError(f"sketch size {sketch} is below the target rank {r}")
+        y = mode_multiply(y, j, rng.standard_normal((sketch, extent)))
     u, _, _ = svd_truncated(unfold(y, mode), r)
     return u

@@ -25,6 +25,8 @@ __all__ = [
     "write_vector",
 ]
 
+_SPARSE_THRESHOLD = 0.25  # write_matrix stores sparser dense arrays as coordinates
+
 
 def _replace_into(path, write_fn) -> None:
     """Run ``write_fn(tmp_path)`` then atomically rename onto ``path``."""
@@ -95,10 +97,10 @@ def read_matrix(path):
     return mat
 
 
-def write_matrix(path, a, sparse_threshold: float = 0.25) -> None:
+def write_matrix(path, a) -> None:
     """Write a matrix to Matrix Market with exact value round-trip.
 
-    Dense arrays denser than ``sparse_threshold`` go out in array format,
+    Dense arrays denser than ``_SPARSE_THRESHOLD`` go out in array format,
     sparser ones in coordinate format; scipy sparse inputs always use
     coordinate format.
     """
@@ -108,7 +110,7 @@ def write_matrix(path, a, sparse_threshold: float = 0.25) -> None:
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2:
             raise ShapeError("write_matrix expects a matrix")
-        if a.size and np.count_nonzero(a) / a.size < sparse_threshold:
+        if a.size and np.count_nonzero(a) / a.size < _SPARSE_THRESHOLD:
             payload = scipy.sparse.coo_matrix(a)
         else:
             payload = a

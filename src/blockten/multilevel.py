@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPattern, _toeplitz_cells, extract_blocks, struct_expand
+from .blocks import BlockPattern, _band_cells, extract_blocks, struct_expand
 from .decomp import TuckerRep
 from .errors import PatternMismatchError, ShapeError
 from .reconstruct import _check_vector, densify
@@ -231,9 +231,8 @@ def _kernel_level_pattern(k: int, bm: int, bn: int) -> BlockPattern:
     center tap lands on the main diagonal.  ``eta_i = k - |i - h|``.
     """
     h = (k - 1) // 2
-    cells = tuple(_toeplitz_cells(k, h - i) for i in range(k))
-    return BlockPattern(ell=k, q=k, m=bm, n=bn, placements=cells,
-                        structure_class=f"toeplitz:{h}")
+    cells = _band_cells(k, h)
+    return BlockPattern(k, k, bm, bn, cells, h - (cells[:, 1] - cells[:, 0]), f"toeplitz:{h}")
 
 
 def _checked_psf(psf) -> tuple[np.ndarray, int]:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .blocks import BlockPattern, classify_placements, extract_blocks
+from .blocks import BlockPattern, _classify, blocks_to_tensor, extract_blocks
 from .decomp import _mode_basis, cholesky
 from .errors import PatternMismatchError, ShapeError
 from .reconstruct import BlockLowRankRep, FlopCounter, _check_vector, densify
@@ -40,7 +40,10 @@ __all__ = [
     "spsd_compress",
     "spsd_compress_blocks",
     "spd_compress",
+    "spd_compress_blocks",
 ]
+
+_TRANSPOSE_TOL = 1e-12  # transpose partners may differ by this share of the largest entry
 
 
 @dataclass(frozen=True)
@@ -151,12 +154,13 @@ class SpdRep:
         ``L U b_k U^T L^T``."""
         pat, inner = self.remainder.cell_blocks()
         anchor = self.chol @ self.chol.T
-        parts = list(_split_diagonal(pat.placements, self.chol @ inner @ self.chol.T, anchor))
+        cells, klass, items = _split_diagonal(pat, self.chol @ inner @ self.chol.T, anchor)
         free = np.flatnonzero(np.diag(pat.class_of) < 0)
         if free.size:
-            parts.append((np.column_stack([free, free]), anchor))
-        cells, items = zip(*parts)
-        return BlockPattern(self.ell, self.ell, pat.m, pat.n, cells), np.array(items)
+            cells = np.vstack([cells, np.column_stack([free, free])])
+            klass = np.append(klass, np.full(free.size, len(items)))
+            items = np.vstack([items, anchor[None]])
+        return BlockPattern(self.ell, self.ell, pat.m, pat.n, cells, klass), items
 
     def stored_scalars(self) -> int:
         n = self.chol.shape[0]
@@ -169,15 +173,21 @@ class SpdRep:
         return densify(self)
 
 
-def _split_diagonal(placements, items, shift: np.ndarray):
-    """Every class split into its diagonal cells, holding ``items[k] + shift``,
-    and its other cells, holding ``items[k]``: nonempty ``(cells, item)``
-    pairs in class order."""
-    for cells, item in zip(placements, items):
-        on_diag = cells[:, 0] == cells[:, 1]
-        for mask, part in ((on_diag, item + shift), (~on_diag, item)):
-            if mask.any():
-                yield cells[mask], part
+def _split_diagonal(pattern: BlockPattern, items, shift: np.ndarray, nonzero: bool = False):
+    """Every class ``k`` split into part ``2k``, its diagonal cells holding
+    ``items[k] + shift``, and part ``2k + 1``, its other cells holding
+    ``items[k]``.  Returns the ``(cells, klass, items)`` table of the parts
+    that have cells (and, with ``nonzero``, an item not all zero), numbered
+    and sorted in part order."""
+    items = np.asarray(items, dtype=np.float64)
+    part = 2 * pattern.klass + (pattern.cells[:, 0] != pattern.cells[:, 1])
+    stack = np.stack([items + shift, items], axis=1).reshape(-1, *shift.shape)
+    keep = np.bincount(part, minlength=len(stack)) > 0
+    if nonzero:
+        keep &= stack.any(axis=(1, 2))
+    order = np.argsort(part, kind="stable")
+    order = order[keep[part[order]]]
+    return pattern.cells[order], (np.cumsum(keep) - 1)[part[order]], stack[keep]
 
 
 def check_transpose_closed(pattern: BlockPattern, blocks, tol: float = 0.0) -> None:
@@ -213,19 +223,18 @@ def _shared_basis_rep(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
     if pattern.p == 0:
         return SpsdRep(pattern=pattern, basis=np.eye(n, r),
                        blocks=np.zeros((0, r, r)))
-    t = np.stack(blocks, axis=1) * np.sqrt(pattern.counts)[:, None]
-    u = _mode_basis(unfold(t, 1), r)
+    u = _mode_basis(unfold(blocks_to_tensor(pattern, blocks), 1), r)
     proj = np.stack([u.T @ blk @ u for blk in blocks])
     return SpsdRep(pattern=pattern, basis=u, blocks=proj)
 
 
-def spsd_compress_blocks(pattern: BlockPattern, blocks, r: int, tol: float = 1e-12) -> SpsdRep:
+def spsd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
     """:func:`spsd_compress` starting from the distinct blocks directly,
     for matrices too large to assemble densely."""
     if pattern.ell != pattern.q or pattern.m != pattern.n:
         raise ShapeError("shared-basis compression needs a square grid of square blocks")
     scale = max(float(np.max(np.abs(b))) for b in blocks) if len(blocks) else 1.0
-    check_transpose_closed(pattern, blocks, tol=tol * max(scale, 1.0))
+    check_transpose_closed(pattern, blocks, tol=_TRANSPOSE_TOL * max(scale, 1.0))
     return _shared_basis_rep(pattern, blocks, r)
 
 
@@ -247,6 +256,14 @@ def spsd_compress(a: np.ndarray, pattern: BlockPattern, r: int) -> SpsdRep:
 
 
 def spd_compress(a: np.ndarray, pattern: BlockPattern, r: int) -> SpdRep:
+    """SPD-preserving compression of ``a``: :func:`spd_compress_blocks` of
+    its blocks, extracted exactly."""
+    if a.shape[0] != a.shape[1]:
+        raise ShapeError("spd_compress expects a square matrix")
+    return spd_compress_blocks(pattern, extract_blocks(a, pattern), r)
+
+
+def spd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpdRep:
     """SPD-preserving compression anchored at the leading diagonal block.
 
     The block at grid cell (1, 1) is taken as the anchor ``T0`` (it must be
@@ -263,12 +280,10 @@ def spd_compress(a: np.ndarray, pattern: BlockPattern, r: int) -> SpdRep:
         PatternMismatchError: If cell (1, 1) belongs to no class or the
             remainder is not transpose-closed.
     """
-    if a.shape[0] != a.shape[1]:
+    if pattern.shape[0] != pattern.shape[1]:
         raise ShapeError("spd_compress expects a square matrix")
     if pattern.ell != pattern.q or pattern.m != pattern.n:
         raise ShapeError("spd_compress needs a square grid of square blocks")
-    blocks = extract_blocks(a, pattern)
-
     anchor_class = pattern.class_of[0, 0]
     if anchor_class < 0:
         raise PatternMismatchError("grid cell (1, 1) belongs to no class; no anchor block")
@@ -276,14 +291,10 @@ def spd_compress(a: np.ndarray, pattern: BlockPattern, r: int) -> SpdRep:
     low = cholesky(anchor)
 
     # subtract the anchor on the diagonal, drop exactly-zero remainders
-    parts = [(c, b) for c, b in _split_diagonal(pattern.placements, blocks, -anchor) if b.any()]
-    rem_cells = tuple(c for c, _ in parts)
+    cells, klass, parts = _split_diagonal(pattern, blocks, -anchor, nonzero=True)
     scaled = [solve_triangular(low, solve_triangular(low, b, lower=True).T, lower=True).T
-              for _, b in parts]
-    rem_pattern = BlockPattern(
-        ell=pattern.ell, q=pattern.q, m=pattern.m, n=pattern.n,
-        placements=rem_cells,
-        structure_class=classify_placements(rem_cells, pattern.ell, pattern.q),
-    )
+              for b in parts]
+    rem_pattern = BlockPattern(pattern.ell, pattern.q, pattern.m, pattern.n, cells, klass,
+                               _classify(cells, klass, pattern.ell, pattern.q))
     rep = spsd_compress_blocks(rem_pattern, tuple(scaled), r)
     return SpdRep(chol=low, remainder=rep, ell=pattern.ell)

@@ -232,8 +232,6 @@ def test_kernel_config_validation():
     with pytest.raises(ShapeError):
         KernelConfig(spatial_scale=-1.0)
     with pytest.raises(ShapeError):
-        KernelConfig(family="matern")
-    with pytest.raises(ShapeError):
         KernelConfig(nugget=-1e-8)
 
 

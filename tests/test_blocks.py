@@ -19,7 +19,6 @@ from blockten.blocks import (
     mat_to_tensor,
     struct_assemble,
     struct_expand,
-    struct_scalars,
     tensor_to_mat,
 )
 from blockten.decomp import tucker_partial
@@ -27,7 +26,8 @@ from blockten.errors import PatternMismatchError, ShapeError
 from blockten.reconstruct import error_fro, kron_sum_from_tucker
 from blockten.tensor import fro_norm
 
-from helpers import PATTERN_KINDS, placement_matrix, random_blocks, random_pattern
+from helpers import (PATTERN_KINDS, classify_placements, placement_matrix, random_blocks,
+                     random_pattern, struct_scalars)
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +98,71 @@ def test_kron_terms_trace_orthogonal():
             assert abs(np.trace(a.T @ b)) < 1e-14
 
 
+def _mutated(rng, pat):
+    """``pat`` with some classes merged and some cells dropped: near-misses of
+    every structure class."""
+    keep = rng.random(len(pat.cells)) < rng.choice([0.9, 1.0])
+    merge = rng.integers(0, max(1, pat.p // rng.choice([1, 2, 3])), size=pat.p)
+    if not keep.any():
+        return pat
+    klass = np.unique(merge[pat.klass[keep]], return_inverse=True)[1]
+    return BlockPattern(pat.ell, pat.q, pat.m, pat.n, pat.cells[keep], klass)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS + ("toeplitz_cutoff",)))
+def test_classifier_matches_the_class_by_class_oracle(seed, kind):
+    rng = np.random.default_rng(seed)
+    if kind == "toeplitz_cutoff":
+        ell = int(rng.integers(2, 7))
+        pat = build_pattern("toeplitz", ell, ell, 1, 2, band=int(rng.integers(0, ell)),
+                            block_symmetric=bool(rng.integers(2)))
+    else:
+        pat = random_pattern(rng, kind)
+    detected, _ = detect_pattern(struct_assemble(pat, random_blocks(rng, pat)), pat.m, pat.n)
+    for p in (pat, detected, _mutated(rng, pat)):
+        assert (block_maps._classify(p.cells, p.klass, p.ell, p.q)
+                == classify_placements(p.placements, p.ell, p.q)), p
+
+
+@pytest.mark.parametrize("cells, klass, tag", [
+    ([[1, 0], [2, 1], [0, 0], [0, 1]], [0, 0, 0, 0], "banded:1"),  # offsets -1, 0, 1
+    ([[1, 0], [2, 1], [0, 1], [1, 2]], [0, 0, 0, 0], "toeplitz"),  # offsets -1, 1
+    ([[1, 0], [0, 1], [1, 2]], [0, 0, 0], "banded:1"),  # a pair missing a cell
+    ([[0, 2], [1, 1], [2, 0], [0, 0]], [0, 0, 0, 1], "hankel"),
+    ([[0, 2], [1, 1], [0, 0]], [0, 0, 1], "general"),  # an anti-diagonal missing a cell
+])
+def test_classifier_edge_cases(cells, klass, tag):
+    pat = BlockPattern(3, 3, 1, 1, np.array(cells), np.array(klass))
+    assert block_maps._classify(pat.cells, pat.klass, 3, 3) == tag
+    assert classify_placements(pat.placements, 3, 3) == tag
+
+
+def test_pattern_table_is_sorted_by_class_and_read_only():
+    # cells given out of class order keep their order inside each class
+    pat = BlockPattern(2, 3, 1, 1, np.array([[1, 1], [0, 2], [0, 0]]), np.array([1, 0, 0]))
+    np.testing.assert_array_equal(pat.cells, [[0, 2], [0, 0], [1, 1]])
+    np.testing.assert_array_equal(pat.klass, [0, 0, 1])
+    np.testing.assert_array_equal(pat.class_of, [[0, -1, 0], [-1, 1, -1]])
+    assert pat.counts == (2, 1) and pat.placements[1].tolist() == [[1, 1]]
+    assert pat.placements is pat.placements  # derived once
+    for arr in (pat.cells, pat.klass, pat.class_of, *pat.placements):
+        assert not arr.flags.writeable
+
+
 def test_pattern_validation():
     with pytest.raises(ShapeError):
-        BlockPattern(ell=2, q=2, m=1, n=1,
-                     placements=(np.array([[0, 0]]), np.array([[0, 0]])))  # overlap
+        BlockPattern(2, 2, 1, 1, np.array([[0, 0], [0, 0]]), np.array([0, 1]))  # overlap
     with pytest.raises(ShapeError):
-        BlockPattern(ell=2, q=2, m=1, n=1, placements=(np.array([[2, 0]]),))  # out of range
+        BlockPattern(2, 2, 1, 1, np.array([[2, 0]]), np.array([0]))  # out of range
+    with pytest.raises(ShapeError, match="class 2: placements must be a nonempty"):
+        BlockPattern(2, 2, 1, 1, np.array([[0, 0], [1, 1]]), np.array([0, 2]))  # class 2 empty
+    with pytest.raises(ShapeError, match="class 1: placement outside"):  # the lowest class
+        BlockPattern(2, 2, 1, 1, np.array([[0, 5], [1, 1]]), np.array([0, 2]))
+    with pytest.raises(ShapeError):
+        BlockPattern(2, 2, 1, 1, np.array([[0, 0]]), np.array([-1]))  # classes start at 0
+    with pytest.raises(ShapeError):
+        BlockPattern(2, 2, 1, 1, np.array([0, 0]), np.array([0]))  # not an (N, 2) table
     with pytest.raises(ShapeError):
         build_pattern("toeplitz", 3, 4, 2, 2)  # non-square grid
     with pytest.raises(ShapeError):
@@ -185,7 +244,7 @@ def test_struct_scalars_matches_weighted_sum_of_placements():
 
 
 def test_struct_expand_divides_by_sqrt_eta():
-    pat = BlockPattern(ell=2, q=2, m=1, n=1, placements=(np.array([[0, 0], [1, 1]]),))
+    pat = BlockPattern(2, 2, 1, 1, np.array([[0, 0], [1, 1]]), np.array([0, 0]))
     out = struct_expand(pat, [np.array([[4.0]])])
     np.testing.assert_allclose(out, np.eye(2) * 4.0 / np.sqrt(2))
 
@@ -236,7 +295,7 @@ def test_tensor_to_mat_shape_validation():
 
 
 def test_zero_class_pattern_maps_to_zero_matrix():
-    pat = BlockPattern(2, 2, 2, 2, placements=())
+    pat = BlockPattern(2, 2, 2, 2, np.zeros((0, 2)), np.zeros(0))
     np.testing.assert_array_equal(tensor_to_mat(np.zeros((2, 0, 2)), pat), np.zeros((4, 4)))
     np.testing.assert_array_equal(struct_scalars(pat, np.zeros(0)), np.zeros((2, 2)))
 

@@ -8,6 +8,7 @@ import scipy.sparse
 from scipy.ndimage import convolve
 
 from blockten import blocks as block_maps
+from blockten import psd
 from blockten.blocks import build_pattern, struct_assemble
 from blockten.cli import main
 from blockten.container import container_read, container_write
@@ -319,6 +320,32 @@ def test_spd_compress_and_factored_matvec(tmp_path, capsys):
     assert np.linalg.norm(dense @ x - y) <= 1e-12 * np.linalg.norm(dense @ x)
 
 
+def test_spd_uses_the_detected_blocks(tmp_path, capsys, monkeypatch):
+    # diagonal blocks that agree to 1e-8 only: --detect-tol groups them, and
+    # spd must compress the blocks detection verified rather than re-extract
+    # them exactly
+    rng = np.random.default_rng(109)
+    a = spd_block_toeplitz(rng, s=5, m=4)
+    for i in range(5):
+        e = 1e-9 * rng.standard_normal((4, 4))
+        a[4 * i:4 * i + 4, 4 * i:4 * i + 4] += e + e.T
+    path = tmp_path / "near.mtx"
+    write_matrix(path, a)
+    args = ("compress", path, "-o", tmp_path / "near.btc", "--block-rows", 4, "--block-cols", 4,
+            "--rank", 2, "--detect-tol", "1e-6")
+    for method in ("spd", "spsd", "hosvd"):
+        code, out, err = run_cli(capsys, *args, "--method", method)
+        assert code == 0, (method, err)
+
+    def no_extraction(*_):
+        raise AssertionError("blocks extracted a second time")
+
+    monkeypatch.setattr(psd, "extract_blocks", no_extraction)
+    code, out, err = run_cli(capsys, *args, "--method", "spd")
+    assert code == 0, err
+    assert kv(out)["kind"] == "SpdRep"
+
+
 def test_spsd_report_from_container_alone(tmp_path, capsys):
     a = spd_block_toeplitz(np.random.default_rng(107), s=5, m=6)
     path = tmp_path / "spd.mtx"
@@ -428,12 +455,22 @@ def test_exit_2_usage_errors(toep, tmp_path, capsys):
         ("--method", "hosvd", "--rank", 2, "--split", "qr"),
         ("--method", "spsd", "--rank", 2, "--split", "factor"),
         ("--method", "cp", "--rank", 2, "--output", "blr", "--split", "qr"),
+        ("--method", "hosvd", "--rank", 2, "--band", 1),
+        ("--method", "hosvd", "--rank", 2, "--symmetric"),
+        ("--method", "hosvd", "--rank", 2, "--pattern", "hankel", "--band", 1),
+        ("--method", "hosvd", "--rank", 2, "--pattern", "diagonal", "--symmetric"),
+        ("--method", "hosvd", "--rank", 2, "--pattern", "banded"),
+        ("--method", "spd", "--rank", 2, "--pattern", "banded", "--symmetric"),
     ]
     for extra in cases:
         code, _, err = run_cli(capsys, "compress", path, "-o", out_c,
                                "--block-rows", 4, "--block-cols", 4, *extra)
         assert code == 2, extra
         assert "error" in err
+    for extra in (("--band", 1), ("--pattern", "hankel", "--symmetric"), ("--pattern", "banded")):
+        code, _, err = run_cli(capsys, "analyze", path, "--block-rows", 4, "--block-cols", 4,
+                               *extra)
+        assert code == 2 and "error" in err, extra
 
 
 def test_exit_2_matvec_nonfinite_vector(toep, tmp_path, capsys):

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockten.decomp import (
-    SketchConfig,
     TuckerRep,
     _mode_basis,
     cholesky,
@@ -371,18 +370,17 @@ def _exact_mode2_rank_tensor(rng, dims, r):
 def test_randomized_mode_basis_is_deterministic():
     rng = np.random.default_rng(13)
     t = rng.standard_normal((5, 12, 5))
-    cfg = SketchConfig(seed=42, sizes=(4, None, 4))
-    u1 = randomized_mode_basis(t, 2, 3, cfg)
-    u2 = randomized_mode_basis(t, 2, 3, cfg)
+    u1 = randomized_mode_basis(t, 2, 3, 4, seed=42)
+    u2 = randomized_mode_basis(t, 2, 3, 4, seed=42)
     assert np.array_equal(u1, u2)
-    u3 = randomized_mode_basis(t, 2, 3, SketchConfig(seed=43, sizes=(4, None, 4)))
+    u3 = randomized_mode_basis(t, 2, 3, 4, seed=43)
     assert not np.array_equal(u1, u3)
 
 
 def test_randomized_mode_basis_captures_exact_rank():
     rng = np.random.default_rng(14)
     t = _exact_mode2_rank_tensor(rng, (6, 15, 6), 3)
-    u = randomized_mode_basis(t, 2, 3, SketchConfig(seed=7, sizes=(5, None, 5)))
+    u = randomized_mode_basis(t, 2, 3, 5, seed=7)
     resid = unfold(t, 2) - u @ (u.T @ unfold(t, 2))
     assert np.linalg.norm(resid) < 1e-11 * np.linalg.norm(unfold(t, 2))
 
@@ -390,11 +388,7 @@ def test_randomized_mode_basis_captures_exact_rank():
 def test_randomized_mode_basis_validation():
     t = np.zeros((3, 4, 3))
     with pytest.raises(ShapeError):
-        randomized_mode_basis(t, 2, 2, SketchConfig(seed=0, sizes=(2, 2, 2)))  # target sketched
-    with pytest.raises(ShapeError):
-        randomized_mode_basis(t, 2, 2, SketchConfig(seed=0, sizes=(9, None, 2)))  # too big
-    with pytest.raises(ShapeError):
-        randomized_mode_basis(t, 2, 2, SketchConfig(seed=0, sizes=(1, None, 2)))  # below rank
+        randomized_mode_basis(t, 2, 2, 1, seed=0)  # sketch below rank
 
 
 def test_cp_als_is_scale_invariant():

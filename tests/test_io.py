@@ -1,5 +1,7 @@
 """File formats: Matrix Market, vectors, and the container."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -12,11 +14,12 @@ from blockten import (
     build_pattern,
     container_read,
     container_write,
+    detect_pattern,
     hosvd,
     mat_to_tensor,
     struct_assemble,
 )
-from blockten.container import MAGIC
+from blockten.container import MAGIC, _pattern_lines
 from blockten.errors import ContainerExtentError, ContainerFormatError, ShapeError
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
 from blockten.multilevel import ml_mat_to_tensor
@@ -325,8 +328,6 @@ def test_container_rejects_shape_inconsistent_with_pattern(tmp_path):
 def test_container_bytes_are_stable(tmp_path):
     # digests pin the header layout, the placements order and the payload
     # encoding across versions, not just two writes of one version
-    import hashlib
-
     from blockten import BlockPattern
 
     toep = build_pattern("toeplitz", 4, 4, 2, 2, block_symmetric=True)
@@ -335,10 +336,7 @@ def test_container_bytes_are_stable(tmp_path):
         coeffs=np.arange(8, dtype=np.float64).reshape(4, 2) / 8.0 - 0.25,
         terms=np.arange(8, dtype=np.float64).reshape(2, 2, 2) * 0.75 + 1.0,
     )
-    general = BlockPattern(
-        ell=2, q=3, m=2, n=2,
-        placements=(np.array([[0, 0], [0, 2]]), np.array([[1, 1]])),
-    )
+    general = BlockPattern(2, 3, 2, 2, np.array([[0, 0], [0, 2], [1, 1]]), np.array([0, 0, 1]))
     blr = BlockLowRankRep(
         pattern=general,
         left=np.array([[1.0, 0.5], [-0.5, 2.0]]),
@@ -353,3 +351,41 @@ def test_container_bytes_are_stable(tmp_path):
         path = tmp_path / f"{name}.btc"
         container_write(path, rep, seed=3, ranks=(2,))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[name], name
+
+
+def _header_digest(pat) -> str:
+    return hashlib.sha256("\n".join(_pattern_lines("pattern.", pat)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind, kwargs, digest", [
+    ("diagonal", {}, "873f6c72a3b8782b70bc7398513bb7bf09a9e6192705269c284c0f270062db6d"),
+    ("banded", {"band": 2}, "a75fd28a2c9d4c3b3d85e91fc1ed16dd2e7be9a5faa65f48af391210e8c1af70"),
+    ("banded", {"band": 2, "block_symmetric": True},
+     "e3ec105e61ebf4d83caa62b2c577d433ddd470e253f76dcf75513f4520bb3cfd"),
+    ("toeplitz", {}, "91c378426853d1259dfc9c0d411eea92f0baa559b7739edd44e2513709889417"),
+    ("toeplitz", {"block_symmetric": True},
+     "ead8c8bd380fc3909ed458a8a78031d3e872d3de95720b41c7cf4c7c68779e49"),
+    ("toeplitz", {"band": 2}, "701b674c4b80985a031e6f0f78bc0a1a4594a416cb2b837f13b51956d14ff048"),
+    ("toeplitz", {"band": 1, "block_symmetric": True},
+     "80f36ca69e054389a7cf151099dec29af37266ad71c4125e67e3c8a9269ed8b0"),
+    ("hankel", {}, "4861044e57fea6ba15edf81192c25550be1d7a8641af94bcf42bc1875f7adfec"),
+])
+def test_named_pattern_headers_are_pinned(kind, kwargs, digest):
+    # the digests pin the class order and the cell order inside every class
+    assert _header_digest(build_pattern(kind, 5, 5, 2, 3, **kwargs)) == digest
+
+
+def test_detected_and_spd_remainder_headers_are_pinned():
+    sym = build_pattern("banded", 5, 5, 2, 3, band=2, block_symmetric=True)
+    a = struct_assemble(sym, [np.arange(6.0).reshape(2, 3) + 10 * k for k in range(sym.p)])
+    assert (_header_digest(detect_pattern(a, 2, 3)[0])
+            == "6a609018cd7bc8fcea0fa4d067f4137a803dcd6a2c4b1d06e498c2382fe7af5d")
+
+    rng = np.random.default_rng(7)
+    pat = build_pattern("toeplitz", 5, 5, 3, 3, band=2)
+    t0 = rng.standard_normal((3, 3))
+    off = [0.3 * rng.standard_normal((3, 3)) for _ in range(2)]
+    blocks = [t0 @ t0.T + 6 * np.eye(3), off[0].T, off[1].T, *off]  # offsets 0, -1, -2, 1, 2
+    rem = spd_compress(struct_assemble(pat, blocks), pat, 2).remainder.pattern
+    assert rem.structure_class == "toeplitz"
+    assert _header_digest(rem) == "b5f3636fceb76947a3f993f3e71acefccd47e97a88a0b454ec1fb2490bbf7522"

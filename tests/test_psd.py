@@ -81,8 +81,7 @@ def test_transpose_closure_rejects_asymmetric_population():
         check_transpose_closed(pat, blocks)
     # an upper-triangular support has no mirror class at all
     cells = np.array([[0, 1], [1, 2]])
-    pat_up = BlockPattern(ell=3, q=3, m=2, n=2, placements=(cells,),
-                          structure_class="general")
+    pat_up = BlockPattern(3, 3, 2, 2, cells, [0, 0])
     with pytest.raises(PatternMismatchError):
         check_transpose_closed(pat_up, blocks[:1])
 
@@ -137,8 +136,7 @@ def test_spd_block_diagonal_input_has_empty_remainder():
     t0 = rng.standard_normal((nb, nb))
     t0 = t0 @ t0.T + nb * np.eye(nb)
     cells = np.column_stack([np.arange(ell), np.arange(ell)])
-    pat = BlockPattern(ell=ell, q=ell, m=nb, n=nb, placements=(cells,),
-                       structure_class="diagonal")
+    pat = BlockPattern(ell, ell, nb, nb, cells, np.zeros(ell, dtype=int), "diagonal")
     a = struct_assemble(pat, np.stack([t0]))
     rep = spd_compress(a, pat, 2)
     assert rep.remainder.pattern.p == 0
@@ -154,8 +152,7 @@ def test_spd_rejects_indefinite_anchor():
 
 def test_spd_requires_anchor_class_at_corner():
     cells = np.array([[1, 1], [2, 2]])
-    pat = BlockPattern(ell=3, q=3, m=2, n=2, placements=(cells,),
-                       structure_class="general")
+    pat = BlockPattern(3, 3, 2, 2, cells, [0, 0])
     a = struct_assemble(pat, np.stack([np.eye(2)]))
     with pytest.raises(PatternMismatchError):
         spd_compress(a, pat, 1)

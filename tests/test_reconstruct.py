@@ -259,9 +259,9 @@ def _square_blocks(pat, square_grid=False):
     """``pat`` with ``n = m`` and, with ``square_grid``, its cells cut to a
     square grid (classes left empty are dropped)."""
     q = pat.ell if square_grid else pat.q
-    cells = tuple(c[c[:, 1] < q] for c in pat.placements)
-    return BlockPattern(pat.ell, q, pat.m, pat.m, tuple(c for c in cells if len(c)),
-                        pat.structure_class)
+    keep = pat.cells[:, 1] < q
+    klass = np.unique(pat.klass[keep], return_inverse=True)[1]
+    return BlockPattern(pat.ell, q, pat.m, pat.m, pat.cells[keep], klass, pat.structure_class)
 
 
 @settings(max_examples=80, deadline=None)
@@ -296,7 +296,7 @@ def test_error_fro_resolves_roundoff_level_errors(seed, kind, form):
     # cancel to zero, and it must agree with the dense one to 1e-12 ||A||
     rng = np.random.default_rng(seed)
     pat = random_pattern(rng, kind)
-    pat = BlockPattern(pat.ell, pat.q, 3, 4, pat.placements, pat.structure_class)
+    pat = BlockPattern(pat.ell, pat.q, 3, 4, pat.cells, pat.klass, pat.structure_class)
     a = struct_assemble(pat, random_blocks(rng, pat))
     t = mat_to_tensor(a, pat)
     tk = hosvd(t, t.shape)
@@ -336,7 +336,7 @@ def _any_rep(form, rng):
                       for _ in range(int(rng.integers(MAX_LEVELS)))]
     for t in range(len(levels) - 2, -1, -1):
         lv = levels[t]
-        levels[t] = BlockPattern(lv.ell, lv.q, *levels[t + 1].shape, lv.placements,
+        levels[t] = BlockPattern(lv.ell, lv.q, *levels[t + 1].shape, lv.cells, lv.klass,
                                  lv.structure_class)
     mlp = MultilevelPattern(levels=tuple(levels))
     tk = hosvd(rng.standard_normal(mlp.dims), random_ranks(rng, mlp.dims))
