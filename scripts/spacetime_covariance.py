@@ -47,8 +47,9 @@ def main() -> None:
         metrics = report_metrics(pattern, rep, trace_ref=float(n * t))
         status = "-"
         if args.cholesky:
-            u = rep.basis
-            chat = struct_assemble(pattern, [u @ b @ u.T for b in rep.blocks])
+            # struct_assemble, not rep.densify(): the default 12000^2
+            # matrix is above densify's size cap
+            chat = struct_assemble(*rep.cell_blocks())
             chat[np.diag_indices_from(chat)] += KernelConfig().nugget
             try:
                 scipy.linalg.cholesky(chat, lower=True, overwrite_a=True,

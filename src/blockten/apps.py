@@ -100,10 +100,6 @@ class LtiSystem:
         if c.ndim != 2 or c.shape[1] != a.shape[0]:
             raise ShapeError("output matrix columns must match the state dimension")
 
-    @property
-    def order(self) -> int:
-        return self.a.shape[0]
-
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvals(self.a)
 
@@ -145,8 +141,6 @@ class EraResult:
     reduced_hankel: np.ndarray
     basis_left: np.ndarray
     basis_right: np.ndarray
-    sing_vals: np.ndarray
-    tera: bool
 
     def hankel_approx(self) -> np.ndarray:
         """Dense ``(I (x) U) R (I (x) W^T)`` (small instances only)."""
@@ -232,8 +226,6 @@ def era_identify_compressed(
         reduced_hankel=reduced,
         basis_left=u,
         basis_right=w,
-        sing_vals=sing_vals,
-        tera=tera,
     )
 
 
@@ -327,8 +319,8 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
         The computable subset of ``relerr_fro`` (nonzero matrix supplied),
         ``relerr_trace`` (``rep.trace`` is not None) and ``storage_ratio``:
         ``rep.stored_scalars()`` over the matrix's ``nnz`` (its nonzero
-        values), or over ``rep.distinct_scalars()`` when the kind defines
-        it.  Both read a matrix through its nonzero cells.
+        values; none for a zero matrix), or over ``rep.distinct_scalars()``
+        when the kind defines it.  Both read a matrix through its nonzero cells.
 
     Raises:
         ShapeError: If the matrix shape differs from the representation's.
@@ -344,7 +336,8 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
         metrics["storage_ratio"] = rep.stored_scalars() / rep.distinct_scalars()
     elif matrix is not None:
         nnz = _cells(matrix, *matrix.shape, 1, 1).nnz()  # 1 x 1 cells: just the entries
-        metrics["storage_ratio"] = rep.stored_scalars() / nnz
+        if nnz:
+            metrics["storage_ratio"] = rep.stored_scalars() / nnz
 
     if matrix is not None:
         try:

@@ -557,6 +557,22 @@ def _scatter(pattern: BlockPattern, items, divisors, block_shape=None) -> np.nda
     return out.reshape(pattern.ell * bm, pattern.q * bn)
 
 
+def _class_grid_operator(pattern: BlockPattern, items: np.ndarray) -> scipy.sparse.bsr_matrix:
+    """``sum_k E_k (x) items[k]`` as a block-sparse matrix: ``items[k] /
+    sqrt(eta_k)`` on every cell of class ``k``, the cells in row-major order.
+    ``items`` is a ``(p, bm, bn)`` stack of any block shape; the operator
+    holds one copy per cell, so it stores ``sum(counts) * bm * bn`` values."""
+    shape = (pattern.ell * items.shape[1], pattern.q * items.shape[2])
+    if 0 in items.shape[1:]:  # scipy rejects a zero block extent
+        return scipy.sparse.bsr_matrix(shape)
+    flat = np.flatnonzero(pattern.class_of >= 0)
+    klass = pattern.class_of.flat[flat]
+    data = np.asarray(items, dtype=np.float64)[klass]
+    data /= np.sqrt(pattern.counts)[klass, None, None]  # in place: no second stack
+    indptr = np.searchsorted(flat, pattern.q * np.arange(pattern.ell + 1))
+    return scipy.sparse.bsr_matrix((data, flat % pattern.q, indptr), shape=shape)
+
+
 def struct_assemble(pattern: BlockPattern, blocks) -> np.ndarray:
     """Assemble ``sum_k E_k (x) sqrt(eta_k) A_k``: block ``A_k`` lands
     verbatim on every cell of class ``k``."""

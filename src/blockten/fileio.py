@@ -7,6 +7,7 @@ IEEE doubles exactly.
 
 from __future__ import annotations
 
+import math
 import os
 from pathlib import Path
 
@@ -136,7 +137,7 @@ def read_vector(path) -> np.ndarray:
                 raise ContainerFormatError(
                     f"{path}:{lineno}: not a decimal literal: {text!r}"
                 ) from exc
-            if not np.isfinite(values[-1]):
+            if not math.isfinite(values[-1]):
                 raise ContainerFormatError(f"{path}:{lineno}: non-finite value {text!r}")
     if not values:
         raise ContainerFormatError(f"{path}: no values")
@@ -148,6 +149,6 @@ def write_vector(path, x) -> None:
 
     def _write(tmp):
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(repr(float(v)) + "\n" for v in x)
+            fh.writelines(repr(v) + "\n" for v in x.tolist())
 
     _replace_into(path, _write)

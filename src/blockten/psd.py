@@ -23,6 +23,7 @@ block):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -79,16 +80,16 @@ class SpsdRep:
 
     def as_blr(self) -> BlockLowRankRep:
         """The same operator as a block-low-rank representation."""
-        eta = np.sqrt(np.array(self.pattern.counts, dtype=np.float64))
-        return BlockLowRankRep(
-            pattern=self.pattern,
-            left=self.basis.copy(),
-            right=self.basis.copy(),
-            middles=self.blocks * eta[:, None, None],
-        )
+        eta = np.sqrt(self.pattern.counts)[:, None, None]
+        return BlockLowRankRep(pattern=self.pattern, left=self.basis.copy(),
+                               right=self.basis.copy(), middles=self.blocks * eta)
+
+    @cached_property
+    def _blr(self) -> BlockLowRankRep:
+        return self.as_blr()  # built at the first product and kept
 
     def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-        return self.as_blr().matvec(x, counter)
+        return self._blr.matvec(x, counter)
 
     def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
         """Every cell of class ``k`` holds ``U blocks[k] U^T``."""
@@ -249,17 +250,12 @@ def spsd_compress(a: np.ndarray, pattern: BlockPattern, r: int) -> SpsdRep:
     Returns:
         :class:`SpsdRep` representing ``(I (x) UU^T) A (I (x) UU^T)``.
     """
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("spsd_compress expects a square matrix")
-    blocks = extract_blocks(a, pattern)
-    return spsd_compress_blocks(pattern, blocks, r)
+    return spsd_compress_blocks(pattern, extract_blocks(a, pattern), r)
 
 
 def spd_compress(a: np.ndarray, pattern: BlockPattern, r: int) -> SpdRep:
     """SPD-preserving compression of ``a``: :func:`spd_compress_blocks` of
     its blocks, extracted exactly."""
-    if a.shape[0] != a.shape[1]:
-        raise ShapeError("spd_compress expects a square matrix")
     return spd_compress_blocks(pattern, extract_blocks(a, pattern), r)
 
 
@@ -280,8 +276,6 @@ def spd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpdRep:
         PatternMismatchError: If cell (1, 1) belongs to no class or the
             remainder is not transpose-closed.
     """
-    if pattern.shape[0] != pattern.shape[1]:
-        raise ShapeError("spd_compress expects a square matrix")
     if pattern.ell != pattern.q or pattern.m != pattern.n:
         raise ShapeError("spd_compress needs a square grid of square blocks")
     anchor_class = pattern.class_of[0, 0]

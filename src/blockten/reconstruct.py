@@ -13,9 +13,9 @@ here keep the source pattern without materializing Kronecker products:
   orthonormal-ish side bases ``L``, ``R`` and a block-sparse middle ``S``
   holding one small block per class.
 
-Matrix-vector products use ``(C (x) D) vec(X) = vec(D X C^T)`` blockwise and
-optionally tally multiply-add counts into a :class:`FlopCounter`, which is
-how the linear-in-rank cost claim is checked.
+Products (``KronSumRep`` through ``blocks._class_grid_operator``) optionally
+tally multiply-add counts into a :class:`FlopCounter`, which is how the
+linear-in-rank cost claim is checked.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from .blocks import (
     BlockPattern,
     _cells,
     _check_dense_size,
+    _class_grid_operator,
     _to_check,
     struct_assemble,
 )
@@ -103,26 +104,20 @@ class KronSumRep:
 
     @cached_property
     def _c_stack(self) -> sp.csr_matrix:
-        """Sparse ``[C_1 ... C_r]`` side by side, read off the pattern's
-        class grid once and kept."""
-        pat = self.pattern
-        rows, cols = np.nonzero(pat.class_of >= 0)
-        values = (self.coeffs / np.sqrt(pat.counts)[:, None])[pat.class_of[rows, cols]]
-        r = self.n_terms
-        return sp.csr_matrix(
-            (values.T.ravel(), (np.tile(rows, r), (cols + pat.q * np.arange(r)[:, None]).ravel())),
-            shape=(pat.ell, pat.q * r),
-        )
+        """Sparse ``sum_k E_k (x) coeffs[k]``, whose column ``c * r + j``
+        holds ``C_j[:, c]``; built at the first product and kept."""
+        return _class_grid_operator(self.pattern, self.coeffs[:, None, :]).tocsr()
 
     def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-        """``sum_j (C_j (x) D_j) x`` as one sparse product with ``[C_1 ... C_r]``."""
+        """``sum_j (C_j (x) D_j) x`` as one sparse product with the stacked
+        ``C_j``: row ``c * r + j`` of the right-hand side is ``(D_j x_c)^T``."""
         pat = self.pattern
         _check_vector(x, pat.shape[1])
         m, n, q, r = pat.m, pat.n, pat.q, self.n_terms
-        dx = self.terms @ x.reshape((n, q), order="F")  # D_j X for every term, (r, m, q)
+        dx = x.reshape(q, n) @ self.terms.reshape(r * m, n).T  # row c is x_c^T
         if counter is not None:
             counter.add(r * (2 * m * n * q + 2 * m * sum(pat.counts)))
-        return (self._c_stack @ dx.transpose(0, 2, 1).reshape(r * q, m)).ravel()
+        return (self._c_stack @ dx.reshape(q * r, m)).ravel()
 
     def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
         items = np.tensordot(self.coeffs, self.terms, axes=(1, 0))

@@ -300,6 +300,34 @@ def test_zero_class_pattern_maps_to_zero_matrix():
     np.testing.assert_array_equal(struct_scalars(pat, np.zeros(0)), np.zeros((2, 2)))
 
 
+def _kron_sum_oracle(pat, items):
+    """Dense ``sum_k kron(E_k, items[k])``."""
+    bm, bn = items.shape[1:]
+    out = np.zeros((pat.ell * bm, pat.q * bn))
+    for k, item in enumerate(items):
+        out += np.kron(placement_matrix(pat, k), item)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS))
+def test_class_grid_operator_is_the_kron_sum_over_placements(seed, kind):
+    rng = np.random.default_rng(seed)
+    pat = random_pattern(rng, kind)
+    bm, bn = (int(e) for e in rng.integers(1, 5, size=2))  # any block shape
+    items = rng.standard_normal((pat.p, bm, bn))
+    op = block_maps._class_grid_operator(pat, items)
+    assert op.shape == (pat.ell * bm, pat.q * bn) and op.blocksize == (bm, bn)
+    np.testing.assert_allclose(op.toarray(), _kron_sum_oracle(pat, items), rtol=1e-15, atol=0)
+
+
+def test_class_grid_operator_of_a_zero_class_pattern_is_zero():
+    pat = BlockPattern(3, 2, 2, 2, np.zeros((0, 2)), np.zeros(0))
+    op = block_maps._class_grid_operator(pat, np.zeros((0, 1, 4)))
+    assert op.shape == (3, 8) and op.nnz == 0
+    np.testing.assert_array_equal(op.toarray(), np.zeros((3, 8)))
+
+
 def test_struct_assemble_block_count_validation():
     pat = build_pattern("diagonal", 2, 2, 2, 2)
     with pytest.raises(ShapeError):

@@ -211,6 +211,62 @@ def test_matvec_matches_dense_product(toep, tmp_path, capsys):
     assert np.linalg.norm(a @ x - y) <= 1e-12 * np.linalg.norm(a @ x)
 
 
+def test_randomized_tol_picks_the_exact_tol_ranks(tmp_path, capsys):
+    # every mode has multilinear rank 2 and the rest of its spectrum is
+    # roundoff, so the budget must keep exactly the ranks the exact --tol run keeps
+    rng = np.random.default_rng(111)
+    pattern = build_pattern("toeplitz", 5, 5, 6, 6)
+    x, z = rng.standard_normal((6, 2)), rng.standard_normal((6, 2))
+    blocks = [(x * c) @ z.T for c in rng.standard_normal((pattern.p, 2))]
+    path = tmp_path / "a.mtx"
+    write_matrix(path, struct_assemble(pattern, blocks))
+    args = ("--block-rows", 6, "--block-cols", 6, "--method", "hosvd", "--tol", "1e-8")
+    code, out, _ = run_cli(capsys, "compress", path, "-o", tmp_path / "exact.btc", *args)
+    assert code == 0
+    exact_ranks = kv(out)["ranks"]
+    blobs = []
+    for name in ("r1.btc", "r2.btc"):
+        code, out, err = run_cli(capsys, "compress", path, "-o", tmp_path / name, *args,
+                                 "--randomized", "--seed", 5)
+        assert code == 0, err
+        assert kv(out)["ranks"] == exact_ranks == "2,2,2"
+        assert float(kv(out)["relerr_fro"]) <= 1e-8
+        blobs.append((tmp_path / name).read_bytes())
+    assert blobs[0] == blobs[1]
+
+
+def test_report_on_an_spd_container_prints_its_rank(tmp_path, capsys):
+    path = tmp_path / "spd.mtx"
+    write_matrix(path, spd_block_toeplitz(np.random.default_rng(112), s=4, m=5))
+    out_c = tmp_path / "spd.btc"
+    code, _, _ = run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", 5,
+                         "--block-cols", 5, "--method", "spd", "--rank", 3)
+    assert code == 0
+    code, out, _ = run_cli(capsys, "report", out_c)
+    assert code == 0
+    assert kv(out)["kind"] == "SpdRep" and kv(out)["rank"] == "3"
+
+
+@pytest.mark.parametrize("kind", ["kron_sum", "blr", "multilevel"])
+def test_report_against_a_zero_matrix_leaves_the_ratio_out(toep, tmp_path, capsys, kind):
+    if kind == "multilevel":
+        out_c, rep = _multilevel_container(tmp_path)
+    else:
+        out_c = tmp_path / "c.btc"
+        code, _, _ = run_cli(capsys, "compress", toep[0], "-o", out_c, "--block-rows", 4,
+                             "--block-cols", 4, "--method", "hosvd", "--rank", 2,
+                             "--output", kind)
+        assert code == 0
+        rep = container_read(out_c)
+    zero = tmp_path / "zero.mtx"
+    write_matrix(zero, np.zeros(rep.shape))
+    code, out, err = run_cli(capsys, "report", out_c, "--matrix", zero)
+    assert code == 0, err
+    pairs = kv(out)
+    assert pairs["shape"] == f"{rep.shape[0]} x {rep.shape[1]}"
+    assert "storage_ratio" not in pairs and "relerr_fro" not in pairs
+
+
 @pytest.mark.parametrize("scale", [1e160, 1e-160, 1e-170])
 def test_tol_compress_does_not_depend_on_the_matrix_scale(tmp_path, capsys, scale):
     # near 1e160 the squared norm overflows, near 1e-170 it underflows to 0

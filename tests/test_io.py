@@ -174,6 +174,20 @@ def test_container_blr_roundtrip(tmp_path):
     _assert_bit_identical_rewrite(path, back, tmp_path)
 
 
+@pytest.mark.parametrize("form", ["kron_sum", "blr"])
+def test_container_of_rank_zero_reads_and_multiplies_to_zero(tmp_path, form):
+    pat = build_pattern("toeplitz", 3, 3, 2, 2)
+    if form == "blr":
+        rep = BlockLowRankRep(pat, np.zeros((2, 0)), np.zeros((2, 0)), np.zeros((pat.p, 0, 0)))
+    else:
+        rep = KronSumRep(pat, np.zeros((pat.p, 0)), np.zeros((0, 2, 2)))
+    path = tmp_path / "rep.btc"
+    container_write(path, rep)
+    back = container_read(path)
+    np.testing.assert_array_equal(back.matvec(np.ones(6)), np.zeros(6))
+    np.testing.assert_array_equal(densify(back), np.zeros((6, 6)))
+
+
 def test_container_multilevel_keeps_identity_markers(tmp_path):
     rng = np.random.default_rng(7)
     inner = build_pattern("banded", 4, 4, 3, 3, band=1)

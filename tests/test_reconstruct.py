@@ -306,6 +306,34 @@ def test_error_fro_resolves_roundoff_level_errors(seed, kind, form):
     assert abs(got - _oracle_error(a, densify(rep))) <= 1e-12
 
 
+def test_kron_sum_matvec_reads_no_per_class_placements(monkeypatch):
+    rng = np.random.default_rng(17)
+    pat = build_pattern("toeplitz", 4, 4, 3, 3)
+    a = struct_assemble(pat, random_blocks(rng, pat))
+    rep, dense = _form_of("kron", pat, mat_to_tensor(a, pat), rng)
+
+    def no_placements(_):
+        raise AssertionError("matvec walked the per-class placements")
+
+    monkeypatch.setattr(BlockPattern, "placements", property(no_placements))
+    x = rng.standard_normal(rep.shape[1])
+    np.testing.assert_allclose(rep.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("form", ["spsd", "spd"])
+def test_spsd_builds_its_blr_once(form, monkeypatch):
+    rng = np.random.default_rng(18)
+    pat = _square_blocks(build_pattern("toeplitz", 4, 4, 3, 3), square_grid=form == "spd")
+    rep, dense = _form_of(form, pat, None, rng)
+    calls = []
+    as_blr = SpsdRep.as_blr
+    monkeypatch.setattr(SpsdRep, "as_blr", lambda self: calls.append(1) or as_blr(self))
+    for _ in range(3):
+        x = rng.standard_normal(rep.shape[1])
+        np.testing.assert_allclose(rep.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+    assert len(calls) == 1
+
+
 def test_rep_shape_validation():
     pat = build_pattern("diagonal", 2, 2, 2, 2)
     with pytest.raises(ShapeError):
