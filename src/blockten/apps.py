@@ -20,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.sparse
 from scipy.spatial.distance import cdist
 
 from .blocks import (
     BlockPattern,
-    _cells,
     blocks_to_tensor,
     build_pattern,
     struct_assemble,
@@ -100,9 +100,6 @@ class LtiSystem:
         if c.ndim != 2 or c.shape[1] != a.shape[0]:
             raise ShapeError("output matrix columns must match the state dimension")
 
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvals(self.a)
-
 
 def markov_from_lti(system: LtiSystem, count: int) -> MarkovSequence:
     """First ``count`` Markov parameters ``h_k = C A^(k-1) B`` (1-based)."""
@@ -141,13 +138,6 @@ class EraResult:
     reduced_hankel: np.ndarray
     basis_left: np.ndarray
     basis_right: np.ndarray
-
-    def hankel_approx(self) -> np.ndarray:
-        """Dense ``(I (x) U) R (I (x) W^T)`` (small instances only)."""
-        s = self.pattern.ell
-        lift_l = np.kron(np.eye(s), self.basis_left)
-        lift_r = np.kron(np.eye(s), self.basis_right)
-        return lift_l @ self.reduced_hankel @ lift_r.T
 
 
 def era_identify_compressed(
@@ -319,8 +309,8 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
         The computable subset of ``relerr_fro`` (nonzero matrix supplied),
         ``relerr_trace`` (``rep.trace`` is not None) and ``storage_ratio``:
         ``rep.stored_scalars()`` over the matrix's ``nnz`` (its nonzero
-        values; none for a zero matrix), or over ``rep.distinct_scalars()``
-        when the kind defines it.  Both read a matrix through its nonzero cells.
+        values, duplicates of a sparse matrix added first; none for a zero
+        matrix), or over ``rep.distinct_scalars()`` when the kind defines it.
 
     Raises:
         ShapeError: If the matrix shape differs from the representation's.
@@ -335,7 +325,9 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
     if rep.distinct_scalars is not None:
         metrics["storage_ratio"] = rep.stored_scalars() / rep.distinct_scalars()
     elif matrix is not None:
-        nnz = _cells(matrix, *matrix.shape, 1, 1).nnz()  # 1 x 1 cells: just the entries
+        # a copy: counting sums a sparse matrix's duplicates in place
+        sparse = scipy.sparse.issparse(matrix)
+        nnz = matrix.tocsr(copy=True).count_nonzero() if sparse else np.count_nonzero(matrix)
         if nnz:
             metrics["storage_ratio"] = rep.stored_scalars() / nnz
 

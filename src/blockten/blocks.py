@@ -15,7 +15,8 @@ cells no class claims).  A matrix is read through its 4-D block view
 ``(i, j)``; with ``rows_k`` and ``cols_k`` the columns of ``placements[k]``
 (class ``k``'s rows of the table), ``view[rows_k, :, cols_k, :]``
 gathers every copy of class ``k`` at once, and the same index on the left of
-an assignment scatters them.  Loops run over classes, never over cells.
+an assignment scatters them.  Products read the cells in row-major order
+through one class-grid CSR matrix (:func:`_class_grid`).
 
 With that normalization the matrix and its weighted tensor are isometric:
 ``mat_to_tensor`` stacks ``sqrt(eta_k) * A_k`` as lateral slices of an
@@ -91,6 +92,9 @@ class BlockPattern:
             purely descriptive.
         class_of: Derived read-only ``(ell, q)`` int64 grid holding the class
             of every cell, ``-1`` where no class claims it.
+        row_major: Derived read-only ``(indptr, cols, klass)``: the cells in
+            row-major order, block row ``i`` holding ``indptr[i]:indptr[i + 1]``,
+            with the grid column and the class of each.
 
     ``counts`` and ``placements`` (one read-only ``(eta_k, 2)`` view of
     ``cells`` per class) are derived from the table on first use.
@@ -104,6 +108,7 @@ class BlockPattern:
     klass: np.ndarray
     structure_class: str = "general"
     class_of: np.ndarray = field(init=False, repr=False)
+    row_major: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False, repr=False)
 
     def _key(self) -> tuple:  # the table is normalized: equal bytes, equal tables
         return (self.ell, self.q, self.m, self.n, self.structure_class,
@@ -137,7 +142,7 @@ class BlockPattern:
                 f"placement outside the {self.ell} x {self.q} grid" if counts[k]
                 else "placements must be a nonempty (eta, 2) array"))
         flat = cells[:, 0] * self.q + cells[:, 1]
-        first = np.unique(flat, return_index=True)[1]
+        ids, first = np.unique(flat, return_index=True)  # ids: the cells row-major
         if len(first) < len(flat):
             repeated = np.ones(len(flat), dtype=bool)
             repeated[first] = False
@@ -145,11 +150,14 @@ class BlockPattern:
             raise ShapeError(f"grid cell ({i + 1}, {j + 1}) claimed by two classes")
         class_of = np.full((self.ell, self.q), -1, dtype=np.int64)
         class_of.flat[flat] = klass
-        for arr in (cells, klass, class_of):
+        indptr = np.searchsorted(ids, self.q * np.arange(self.ell + 1))
+        row_major = (indptr, ids % self.q, klass[first])
+        for arr in (cells, klass, class_of, *row_major):
             arr.flags.writeable = False
         object.__setattr__(self, "cells", cells)
         object.__setattr__(self, "klass", klass)
         object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "row_major", row_major)
 
     @cached_property
     def counts(self) -> tuple[int, ...]:
@@ -306,9 +314,6 @@ class _DenseCells:
             prints.append(_fingerprint(bits, keys))
         return np.concatenate(ids), np.concatenate(prints)
 
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.a))
-
     def scale_exponent(self) -> int:
         return scale_exponent(self.a)
 
@@ -356,9 +361,6 @@ class _SparseCells:
         bits = self.stack[nonzero].view(np.uint64).transpose(1, 0, 2)
         return self.ids[nonzero], _fingerprint(bits, keys)
 
-    def nnz(self) -> int:
-        return int(np.count_nonzero(self.stack))
-
     def scale_exponent(self) -> int:
         return scale_exponent(self.stack)
 
@@ -375,7 +377,7 @@ def _cells(a, ell: int, q: int, m: int, n: int):
       flat ids ``row * q + col``, an absent cell reading as zeros;
     * ``nonzero_fingerprints(keys)`` -- the flat ids, in row-major order, of
       the cells holding a nonzero value, and their :func:`_fingerprint`;
-    * ``nnz()`` and ``scale_exponent()`` of the whole matrix.
+    * ``scale_exponent()`` of the whole matrix.
 
     Raises:
         ShapeError: If the present cells of a sparse matrix would hold more
@@ -557,20 +559,20 @@ def _scatter(pattern: BlockPattern, items, divisors, block_shape=None) -> np.nda
     return out.reshape(pattern.ell * bm, pattern.q * bn)
 
 
-def _class_grid_operator(pattern: BlockPattern, items: np.ndarray) -> scipy.sparse.bsr_matrix:
-    """``sum_k E_k (x) items[k]`` as a block-sparse matrix: ``items[k] /
-    sqrt(eta_k)`` on every cell of class ``k``, the cells in row-major order.
-    ``items`` is a ``(p, bm, bn)`` stack of any block shape; the operator
-    holds one copy per cell, so it stores ``sum(counts) * bm * bn`` values."""
-    shape = (pattern.ell * items.shape[1], pattern.q * items.shape[2])
-    if 0 in items.shape[1:]:  # scipy rejects a zero block extent
-        return scipy.sparse.bsr_matrix(shape)
-    flat = np.flatnonzero(pattern.class_of >= 0)
-    klass = pattern.class_of.flat[flat]
-    data = np.asarray(items, dtype=np.float64)[klass]
-    data /= np.sqrt(pattern.counts)[klass, None, None]  # in place: no second stack
-    indptr = np.searchsorted(flat, pattern.q * np.arange(pattern.ell + 1))
-    return scipy.sparse.bsr_matrix((data, flat % pattern.q, indptr), shape=shape)
+def _class_grid(pattern: BlockPattern, values: np.ndarray, key: str) -> scipy.sparse.csr_matrix:
+    """The class-grid CSR matrix: block row ``i`` holds, for every claimed
+    cell ``(i, c)`` of class ``k`` in row-major order, the ``w`` entries
+    ``values[k] / sqrt(eta_k)`` under column block ``c`` (``key="col"``:
+    ``sum_k E_k (x) values[k]``, shape ``(ell, q * w)``) or ``values[c] /
+    sqrt(eta_k)`` under column block ``k`` (``key="class"``: column block
+    ``k`` is ``E_k @ values``, shape ``(ell, p * w)``).  A class met twice in
+    one block row repeats its columns there, and a product adds them."""
+    indptr, cols, klass = pattern.row_major
+    by, pick, extent = (cols, klass, pattern.q) if key == "col" else (klass, cols, pattern.p)
+    w = values.shape[1]
+    data = (values[pick] / np.sqrt(pattern.counts)[klass, None]).ravel()
+    indices = (by[:, None] * w + np.arange(w)).ravel()
+    return scipy.sparse.csr_matrix((data, indices, indptr * w), shape=(pattern.ell, extent * w))
 
 
 def struct_assemble(pattern: BlockPattern, blocks) -> np.ndarray:

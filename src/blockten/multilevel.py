@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPattern, _band_cells, extract_blocks, struct_expand
+from .blocks import BlockPattern, _band_cells, _class_grid, extract_blocks, struct_expand
 from .decomp import TuckerRep
 from .errors import PatternMismatchError, ShapeError
 from .reconstruct import _check_vector, densify
@@ -211,11 +211,11 @@ class MultilevelTuckerRep:
 
 
 def _level_stack(level: BlockPattern, factor: np.ndarray | None) -> np.ndarray:
-    """``(ell, q, r)`` array whose ``[:, :, c]`` is ``sum_k factor[k, c] E_k``,
-    read off the class grid (an identity ``factor`` when it is ``None``)."""
+    """``(ell, q, r)`` array whose ``[:, :, c]`` is ``sum_k factor[k, c] E_k``
+    (an identity ``factor`` when it is ``None``): the level's class-grid CSR
+    of ``factor`` keyed by column, densified."""
     f = np.eye(level.p) if factor is None else factor
-    coef = np.vstack([f / np.sqrt(level.counts)[:, None], np.zeros(f.shape[1])])
-    return coef[level.class_of]  # class -1 (no class) picks the zero row
+    return _class_grid(level, f, key="col").toarray().reshape(level.ell, level.q, f.shape[1])
 
 
 # ---------------------------------------------------------------------------

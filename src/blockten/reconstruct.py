@@ -13,9 +13,9 @@ here keep the source pattern without materializing Kronecker products:
   orthonormal-ish side bases ``L``, ``R`` and a block-sparse middle ``S``
   holding one small block per class.
 
-Products (``KronSumRep`` through ``blocks._class_grid_operator``) optionally
-tally multiply-add counts into a :class:`FlopCounter`, which is how the
-linear-in-rank cost claim is checked.
+Both apply themselves through one class-grid CSR matrix
+(``blocks._class_grid``) and optionally tally multiply-add counts into a
+:class:`FlopCounter`, which is how the linear-in-rank cost claim is checked.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .blocks import (
     BlockPattern,
     _cells,
     _check_dense_size,
-    _class_grid_operator,
+    _class_grid,
     _to_check,
     struct_assemble,
 )
@@ -106,7 +106,7 @@ class KronSumRep:
     def _c_stack(self) -> sp.csr_matrix:
         """Sparse ``sum_k E_k (x) coeffs[k]``, whose column ``c * r + j``
         holds ``C_j[:, c]``; built at the first product and kept."""
-        return _class_grid_operator(self.pattern, self.coeffs[:, None, :]).tocsr()
+        return _class_grid(self.pattern, self.coeffs, key="col")
 
     def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
         """``sum_j (C_j (x) D_j) x`` as one sparse product with the stacked
@@ -160,20 +160,25 @@ class BlockLowRankRep:
     def shape(self) -> tuple[int, int]:
         return self.pattern.shape
 
+    @cached_property
+    def _middle_stack(self) -> np.ndarray:
+        """The middles as ``(p * r_right, r_left)`` (row ``k * r_right + b`` is
+        ``middles[k][:, b]``): a view of ``(k, b, a)``-ordered middles, else a copy."""
+        p, rl, rr = self.middles.shape
+        return np.ascontiguousarray(self.middles.transpose(0, 2, 1)).reshape(p * rr, rl)
+
     def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-        """``(I (x) left) S (I (x) right^T) x``, one middle product per class."""
+        """``(I (x) left) S (I (x) right^T) x``: the class-grid CSR of the
+        ``right^T x_c`` keyed by class, times the stacked middles."""
         pat = self.pattern
         _check_vector(x, pat.shape[1])
         rl, rr = self.left.shape[1], self.right.shape[1]
-        z = self.right.T @ x.reshape((pat.n, pat.q), order="F")
-        yb = np.zeros((rl, pat.ell))
-        for k, cells in enumerate(pat.placements):
-            s_k = self.middles[k] / np.sqrt(len(cells))
-            np.add.at(yb, (slice(None), cells[:, 0]), s_k @ z[:, cells[:, 1]])
+        z = x.reshape(pat.q, pat.n) @ self.right  # row c is (right^T x_c)^T
+        y = _class_grid(pat, z, key="class") @ self._middle_stack
         if counter is not None:
             counter.add(2 * pat.n * rr * pat.q + 2 * rl * rr * sum(pat.counts)
                         + 2 * pat.m * rl * pat.ell)
-        return (self.left @ yb).reshape(-1, order="F")
+        return (y @ self.left.T).ravel()
 
     def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
         items = self.left @ self.middles @ self.right.T
@@ -261,8 +266,7 @@ def blr_from_tucker(t: TuckerRep, pattern: BlockPattern) -> BlockLowRankRep:
     left = np.eye(pattern.m) if u is None else u.copy()
     right = np.eye(pattern.n) if w is None else w.copy()
     middles = np.moveaxis(t.core, 1, 0) if v is None else np.einsum("ajb,kj->kab", t.core, v)
-    return BlockLowRankRep(pattern=pattern, left=left, right=right,
-                           middles=np.ascontiguousarray(middles))
+    return BlockLowRankRep(pattern=pattern, left=left, right=right, middles=middles)
 
 
 def blr_from_kruskal(k: KruskalRep, pattern: BlockPattern) -> BlockLowRankRep:

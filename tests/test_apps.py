@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from blockten import build_pattern, struct_assemble
 from blockten.apps import (
@@ -88,12 +89,18 @@ def test_markov_from_lti_matches_power_formula():
 # ---------------------------------------------------------------------------
 
 
+def _lift(res):
+    """Dense ``(I (x) U) R (I (x) W^T)`` of an :class:`EraResult`."""
+    eye = np.eye(res.pattern.ell)
+    return np.kron(eye, res.basis_left) @ res.reduced_hankel @ np.kron(eye, res.basis_right).T
+
+
 def test_exact_small_system_recovered():
     rng = np.random.default_rng(42)
     sys = _random_stable_lti(rng, 2, 1, 1)
     seq = markov_from_lti(sys, 19)
     res = era_identify_compressed(seq, (1, 19, 1), order=2)
-    assert hausdorff_eigs(res.system.eigenvalues(), sys.eigenvalues()) < 1e-8
+    assert hausdorff_eigs(np.linalg.eigvals(res.system.a), np.linalg.eigvals(sys.a)) < 1e-8
 
 
 def test_full_rank_approx_equals_hankel():
@@ -102,9 +109,7 @@ def test_full_rank_approx_equals_hankel():
     seq = markov_from_lti(sys, 15)
     pat, blocks = hankel_pattern_from_markov(seq)
     res = era_identify_compressed(seq, (2, 15, 2), order=3)
-    np.testing.assert_allclose(
-        res.hankel_approx(), struct_assemble(pat, blocks), atol=1e-11
-    )
+    np.testing.assert_allclose(_lift(res), struct_assemble(pat, blocks), atol=1e-11)
 
 
 def test_identified_system_reproduces_markov_parameters():
@@ -128,7 +133,7 @@ def test_tera_reduced_hankel_holds_projected_parameters():
     # lifted: (I (x) U) struct(U^T h_k W) (I (x) W^T)
     s = seq.s
     lift = np.kron(np.eye(s), u) @ ref @ np.kron(np.eye(s), w).T
-    np.testing.assert_allclose(res.hankel_approx(), lift, atol=1e-12)
+    np.testing.assert_allclose(_lift(res), lift, atol=1e-12)
 
 
 def test_degenerate_and_invalid_inputs():
@@ -299,6 +304,23 @@ def test_kron_storage_ratio_counts_nonzeros():
     assert np.isclose(metrics["storage_ratio"], stored / np.count_nonzero(a),
                       rtol=1e-15)
     assert metrics["relerr_fro"] < 1e-12
+
+
+def test_storage_ratio_is_the_same_for_every_matrix_kind():
+    rng = np.random.default_rng(14)
+    pat = build_pattern("banded", 4, 4, 2, 2, band=1)
+    a = struct_assemble(pat, rng.standard_normal((pat.p, 2, 2)))
+    a[0, 1], a[2, 2] = 0.0, -0.0  # signed zeros in claimed cells
+    rep = kron_sum_from_tucker(hosvd(mat_to_tensor(a, pat), [2, pat.p, 2]), pat)
+    rows, cols = np.indices(a.shape).reshape(2, -1)
+    coo = scipy.sparse.coo_matrix(  # every entry stored, then a pair that sums to zero
+        (np.append(a.ravel(), [2.0, -2.0]), (np.append(rows, [7, 7]), np.append(cols, [0, 0]))),
+        shape=a.shape)
+    stored = [arr.copy() for arr in (coo.row, coo.col, coo.data)]
+    ratios = {report_metrics(m, rep)["storage_ratio"] for m in (a, coo, coo.tocsr())}
+    assert ratios == {rep.stored_scalars() / np.count_nonzero(a)}
+    for before, after in zip(stored, (coo.row, coo.col, coo.data)):  # the input is left alone
+        np.testing.assert_array_equal(before, after)
 
 
 def test_spd_certificate_needs_no_dense_form(monkeypatch):

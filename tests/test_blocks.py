@@ -300,32 +300,36 @@ def test_zero_class_pattern_maps_to_zero_matrix():
     np.testing.assert_array_equal(struct_scalars(pat, np.zeros(0)), np.zeros((2, 2)))
 
 
-def _kron_sum_oracle(pat, items):
-    """Dense ``sum_k kron(E_k, items[k])``."""
-    bm, bn = items.shape[1:]
-    out = np.zeros((pat.ell * bm, pat.q * bn))
-    for k, item in enumerate(items):
-        out += np.kron(placement_matrix(pat, k), item)
-    return out
+def _class_grid_oracle(pat, values, key):
+    """Dense class-grid matrix: ``sum_k kron(E_k, values[k])`` keyed by
+    column, ``sum_k kron(e_k^T, E_k @ values)`` keyed by class."""
+    eye = np.eye(pat.p)
+    if key == "col":
+        terms = [np.kron(placement_matrix(pat, k), values[k][None, :]) for k in range(pat.p)]
+    else:
+        terms = [np.kron(eye[k:k + 1], placement_matrix(pat, k) @ values) for k in range(pat.p)]
+    extent = pat.q if key == "col" else pat.p
+    return sum(terms, np.zeros((pat.ell, extent * values.shape[1])))
 
 
-@settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS))
-def test_class_grid_operator_is_the_kron_sum_over_placements(seed, kind):
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS),
+       key=st.sampled_from(["col", "class"]), width=st.integers(0, 3))
+def test_class_grid_is_the_kron_sum_over_placements(seed, kind, key, width):
     rng = np.random.default_rng(seed)
     pat = random_pattern(rng, kind)
-    bm, bn = (int(e) for e in rng.integers(1, 5, size=2))  # any block shape
-    items = rng.standard_normal((pat.p, bm, bn))
-    op = block_maps._class_grid_operator(pat, items)
-    assert op.shape == (pat.ell * bm, pat.q * bn) and op.blocksize == (bm, bn)
-    np.testing.assert_allclose(op.toarray(), _kron_sum_oracle(pat, items), rtol=1e-15, atol=0)
+    values = rng.standard_normal((pat.p if key == "col" else pat.q, width))
+    op = block_maps._class_grid(pat, values, key)
+    assert isinstance(op, scipy.sparse.csr_matrix)
+    np.testing.assert_allclose(op.toarray(), _class_grid_oracle(pat, values, key),
+                               rtol=1e-14, atol=1e-14)
 
 
-def test_class_grid_operator_of_a_zero_class_pattern_is_zero():
+@pytest.mark.parametrize("key", ["col", "class"])
+def test_class_grid_of_a_zero_class_pattern_is_zero(key):
     pat = BlockPattern(3, 2, 2, 2, np.zeros((0, 2)), np.zeros(0))
-    op = block_maps._class_grid_operator(pat, np.zeros((0, 1, 4)))
-    assert op.shape == (3, 8) and op.nnz == 0
-    np.testing.assert_array_equal(op.toarray(), np.zeros((3, 8)))
+    op = block_maps._class_grid(pat, np.zeros((0 if key == "col" else 2, 4)), key)
+    assert op.shape == (3, 8 if key == "col" else 0) and op.nnz == 0
 
 
 def test_struct_assemble_block_count_validation():

@@ -306,20 +306,6 @@ def test_error_fro_resolves_roundoff_level_errors(seed, kind, form):
     assert abs(got - _oracle_error(a, densify(rep))) <= 1e-12
 
 
-def test_kron_sum_matvec_reads_no_per_class_placements(monkeypatch):
-    rng = np.random.default_rng(17)
-    pat = build_pattern("toeplitz", 4, 4, 3, 3)
-    a = struct_assemble(pat, random_blocks(rng, pat))
-    rep, dense = _form_of("kron", pat, mat_to_tensor(a, pat), rng)
-
-    def no_placements(_):
-        raise AssertionError("matvec walked the per-class placements")
-
-    monkeypatch.setattr(BlockPattern, "placements", property(no_placements))
-    x = rng.standard_normal(rep.shape[1])
-    np.testing.assert_allclose(rep.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
-
-
 @pytest.mark.parametrize("form", ["spsd", "spd"])
 def test_spsd_builds_its_blr_once(form, monkeypatch):
     rng = np.random.default_rng(18)
@@ -371,6 +357,31 @@ def _any_rep(form, rng):
     keep = rng.random(len(mlp.dims)) < 0.5  # some modes stay uncompressed (identity)
     return MultilevelTuckerRep(pattern=mlp, tucker=tucker_partial(
         tk.reconstruct(), [r if k else None for r, k in zip(tk.ranks, keep)]))
+
+
+@pytest.mark.parametrize("form", REP_KINDS)
+def test_matvec_reads_no_per_class_placements(form, monkeypatch):
+    rng = np.random.default_rng(17)
+    rep = _any_rep(form, rng)
+    dense = rep.densify()
+
+    def no_placements(_):
+        raise AssertionError("matvec walked the per-class placements")
+
+    monkeypatch.setattr(BlockPattern, "placements", property(no_placements))
+    x = rng.standard_normal(rep.shape[1])
+    np.testing.assert_allclose(rep.matvec(x), dense @ x, rtol=1e-12, atol=1e-12)
+
+
+def test_blr_matvec_flop_count_is_pinned():
+    rng = np.random.default_rng(8)
+    pat = build_pattern("toeplitz", 6, 6, 8, 8)  # 11 classes over 36 cells
+    t = mat_to_tensor(struct_assemble(pat, random_blocks(rng, pat)), pat)
+    rep = blr_from_tucker(hosvd(t, (3, pat.p, 5)), pat)
+    counter = FlopCounter()
+    rep.matvec(rng.standard_normal(pat.shape[1]), counter)
+    # 2 n r_right q + 2 r_left r_right sum(eta) + 2 m r_left ell
+    assert counter.flops == 2 * 8 * 5 * 6 + 2 * 3 * 5 * 36 + 2 * 8 * 3 * 6 == 1848
 
 
 @settings(max_examples=60, deadline=None)
