@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse
-from scipy.spatial.distance import cdist
 
 from .blocks import (
     BlockPattern,
@@ -286,7 +285,7 @@ def spacetime_build(
             raise ShapeError("time instants must be equispaced")
 
     n, t_count = pts.shape[0], times.size
-    dists = cdist(pts, pts)
+    dists = np.sqrt(sum((col[:, None] - col[None, :]) ** 2 for col in pts.T))
     lags = np.abs(times - times[0])
     blocks = np.stack([kcfg(dists, lag) for lag in lags])
     pattern = build_pattern("toeplitz", t_count, t_count, n, n, block_symmetric=True)

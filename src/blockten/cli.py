@@ -1,19 +1,23 @@
 """Command-line surface: analyze / compress / reconstruct / matvec / report.
 
 The pipeline behind ``compress`` is: resolve the block pattern (detected, or
-named via ``--pattern``), map the matrix to its weighted tensor, factor it
-(HOSVD, single-mode Tucker, CP, or the definiteness-preserving paths), and
-serialize the structured representation to a container file.
+named via ``--pattern``) and the blocks it verifies, map them to the weighted
+tensor, factor it (HOSVD, single-mode Tucker, CP, or the definiteness-preserving
+paths), and serialize the structured representation to a container file.
 
-Every reported quantity is printed as a ``key: value`` line so runs are
-machine-parsable.  Exit codes: 0 success, 2 parse/format errors (bad flags,
-malformed files, unsupported container versions), 3 dimension/extent errors,
-4 numerical failures.  Messages go to standard error.
+Flags check their values as they are parsed, and ``_check_flags`` refuses every
+combination a command does not take, before any input is read.  Every reported
+quantity is printed as a ``key: value`` line so runs are machine-parsable.
+Exit codes: 0 success, 2 usage and parse/format errors (bad flags, malformed
+files, unsupported container versions), 3 dimension/extent errors, 4 numerical
+failures (a ``matvec`` product beyond the float range among them).  Messages
+go to standard error.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from collections import Counter
 
@@ -22,14 +26,7 @@ import numpy as np
 from .apps import report_metrics
 from .blocks import blocks_to_tensor, build_pattern, detect_pattern, extract_blocks
 from .container import container_read, container_write
-from .decomp import (
-    TuckerRep,
-    cp_als,
-    hosvd,
-    randomized_mode_basis,
-    tail_rank,
-    tucker_partial,
-)
+from .decomp import TuckerRep, cp_als, hosvd, randomized_mode_basis, tucker_partial
 from .errors import (
     ContainerExtentError,
     ContainerFormatError,
@@ -46,18 +43,43 @@ from .reconstruct import (
     kron_sum_from_kruskal,
     kron_sum_from_tucker,
 )
-from .tensor import fro_norm, unfold
+from .tensor import fro_norm, scale_exponent, unfold
 
 __all__ = ["main"]
 
 _PATTERN_CHOICES = ("auto", "banded", "toeplitz", "hankel", "diagonal")
-_METHOD_CHOICES = ("hosvd", "cp", "mode2", "spsd", "spd")
+# the compress flags each method takes besides --rank; --seed goes with every
+# method, since every container records it
+_METHOD_FLAGS = {
+    "hosvd": ("ranks", "tol", "output", "randomized", "sketch"),
+    "cp": ("output", "split"),
+    "mode2": ("tol", "output", "randomized", "sketch"),
+    "spsd": (),
+    "spd": (),
+}
 
 
-class _UsageError(Exception):
-    """Flag combinations argparse cannot express; reported like parse errors."""
+def _flag_type(convert, ok, expected: str):
+    """An argparse ``type=``: ``convert`` the text, then refuse a value
+    failing ``ok`` as not ``expected``."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+        return value
+    return parse
 
 
+_positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_tolerance = _flag_type(float, lambda v: np.isfinite(v) and v >= 0, "a finite number >= 0")
+_three_ints = _flag_type(lambda text: [int(tok) for tok in text.split(",")],
+                         lambda v: len(v) == 3, "three comma-separated integers")
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="blockten",
@@ -66,9 +88,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pattern_flags(p):
-        p.add_argument("--block-rows", type=int, required=True, metavar="M",
+        p.add_argument("--block-rows", type=_positive_int, required=True, metavar="M",
                        help="rows of one block")
-        p.add_argument("--block-cols", type=int, required=True, metavar="N",
+        p.add_argument("--block-cols", type=_positive_int, required=True, metavar="N",
                        help="columns of one block")
         p.add_argument("--pattern", choices=_PATTERN_CHOICES, default="auto",
                        help="block pattern; 'auto' groups equal blocks greedily")
@@ -76,7 +98,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="semibandwidth for --pattern banded/toeplitz")
         p.add_argument("--symmetric", action="store_true",
                        help="share classes across the diagonal (banded/toeplitz)")
-        p.add_argument("--detect-tol", type=float, default=0.0, metavar="T",
+        p.add_argument("--detect-tol", type=_tolerance, default=0.0, metavar="T",
                        help="entrywise tolerance when matching blocks")
 
     an = sub.add_parser("analyze", help="report structure and singular-value decay")
@@ -90,25 +112,25 @@ def _build_parser() -> argparse.ArgumentParser:
     co.add_argument("input", help="Matrix Market file")
     co.add_argument("-o", "--output-file", required=True, metavar="OUT.btc")
     add_pattern_flags(co)
-    co.add_argument("--method", choices=_METHOD_CHOICES, required=True)
+    co.add_argument("--method", choices=tuple(_METHOD_FLAGS), required=True)
     ranksel = co.add_mutually_exclusive_group(required=True)
-    ranksel.add_argument("--ranks", metavar="R1,R2,R3",
+    ranksel.add_argument("--ranks", type=_three_ints, metavar="R1,R2,R3",
                          help="per-mode Tucker ranks (hosvd only)")
-    ranksel.add_argument("--rank", type=int, metavar="R",
+    ranksel.add_argument("--rank", type=_positive_int, metavar="R",
                          help="single rank: every compressed mode (clipped to "
                               "its extent), the CP rank, or the shared basis rank")
-    ranksel.add_argument("--tol", type=float, metavar="EPS",
+    ranksel.add_argument("--tol", type=_tolerance, metavar="EPS",
                          help="pick smallest ranks with relative error budget EPS "
-                              "split evenly across compressed modes")
-    co.add_argument("--output", choices=("kron_sum", "blr"), default="kron_sum",
-                    help="structured output format")
+                              "split evenly across compressed modes (hosvd/mode2)")
+    co.add_argument("--output", choices=("kron_sum", "blr"), default=None,
+                    help="structured output format (hosvd/mode2/cp; default kron_sum)")
     co.add_argument("--split", choices=("factor", "qr"), default=None,
                     help="how CP components map to Kronecker terms "
                          "(--method cp --output kron_sum only; default factor)")
-    co.add_argument("--randomized", action="store_true",
-                    help="sketched range finder instead of exact SVD (hosvd/mode2)")
-    co.add_argument("--sketch", type=int, default=None, metavar="S",
-                    help="Gaussian sketch size (default rank + 5)")
+    co.add_argument("--randomized", action="store_true", default=None,
+                    help="sketched range finder instead of exact SVD (hosvd/mode2, no --tol)")
+    co.add_argument("--sketch", type=_positive_int, default=None, metavar="S",
+                    help="Gaussian sketch size (--randomized only; default rank + 5)")
     co.add_argument("--seed", type=int, default=0,
                     help="seed for the sketch stream (recorded in the container)")
     co.set_defaults(func=_cmd_compress)
@@ -132,89 +154,67 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(parser: argparse.ArgumentParser, args) -> None:
+    """Refuse every flag combination the command does not take, through
+    ``parser.error`` (exit 2); flag values were checked while parsing."""
+    if "pattern" in args:
+        if args.pattern not in ("banded", "toeplitz") and (args.band is not None or args.symmetric):
+            parser.error("--band and --symmetric apply to --pattern banded/toeplitz only")
+        if args.pattern == "banded" and args.band is None:
+            parser.error("--pattern banded needs --band")
+    if args.command != "compress":
+        return
+    for flag in ("ranks", "tol", "output", "split", "randomized", "sketch"):
+        if getattr(args, flag) is not None and flag not in _METHOD_FLAGS[args.method]:
+            parser.error(f"--{flag} does not apply to --method {args.method}")
+    if args.sketch is not None and not args.randomized:
+        parser.error("--sketch needs --randomized")
+    if args.randomized and args.tol is not None:
+        parser.error("--randomized takes --rank or --ranks, not --tol")
+    if args.randomized and args.seed < 0:
+        parser.error("--randomized needs a --seed >= 0")
+    if args.split is not None and args.output == "blr":
+        parser.error("--split needs --output kron_sum")
+
+
 # ---------------------------------------------------------------------------
 # shared helpers
 # ---------------------------------------------------------------------------
 
 
 def _resolve_pattern(a, args):
-    """``(pattern, blocks)``: a detected pattern comes with the blocks its
-    detection verified, a named one with ``None``."""
+    """``(pattern, blocks)``: the pattern of ``a``, detected or named by
+    ``--pattern``, and the blocks verified against it within ``--detect-tol``."""
     m, n = args.block_rows, args.block_cols
-    if m < 1 or n < 1:
-        raise _UsageError("block extents must be positive")
-    _check_tolerance("--detect-tol", args.detect_tol)
-    if args.pattern not in ("banded", "toeplitz") and (args.band is not None or args.symmetric):
-        raise _UsageError("--band and --symmetric apply to --pattern banded/toeplitz only")
-    if args.pattern == "banded" and args.band is None:
-        raise _UsageError("--pattern banded needs --band")
     if args.pattern == "auto":
         return detect_pattern(a, m, n, tol=args.detect_tol)
     if a.shape[0] % m or a.shape[1] % n:
         raise ShapeError(f"matrix {a.shape} is not tiled by {m} x {n} blocks")
-    return build_pattern(
+    pattern = build_pattern(
         args.pattern, a.shape[0] // m, a.shape[1] // n, m, n,
         band=args.band, block_symmetric=args.symmetric,
-    ), None
-
-
-def _blocks(a, pattern, blocks, args):
-    """The verified blocks of ``a``: the detected ones, or extracted now."""
-    return blocks if blocks is not None else extract_blocks(a, pattern, tol=args.detect_tol)
-
-
-def _check_tolerance(flag: str, value: float) -> None:
-    if not (np.isfinite(value) and value >= 0):
-        raise _UsageError(f"{flag} must be a finite number >= 0, got {value!r}")
-
-
-def _mode_singular_values(t, modes=(1, 2, 3)) -> dict[int, np.ndarray]:
-    """Exact singular values of the unfolding of each mode in ``modes``."""
-    return {k: np.linalg.svd(unfold(t, k), compute_uv=False) for k in modes}
-
-
-def _randomized_tucker(t, modes, ranks, sketch, seed) -> TuckerRep:
-    factors: list[np.ndarray | None] = [None, None, None]
-    for mode, r in zip(modes, ranks):
-        factors[mode - 1] = randomized_mode_basis(t, mode, r, sketch, seed + mode)
-    return TuckerRep.project(t, factors)
+    )
+    return pattern, extract_blocks(a, pattern, tol=args.detect_tol)
 
 
 def _tucker_for(args, t):
+    """The Tucker factorization of ``t`` the flags ask for, and the ranks of
+    its compressed modes (all three for hosvd, mode 2 for mode2)."""
     modes = (1, 2, 3) if args.method == "hosvd" else (2,)
-    budget = None
-    if args.ranks is not None:
-        if args.method != "hosvd":
-            raise _UsageError("--ranks applies to --method hosvd only")
-        try:
-            parts = [int(tok) for tok in args.ranks.split(",")]
-        except ValueError as exc:
-            raise _UsageError(f"bad --ranks value {args.ranks!r}") from exc
-        if len(parts) != 3:
-            raise _UsageError("--ranks needs exactly three integers")
-        ranks = parts
-    elif args.rank is not None:
-        ranks = [min(args.rank, t.shape[m - 1]) for m in modes]
+    # --rank is clipped to each extent; under --tol the extents are caps, and
+    # the budget picks each rank from the spectrum that also yields the basis
+    caps = args.ranks or [min(args.rank or t.shape[k - 1], t.shape[k - 1]) for k in modes]
+    if args.randomized:
+        sketch = args.sketch or max(caps) + 5
+        bases = {k: randomized_mode_basis(t, k, r, sketch, args.seed + k)
+                 for k, r in zip(modes, caps)}
+        tk = TuckerRep.project(t, [bases.get(k) for k in (1, 2, 3)])
     else:
         # each mode's tail gets an equal share of the squared budget
-        # (eps * ||T||_F)^2, passed as a norm; ||T|| = ||A|| for a
-        # conforming matrix
-        budget = args.tol * fro_norm(t) / np.sqrt(len(modes))
-        if args.randomized:
-            sv = _mode_singular_values(t, modes)
-            ranks = [tail_rank(sv[k], budget) for k in modes]
-        else:
-            # the extents are caps: the budget picks each rank from the
-            # spectrum of the factorisation that also yields the basis
-            ranks = [t.shape[k - 1] for k in modes]
-
-    if args.randomized:
-        sketch = args.sketch if args.sketch is not None else max(ranks) + 5
-        tk = _randomized_tucker(t, modes, ranks, sketch, args.seed)
-    elif args.method == "hosvd":
-        tk = hosvd(t, list(ranks), tail_budget=budget)
-    else:
-        tk = tucker_partial(t, [None, ranks[0], None], tail_budget=budget)
+        # (eps * ||T||_F)^2, passed as a norm; ||T|| = ||A|| for a conforming matrix
+        budget = None if args.tol is None else args.tol * fro_norm(t) / np.sqrt(len(modes))
+        tk = (hosvd(t, caps, tail_budget=budget) if args.method == "hosvd"
+              else tucker_partial(t, [None, caps[0], None], tail_budget=budget))
     return tk, [tk.ranks[k - 1] for k in modes]
 
 
@@ -238,8 +238,8 @@ def _cmd_analyze(args) -> int:
     hist = Counter(pattern.counts)
     print("eta_histogram: " + " ".join(
         f"{eta}x{freq}" for eta, freq in sorted(hist.items(), reverse=True)))
-    t = blocks_to_tensor(pattern, _blocks(a, pattern, blocks, args))
-    sv_modes = _mode_singular_values(t)
+    t = blocks_to_tensor(pattern, blocks)
+    sv_modes = {k: np.linalg.svd(unfold(t, k), compute_uv=False) for k in (1, 2, 3)}
     if args.machine:
         print("mode\tindex\tsingular_value")
         for mode, sv in sv_modes.items():
@@ -255,40 +255,22 @@ def _cmd_analyze(args) -> int:
 def _cmd_compress(args) -> int:
     a = read_matrix(args.input)
     pattern, blocks = _resolve_pattern(a, args)
-    if args.randomized and args.method not in ("hosvd", "mode2"):
-        raise _UsageError("--randomized applies to --method hosvd/mode2 only")
-    if args.split is not None and (args.method != "cp" or args.output != "kron_sum"):
-        raise _UsageError("--split applies to --method cp --output kron_sum only")
-    if args.rank is not None and args.rank < 1:
-        raise _UsageError("--rank must be positive")
-    if args.tol is not None:
-        _check_tolerance("--tol", args.tol)
-    if args.sketch is not None and args.sketch < 1:
-        raise _UsageError(f"--sketch must be positive, got {args.sketch}")
-
     if args.method in ("hosvd", "mode2"):
-        t = blocks_to_tensor(pattern, _blocks(a, pattern, blocks, args))
-        tk, ranks = _tucker_for(args, t)
-        rep = (kron_sum_from_tucker(tk, pattern) if args.output == "kron_sum"
-               else blr_from_tucker(tk, pattern))
+        tk, ranks = _tucker_for(args, blocks_to_tensor(pattern, blocks))
+        rep = (blr_from_tucker(tk, pattern) if args.output == "blr"
+               else kron_sum_from_tucker(tk, pattern))
     elif args.method == "cp":
-        if args.rank is None:
-            raise _UsageError("--method cp needs --rank")
-        t = blocks_to_tensor(pattern, _blocks(a, pattern, blocks, args))
-        result = cp_als(t, args.rank)
+        result = cp_als(blocks_to_tensor(pattern, blocks), args.rank)
         ranks = [args.rank]
         print(f"cp_fit: {result.fit!r}")
         print(f"cp_iterations: {result.n_iters}")
         print(f"cp_converged: {result.converged}")
-        rep = (kron_sum_from_kruskal(result.rep, pattern, split=args.split or "factor")
-               if args.output == "kron_sum"
-               else blr_from_kruskal(result.rep, pattern))
+        rep = (blr_from_kruskal(result.rep, pattern) if args.output == "blr"
+               else kron_sum_from_kruskal(result.rep, pattern, split=args.split or "factor"))
     else:  # spsd / spd
-        if args.rank is None:
-            raise _UsageError(f"--method {args.method} needs --rank")
         ranks = [args.rank]
         compress = spsd_compress_blocks if args.method == "spsd" else spd_compress_blocks
-        rep = compress(pattern, _blocks(a, pattern, blocks, args), args.rank)
+        rep = compress(pattern, blocks, args.rank)
 
     container_write(args.output_file, rep, seed=args.seed, ranks=ranks)
     print(f"kind: {type(rep).__name__}")
@@ -310,7 +292,16 @@ def _cmd_reconstruct(args) -> int:
 def _cmd_matvec(args) -> int:
     rep = container_read(args.input)
     x = read_vector(args.vector)
-    write_vector(args.output_file, rep.matvec(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = rep.matvec(x)
+        if not np.isfinite(y).all():
+            # the product or a partial sum overflowed: redo it on x scaled
+            # down exactly by a power of two, to a 1-norm below one
+            e = scale_exponent(x) + x.size.bit_length()
+            y = np.ldexp(rep.matvec(np.ldexp(x, -e)), e)
+    if not np.isfinite(y).all():
+        raise FloatingPointError("the product leaves the float range")
+    write_vector(args.output_file, y)
     print(f"wrote: {args.output_file}")
     return 0
 
@@ -337,12 +328,12 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_flags(parser, args)
     except SystemExit as exc:  # argparse prints its own message
-        code = exc.code if isinstance(exc.code, int) else 2
-        return code
+        return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (_UsageError, ContainerFormatError) as exc:
+    except (ContainerFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ShapeError, PatternMismatchError, ContainerExtentError) as exc:
@@ -352,9 +343,6 @@ def main(argv=None) -> int:
             ZeroDivisionError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import khatri_rao
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ShapeError
 from .tensor import fro_norm, mode_multiply, scale_exponent, unfold
@@ -391,8 +390,9 @@ def cp_als(
     rescaled exactly by a power of two, so no result depends on its scale.
 
     Raises:
-        ShapeError: If ``t`` is not order 3 or ``r < 1``.
-        ValueError: If ``t`` is identically zero.
+        ShapeError: If ``t`` is not order 3, ``r < 1``, or ``t`` is
+            identically zero.
+        ValueError: If ``max_iters < 1``.
     """
     if t.ndim != 3:
         raise ShapeError("cp_als expects an order-3 tensor")
@@ -404,7 +404,7 @@ def cp_als(
     t = np.ldexp(t, -e)  # exact: the sweeps see the same digits at any scale
     norm_t = fro_norm(t)
     if norm_t == 0.0:
-        raise ValueError("cp_als: zero tensor has no meaningful CP factorization")
+        raise ShapeError("cp_als: zero tensor has no meaningful CP factorization")
 
     unfoldings = [unfold(t, k + 1) for k in range(3)]
     factors = _cp_init(unfoldings, r)
@@ -419,7 +419,7 @@ def cp_als(
             others = [j for j in range(3) if j != k]
             # columns of the mode-k unfolding enumerate the other modes with
             # the earlier one fastest, hence the reversed khatri-rao order
-            kr = khatri_rao(factors[others[1]], factors[others[0]])
+            kr = (factors[others[1]][:, None] * factors[others[0]][None]).reshape(-1, r)
             v = grams[others[0]] * grams[others[1]]
             mttkrp = unfoldings[k] @ kr
             factors[k] = mttkrp @ np.linalg.pinv(v)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPattern, _band_cells, _class_grid, extract_blocks, struct_expand
+from .blocks import BlockPattern, _band_cells, extract_blocks, struct_expand
 from .decomp import TuckerRep
 from .errors import PatternMismatchError, ShapeError
 from .reconstruct import _check_vector, densify
@@ -212,10 +212,12 @@ class MultilevelTuckerRep:
 
 def _level_stack(level: BlockPattern, factor: np.ndarray | None) -> np.ndarray:
     """``(ell, q, r)`` array whose ``[:, :, c]`` is ``sum_k factor[k, c] E_k``
-    (an identity ``factor`` when it is ``None``): the level's class-grid CSR
-    of ``factor`` keyed by column, densified."""
+    (an identity ``factor`` when it is ``None``): the rows of ``factor /
+    sqrt(eta)``, and a zero row for the cells no class claims, gathered by
+    ``class_of`` -- the level's class-grid CSR keyed by column, densified."""
     f = np.eye(level.p) if factor is None else factor
-    return _class_grid(level, f, key="col").toarray().reshape(level.ell, level.q, f.shape[1])
+    rows = np.vstack([f / np.sqrt(level.counts)[:, None], np.zeros(f.shape[1])])
+    return rows[level.class_of]
 
 
 # ---------------------------------------------------------------------------

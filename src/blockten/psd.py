@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .blocks import BlockPattern, _classify, blocks_to_tensor, extract_blocks
 from .decomp import _mode_basis, cholesky
@@ -283,6 +282,8 @@ def spd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpdRep:
         raise PatternMismatchError("grid cell (1, 1) belongs to no class; no anchor block")
     anchor = blocks[anchor_class]
     low = cholesky(anchor)
+
+    from scipy.linalg import solve_triangular  # deferred: scipy.linalg is slow to import
 
     # subtract the anchor on the diagonal, drop exactly-zero remainders
     cells, klass, parts = _split_diagonal(pattern, blocks, -anchor, nonzero=True)

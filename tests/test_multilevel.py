@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockten import build_pattern, error_fro, hosvd, mat_to_tensor, struct_assemble
+from blockten.blocks import _class_grid
 from blockten.decomp import TuckerRep
 from blockten.errors import PatternMismatchError, ShapeError
 from blockten.multilevel import (
@@ -13,11 +14,12 @@ from blockten.multilevel import (
     MultilevelTuckerRep,
     blur_operator_dense,
     ml_mat_to_tensor,
+    _level_stack,
     ml_tensor_to_mat,
     psf_weighted_tensor,
 )
 
-from helpers import random_pattern
+from helpers import PATTERN_KINDS, random_pattern
 
 
 def _nested_two_level(rng):
@@ -67,6 +69,18 @@ def test_random_nested_roundtrip_preserves_norm(seed, depth):
     back = ml_mat_to_tensor(a, mlp)
     np.testing.assert_allclose(back, t, atol=1e-12)
     assert np.isclose(np.linalg.norm(a), np.linalg.norm(t), rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_level_stack_is_the_column_keyed_class_grid_densified(kind):
+    rng = np.random.default_rng(PATTERN_KINDS.index(kind))
+    for _ in range(5):
+        pat = random_pattern(rng, kind)
+        for factor in (rng.standard_normal((pat.p, int(rng.integers(1, 4)))), None):
+            stack = _level_stack(pat, factor)
+            grid = _class_grid(pat, np.eye(pat.p) if factor is None else factor, key="col")
+            np.testing.assert_array_equal(stack, grid.toarray().reshape(stack.shape))
+            assert stack.shape[:2] == (pat.ell, pat.q)
 
 
 def test_mismatched_levels_rejected():
