@@ -315,9 +315,7 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
         ShapeError: If the matrix shape differs from the representation's.
     """
     metrics: dict[str, float] = {}
-    matrix = a_or_pattern
-    if isinstance(matrix, BlockPattern):
-        matrix = None
+    matrix = None if isinstance(a_or_pattern, BlockPattern) else a_or_pattern
     if matrix is not None and matrix.shape != rep.shape:
         raise ShapeError(f"matrix shape {matrix.shape} != representation shape {rep.shape}")
 

@@ -24,13 +24,9 @@ With that normalization the matrix and its weighted tensor are isometric:
 the Frobenius error of any tensor approximation equals the Frobenius error
 of the reassembled matrix.
 
-Every map reads its input through one private view of the nonzero cells
-(:func:`_cells`), built from a dense array or a scipy sparse matrix alike: a
-per-cell *present* test (some entry has a nonzero bit, so a ``-0.0`` cell is
-present) and a gather of cells by flat id ``row * q + col``.  A dense input
-is read in place through ``a.reshape(ell, m, q, n)``; a sparse one is
-scattered once into a stack of its present cells.  All-zero cells are never
-copied, and no map builds anything the size of a dense matrix.
+Every map reads a dense array or a scipy sparse matrix alike through one
+private view of its nonzero cells (:func:`_cells`), and no map builds
+anything the size of a dense matrix.
 
 Grid cells are 0-based ``(row, col)`` internally; file formats and printed
 reports are 1-based.
@@ -38,6 +34,7 @@ reports are 1-based.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -559,18 +556,24 @@ def _scatter(pattern: BlockPattern, items, divisors, block_shape=None) -> np.nda
     return out.reshape(pattern.ell * bm, pattern.q * bn)
 
 
-def _class_grid(pattern: BlockPattern, values: np.ndarray, key: str) -> scipy.sparse.csr_matrix:
+def _class_grid(pattern: BlockPattern, values: np.ndarray, key: str,
+                like: scipy.sparse.csr_matrix | None = None) -> scipy.sparse.csr_matrix:
     """The class-grid CSR matrix: block row ``i`` holds, for every claimed
     cell ``(i, c)`` of class ``k`` in row-major order, the ``w`` entries
     ``values[k] / sqrt(eta_k)`` under column block ``c`` (``key="col"``:
     ``sum_k E_k (x) values[k]``, shape ``(ell, q * w)``) or ``values[c] /
     sqrt(eta_k)`` under column block ``k`` (``key="class"``: column block
     ``k`` is ``E_k @ values``, shape ``(ell, p * w)``).  A class met twice in
-    one block row repeats its columns there, and a product adds them."""
+    one block row repeats its columns there, and a product adds them.  The grid
+    shares the index arrays of ``like``, one of the same pattern, key and width."""
     indptr, cols, klass = pattern.row_major
     by, pick, extent = (cols, klass, pattern.q) if key == "col" else (klass, cols, pattern.p)
     w = values.shape[1]
     data = (values[pick] / np.sqrt(pattern.counts)[klass, None]).ravel()
+    if like is not None:
+        grid = copy.copy(like)  # the index arrays are shared, never written
+        grid.data = data
+        return grid
     indices = (by[:, None] * w + np.arange(w)).ravel()
     return scipy.sparse.csr_matrix((data, indices, indptr * w), shape=(pattern.ell, extent * w))
 
@@ -597,10 +600,7 @@ def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarr
     ``a`` is a dense array or a scipy sparse matrix.  Verifies that every
     copy of a class agrees with its representative (the first copy) within
     ``tol``, an absent copy reading as zeros, and that the present cells no
-    class claims are within ``tol`` of zero.  It gathers the class copies and
-    the present unclaimed cells, one block row's worth at a time; an
-    all-zero unclaimed cell is never copied, and a dense block row is read
-    only when it holds an unclaimed cell.
+    class claims are within ``tol`` of zero (see :func:`_to_check`).
 
     Raises:
         PatternMismatchError: On any disagreement.

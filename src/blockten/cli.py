@@ -106,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add_pattern_flags(an)
     an.add_argument("--machine", action="store_true",
                     help="full singular values as TSV rows")
-    an.set_defaults(func=_cmd_analyze)
+    an.set_defaults(func=_cmd_analyze, parser=an)
 
     co = sub.add_parser("compress", help="factor the matrix and write a container")
     co.add_argument("input", help="Matrix Market file")
@@ -133,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="Gaussian sketch size (--randomized only; default rank + 5)")
     co.add_argument("--seed", type=int, default=0,
                     help="seed for the sketch stream (recorded in the container)")
-    co.set_defaults(func=_cmd_compress)
+    co.set_defaults(func=_cmd_compress, parser=co)
 
     re = sub.add_parser("reconstruct", help="container back to Matrix Market")
     re.add_argument("input", help="container file")
@@ -328,7 +328,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        _check_flags(parser, args)
+        _check_flags(getattr(args, "parser", parser), args)  # the subcommand's usage line
     except SystemExit as exc:  # argparse prints its own message
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -44,14 +44,9 @@ _MAX_RANK = 6  # no stored array has more than core-order extents
 
 
 def _pattern_lines(prefix: str, pat: BlockPattern) -> list[str]:
-    lines = [
-        f"{prefix}ell: {pat.ell}",
-        f"{prefix}q: {pat.q}",
-        f"{prefix}m: {pat.m}",
-        f"{prefix}n: {pat.n}",
-        f"{prefix}structure_class: {pat.structure_class}",
-        f"{prefix}classes: {pat.p}",
-    ]
+    lines = [f"{prefix}{key}: {value}" for key, value in (
+        ("ell", pat.ell), ("q", pat.q), ("m", pat.m), ("n", pat.n),
+        ("structure_class", pat.structure_class), ("classes", pat.p))]
     if pat.p:  # one line of 1-based "i,j" cells per class, formatted in one go
         fmt = "\n".join([" ".join(["%d,%d"] * eta) for eta in pat.counts])
         bodies = (fmt % tuple((pat.cells + 1).ravel().tolist())).split("\n")

@@ -8,15 +8,12 @@ Cholesky pivots.  The tensor routines (:func:`hosvd`,
 :func:`tucker_partial`, :func:`cp_als`, :func:`randomized_mode_basis`) are
 implemented directly on top of the mode arithmetic in :mod:`blockten.tensor`.
 
-Exact mode bases (HOSVD, partial Tucker, the shared SPSD basis, CP init) all
-come from one kernel, :func:`_mode_basis`.  Unfoldings are short and fat
-(``m x pn`` or ``p x mn``), so it first reduces a wide unfolding ``M`` to the
-``rows x rows`` triangular factor ``L`` of its LQ factorisation ``M = L Q``
-(a Householder QR of ``M^T`` that never forms ``Q``), and takes the SVD of
-``L``: ``M`` and ``L`` share their left singular vectors, and both steps are
-backward stable, so the basis is as accurate as the full SVD's at every
-spectrum, with no accuracy gate or fallback.  A full SVD of ``M`` would also
-compute the ``rows x cols`` right factor, only to discard it.
+Exact mode bases (HOSVD, partial Tucker, the shared SPSD basis) come from
+:func:`_mode_basis`.  Unfoldings are short and fat (``m x pn`` or ``p x mn``):
+a wide unfolding ``M`` takes the eigenvectors of ``M M^T`` when they pass the
+certificate of :func:`_gram_basis`, else the SVD of the triangular factor
+``L`` of ``M = L Q`` (:func:`_lq_basis`), which shares ``M``'s left singular
+vectors and is as accurate as the full SVD at every spectrum.
 
 Randomness: sketching matrices are drawn from ``numpy.random.default_rng``
 (PCG64) via ``standard_normal`` (ziggurat sampling), so a fixed seed fixes
@@ -30,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NotPositiveDefiniteError, ShapeError
-from .tensor import fro_norm, mode_multiply, scale_exponent, unfold
+from .tensor import fro_norm, in_normal_range, mode_multiply, scale_exponent, unfold
 
 __all__ = [
     "TuckerRep",
@@ -50,6 +47,7 @@ _CP_FALLBACK_SEED = 0  # fixed seed for random init columns when r exceeds an ex
 # cp_als trusts its Gram-matrix residual^2 only above this share of the
 # squared size of its largest term (see cp_als)
 _CP_GRAM_FIT_FLOOR = 1e-6
+_GRAM_FLOOR = 100.0  # a Gram basis needs a residual of this many sqrt(rows eps) sigma_1
 
 
 # ---------------------------------------------------------------------------
@@ -250,19 +248,66 @@ def tail_rank(sv: np.ndarray, budget: float) -> int:
 
 
 def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.ndarray:
-    """Leading ``r`` left singular vectors of ``mat``, each with its
-    largest-magnitude entry positive.
-
-    A wide unfolding is first replaced by the triangular factor of its LQ
-    factorisation, which has the same left singular vectors and singular
-    values (see the module docstring).  With ``tail_budget``, ``r`` is a cap:
-    the basis keeps ``min(r, tail_rank(sv, tail_budget))`` vectors, read from
-    the same SVD.  When ``r`` exceeds the column count of a tall unfolding
-    the basis is orthonormally completed from the full SVD.
+    """Leading ``r`` left singular vectors of ``mat``, each with its largest-magnitude
+    entry positive: :func:`_gram_basis` when it is certified, else :func:`_lq_basis`.
+    With ``tail_budget``, ``r`` is a cap: the basis keeps ``min(r, tail_rank(sv,
+    tail_budget))`` vectors, the rank the exact spectrum picks.
 
     Raises:
         ConvergenceError: If the SVD fails (for example on NaN entries).
     """
+    u = _gram_basis(mat, r, tail_budget)
+    return _lq_basis(mat, r, tail_budget) if u is None else u
+
+
+@np.errstate(all="ignore")  # an overflow or a NaN only fails the certificate
+def _gram_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.ndarray | None:
+    """The leading eigenvectors ``U`` of ``G = mat mat^T``, or ``None``.  The
+    eigenvalues ``lam`` of ``G`` resolve ``sigma_i`` only down to about
+    ``sqrt(eps) sigma_1``, so ``U`` is kept only when ``R = ||mat - U U^T mat||_F``,
+    summed directly as nonnegative squares, is at least ``100 sqrt(rows eps)
+    sigma_1`` and ``R^2`` is within ``rows eps lam_1`` of the tail of ``lam``;
+    a budget must also clear that floor, ``R`` and each tail by the rounding
+    of forming ``G``, so it picks the rank the exact spectrum picks."""
+    rows, cols = mat.shape
+    if not (rows < cols and r <= rows - (tail_budget is None)):
+        return None  # tall, or a fixed full basis: no tail to certify
+    g = mat @ mat.T
+    if not in_normal_range(np.trace(g)):  # also NaN; the exact kernel rescales
+        return None
+    try:
+        lam, vec = np.linalg.eigh(g)
+    except np.linalg.LinAlgError:
+        return None
+    lam = np.maximum(lam[::-1], 0.0)
+    eps = np.finfo(np.float64).eps
+    slack = rows * eps * lam[0]  # accuracy of a sum of lam
+    floor2 = _GRAM_FLOOR**2 * slack
+    tails = np.append(np.cumsum(lam[::-1])[::-1], 0.0)  # tails[k] = sum(lam[k:])
+    budget2 = np.inf
+    if tail_budget is not None:
+        k = tail_rank(np.sqrt(lam), tail_budget)
+        square = tail_budget**2
+        # forming g moves each lam by at most cols eps trace(g), a tail by rows times that
+        edge = slack + rows * cols * eps * tails[0]
+        if square < floor2 or np.any(np.abs(tails[k - 1 : k + 1] - square) <= edge):
+            return None
+        if k <= r:  # the budget, not the cap, sets the rank: R must meet it
+            r, budget2 = k, square
+    if not in_normal_range(floor2) or tails[r] + slack < floor2:
+        return None  # R cannot reach the floor
+    u = _positive_lead(vec[:, rows - r :][:, ::-1])[0]
+    resid2, step = 0.0, max(1, 2**14 // rows)  # column chunks: no full-size temporary
+    for j in range(0, cols, step):
+        chunk = mat[:, j : j + step]
+        d = chunk - u @ (u.T @ chunk)
+        resid2 += float(np.vdot(d, d))
+    return u if floor2 <= resid2 <= min(tails[r] + slack, budget2) else None
+
+
+def _lq_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.ndarray:
+    """The exact :func:`_mode_basis`: the SVD of a wide ``mat``'s LQ factor
+    ``L``; a tall ``mat`` short of ``r`` columns is completed from its full SVD."""
     if mat.shape[0] < mat.shape[1]:
         mat = np.linalg.qr(mat.T, mode="r").T
     if tail_budget is not None:
@@ -277,13 +322,16 @@ def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np
     return _positive_lead(u[:, :r])[0]
 
 
-def _check_ranks(t: np.ndarray, ranks) -> None:
-    """One rank per mode, each ``None`` (mode left alone) or in ``1..extent``."""
+def _tucker(t: np.ndarray, ranks, tail_budget: float | None) -> TuckerRep:
+    """:func:`tucker_partial`, checking one rank per mode: ``None`` or ``1..extent``."""
     if len(ranks) != t.ndim:
         raise ShapeError(f"expected {t.ndim} ranks, got {len(ranks)}")
     for k, r in enumerate(ranks):
         if r is not None and not 1 <= r <= t.shape[k]:
             raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
+    factors = [None if r is None else _mode_basis(unfold(t, k + 1), r, tail_budget)
+               for k, r in enumerate(ranks)]
+    return TuckerRep.project(t, factors)
 
 
 def hosvd(
@@ -291,26 +339,9 @@ def hosvd(
     ranks: tuple[int, ...] | list[int],
     tail_budget: float | None = None,
 ) -> TuckerRep:
-    """Higher-order SVD: per-mode truncated bases plus the projected core.
-
-    Args:
-        t: Tensor of any order >= 2.
-        ranks: Target multilinear rank, one entry per mode with
-            ``1 <= ranks[k] <= t.shape[k]``.
-        tail_budget: Optional Frobenius-norm budget per mode.  Each entry
-            of ``ranks`` is then a cap, and mode ``k`` keeps
-            ``min(ranks[k], tail_rank(sv_k, tail_budget))`` vectors, where
-            ``sv_k`` is the spectrum of its unfolding (factored once): the
-            fewest whose discarded tail has norm at most ``tail_budget``.
-
-    Returns:
-        :class:`TuckerRep` whose factor for mode ``k`` holds the ``ranks[k]``
-        (or, under ``tail_budget``, at most that many) leading left singular
-        vectors of the mode-``k`` unfolding of ``t``.
-    """
-    _check_ranks(t, ranks)
-    factors = [_mode_basis(unfold(t, k + 1), r, tail_budget) for k, r in enumerate(ranks)]
-    return TuckerRep.project(t, factors)
+    """Higher-order SVD: :func:`tucker_partial` with every mode compressed,
+    ``1 <= ranks[k] <= t.shape[k]``."""
+    return _tucker(t, ranks, tail_budget)
 
 
 def tucker_partial(
@@ -318,22 +349,13 @@ def tucker_partial(
     ranks: list[int | None] | tuple[int | None, ...],
     tail_budget: float | None = None,
 ) -> TuckerRep:
-    """Tucker compression of a chosen subset of modes.
-
-    Args:
-        t: Tensor.
-        ranks: Per-mode entry: an int compresses that mode to the given
-            rank, ``None`` leaves it alone (identity factor).
-        tail_budget: Optional Frobenius-norm budget per compressed mode, as
-            in :func:`hosvd`: the int entries of ``ranks`` become caps.
-
-    Returns:
-        :class:`TuckerRep` with ``None`` factors marking untouched modes.
-    """
-    _check_ranks(t, ranks)
-    factors = [None if r is None else _mode_basis(unfold(t, k + 1), r, tail_budget)
-               for k, r in enumerate(ranks)]
-    return TuckerRep.project(t, factors)
+    """Tucker compression of a chosen subset of modes: an int entry
+    ``ranks[k]`` in ``1..t.shape[k]`` compresses mode ``k`` to that many
+    leading left singular vectors of its unfolding, ``None`` leaves it alone
+    (identity factor).  With ``tail_budget`` (a Frobenius norm per mode) the
+    ints are caps: mode ``k`` keeps ``min(ranks[k], tail_rank(sv_k,
+    tail_budget))`` vectors, ``sv_k`` the spectrum of its unfolding."""
+    return _tucker(t, ranks, tail_budget)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +378,7 @@ def _cp_init(unfoldings: list[np.ndarray], r: int) -> list[np.ndarray | None]:
         pad = rng.standard_normal((mat.shape[0], r - keep)) if keep < r else None
         if k == 0:
             continue
-        u = _mode_basis(mat, keep)
+        u = _lq_basis(mat, keep)
         factors.append(u if pad is None else np.hstack([u, pad]))
     return factors
 

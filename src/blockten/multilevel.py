@@ -75,13 +75,9 @@ class MultilevelPattern:
         return self.levels[-1].n
 
     @property
-    def class_counts(self) -> tuple[int, ...]:
-        return tuple(lv.p for lv in self.levels)
-
-    @property
     def dims(self) -> tuple[int, ...]:
         """Extents of the weighted tensor: ``(m, p_1, ..., p_L, n)``."""
-        return (self.m, *self.class_counts, self.n)
+        return (self.m, *(lv.p for lv in self.levels), self.n)
 
     @property
     def shape(self) -> tuple[int, int]:

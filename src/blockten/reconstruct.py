@@ -174,7 +174,9 @@ class BlockLowRankRep:
         _check_vector(x, pat.shape[1])
         rl, rr = self.left.shape[1], self.right.shape[1]
         z = x.reshape(pat.q, pat.n) @ self.right  # row c is (right^T x_c)^T
-        y = _class_grid(pat, z, key="class") @ self._middle_stack
+        grid = _class_grid(pat, z, key="class", like=self.__dict__.get("_grid"))
+        self.__dict__.setdefault("_grid", grid)  # later products share its index arrays
+        y = grid @ self._middle_stack
         if counter is not None:
             counter.add(2 * pat.n * rr * pat.q + 2 * rl * rr * sum(pat.counts)
                         + 2 * pat.m * rl * pat.ell)
@@ -339,15 +341,10 @@ def error_fro(a, rep) -> float:
     ``a`` (dense or scipy sparse) of the representation's shape, without
     forming ``densify(rep)``.
 
-    On the grid of the pattern that ``rep.cell_blocks()`` returns, the
-    squared residual is a sum of nonnegative entrywise terms (so it does not
-    cancel at small errors): per class ``k``, ``||copy - B_k||^2`` over its
-    copies of ``B_k``, plus the energy of the present cells no class claims.
-    ``||a||^2`` is summed over the same cells.  Cost: ``sum(eta_k) * m * n``
-    gathered entries, plus one read of the dense block rows holding an
-    unclaimed cell (or one scatter of a sparse matrix's entries).  When
-    either sum of squares leaves the normal float range, both are redone
-    with ``a`` and the blocks rescaled exactly by one power of two.
+    On the grid of ``rep.cell_blocks()``, both squares are sums of
+    nonnegative entrywise terms (:func:`_squared_error`), so the residual does
+    not cancel at small errors.  When either leaves the normal float range,
+    both are redone with ``a`` and the blocks rescaled exactly by a power of two.
 
     Raises:
         ShapeError: If the shapes differ or ``a`` is zero.

@@ -224,6 +224,7 @@ def test_randomized_tol_is_a_usage_error(toep, tmp_path, capsys):
     code, _, err = run_cli(capsys, "compress", path, "-o", tmp_path / "r.btc", *args,
                            "--randomized", "--seed", 5)
     assert code == 2 and "--randomized takes --rank or --ranks, not --tol" in err
+    assert "usage: blockten compress" in err  # compress's own usage line
     assert not (tmp_path / "r.btc").exists()
     code, _, _ = run_cli(capsys, "compress", path, "-o", tmp_path / "exact.btc", *args)
     assert code == 0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,8 @@ from hypothesis import strategies as st
 
 from blockten.decomp import (
     TuckerRep,
+    _gram_basis,
+    _lq_basis,
     _mode_basis,
     cholesky,
     cp_als,
@@ -143,6 +147,113 @@ def test_mode_basis_nan_raises_convergence_error():
         mat[1, 2] = np.nan
         with pytest.raises(ConvergenceError):
             _mode_basis(mat, 2)
+
+
+@pytest.fixture(scope="module")
+def spacetime_sized():
+    """A 256 x 5120 unfolding with a slowly decaying spectrum, the shape of
+    the shared basis's mode-1 unfolding of a 16 x 16 grid over 20 instants."""
+    return _decaying_matrix(np.random.default_rng(20), 256, 5120, 60, 1e-6, 1e-9)
+
+
+def test_gram_branch_meets_the_svd_bar_on_a_spacetime_sized_matrix(spacetime_sized):
+    mat = spacetime_sized
+    u = _gram_basis(mat, 20)
+    assert u is not None  # the tail at rank 20 is far above the certificate's floor
+    np.testing.assert_array_equal(_mode_basis(mat, 20), u)
+    np.testing.assert_allclose(u.T @ u, np.eye(20), rtol=0, atol=1e-13)
+    for col in u.T:
+        assert col[np.argmax(np.abs(col))] > 0
+    u_svd = svd_truncated(mat, 20)[0]
+    assert _residual(mat, u) <= _residual(mat, u_svd) + 1e-12 * np.linalg.norm(mat)
+
+
+def test_gram_branch_allocates_nothing_the_size_of_the_unfolding(spacetime_sized):
+    mat = spacetime_sized
+    assert _gram_basis(mat, 20) is not None
+    tracemalloc.start()
+    try:
+        _mode_basis(mat, 20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * mat.nbytes
+
+
+@pytest.mark.parametrize(
+    "case", ["tail below the floor", "1e250", "1e-250", "tall", "r > rows", "r == rows"])
+def test_gram_fallbacks_are_the_exact_kernel_bit_for_bit(case):
+    rng = np.random.default_rng(21)
+    taken = _decaying_matrix(rng, 12, 60, 6, 1e-2, 0.0)  # tail at rank 4: 0.027
+    assert _gram_basis(taken, 4) is not None
+    mat, r = {
+        "tail below the floor": (_decaying_matrix(rng, 12, 60, 6, 1e-12, 0.0), 5),
+        "1e250": (taken * 1e250, 4),
+        "1e-250": (taken * 1e-250, 4),
+        "tall": (rng.standard_normal((30, 5)), 3),
+        "r > rows": (rng.standard_normal((4, 20)), 6),
+        "r == rows": (rng.standard_normal((4, 20)), 4),
+    }[case]
+    assert _gram_basis(mat, r) is None
+    np.testing.assert_array_equal(_mode_basis(mat, r), _lq_basis(mat, r))
+
+
+def test_gram_branch_declines_nan():
+    mat = np.ones((4, 20))
+    mat[1, 2] = np.nan
+    assert _gram_basis(mat, 2) is None
+    with pytest.raises(ConvergenceError):
+        _mode_basis(mat, 2)
+
+
+def test_gram_budget_ranks_are_the_exact_ranks():
+    mat = _decaying_matrix(np.random.default_rng(22), 20, 200, 20, 1e-4, 0.0)
+    sv = np.linalg.svd(mat, compute_uv=False)
+    tails = np.sqrt(np.cumsum(sv[::-1] ** 2)[::-1])  # tails[k] = norm(sv[k:])
+    for k in range(1, 15):
+        budget = np.sqrt(tails[k] * tails[k - 1])  # resolved: between two tails
+        u = _gram_basis(mat, 20, budget)
+        assert u is not None and u.shape[1] == k == tail_rank(sv, budget)
+        assert _lq_basis(mat, 20, budget).shape[1] == k
+        assert _residual(mat, u) <= budget
+        if k > 1:  # a binding cap keeps its rank, and its residual may exceed the budget
+            capped = _gram_basis(mat, k - 1, budget)
+            assert capped is not None and capped.shape[1] == k - 1
+    for budget in (tails[6], 1e-7):  # on a tail boundary; below the floor
+        assert _gram_basis(mat, 20, budget) is None
+        np.testing.assert_array_equal(_mode_basis(mat, 20, budget), _lq_basis(mat, 20, budget))
+
+
+def test_gram_budget_within_the_rounding_of_forming_the_gram_falls_back():
+    mat = _decaying_matrix(np.random.default_rng(22), 20, 200, 20, 1e-4, 0.0)
+    lam = np.maximum(np.linalg.eigh(mat @ mat.T)[0][::-1], 0.0)
+    slack = 20 * np.finfo(np.float64).eps * lam[0]
+    for k in (3, 6, 9):  # squared budget 10 slack above or below the tail at rank k
+        for side in (1, -1):
+            budget = np.sqrt(lam[k:].sum() + side * 10 * slack)
+            assert _gram_basis(mat, 20, budget) is None
+            np.testing.assert_array_equal(_mode_basis(mat, 20, budget), _lq_basis(mat, 20, budget))
+
+
+def test_gram_branch_is_taken_on_the_wide_matrix_generator():
+    # draws like those of test_mode_basis_matches_svd_on_wide_matrices, from a
+    # fixed stream, so the fast path cannot silently stop triggering
+    meta = np.random.default_rng(23)
+    taken = 0
+    for _ in range(300):
+        rows = int(meta.integers(1, 41))
+        cols = rows * int(meta.integers(1, 9))
+        tau = float(meta.choice([1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]))
+        k, r = (int(v) for v in meta.integers(1, rows + 1, size=2))
+        mat = _decaying_matrix(meta, rows, cols, k, tau, tau * 1e-3 * int(meta.integers(2)))
+        u = _gram_basis(mat, r)
+        if u is None:
+            continue
+        taken += 1
+        np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-13)
+        u_svd = svd_truncated(mat, r)[0]
+        assert _residual(mat, u) <= _residual(mat, u_svd) + 1e-12 * np.linalg.norm(mat)
+    assert taken >= 30
 
 
 def test_tail_rank_keeps_the_fewest_values_within_budget():
