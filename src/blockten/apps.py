@@ -31,7 +31,7 @@ from .blocks import (
 )
 from .decomp import hosvd, tucker_partial
 from .errors import ConvergenceError, ShapeError
-from .reconstruct import error_fro
+from .reconstruct import blr_from_tucker, error_fro
 
 __all__ = [
     "MarkovSequence",
@@ -178,16 +178,13 @@ def era_identify_compressed(
         raise ConvergenceError("all Markov parameters are zero; Hankel is degenerate")
 
     reduced_pattern = replace(pattern, m=r1, n=r3)
-    if tera:
+    if tera:  # the core slices are the projected parameters U^T h_k W
         tk = tucker_partial(np.transpose(blocks, (1, 0, 2)).copy(), [r1, None, r3])
-        u, w = tk.factors[0], tk.factors[2]
-        mids = np.einsum("ra,kab,bc->krc", u.T, blocks, w)
-        reduced = struct_assemble(reduced_pattern, mids)
+        reduced = struct_assemble(reduced_pattern, np.moveaxis(tk.core, 1, 0))
     else:
         tk = hosvd(blocks_to_tensor(pattern, blocks), [r1, r2, r3])
-        u, v, w = tk.factors
-        items = np.einsum("kj,ajb->kab", v, tk.core)
-        reduced = struct_expand(reduced_pattern, items)
+        reduced = struct_expand(reduced_pattern, blr_from_tucker(tk, pattern).middles)
+    u, _, w = tk.factors
 
     sing_u, sing_vals, sing_vt = np.linalg.svd(reduced, full_matrices=False)
     if not 1 <= order <= min(reduced.shape):

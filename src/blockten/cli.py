@@ -76,7 +76,7 @@ def _flag_type(convert, ok, expected: str):
 _positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
 _tolerance = _flag_type(float, lambda v: np.isfinite(v) and v >= 0, "a finite number >= 0")
 _three_ints = _flag_type(lambda text: [int(tok) for tok in text.split(",")],
-                         lambda v: len(v) == 3, "three comma-separated integers")
+                         lambda v: len(v) == 3 and min(v) > 0, "three positive integers")
 
 
 @functools.cache

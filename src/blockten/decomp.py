@@ -59,9 +59,11 @@ _GRAM_FLOOR = 100.0  # a Gram basis needs a residual of this many sqrt(rows eps)
 class TuckerRep:
     """Tucker format: ``core`` contracted with one factor per mode.
 
-    ``factors[k]`` is either an ``(extent_k, rank_k)`` matrix with
-    orthonormal columns or ``None``, which stands for the identity (the mode
-    was left uncompressed and ``core`` keeps its full extent there).
+    ``factors[k]`` is either an ``(extent_k, rank_k)`` matrix or ``None``,
+    which stands for the identity (the mode was left uncompressed and
+    ``core`` keeps its full extent there).  Factors are orthonormal from
+    :func:`hosvd`, :func:`tucker_partial` and :meth:`project` (which needs
+    them so), not from the CP embedding ``reconstruct._cp_as_tucker``.
     """
 
     core: np.ndarray

@@ -127,14 +127,19 @@ class SpdRep:
 
     n_terms = trace = None
 
+    def __post_init__(self) -> None:
+        pat = self.remainder.pattern
+        if not self.ell == pat.ell == pat.q or self.chol.shape != (pat.m, pat.m):
+            raise ShapeError(f"anchor count {self.ell} and chol {self.chol.shape} do not fit "
+                             f"a {pat.ell} x {pat.q} grid of {pat.m} x {pat.n} remainder blocks")
+
     @property
     def rank(self) -> int:
         return self.remainder.rank
 
     @property
     def shape(self) -> tuple[int, int]:
-        n = self.chol.shape[0] * self.ell
-        return (n, n)
+        return self.remainder.shape
 
     def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
         """``(I (x) L)(I + M)(I (x) L^T) x`` blockwise, ``M`` applied in its

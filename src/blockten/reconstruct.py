@@ -225,12 +225,22 @@ def kron_sum_from_tucker(t: TuckerRep, pattern: BlockPattern) -> KronSumRep:
     return KronSumRep(pattern=pattern, coeffs=coeffs, terms=np.ascontiguousarray(terms))
 
 
+def _cp_as_tucker(k: KruskalRep, qr_modes: tuple[int, ...] = ()) -> TuckerRep:
+    """``k`` as a Tucker form: factors ``(X, Y, Z)`` on a superdiagonal core of
+    ones, where each mode in ``qr_modes`` swaps its factor for the ``Q`` of its
+    thin QR and the core becomes the CP tensor of those ``R`` and identities."""
+    factors, small = [k.x, k.y, k.z], [np.eye(k.rank)] * 3
+    for mode in qr_modes:
+        factors[mode - 1], small[mode - 1] = qr_thin(factors[mode - 1])
+    return TuckerRep(core=KruskalRep(*small).reconstruct(), factors=tuple(factors))
+
+
 def kron_sum_from_kruskal(
     k: KruskalRep,
     pattern: BlockPattern,
     split: str = "factor",
 ) -> KronSumRep:
-    """Kron-sum from a CP factorization: one rank-1 partner per component.
+    """Kron-sum of a CP factorization's Tucker form: one term per component.
 
     The mode-2 factor ``Y`` is split as ``Y = F G^T``; column ``j`` of ``F``
     supplies the class scalars of ``C_j`` and ``D_j = X diag(G[:, j]) Z^T``.
@@ -242,21 +252,11 @@ def kron_sum_from_kruskal(
             columns at the price of dense ``D_j``.
     """
     _check_dims("CP", k.dims, pattern)
-    r = k.rank
-    if split == "factor":
-        f = k.y
-        g = np.eye(r)
-    elif split == "qr":
-        if k.y.shape[0] < r:
-            raise ShapeError("qr split needs p >= r")
-        f, ry = qr_thin(k.y)
-        g = ry.T
-    else:
+    if split not in ("factor", "qr"):
         raise ValueError(f"unknown split {split!r}")
-    terms = np.empty((r, pattern.m, pattern.n))
-    for j in range(r):
-        terms[j] = (k.x * g[:, j]) @ k.z.T
-    return KronSumRep(pattern=pattern, coeffs=f.copy(), terms=terms)
+    if split == "qr" and k.y.shape[0] < k.rank:
+        raise ShapeError("qr split needs p >= r")
+    return kron_sum_from_tucker(_cp_as_tucker(k, (2,) if split == "qr" else ()), pattern)
 
 
 def blr_from_tucker(t: TuckerRep, pattern: BlockPattern) -> BlockLowRankRep:
@@ -272,23 +272,17 @@ def blr_from_tucker(t: TuckerRep, pattern: BlockPattern) -> BlockLowRankRep:
 
 
 def blr_from_kruskal(k: KruskalRep, pattern: BlockPattern) -> BlockLowRankRep:
-    """Block-low-rank form from CP: orthonormal bases from thin QR of the
-    outer factors, middles ``R_x diag(Y[k, :]) R_z^T``.
+    """Block-low-rank form of a CP factorization's Tucker form, modes 1 and 3
+    orthonormalized by thin QR: middles ``R_x diag(Y[k, :]) R_z^T``.
 
     Raises:
         ShapeError: If the CP rank exceeds ``m`` or ``n`` (the QR of a wide
             factor gives no orthonormal column basis).
     """
     _check_dims("CP", k.dims, pattern)
-    r = k.rank
-    if pattern.m < r or pattern.n < r:
-        raise ShapeError(f"CP rank {r} exceeds a block extent ({pattern.m} x {pattern.n})")
-    qx, rx = qr_thin(k.x)
-    qz, rz = qr_thin(k.z)
-    middles = np.empty((pattern.p, r, r))
-    for kk in range(pattern.p):
-        middles[kk] = (rx * k.y[kk, :]) @ rz.T
-    return BlockLowRankRep(pattern=pattern, left=qx, right=qz, middles=middles)
+    if pattern.m < k.rank or pattern.n < k.rank:
+        raise ShapeError(f"CP rank {k.rank} exceeds a block extent ({pattern.m} x {pattern.n})")
+    return blr_from_tucker(_cp_as_tucker(k, (1, 3)), pattern)
 
 
 # ---------------------------------------------------------------------------

@@ -38,3 +38,22 @@ def test_tracer_installs_and_restores_every_function():
         tracing.uninstall(patches)
     for target, functions in zip(targets, before):
         assert _functions(target) == functions, target
+
+
+def test_every_traced_metric_names_a_wrapped_function():
+    # a metric whose span or counter names nothing the tracer wraps reads 0
+    # without an error, so a renamed or inlined function would zero it silently
+    tracing = _load_tracing()
+    wrapped = set()
+
+    class Recorder(tracing.Tracer):
+        def wrap(self, fn, name, layer):
+            wrapped.add(name)
+            return super().wrap(fn, name, layer)
+
+    tracing.uninstall(tracing.install(Recorder()))
+    wanted = {name for name, _ in tracing.SPAN_METRICS.values()}
+    wanted |= {name for names, _ in tracing.COUNTER_HOOKS.values() for name in names}
+    wanted = {name for name in wanted if name.split(".")[0] in tracing.LAYERS}
+    missing = sorted(wanted - wrapped)
+    assert wanted and not missing, missing

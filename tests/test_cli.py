@@ -242,6 +242,40 @@ def test_report_on_an_spd_container_prints_its_rank(tmp_path, capsys):
     assert kv(out)["kind"] == "SpdRep" and kv(out)["rank"] == "3"
 
 
+def test_spd_container_off_its_grid_is_an_extent_error(tmp_path, capsys):
+    # an ell: line that disagrees with the remainder grid, or a chol that is
+    # not m x m, would otherwise be read as an operator of another shape
+    path = tmp_path / "spd.mtx"
+    write_matrix(path, spd_block_toeplitz(np.random.default_rng(116), s=4, m=3))
+    good = tmp_path / "spd.btc"
+    code, _, _ = run_cli(capsys, "compress", path, "-o", good, "--block-rows", 3,
+                         "--block-cols", 3, "--method", "spd", "--rank", 2)
+    assert code == 0
+    blob = good.read_bytes()
+    assert b"\nell: 4\n" in blob
+    bad = {f"ell{ell}": blob.replace(b"\nell: 4\n", f"\nell: {ell}\n".encode())
+           for ell in (5, 2, 0, -1)}
+    rep = container_read(good)
+    narrow = object.__new__(psd.SpdRep)  # a 3 x 2 chol, past the constructor's check
+    for field, value in (("chol", rep.chol[:, :2]), ("remainder", rep.remainder),
+                         ("ell", rep.ell)):
+        object.__setattr__(narrow, field, value)
+    container_write(tmp_path / "narrow.btc", narrow)
+    bad["chol"] = (tmp_path / "narrow.btc").read_bytes()
+    x = tmp_path / "x.txt"
+    write_vector(x, np.ones(12))
+    for name, data in bad.items():
+        container = tmp_path / f"{name}.btc"
+        container.write_bytes(data)
+        for command, written in ((("report", container), None),
+                                 (("matvec", container, x), tmp_path / "y.txt"),
+                                 (("reconstruct", container), tmp_path / "r.mtx")):
+            argv = command if written is None else (*command, "-o", written)
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 3 and err.startswith("error:"), (name, command[0], err)
+            assert out == "" and (written is None or not written.exists()), (name, command[0])
+
+
 @pytest.mark.parametrize("kind", ["kron_sum", "blr", "multilevel"])
 def test_report_against_a_zero_matrix_leaves_the_ratio_out(toep, tmp_path, capsys, kind):
     if kind == "multilevel":
@@ -497,6 +531,7 @@ def test_exit_2_usage_errors(toep, tmp_path, capsys):
         ("--method", "spsd", "--rank", 0),
         ("--method", "hosvd", "--ranks", "1,2"),
         ("--method", "hosvd", "--ranks", "a,b,c"),
+        ("--method", "hosvd", "--ranks", "0,2,2"),
         ("--method", "hosvd", "--tol", "-1"),
         ("--method", "hosvd", "--tol", "nan"),
         ("--method", "mode2", "--tol", "inf"),

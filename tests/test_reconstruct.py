@@ -19,7 +19,7 @@ from blockten.blocks import (
     tensor_to_mat,
 )
 from blockten.container import container_read, container_write
-from blockten.decomp import TuckerRep, cp_als, hosvd, tucker_partial
+from blockten.decomp import KruskalRep, TuckerRep, cp_als, hosvd, qr_thin, tucker_partial
 from blockten.errors import ShapeError
 from blockten.multilevel import MAX_LEVELS, MultilevelPattern, MultilevelTuckerRep
 from blockten.psd import SpdRep, SpsdRep
@@ -123,6 +123,33 @@ def test_blr_from_kruskal_rejects_rank_above_block_extent():
     res = cp_als(t, 3, max_iters=10)
     with pytest.raises(ShapeError):
         blr_from_kruskal(res.rep, pat)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_kruskal_converters_keep_their_term_formulas(r):
+    # the per-term formulas D_j = X diag(G[:, j]) Z^T and R_x diag(Y[k]) R_z^T,
+    # an oracle independent of the route through the superdiagonal Tucker
+    # form; r = 5 exceeds the 3 x 4 blocks, which only the Kronecker sum allows
+    rng = np.random.default_rng(50 + r)
+    pat = build_pattern("toeplitz", 4, 4, 3, 4)
+    x, y, z = (rng.standard_normal((d, r)) for d in (pat.m, pat.p, pat.n))
+    cp = KruskalRep(x=x, y=y, z=z)
+    q_y, r_y = qr_thin(y)
+    for split, coeffs, g in (("factor", y, np.eye(r)), ("qr", q_y, r_y.T)):
+        rep = kron_sum_from_kruskal(cp, pat, split=split)
+        assert np.array_equal(rep.coeffs, coeffs), split
+        for j in range(r):
+            assert np.array_equal(rep.terms[j], (x * g[:, j]) @ z.T), (split, j)
+    if r > min(pat.m, pat.n):
+        with pytest.raises(ShapeError, match="exceeds a block extent"):
+            blr_from_kruskal(cp, pat)
+        return
+    (q_x, r_x), (q_z, r_z) = qr_thin(x), qr_thin(z)
+    rep = blr_from_kruskal(cp, pat)
+    assert np.array_equal(rep.left, q_x) and np.array_equal(rep.right, q_z)
+    for k in range(pat.p):
+        oracle = (r_x * y[k]) @ r_z.T
+        assert fro_norm(rep.middles[k] - oracle) <= 1e-13 * fro_norm(oracle), k
 
 
 def test_mode2_compression_inherits_block_support():
