@@ -303,10 +303,10 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
 
     Returns:
         The computable subset of ``relerr_fro`` (nonzero matrix supplied),
-        ``relerr_trace`` (``rep.trace`` is not None) and ``storage_ratio``:
-        ``rep.stored_scalars()`` over the matrix's ``nnz`` (its nonzero
-        values, duplicates of a sparse matrix added first; none for a zero
-        matrix), or over ``rep.distinct_scalars()`` when the kind defines it.
+        ``relerr_trace`` (kinds with ``trace()``) and ``storage_ratio``:
+        ``rep.stored_scalars()`` over ``rep.distinct_scalars()`` on kinds
+        with it, else over the matrix's ``nnz`` (nonzero values, a sparse
+        matrix's duplicates added first; none for a zero matrix).
 
     Raises:
         ShapeError: If the matrix shape differs from the representation's.
@@ -316,7 +316,7 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
     if matrix is not None and matrix.shape != rep.shape:
         raise ShapeError(f"matrix shape {matrix.shape} != representation shape {rep.shape}")
 
-    if rep.distinct_scalars is not None:
+    if hasattr(rep, "distinct_scalars"):
         metrics["storage_ratio"] = rep.stored_scalars() / rep.distinct_scalars()
     elif matrix is not None:
         # a copy: counting sums a sparse matrix's duplicates in place
@@ -331,7 +331,7 @@ def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[st
         except ShapeError:
             pass  # shapes agree, so the matrix is zero
 
-    if rep.trace is not None:
+    if hasattr(rep, "trace"):
         if trace_ref is None and matrix is not None:
             trace_ref = float(matrix.diagonal().sum())
         if trace_ref is not None and trace_ref != 0.0:

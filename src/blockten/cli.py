@@ -276,7 +276,7 @@ def _cmd_compress(args) -> int:
     print(f"kind: {type(rep).__name__}")
     print(f"method: {args.method}")
     print("ranks: " + ",".join(str(r) for r in ranks))
-    if rep.n_terms is not None:
+    if hasattr(rep, "n_terms"):
         print(f"terms: {rep.n_terms}")
     _print_metrics(report_metrics(a, rep))
     return 0
@@ -311,9 +311,9 @@ def _cmd_report(args) -> int:
     print(f"kind: {type(rep).__name__}")
     rows, cols = rep.shape
     print(f"shape: {rows} x {cols}")
-    for key, value in (("terms", rep.n_terms), ("rank", rep.rank)):
-        if value is not None:
-            print(f"{key}: {value}")
+    for key, member in (("terms", "n_terms"), ("rank", "rank")):
+        if hasattr(rep, member):
+            print(f"{key}: {getattr(rep, member)}")
     matrix = read_matrix(args.matrix) if args.matrix is not None else None
     _print_metrics(report_metrics(matrix, rep))
     return 0

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPattern, _band_cells, extract_blocks, struct_expand
+from .blocks import BlockPattern, _band_cells, extract_blocks
 from .decomp import TuckerRep
 from .errors import PatternMismatchError, ShapeError
 from .reconstruct import _check_vector, densify
@@ -116,19 +116,10 @@ def ml_mat_to_tensor(a: np.ndarray, mlp: MultilevelPattern, tol: float = 0.0) ->
 
 
 def ml_tensor_to_mat(t: np.ndarray, mlp: MultilevelPattern) -> np.ndarray:
-    """Assemble the matrix ``sum E^(1) (x) ... (x) E^(L) (x) slice`` with
-    :func:`struct_expand` at every level; exact inverse of
-    :func:`ml_mat_to_tensor` on its image."""
-    if t.shape != mlp.dims:
-        raise ShapeError(f"tensor extents {t.shape} != pattern dims {mlp.dims}")
-
-    def assemble(level: int, prefix: tuple[int, ...]) -> np.ndarray:
-        if level == mlp.depth:
-            return t[(slice(None), *prefix, slice(None))]
-        pat = mlp.levels[level]
-        return struct_expand(pat, [assemble(level + 1, prefix + (k,)) for k in range(pat.p)])
-
-    return assemble(0, ())
+    """``sum E^(1) (x) ... (x) E^(L) (x) slice``: the :func:`densify` of ``t``'s
+    identity-factor :class:`MultilevelTuckerRep` (so it refuses more than
+    ``DENSIFY_LIMIT`` entries); exact inverse of :func:`ml_mat_to_tensor`."""
+    return densify(MultilevelTuckerRep(pattern=mlp, tucker=TuckerRep(t, (None,) * t.ndim)))
 
 
 @dataclass(frozen=True)
@@ -138,8 +129,6 @@ class MultilevelTuckerRep:
 
     pattern: MultilevelPattern
     tucker: TuckerRep
-
-    n_terms = rank = distinct_scalars = trace = None
 
     def __post_init__(self) -> None:
         if self.tucker.dims != self.pattern.dims:

@@ -60,8 +60,6 @@ class SpsdRep:
     basis: np.ndarray
     blocks: np.ndarray
 
-    n_terms = None
-
     def __post_init__(self) -> None:
         n, r = self.basis.shape
         if self.pattern.m != n or self.pattern.n != n:
@@ -125,8 +123,6 @@ class SpdRep:
     remainder: SpsdRep
     ell: int
 
-    n_terms = trace = None
-
     def __post_init__(self) -> None:
         pat = self.remainder.pattern
         if not self.ell == pat.ell == pat.q or self.chol.shape != (pat.m, pat.m):
@@ -172,7 +168,7 @@ class SpdRep:
         return n * (n + 1) // 2 + self.remainder.stored_scalars()
 
     def distinct_scalars(self) -> int:
-        return self.remainder.distinct_scalars()
+        return self.remainder.distinct_scalars() + self.chol.size  # plus the anchor block
 
     def densify(self) -> np.ndarray:
         return densify(self)

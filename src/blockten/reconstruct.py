@@ -83,8 +83,6 @@ class KronSumRep:
     coeffs: np.ndarray
     terms: np.ndarray
 
-    rank = distinct_scalars = trace = None  # members of other kinds (see the README)
-
     def __post_init__(self) -> None:
         p, r = self.coeffs.shape
         if p != self.pattern.p:
@@ -144,8 +142,6 @@ class BlockLowRankRep:
     left: np.ndarray
     right: np.ndarray
     middles: np.ndarray
-
-    n_terms = rank = distinct_scalars = trace = None  # members of other kinds
 
     def __post_init__(self) -> None:
         rl, rr = self.left.shape[1], self.right.shape[1]
@@ -249,7 +245,9 @@ def kron_sum_from_kruskal(
         split: ``"factor"`` takes ``F = Y, G = I`` (so ``D_j`` is the rank-1
             outer product ``X[:, j] Z[:, j]^T``); ``"qr"`` takes the thin QR
             ``Y = Q R`` with ``F = Q``, giving orthonormal coefficient
-            columns at the price of dense ``D_j``.
+            columns at the price of dense ``D_j``.  Either way every ``D_j``
+            is stored as a dense ``m x n`` block, so the form can store more
+            than :func:`blr_from_kruskal`'s.
     """
     _check_dims("CP", k.dims, pattern)
     if split not in ("factor", "qr"):

@@ -24,7 +24,7 @@ from blockten import blocks as block_maps
 from blockten.psd import spd_compress, spsd_compress_blocks
 from blockten.reconstruct import kron_sum_from_tucker
 from blockten.decomp import hosvd
-from blockten.blocks import mat_to_tensor
+from blockten.blocks import detect_pattern, mat_to_tensor
 
 
 def _random_stable_lti(rng, d, n_in, n_out, rho=0.9):
@@ -290,6 +290,26 @@ def test_shared_basis_storage_ratio_formula():
                       rtol=1e-15)
     # the published covariance configuration lands near 0.002
     assert abs((30**2 * 30 + 1351 * 30) / (1351**2 * 30) - 0.002) < 1e-3
+
+
+@pytest.mark.parametrize("source", ["spacetime", "detected"])
+def test_spd_storage_ratio_is_over_the_source_distinct_blocks(source):
+    # the anchor block is one of the distinct blocks the SPD form replaces, so
+    # on a symmetric block-Toeplitz input the ratio is over the source's p m^2
+    rng = np.random.default_rng(15)
+    if source == "spacetime":
+        pat, blocks = spacetime_build(rng.uniform(0, 50, size=(8, 2)), np.arange(6.0))
+        blocks = blocks.copy()
+        blocks[0] += 0.5 * np.eye(8)
+        a = struct_assemble(pat, blocks)
+    else:
+        subs = [0.2 * rng.standard_normal((4, 4)) for _ in range(4)]
+        a = struct_assemble(build_pattern("toeplitz", 5, 5, 4, 4),
+                            np.stack([4.0 * np.eye(4)] + subs + [s.T for s in subs]))
+        pat, _ = detect_pattern(a, 4, 4)
+    rep = spd_compress(a, pat, 2)
+    assert rep.distinct_scalars() == pat.p * pat.m * pat.n
+    assert report_metrics(a, rep)["storage_ratio"] == rep.stored_scalars() / rep.distinct_scalars()
 
 
 def test_kron_storage_ratio_counts_nonzeros():

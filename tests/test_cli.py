@@ -405,6 +405,27 @@ def test_spd_compress_and_factored_matvec(tmp_path, capsys):
     assert np.linalg.norm(dense @ x - y) <= 1e-12 * np.linalg.norm(dense @ x)
 
 
+@pytest.mark.parametrize("pattern", [("--pattern", "auto"),
+                                     ("--pattern", "toeplitz", "--symmetric")])
+@pytest.mark.parametrize("case", ["kron_identity", "one_block"])
+def test_spd_with_an_empty_remainder_reports_a_finite_ratio(tmp_path, capsys, case, pattern):
+    # every diagonal block is the anchor and no other block is nonzero, so the
+    # remainder has no class and the ratio is over the anchor block alone
+    rng = np.random.default_rng(119)
+    m = 3 if case == "kron_identity" else 6
+    g = rng.standard_normal((m, m))
+    b = g @ g.T + m * np.eye(m)
+    path = tmp_path / "a.mtx"
+    write_matrix(path, np.kron(np.eye(4), b) if case == "kron_identity" else b)
+    out_c = tmp_path / "spd.btc"
+    for argv in (("compress", path, "-o", out_c, "--block-rows", m, "--block-cols", m,
+                  "--method", "spd", "--rank", 2, *pattern),
+                 ("report", out_c), ("report", out_c, "--matrix", path)):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0, (argv[0], err)
+        assert np.isfinite(float(kv(out)["storage_ratio"])), argv[0]
+
+
 def test_spd_uses_the_detected_blocks(tmp_path, capsys, monkeypatch):
     # diagonal blocks that agree to 1e-8 only: --detect-tol groups them, and
     # spd must compress the blocks detection verified rather than re-extract

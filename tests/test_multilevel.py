@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockten import build_pattern, error_fro, hosvd, mat_to_tensor, struct_assemble
-from blockten.blocks import _class_grid
+from blockten import blocks as block_maps
+from blockten.blocks import BlockPattern, _class_grid, struct_expand
 from blockten.decomp import TuckerRep
 from blockten.errors import PatternMismatchError, ShapeError
 from blockten.multilevel import (
+    MAX_LEVELS,
     MultilevelPattern,
     MultilevelTuckerRep,
     blur_operator_dense,
@@ -69,6 +71,48 @@ def test_random_nested_roundtrip_preserves_norm(seed, depth):
     back = ml_mat_to_tensor(a, mlp)
     np.testing.assert_allclose(back, t, atol=1e-12)
     assert np.isclose(np.linalg.norm(a), np.linalg.norm(t), rtol=1e-12)
+
+
+def _assembled_by_recursion(t, mlp):
+    """``struct_expand`` at every level, innermost slices first: the
+    reference assembly of the weighted tensor."""
+
+    def assemble(level, prefix):
+        if level == mlp.depth:
+            return t[(slice(None), *prefix, slice(None))]
+        pat = mlp.levels[level]
+        return struct_expand(pat, [assemble(level + 1, prefix + (k,)) for k in range(pat.p)])
+
+    return assemble(0, ())
+
+
+def _random_chain(rng, depth):
+    """``depth`` random levels, each outer block extent the next level's shape."""
+    levels = [random_pattern(rng, max_grid=3, max_block=2) for _ in range(depth)]
+    for t in range(depth - 2, -1, -1):
+        lv = levels[t]
+        levels[t] = BlockPattern(lv.ell, lv.q, *levels[t + 1].shape, lv.cells, lv.klass,
+                                 lv.structure_class)
+    return MultilevelPattern(levels=tuple(levels))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, MAX_LEVELS))
+def test_tensor_to_mat_is_the_level_recursion_bit_for_bit(seed, depth):
+    rng = np.random.default_rng(seed)
+    mlp = _random_chain(rng, depth)
+    t = rng.standard_normal(mlp.dims)
+    assert np.array_equal(ml_tensor_to_mat(t, mlp), _assembled_by_recursion(t, mlp))
+
+
+def test_tensor_to_mat_refuses_what_densify_refuses(monkeypatch):
+    mlp = _random_chain(np.random.default_rng(11), 2)
+    t = np.ones(mlp.dims)
+    with pytest.raises(ShapeError, match="tucker dims"):
+        ml_tensor_to_mat(t[..., None], mlp)
+    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", mlp.shape[0] * mlp.shape[1] - 1)
+    with pytest.raises(ShapeError, match="dense result would hold"):
+        ml_tensor_to_mat(t, mlp)
 
 
 @pytest.mark.parametrize("kind", PATTERN_KINDS)

@@ -18,6 +18,7 @@ from blockten.blocks import (
     struct_assemble,
     tensor_to_mat,
 )
+from blockten.cli import main
 from blockten.container import container_read, container_write
 from blockten.decomp import KruskalRep, TuckerRep, cp_als, hosvd, qr_thin, tucker_partial
 from blockten.errors import ShapeError
@@ -409,6 +410,22 @@ def test_blr_matvec_flop_count_is_pinned():
     rep.matvec(rng.standard_normal(pat.shape[1]), counter)
     # 2 n r_right q + 2 r_left r_right sum(eta) + 2 m r_left ell
     assert counter.flops == 2 * 8 * 5 * 6 + 2 * 3 * 5 * 36 + 2 * 8 * 3 * 6 == 1848
+
+
+OPTIONAL_MEMBERS = {"kron": {"n_terms"}, "blr": set(), "spsd": {"rank", "distinct_scalars", "trace"},
+                    "spd": {"rank", "distinct_scalars"}, "multilevel": set()}
+
+
+@pytest.mark.parametrize("form", REP_KINDS)
+def test_optional_members_exist_only_on_the_kinds_that_compute_them(form, tmp_path, capsys):
+    rep = _any_rep(form, np.random.default_rng(REP_KINDS.index(form)))
+    have = {m for m in ("n_terms", "rank", "distinct_scalars", "trace") if hasattr(rep, m)}
+    assert have == OPTIONAL_MEMBERS[form]
+    container_write(tmp_path / "rep.btc", rep)
+    assert main(["report", str(tmp_path / "rep.btc")]) == 0
+    keys = {line.partition(": ")[0] for line in capsys.readouterr().out.splitlines()}
+    assert ("terms" in keys) == (form == "kron")
+    assert ("rank" in keys) == (form in ("spsd", "spd"))
 
 
 @settings(max_examples=60, deadline=None)
