@@ -16,7 +16,7 @@ cells no class claims).  A matrix is read through its 4-D block view
 (class ``k``'s rows of the table), ``view[rows_k, :, cols_k, :]``
 gathers every copy of class ``k`` at once, and the same index on the left of
 an assignment scatters them.  Products read the cells in row-major order
-through one class-grid CSR matrix (:func:`_class_grid`).
+through a class grid, CSR or, on a filled grid, dense (:func:`_grid_is_filled`).
 
 With that normalization the matrix and its weighted tensor are isometric:
 ``mat_to_tensor`` stacks ``sqrt(eta_k) * A_k`` as lateral slices of an
@@ -58,6 +58,7 @@ __all__ = [
 ]
 
 DENSIFY_LIMIT = 10**8  # refuse to build dense matrices beyond this many entries
+_DENSE_FILL = 4  # the densest class grid still multiplied dense, in blocks per claimed cell
 
 
 def _check_dense_size(rows: int, cols: int) -> None:
@@ -93,8 +94,8 @@ class BlockPattern:
             row-major order, block row ``i`` holding ``indptr[i]:indptr[i + 1]``,
             with the grid column and the class of each.
 
-    ``counts`` and ``placements`` (one read-only ``(eta_k, 2)`` view of
-    ``cells`` per class) are derived from the table on first use.
+    ``counts``, ``placements`` (one read-only ``(eta_k, 2)`` view of ``cells``
+    per class) and ``_placement_rows`` are derived from the table on first use.
     """
 
     ell: int
@@ -165,6 +166,16 @@ class BlockPattern:
     def placements(self) -> tuple[np.ndarray, ...]:
         """The ``(eta_k, 2)`` cells of every class: read-only views of ``cells``."""
         return tuple(np.split(self.cells, np.cumsum(self.counts)[:-1])) if self.p else ()
+
+    @cached_property
+    def _placement_rows(self) -> scipy.sparse.csr_matrix:
+        """``(ell * p, q)`` CSR whose row ``i * p + k`` is row ``i`` of ``E_k``."""
+        indptr, cols, klass = self.row_major
+        rows = np.repeat(np.arange(self.ell) * self.p, np.diff(indptr)) + klass
+        order = np.argsort(rows, kind="stable")  # columns stay ascending in each row
+        ptr = np.searchsorted(rows[order], np.arange(self.ell * self.p + 1))
+        return scipy.sparse.csr_matrix(((1 / np.sqrt(self.counts))[klass[order]], cols[order],
+                                        ptr), shape=(self.ell * self.p, self.q))
 
     @property
     def p(self) -> int:
@@ -576,6 +587,20 @@ def _class_grid(pattern: BlockPattern, values: np.ndarray, key: str,
         return grid
     indices = (by[:, None] * w + np.arange(w)).ravel()
     return scipy.sparse.csr_matrix((data, indices, indptr * w), shape=(pattern.ell, extent * w))
+
+
+def _grid_is_filled(pattern: BlockPattern, extent: int) -> bool:
+    """Whether the class grid keyed by column (``extent = q``) or class (``extent = p``)
+    multiplies dense: ``ell * extent <= _DENSE_FILL * sum(eta)`` (scripts/class_grid_sweep.py)."""
+    return pattern.ell * extent <= _DENSE_FILL * len(pattern.klass)
+
+
+def _dense_class_grid(pattern: BlockPattern, values: np.ndarray | None) -> np.ndarray:
+    """The column-keyed :func:`_class_grid` of ``values`` (identity if ``None``), dense, as
+    ``(ell, q, w)``: rows of ``values / sqrt(eta)`` and a zero row, gathered by ``class_of``."""
+    values = np.eye(pattern.p) if values is None else values
+    rows = np.vstack([values / np.sqrt(pattern.counts)[:, None], np.zeros(values.shape[1])])
+    return rows[pattern.class_of]
 
 
 def struct_assemble(pattern: BlockPattern, blocks) -> np.ndarray:

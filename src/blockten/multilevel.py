@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import BlockPattern, _band_cells, extract_blocks
+from .blocks import BlockPattern, _band_cells, _dense_class_grid as _level_stack, extract_blocks
 from .decomp import TuckerRep
 from .errors import PatternMismatchError, ShapeError
 from .reconstruct import _check_vector, densify
@@ -193,16 +193,6 @@ class MultilevelTuckerRep:
 
     def densify(self) -> np.ndarray:
         return densify(self)
-
-
-def _level_stack(level: BlockPattern, factor: np.ndarray | None) -> np.ndarray:
-    """``(ell, q, r)`` array whose ``[:, :, c]`` is ``sum_k factor[k, c] E_k``
-    (an identity ``factor`` when it is ``None``): the rows of ``factor /
-    sqrt(eta)``, and a zero row for the cells no class claims, gathered by
-    ``class_of`` -- the level's class-grid CSR keyed by column, densified."""
-    f = np.eye(level.p) if factor is None else factor
-    rows = np.vstack([f / np.sqrt(level.counts)[:, None], np.zeros(f.shape[1])])
-    return rows[level.class_of]
 
 
 # ---------------------------------------------------------------------------

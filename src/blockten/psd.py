@@ -31,7 +31,6 @@ from .blocks import BlockPattern, _classify, blocks_to_tensor, extract_blocks
 from .decomp import _mode_basis, cholesky
 from .errors import PatternMismatchError, ShapeError
 from .reconstruct import BlockLowRankRep, FlopCounter, _check_vector, densify
-from .tensor import unfold
 
 __all__ = [
     "SpsdRep",
@@ -93,7 +92,7 @@ class SpsdRep:
         return self.pattern, self.basis @ self.blocks @ self.basis.T
 
     def stored_scalars(self) -> int:
-        return self.basis.size + self.blocks.size
+        return (self.basis.size if self.pattern.p else 0) + self.blocks.size  # unread if p = 0
 
     def distinct_scalars(self) -> int:
         """Scalars of the ``p`` distinct dense blocks the form replaces."""
@@ -224,7 +223,8 @@ def _shared_basis_rep(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
     if pattern.p == 0:
         return SpsdRep(pattern=pattern, basis=np.eye(n, r),
                        blocks=np.zeros((0, r, r)))
-    u = _mode_basis(unfold(blocks_to_tensor(pattern, blocks), 1), r)
+    # the mode-1 unfolding's columns permuted, as a view: no basis depends on column order
+    u = _mode_basis(blocks_to_tensor(pattern, blocks).reshape(n, -1), r)
     proj = np.stack([u.T @ blk @ u for blk in blocks])
     return SpsdRep(pattern=pattern, basis=u, blocks=proj)
 

@@ -13,8 +13,8 @@ here keep the source pattern without materializing Kronecker products:
   orthonormal-ish side bases ``L``, ``R`` and a block-sparse middle ``S``
   holding one small block per class.
 
-Both apply themselves through one class-grid CSR matrix
-(``blocks._class_grid``) and optionally tally multiply-add counts into a
+Both apply themselves through a class grid, CSR or, on a filled grid, dense
+(``blocks._grid_is_filled``), and optionally tally multiply-add counts into a
 :class:`FlopCounter`, which is how the linear-in-rank cost claim is checked.
 """
 
@@ -31,6 +31,8 @@ from .blocks import (
     _cells,
     _check_dense_size,
     _class_grid,
+    _dense_class_grid,
+    _grid_is_filled,
     _to_check,
     struct_assemble,
 )
@@ -53,7 +55,9 @@ __all__ = [
 
 
 class FlopCounter:
-    """Accumulates multiply-add counts reported by :func:`matvec`."""
+    """Accumulates the structural multiply-add counts :func:`matvec` reports.  A dense
+    kernel on a filled grid also multiplies zeros: at most ``blocks._DENSE_FILL`` times its
+    class-grid step's count, plus ``r_right * sum(eta)`` for the block-low-rank gather."""
 
     def __init__(self) -> None:
         self.flops = 0
@@ -88,9 +92,8 @@ class KronSumRep:
         if p != self.pattern.p:
             raise ShapeError(f"coeffs rows {p} != number of classes {self.pattern.p}")
         if self.terms.shape != (r, self.pattern.m, self.pattern.n):
-            raise ShapeError(
-                f"terms shape {self.terms.shape} != ({r}, {self.pattern.m}, {self.pattern.n})"
-            )
+            raise ShapeError(f"terms shape {self.terms.shape} != "
+                             f"({r}, {self.pattern.m}, {self.pattern.n})")
 
     @property
     def n_terms(self) -> int:
@@ -101,14 +104,16 @@ class KronSumRep:
         return self.pattern.shape
 
     @cached_property
-    def _c_stack(self) -> sp.csr_matrix:
-        """Sparse ``sum_k E_k (x) coeffs[k]``, whose column ``c * r + j``
-        holds ``C_j[:, c]``; built at the first product and kept."""
+    def _c_stack(self) -> np.ndarray | sp.csr_matrix:
+        """``sum_k E_k (x) coeffs[k]``, whose column ``c * r + j`` holds ``C_j[:, c]``,
+        dense on a filled grid, else CSR; built at the first product and kept."""
+        if _grid_is_filled(self.pattern, self.pattern.q):
+            return _dense_class_grid(self.pattern, self.coeffs).reshape(self.pattern.ell, -1)
         return _class_grid(self.pattern, self.coeffs, key="col")
 
     def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-        """``sum_j (C_j (x) D_j) x`` as one sparse product with the stacked
-        ``C_j``: row ``c * r + j`` of the right-hand side is ``(D_j x_c)^T``."""
+        """``sum_j (C_j (x) D_j) x`` as one product with the stacked ``C_j``:
+        row ``c * r + j`` of the right-hand side is ``(D_j x_c)^T``."""
         pat = self.pattern
         _check_vector(x, pat.shape[1])
         m, n, q, r = pat.m, pat.n, pat.q, self.n_terms
@@ -148,9 +153,7 @@ class BlockLowRankRep:
         if self.left.shape[0] != self.pattern.m or self.right.shape[0] != self.pattern.n:
             raise ShapeError("side bases do not match the pattern's block extents")
         if self.middles.shape != (self.pattern.p, rl, rr):
-            raise ShapeError(
-                f"middles shape {self.middles.shape} != ({self.pattern.p}, {rl}, {rr})"
-            )
+            raise ShapeError(f"middles shape {self.middles.shape} != {(self.pattern.p, rl, rr)}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -164,14 +167,17 @@ class BlockLowRankRep:
         return np.ascontiguousarray(self.middles.transpose(0, 2, 1)).reshape(p * rr, rl)
 
     def matvec(self, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray:
-        """``(I (x) left) S (I (x) right^T) x``: the class-grid CSR of the
-        ``right^T x_c`` keyed by class, times the stacked middles."""
+        """``(I (x) left) S (I (x) right^T) x``: the class grid of the ``right^T x_c`` keyed by
+        class (on a filled grid, the placement rows times them) times the stacked middles."""
         pat = self.pattern
         _check_vector(x, pat.shape[1])
         rl, rr = self.left.shape[1], self.right.shape[1]
         z = x.reshape(pat.q, pat.n) @ self.right  # row c is (right^T x_c)^T
-        grid = _class_grid(pat, z, key="class", like=self.__dict__.get("_grid"))
-        self.__dict__.setdefault("_grid", grid)  # later products share its index arrays
+        if _grid_is_filled(pat, pat.p):
+            grid = (pat._placement_rows @ z).reshape(pat.ell, pat.p * rr)
+        else:
+            grid = _class_grid(pat, z, key="class", like=self.__dict__.get("_grid"))
+            self.__dict__.setdefault("_grid", grid)  # later products share its index arrays
         y = grid @ self._middle_stack
         if counter is not None:
             counter.add(2 * pat.n * rr * pat.q + 2 * rl * rr * sum(pat.counts)
@@ -197,9 +203,8 @@ class BlockLowRankRep:
 def _check_dims(kind: str, dims: tuple[int, ...], pattern: BlockPattern) -> None:
     """An order-3 factorization of the pattern's ``m x p x n`` tensor."""
     if dims != (pattern.m, pattern.p, pattern.n):
-        raise ShapeError(
-            f"{kind} dims {dims} do not match pattern ({pattern.m}, {pattern.p}, {pattern.n})"
-        )
+        raise ShapeError(f"{kind} dims {dims} do not match pattern "
+                         f"({pattern.m}, {pattern.p}, {pattern.n})")
 
 
 def kron_sum_from_tucker(t: TuckerRep, pattern: BlockPattern) -> KronSumRep:

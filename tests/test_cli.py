@@ -423,7 +423,8 @@ def test_spd_with_an_empty_remainder_reports_a_finite_ratio(tmp_path, capsys, ca
                  ("report", out_c), ("report", out_c, "--matrix", path)):
         code, out, err = run_cli(capsys, *argv)
         assert code == 0, (argv[0], err)
-        assert np.isfinite(float(kv(out)["storage_ratio"])), argv[0]
+        # the anchor's Cholesky factor over the anchor block; no basis is stored
+        assert float(kv(out)["storage_ratio"]) == pytest.approx((m + 1) / (2 * m), abs=1e-3)
 
 
 def test_spd_uses_the_detected_blocks(tmp_path, capsys, monkeypatch):

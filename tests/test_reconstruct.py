@@ -5,14 +5,18 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from blockten import reconstruct
+from blockten.apps import spacetime_build
 from blockten.blocks import (
     BlockPattern,
+    _grid_is_filled,
     build_pattern,
     mat_to_tensor,
     struct_assemble,
@@ -204,6 +208,46 @@ def test_matvec_flop_count_linear_in_terms():
         flops[r] = cnt.flops
     assert flops[4] == 2 * flops[2]
     assert flops[8] == 2 * flops[4]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS + ("no_class",)),
+       dense=st.booleans())
+def test_dense_and_csr_class_grid_kernels_agree_with_densify(seed, kind, dense):
+    # each kernel forced on every pattern kind, rectangular blocks and zero
+    # classes included; a block-symmetric Toeplitz row meets a class twice
+    rng = np.random.default_rng(seed)
+    if kind == "no_class":
+        ell, q, m, n = (int(v) for v in rng.integers(1, 5, size=4))
+        pat = BlockPattern(ell, q, m, n, np.zeros((0, 2)), np.zeros(0))
+    else:
+        pat = random_pattern(rng, kind)
+    r, rl, rr = (int(v) for v in rng.integers(1, 4, size=3))
+    kron = KronSumRep(pattern=pat, coeffs=rng.standard_normal((pat.p, r)),
+                      terms=rng.standard_normal((r, pat.m, pat.n)))
+    blr = BlockLowRankRep(pattern=pat, left=rng.standard_normal((pat.m, rl)),
+                          right=rng.standard_normal((pat.n, rr)),
+                          middles=rng.standard_normal((pat.p, rl, rr)))
+    for rep in (kron, blr):
+        x = rng.standard_normal(pat.shape[1])
+        with mock.patch.object(reconstruct, "_grid_is_filled", lambda pattern, extent: dense):
+            got = rep.matvec(x)
+        dense_rep = rep.densify()
+        scale = float(np.linalg.norm(np.abs(dense_rep) @ np.abs(x)))
+        assert np.linalg.norm(got - dense_rep @ x) <= 1e-13 * scale
+    assert isinstance(kron._c_stack, np.ndarray) == dense
+    assert ("_grid" in blr.__dict__) != dense
+
+
+def test_filled_grids_pick_the_dense_kernel_and_banded_grids_csr():
+    toeplitz = build_pattern("toeplitz", 48, 48, 48, 48)  # 95 classes over 2304 cells
+    spacetime, _ = spacetime_build(np.arange(8.0).reshape(4, 2), np.arange(20.0))
+    assert (spacetime.p, len(spacetime.klass)) == (20, 400)
+    for pat in (toeplitz, spacetime):
+        assert _grid_is_filled(pat, pat.q) and _grid_is_filled(pat, pat.p)
+    for n in (12, 40, 60, 100):
+        pat = build_pattern("banded", n, n, 2, 2, band=1)
+        assert not _grid_is_filled(pat, pat.q) and not _grid_is_filled(pat, pat.p)
 
 
 def test_matvec_validates_vector_length():
