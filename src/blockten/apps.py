@@ -191,9 +191,8 @@ def era_identify_compressed(
         raise ShapeError(f"model order {order} out of range for a {reduced.shape} Hankel")
     cutoff = max(reduced.shape) * np.finfo(np.float64).eps * sing_vals[0]
     if sing_vals[order - 1] <= cutoff:
-        raise ConvergenceError(
-            f"model order {order} exceeds the numerical rank of the reduced Hankel"
-        )
+        raise ConvergenceError(f"model order {order} exceeds the numerical rank "
+                               "of the reduced Hankel")
     root = np.sqrt(sing_vals[:order])
     theta = sing_u[:, :order] * root          # observability factor
     gamma_t = root[:, None] * sing_vt[:order]  # controllability factor, transposed
@@ -202,17 +201,9 @@ def era_identify_compressed(
     bwd = theta[r1:]
     a_til, *_ = np.linalg.lstsq(fwd, bwd, rcond=None)
 
-    c_lift = u @ theta[:r1]
-    b_lift = gamma_t[:, :r3] @ w.T
-    system = LtiSystem(a=a_til, b=b_lift, c=c_lift)
-    return EraResult(
-        system=system,
-        pattern=pattern,
-        reduced_pattern=reduced_pattern,
-        reduced_hankel=reduced,
-        basis_left=u,
-        basis_right=w,
-    )
+    system = LtiSystem(a=a_til, b=gamma_t[:, :r3] @ w.T, c=u @ theta[:r1])
+    return EraResult(system=system, pattern=pattern, reduced_pattern=reduced_pattern,
+                     reduced_hankel=reduced, basis_left=u, basis_right=w)
 
 
 def hausdorff_eigs(set1, set2) -> float:
@@ -261,20 +252,21 @@ def spacetime_build(
     Returns:
         ``(pattern, blocks)`` with ``blocks`` of shape ``(T, N, N)``; feed
         them to :func:`blockten.psd.spsd_compress_blocks` — the full matrix
-        is never needed.
+        is never needed.  A lag whose peak ``phi(0, tau)`` underflows gets its
+        zero block unevaluated: ``phi`` decreases in ``r``, so all of it underflows.
 
     Raises:
-        ShapeError: Empty inputs or non-equispaced times.
+        ShapeError: Empty or non-finite inputs, or non-equispaced times.
     """
     kcfg = kcfg if kcfg is not None else KernelConfig()
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise ShapeError("points must be a nonempty (N, dim) array")
+    if pts.ndim != 2 or pts.shape[0] < 1 or not np.isfinite(pts).all():
+        raise ShapeError("points must be a nonempty (N, dim) array of finite coordinates")
     times = np.asarray(times, dtype=np.float64).ravel()
-    if times.size < 1:
-        raise ShapeError("need at least one time instant")
+    if times.size < 1 or not np.isfinite(times).all():
+        raise ShapeError("times must be a nonempty array of finite instants")
     if times.size > 1:
         steps = np.diff(times)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(times))))
@@ -283,8 +275,10 @@ def spacetime_build(
 
     n, t_count = pts.shape[0], times.size
     dists = np.sqrt(sum((col[:, None] - col[None, :]) ** 2 for col in pts.T))
-    lags = np.abs(times - times[0])
-    blocks = np.stack([kcfg(dists, lag) for lag in lags])
+    blocks = np.zeros((t_count, n, n))
+    for i, lag in enumerate(np.abs(times - times[0])):
+        if kcfg(0.0, lag):  # the kernel peaks at r = 0: past an underflowed peak, all is zero
+            blocks[i] = kcfg(dists, lag)
     pattern = build_pattern("toeplitz", t_count, t_count, n, n, block_symmetric=True)
     return pattern, blocks
 

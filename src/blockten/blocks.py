@@ -652,25 +652,23 @@ def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarr
         i, j = divmod(int(ids[bad[0]]), pattern.q)
         k = klass[bad[0]]
         if k < pattern.p:
-            raise PatternMismatchError(
-                f"class {k + 1}: block at grid cell ({i + 1}, {j + 1}) "
-                f"differs from its representative"
-            )
-        raise PatternMismatchError(
-            f"grid cell ({i + 1}, {j + 1}) is outside every class but not zero"
-        )
+            raise PatternMismatchError(f"class {k + 1}: block at grid cell ({i + 1}, {j + 1}) "
+                                       "differs from its representative")
+        raise PatternMismatchError(f"grid cell ({i + 1}, {j + 1}) is outside every class "
+                                   "but not zero")
     return tuple(reps)
 
 
-def blocks_to_tensor(pattern: BlockPattern, blocks) -> np.ndarray:
+def blocks_to_tensor(pattern: BlockPattern, blocks, classes=None) -> np.ndarray:
     """The ``m x p x n`` tensor whose lateral slice ``k`` holds
-    ``sqrt(eta_k) * blocks[k]``."""
+    ``sqrt(eta_k) * blocks[k]``; with ``classes``, the slices of those classes only."""
     if len(blocks) != pattern.p:
         raise ShapeError(f"expected {pattern.p} blocks, got {len(blocks)}")
-    if pattern.p == 0:
+    classes = np.arange(pattern.p) if classes is None else np.asarray(classes, dtype=np.intp)
+    if classes.size == 0:
         return np.zeros((pattern.m, 0, pattern.n))
-    t = np.stack(blocks, axis=1)
-    t *= np.sqrt(pattern.counts)[:, None]
+    t = np.stack([blocks[k] for k in classes], axis=1)  # one allocation, scaled in place
+    t *= np.sqrt(pattern.counts)[classes, None]
     return t
 
 
@@ -691,8 +689,6 @@ def tensor_to_mat(t: np.ndarray, pattern: BlockPattern) -> np.ndarray:
     if t.ndim != 3:
         raise ShapeError("tensor_to_mat expects an order-3 tensor")
     if t.shape[1] != pattern.p or t.shape[0] != pattern.m or t.shape[2] != pattern.n:
-        raise ShapeError(
-            f"tensor extents {t.shape} do not match pattern "
-            f"({pattern.m}, {pattern.p}, {pattern.n})"
-        )
+        raise ShapeError(f"tensor extents {t.shape} do not match pattern "
+                         f"({pattern.m}, {pattern.p}, {pattern.n})")
     return struct_expand(pattern, [t[:, k, :] for k in range(pattern.p)])

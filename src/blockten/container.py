@@ -134,9 +134,8 @@ def _read_arrays(kv: dict, names: list[str], payload: bytes) -> dict[str, np.nda
         if any(e < 0 for e in extents):
             raise ContainerExtentError(f"array {name!r}: negative extent {extents}")
         if extents != declared:
-            raise ContainerExtentError(
-                f"array {name!r}: payload extents {extents} != header extents {declared}"
-            )
+            raise ContainerExtentError(f"array {name!r}: payload extents {extents} != "
+                                       f"header extents {declared}")
         flat = take(int(np.prod(extents)), "<f8", f"in array {name!r}")
         out[name] = flat.reshape(extents, order="F").copy()
     if pos != len(payload):

@@ -9,11 +9,12 @@ Cholesky pivots.  The tensor routines (:func:`hosvd`,
 implemented directly on top of the mode arithmetic in :mod:`blockten.tensor`.
 
 Exact mode bases (HOSVD, partial Tucker, the shared SPSD basis) come from
-:func:`_mode_basis`.  Unfoldings are short and fat (``m x pn`` or ``p x mn``):
-a wide unfolding ``M`` takes the eigenvectors of ``M M^T`` when they pass the
-certificate of :func:`_gram_basis`, else the SVD of the triangular factor
-``L`` of ``M = L Q`` (:func:`_lq_basis`), which shares ``M``'s left singular
-vectors and is as accurate as the full SVD at every spectrum.
+:func:`_mode_basis`, which first drops an unfolding's all-zero columns.
+Unfoldings are short and fat (``m x pn`` or ``p x mn``): a wide unfolding ``M``
+takes the eigenvectors of ``M M^T`` when they pass the certificate of
+:func:`_gram_basis`, else the SVD of the triangular factor ``L`` of ``M = L Q``
+(:func:`_lq_basis`), which shares ``M``'s left singular vectors and is as
+accurate as the full SVD at every spectrum.
 
 Randomness: sketching matrices are drawn from ``numpy.random.default_rng``
 (PCG64) via ``standard_normal`` (ziggurat sampling), so a fixed seed fixes
@@ -71,9 +72,8 @@ class TuckerRep:
 
     def __post_init__(self) -> None:
         if self.core.ndim != len(self.factors):
-            raise ShapeError(
-                f"core order {self.core.ndim} does not match {len(self.factors)} factors"
-            )
+            raise ShapeError(f"core order {self.core.ndim} does not match "
+                             f"{len(self.factors)} factors")
         for k, f in enumerate(self.factors):
             if f is not None and f.shape[1] != self.core.shape[k]:
                 raise ShapeError(f"factor for mode {k + 1} has {f.shape[1]} columns, "
@@ -255,9 +255,15 @@ def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np
     With ``tail_budget``, ``r`` is a cap: the basis keeps ``min(r, tail_rank(sv,
     tail_budget))`` vectors, the rank the exact spectrum picks.
 
+    All-zero columns (a sparse block support leaves many) are dropped first, unless
+    every column is zero: they change neither the basis nor the residual.
+
     Raises:
         ConvergenceError: If the SVD fails (for example on NaN entries).
     """
+    nonzero = mat.any(axis=0)  # NaN counts as nonzero
+    if 0 < np.count_nonzero(nonzero) < len(nonzero):
+        mat = mat[:, nonzero]
     u = _gram_basis(mat, r, tail_budget)
     return _lq_basis(mat, r, tail_budget) if u is None else u
 

@@ -91,10 +91,8 @@ def read_matrix(path):
             k = int(bad[0])  # canonical CSR stores its entries in row-major order
             i, j = ((np.searchsorted(mat.indptr, k, side="right") - 1, mat.indices[k])
                     if fmt == "coordinate" else divmod(k, cols))
-            raise ContainerFormatError(
-                f"{path}: non-finite entry {float(values.flat[k])!r} "
-                f"at row {i + 1}, column {j + 1}"
-            )
+            raise ContainerFormatError(f"{path}: non-finite entry {float(values.flat[k])!r} "
+                                       f"at row {i + 1}, column {j + 1}")
     return mat
 
 
@@ -135,8 +133,7 @@ def read_vector(path) -> np.ndarray:
                 values.append(float(text))
             except ValueError as exc:
                 raise ContainerFormatError(
-                    f"{path}:{lineno}: not a decimal literal: {text!r}"
-                ) from exc
+                    f"{path}:{lineno}: not a decimal literal: {text!r}") from exc
             if not math.isfinite(values[-1]):
                 raise ContainerFormatError(f"{path}:{lineno}: non-finite value {text!r}")
     if not values:

@@ -57,10 +57,8 @@ class MultilevelPattern:
         for t in range(len(self.levels) - 1):
             outer, inner = self.levels[t], self.levels[t + 1]
             if (outer.m, outer.n) != inner.shape:
-                raise ShapeError(
-                    f"level {t + 1} block extents {(outer.m, outer.n)} != "
-                    f"level {t + 2} assembled shape {inner.shape}"
-                )
+                raise ShapeError(f"level {t + 1} block extents {(outer.m, outer.n)} != "
+                                 f"level {t + 2} assembled shape {inner.shape}")
 
     @property
     def depth(self) -> int:
@@ -132,9 +130,7 @@ class MultilevelTuckerRep:
 
     def __post_init__(self) -> None:
         if self.tucker.dims != self.pattern.dims:
-            raise ShapeError(
-                f"tucker dims {self.tucker.dims} != pattern dims {self.pattern.dims}"
-            )
+            raise ShapeError(f"tucker dims {self.tucker.dims} != pattern dims {self.pattern.dims}")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -256,12 +252,9 @@ def blur_operator_dense(psf: np.ndarray) -> np.ndarray:
     if k > 7:
         raise ShapeError("dense blur operator capped at K <= 7")
     h = (k - 1) // 2
-    size = k**3
-    out = np.zeros((size, size))
-    idx = [(a1, a2, a3) for a3 in range(k) for a2 in range(k) for a1 in range(k)]
-    for row, (a1, a2, a3) in enumerate(idx):
-        for col, (b1, b2, b3) in enumerate(idx):
-            d1, d2, d3 = a1 - b1, a2 - b2, a3 - b3
-            if max(abs(d1), abs(d2), abs(d3)) <= h:
-                out[row, col] = psf[h + d1, h + d2, h + d3]
+    pos = np.indices((k, k, k)).reshape(3, -1)[::-1]  # (a1, a2, a3), a1 fastest
+    d = pos[:, :, None] - pos[:, None, :]  # d[:, row, col] = a - b
+    inside = np.abs(d).max(axis=0) <= h
+    out = np.zeros((k**3, k**3))
+    out[inside] = psf[tuple(h + d[:, inside])]
     return out

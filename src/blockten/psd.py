@@ -190,12 +190,12 @@ def _split_diagonal(pattern: BlockPattern, items, shift: np.ndarray, nonzero: bo
     return pattern.cells[order], (np.cumsum(keep) - 1)[part[order]], stack[keep]
 
 
-def check_transpose_closed(pattern: BlockPattern, blocks, tol: float = 0.0) -> None:
+def check_transpose_closed(pattern: BlockPattern, blocks, tol: float = 0.0) -> list[int]:
     """Verify that transposing the matrix permutes the classes.
 
     For every class ``k``, the transposed support must be the support of
     some class ``j`` (possibly ``k`` itself) whose block equals ``A_k^T``
-    within ``tol``.
+    within ``tol``.  Returns the partner ``j`` of every class.
 
     Raises:
         PatternMismatchError: If any class has no transpose partner.
@@ -204,15 +204,17 @@ def check_transpose_closed(pattern: BlockPattern, blocks, tol: float = 0.0) -> N
     grid = np.full((max(ell, q),) * 2, -1)
     grid[:ell, :q] = pattern.class_of
     mirror = grid.T[:ell, :q]  # class of the transposed cell, -1 if none
+    found = []
     for k, cells in enumerate(pattern.placements):
         partners = mirror[cells[:, 0], cells[:, 1]]
         partner = int(partners[0])
         if partner < 0 or np.any(partners != partner) or pattern.counts[partner] != len(cells):
             raise PatternMismatchError(f"class {k + 1}: transposed support matches no class")
         if np.max(np.abs(np.asarray(blocks[partner]) - np.asarray(blocks[k]).T)) > tol:
-            raise PatternMismatchError(
-                f"class {k + 1}: block transpose differs from class {partner + 1}"
-            )
+            raise PatternMismatchError(f"class {k + 1}: block transpose differs from class "
+                                       f"{partner + 1}")
+        found.append(partner)
+    return found
 
 
 def _shared_basis_rep(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
@@ -220,12 +222,13 @@ def _shared_basis_rep(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
     n = pattern.m
     if not 1 <= r <= n:
         raise ShapeError(f"rank {r} out of range for block extent {n}")
-    if pattern.p == 0:
-        return SpsdRep(pattern=pattern, basis=np.eye(n, r),
-                       blocks=np.zeros((0, r, r)))
-    # the mode-1 unfolding's columns permuted, as a view: no basis depends on column order
-    u = _mode_basis(blocks_to_tensor(pattern, blocks).reshape(n, -1), r)
-    proj = np.stack([u.T @ blk @ u for blk in blocks])
+    nz = [k for k, blk in enumerate(blocks) if np.any(blk)]
+    # the nonzero classes' mode-1 unfolding, columns permuted: no basis depends on either
+    x = blocks_to_tensor(pattern, blocks, nz).reshape(n, -1)
+    u = _mode_basis(x, r) if nz else np.eye(n, r)  # the basis of a zero unfolding
+    proj = np.zeros((pattern.p, r, r))  # a zero class projects to a zero block
+    for k in nz:
+        proj[k] = u.T @ blocks[k] @ u
     return SpsdRep(pattern=pattern, basis=u, blocks=proj)
 
 
@@ -267,6 +270,8 @@ def spd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpdRep:
     diagonal/off-diagonal parts, the anchor is subtracted on the diagonal,
     the remainder blocks are scaled to ``L^-1 B L^-T``, and the scaled
     remainder is compressed with the shared-basis projection at rank ``r``.
+    Closure is checked before scaling, and partners are scaled as exact transposes
+    (solves against an ill-conditioned anchor break symmetry beyond rounding).
 
     Returns:
         :class:`SpdRep`; its ``densify()`` is SPD for every ``1 <= r <= n``.
@@ -288,9 +293,13 @@ def spd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpdRep:
 
     # subtract the anchor on the diagonal, drop exactly-zero remainders
     cells, klass, parts = _split_diagonal(pattern, blocks, -anchor, nonzero=True)
-    scaled = [solve_triangular(low, solve_triangular(low, b, lower=True).T, lower=True).T
-              for b in parts]
     rem_pattern = BlockPattern(pattern.ell, pattern.q, pattern.m, pattern.n, cells, klass,
                                _classify(cells, klass, pattern.ell, pattern.q))
-    rep = spsd_compress_blocks(rem_pattern, tuple(scaled), r)
-    return SpdRep(chol=low, remainder=rep, ell=pattern.ell)
+    tol = _TRANSPOSE_TOL * max(1.0, float(np.abs(parts).max(initial=0.0)))
+    scaled = np.empty_like(parts)
+    for k, j in enumerate(check_transpose_closed(rem_pattern, parts, tol)):
+        if k <= j:
+            s = solve_triangular(low, solve_triangular(low, parts[k], lower=True).T, lower=True).T
+            scaled[j] = s.T
+            scaled[k] = s if k < j else (s + s.T) / 2
+    return SpdRep(chol=low, remainder=_shared_basis_rep(rem_pattern, scaled, r), ell=pattern.ell)

@@ -265,12 +265,15 @@ def kron_sum_from_kruskal(
 def blr_from_tucker(t: TuckerRep, pattern: BlockPattern) -> BlockLowRankRep:
     """Block-low-rank form: side bases from modes 1 and 3, middle blocks
     ``sum_j V[k, j] core[:, j, :]`` (identity mode-2 factor means the middle
-    block of class ``k`` is the core slice itself)."""
+    block of class ``k`` is the core slice itself).  Middles from ``V`` come out
+    of one GEMM in ``(k, b, a)`` memory order, so the matvec stacks them as a view."""
     _check_dims("Tucker", t.dims, pattern)
     u, v, w = t.factors
     left = np.eye(pattern.m) if u is None else u.copy()
     right = np.eye(pattern.n) if w is None else w.copy()
-    middles = np.moveaxis(t.core, 1, 0) if v is None else np.einsum("ajb,kj->kab", t.core, v)
+    a, j, b = t.core.shape
+    middles = (np.moveaxis(t.core, 1, 0) if v is None
+               else (v @ t.core.transpose(1, 2, 0).reshape(j, -1)).reshape(-1, b, a).swapaxes(1, 2))
     return BlockLowRankRep(pattern=pattern, left=left, right=right, middles=middles)
 
 

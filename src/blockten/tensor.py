@@ -82,9 +82,8 @@ def mode_multiply(t: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:
     """
     ax = _check_mode(mode, t.ndim)
     if u.ndim != 2 or u.shape[1] != t.shape[ax]:
-        raise ShapeError(
-            f"factor of shape {u.shape} does not act on mode {mode} of extent {t.shape[ax]}"
-        )
+        raise ShapeError(f"factor of shape {u.shape} does not act on mode {mode} "
+                         f"of extent {t.shape[ax]}")
     dims = list(t.shape)
     dims[ax] = u.shape[0]
     return fold(u @ unfold(t, mode), mode, tuple(dims))

@@ -228,6 +228,51 @@ def test_long_lag_blocks_vanish():
     assert np.max(np.abs(blocks[1:])) < 1e-300 or np.max(np.abs(blocks[1:])) == 0.0
 
 
+def _benchmark_grid(side=16, spacing=10.0):
+    g = np.arange(side) * spacing
+    jitter = np.random.default_rng(40).uniform(-1e-2, 1e-2, (side * side, 2))
+    return np.array([(x, y) for y in g for x in g]) + jitter
+
+
+@pytest.mark.parametrize("temporal_scale", [0.5, 50.0])
+def test_spacetime_build_is_the_stacked_kernel_bit_for_bit(temporal_scale):
+    # at scale 0.5 (the default) the lags from 14 on underflow to zero blocks,
+    # which are written without evaluating the kernel; at 50 none does
+    pts, times = _benchmark_grid(), np.arange(20.0)
+    kcfg = KernelConfig(temporal_scale=temporal_scale)
+    _, blocks = spacetime_build(pts, times, kcfg)
+    dists = np.sqrt(sum((col[:, None] - col[None, :]) ** 2 for col in pts.T))
+    direct = np.stack([kcfg(dists, lag) for lag in np.abs(times - times[0])])
+    assert blocks.tobytes() == direct.tobytes()
+    zero = [k for k in range(20) if not blocks[k].any()]
+    assert zero == (list(range(14, 20)) if temporal_scale == 0.5 else [])
+
+
+def test_spacetime_build_rejects_nonfinite_inputs():
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ShapeError, match="finite"):
+            spacetime_build(np.array([[0.0, 1.0], [bad, 2.0]]), np.arange(3.0))
+        with pytest.raises(ShapeError, match="finite"):
+            spacetime_build(np.zeros((2, 1)), np.array([0.0, bad, 2.0]))
+
+
+def test_spsd_zero_classes_match_the_full_unfolding():
+    from blockten.decomp import _lq_basis
+
+    pts = _benchmark_grid(side=6)
+    pattern, blocks = spacetime_build(pts, np.arange(20.0), KernelConfig(spatial_scale=15.0))
+    zero = [k for k in range(pattern.p) if not blocks[k].any()]
+    assert zero == list(range(14, 20))
+    rep = spsd_compress_blocks(pattern, blocks, 8)
+    assert not rep.blocks[zero].any()
+    # the exact kernel on every column of the mode-1 unfolding, zero classes included
+    u = _lq_basis(block_maps.blocks_to_tensor(pattern, blocks).reshape(36, -1), 8)
+    np.testing.assert_allclose(rep.basis @ rep.basis.T, u @ u.T, rtol=0, atol=1e-12)
+    full = np.stack([u.T @ b @ u for b in blocks])
+    np.testing.assert_allclose(rep.basis @ rep.blocks @ rep.basis.T, u @ full @ u.T,
+                               rtol=0, atol=1e-12)
+
+
 def test_nonequispaced_times_rejected():
     with pytest.raises(ShapeError):
         spacetime_build(np.zeros((2, 1)), np.array([0.0, 1.0, 2.5]))

@@ -29,3 +29,23 @@ def test_one_pass_of_each_workload_passes_its_checks(name, tmp_path):
     workloads.attempt_pass(workload, rec)
     assert rec.attempted > 0
     assert rec.failed == 0, dict(rec.failures)
+
+
+def test_cli_session_tolerance_keeps_its_mode2_rank(tmp_path, capsys):
+    # the mode-2 unfolding of the n = 40 grid operator has 118 nonzero columns
+    # out of 1600; dropping the zero ones leaves the rank the budget picks
+    from blockten.cli import main
+    from blockten.fileio import write_matrix
+
+    workloads = _load_workloads()
+    session = workloads.CliSession
+    for seed in (1, 7002):
+        path = tmp_path / "A.mtx"
+        write_matrix(path, workloads.grid_operator(session.n, np.random.default_rng(seed)))
+        size = str(session.n)
+        code = main(["compress", str(path), "-o", str(tmp_path / "k.btc"), "--block-rows", size,
+                     "--block-cols", size, "--method", "mode2", "--pattern", "banded",
+                     "--band", "1", "--tol", repr(session.tol)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "ranks: 5\n" in out

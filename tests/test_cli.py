@@ -405,6 +405,25 @@ def test_spd_compress_and_factored_matvec(tmp_path, capsys):
     assert np.linalg.norm(dense @ x - y) <= 1e-12 * np.linalg.norm(dense @ x)
 
 
+def test_spd_of_a_near_singular_anchor_compresses(tmp_path, capsys):
+    # the anchor of this covariance has condition number 8e13: two triangular
+    # solves against it leave a scaled remainder whose transpose partners
+    # differ far beyond the transpose tolerance, so closure is checked before
+    # scaling and partners are scaled as exact transposes
+    from blockten.apps import spacetime_build
+
+    rng = np.random.default_rng(3)
+    pattern, blocks = spacetime_build(rng.uniform(0, 10, (12, 2)), np.arange(6.0))
+    assert np.linalg.cond(blocks[0]) > 1e13
+    path, out_c = tmp_path / "st.mtx", tmp_path / "spd.btc"
+    write_matrix(path, struct_assemble(pattern, blocks))
+    code, out, err = run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", 12,
+                             "--block-cols", 12, "--method", "spd", "--rank", 5)
+    assert code == 0, err
+    assert kv(out)["kind"] == "SpdRep" and float(kv(out)["relerr_fro"]) < 0.05
+    np.linalg.cholesky(container_read(out_c).densify())
+
+
 @pytest.mark.parametrize("pattern", [("--pattern", "auto"),
                                      ("--pattern", "toeplitz", "--symmetric")])
 @pytest.mark.parametrize("case", ["kron_identity", "one_block"])

@@ -513,3 +513,60 @@ def test_cp_als_is_scale_invariant():
         assert got.fit_history == ref.fit_history
         assert np.array_equal(got.rep.x, np.ldexp(ref.rep.x, e))
         assert np.array_equal(got.rep.y, ref.rep.y) and np.array_equal(got.rep.z, ref.rep.z)
+
+
+def _with_zero_columns(mat, rng, extra):
+    """``mat`` with ``extra`` all-zero columns scattered between its own."""
+    out = np.zeros((mat.shape[0], mat.shape[1] + extra))
+    keep = np.sort(rng.choice(out.shape[1], mat.shape[1], replace=False))
+    out[:, keep] = mat
+    return out
+
+
+@pytest.mark.parametrize("branch", ["gram", "lq"])
+def test_mode_basis_residual_does_not_see_zero_columns(branch):
+    rng = np.random.default_rng(30)
+    if branch == "gram":  # a slowly decaying spectrum: the certificate passes
+        mat, r = _decaying_matrix(rng, 12, 80, 12, 1e-2, 0.0), 5
+        assert _gram_basis(mat, r) is not None
+    else:  # exactly rank r: the Gram branch declines
+        mat, r = _decaying_matrix(rng, 12, 80, 6, 1e-3, 0.0), 6
+        assert _gram_basis(mat, r) is None
+    padded = _with_zero_columns(mat, rng, 160)
+    scale = np.linalg.norm(mat)
+    reference = _residual(padded, _lq_basis(padded, r))  # the exact kernel on every column
+    for u in (_mode_basis(padded, r), _mode_basis(mat, r)):
+        assert u.shape == (12, r)
+        np.testing.assert_allclose(u.T @ u, np.eye(r), rtol=0, atol=1e-13)
+        assert abs(_residual(padded, u) - reference) <= 1e-12 * scale
+    budget = 0.5 * np.linalg.norm(np.linalg.svd(mat, compute_uv=False)[3:])
+    assert _mode_basis(padded, 12, budget).shape[1] == _mode_basis(mat, 12, budget).shape[1]
+
+
+def test_mode_basis_completes_fewer_nonzero_columns_than_its_rank():
+    rng = np.random.default_rng(31)
+    mat = _with_zero_columns(rng.standard_normal((10, 3)), rng, 27)
+    u = _mode_basis(mat, 5)
+    assert u.shape == (10, 5)
+    np.testing.assert_allclose(u.T @ u, np.eye(5), rtol=0, atol=1e-13)
+    assert _residual(mat, u) <= 1e-13 * np.linalg.norm(mat)
+
+
+@pytest.mark.parametrize("shape", [(6, 20), (6, 6), (20, 6)])
+def test_mode_basis_of_a_zero_unfolding_is_unchanged(shape):
+    zero = np.zeros(shape)
+    np.testing.assert_array_equal(_mode_basis(zero, 3), _lq_basis(zero, 3))
+    np.testing.assert_array_equal(_mode_basis(zero, 3), np.eye(shape[0], 3))
+    np.testing.assert_array_equal(_mode_basis(zero, 3, 0.0), _lq_basis(zero, 3, 0.0))
+
+
+def test_mode_basis_factors_the_nonzero_columns_and_copies_nothing_else(monkeypatch):
+    rng = np.random.default_rng(32)
+    mat = _decaying_matrix(rng, 8, 40, 8, 1e-2, 0.0)
+    seen = []
+    monkeypatch.setattr("blockten.decomp._gram_basis",
+                        lambda m, r, budget=None: seen.append(m) or _gram_basis(m, r, budget))
+    _mode_basis(mat, 3)
+    _mode_basis(_with_zero_columns(mat, rng, 60), 3)
+    assert seen[0] is mat
+    np.testing.assert_array_equal(seen[1], mat)

@@ -6,6 +6,7 @@ import pytest
 from blockten import build_pattern, struct_assemble
 from blockten.blocks import BlockPattern
 from blockten.errors import NotPositiveDefiniteError, PatternMismatchError, ShapeError
+from blockten import psd
 from blockten.psd import (
     SpsdRep,
     check_transpose_closed,
@@ -128,6 +129,31 @@ def test_spd_quadratic_form_identity():
     x = rng.standard_normal(pat.ell * pat.m)
     x1 = lfull.T @ x
     assert np.isclose(x @ that @ x, x1 @ inner @ x1, rtol=1e-12)
+
+
+def test_spd_remainder_partners_are_exact_transposes(monkeypatch):
+    rng = np.random.default_rng(17)
+    a, pat, _ = _spd_block_toeplitz(rng)
+    seen, real = {}, psd._shared_basis_rep
+
+    def spy(pattern, blocks, r):
+        seen.update(pattern=pattern, blocks=blocks)
+        return real(pattern, blocks, r)
+
+    monkeypatch.setattr(psd, "_shared_basis_rep", spy)
+    spd_compress(a, pat, 2)
+    blocks = seen["blocks"]
+    for k, j in enumerate(check_transpose_closed(seen["pattern"], blocks)):
+        assert np.array_equal(blocks[j], blocks[k].T)
+
+
+def test_spd_rejects_a_remainder_that_is_not_transpose_closed():
+    rng = np.random.default_rng(18)
+    a, pat, blocks = _spd_block_toeplitz(rng)
+    blocks = list(blocks)
+    blocks[pat.p - 1] = blocks[pat.p - 1] + 1e-3  # a superdiagonal no longer mirrors its partner
+    with pytest.raises(PatternMismatchError, match="block transpose differs"):
+        spd_compress(struct_assemble(pat, np.stack(blocks)), pat, 2)
 
 
 def test_spd_block_diagonal_input_has_empty_remainder():

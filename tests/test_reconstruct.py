@@ -157,6 +157,22 @@ def test_kruskal_converters_keep_their_term_formulas(r):
         assert fro_norm(rep.middles[k] - oracle) <= 1e-13 * fro_norm(oracle), k
 
 
+@pytest.mark.parametrize("kind", ["banded", "toeplitz", "general"])
+def test_blr_middles_are_stacked_for_the_matvec_as_a_view(kind):
+    # whatever the core's memory order, the first product copies no middle
+    rng, pat, a, t = _setup(9, kind)
+    tk = hosvd(t, random_ranks(rng, t.shape))
+    oracle = np.einsum("ajb,kj->kab", tk.core, tk.factors[1])
+    x = rng.standard_normal(pat.shape[1])
+    for core in (tk.core, np.ascontiguousarray(tk.core)):
+        blr = blr_from_tucker(TuckerRep(core, tk.factors), pat)
+        np.testing.assert_allclose(blr.middles, oracle, rtol=0, atol=1e-13 * fro_norm(core))
+        assert np.shares_memory(blr._middle_stack, blr.middles)
+        dense = densify(blr)
+        np.testing.assert_allclose(blr.matvec(x), dense @ x, rtol=0,
+                                   atol=1e-12 * max(1.0, fro_norm(dense)) * np.linalg.norm(x))
+
+
 def test_mode2_compression_inherits_block_support():
     # block-tridiagonal with tridiagonal blocks: C_j tridiagonal, D_j tridiagonal
     rng = np.random.default_rng(7)
