@@ -89,9 +89,8 @@ class LtiSystem:
 
     def __post_init__(self) -> None:
         a, b, c = (np.asarray(m, dtype=np.float64) for m in (self.a, self.b, self.c))
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
+        for name, value in zip("abc", (a, b, c)):
+            object.__setattr__(self, name, value)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ShapeError("state matrix must be square")
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
@@ -118,8 +117,7 @@ def hankel_pattern_from_markov(seq: MarkovSequence) -> tuple[BlockPattern, np.nd
     The classes are the ``2s - 1`` anti-diagonals with multiplicities
     ``eta_k = k`` for ``k <= s`` and ``2s - k`` beyond.
     """
-    pattern = build_pattern("hankel", seq.s, seq.s, seq.d_out, seq.d_in)
-    return pattern, seq.params
+    return build_pattern("hankel", seq.s, seq.s, seq.d_out, seq.d_in), seq.params
 
 
 @dataclass(frozen=True)
@@ -139,12 +137,8 @@ class EraResult:
     basis_right: np.ndarray
 
 
-def era_identify_compressed(
-    seq: MarkovSequence,
-    ranks: tuple[int, int, int],
-    order: int,
-    tera: bool = False,
-) -> EraResult:
+def era_identify_compressed(seq: MarkovSequence, ranks: tuple[int, int, int], order: int,
+                            tera: bool = False) -> EraResult:
     """Realize an LTI system from the Tucker-compressed block Hankel.
 
     The weighted Hankel tensor (lateral slices ``sqrt(eta_k) h_k``) is
@@ -197,9 +191,8 @@ def era_identify_compressed(
     theta = sing_u[:, :order] * root          # observability factor
     gamma_t = root[:, None] * sing_vt[:order]  # controllability factor, transposed
 
-    fwd = theta[: r1 * (seq.s - 1)]
-    bwd = theta[r1:]
-    a_til, *_ = np.linalg.lstsq(fwd, bwd, rcond=None)
+    # shift invariance: the first s - 1 block rows of theta times A give the last s - 1
+    a_til = np.linalg.lstsq(theta[: r1 * (seq.s - 1)], theta[r1:], rcond=None)[0]
 
     system = LtiSystem(a=a_til, b=gamma_t[:, :r3] @ w.T, c=u @ theta[:r1])
     return EraResult(system=system, pattern=pattern, reduced_pattern=reduced_pattern,
@@ -239,9 +232,8 @@ class KernelConfig:
         return np.exp(-((r / self.spatial_scale) ** 2 + (tau / self.temporal_scale) ** 2))
 
 
-def spacetime_build(
-    points: np.ndarray, times: np.ndarray, kcfg: KernelConfig | None = None
-) -> tuple[BlockPattern, np.ndarray]:
+def spacetime_build(points: np.ndarray, times: np.ndarray,
+                    kcfg: KernelConfig | None = None) -> tuple[BlockPattern, np.ndarray]:
     """Distinct blocks of the space-time covariance on equispaced instants.
 
     Stationarity in time makes the ``NT x NT`` covariance symmetric

@@ -132,14 +132,15 @@ class BlockPattern:
         if klass.size and klass[0] < 0:
             raise ShapeError("classes must be numbered from 0")
         counts = np.bincount(klass)
-        outside = (cells < 0).any(axis=1) | (cells >= (self.ell, self.q)).any(axis=1)
+        i, j = cells.T  # by column: a reduction along a length-2 axis runs a pair per step
+        outside = (i < 0) | (j < 0) | (i >= self.ell) | (j >= self.q)
         bad = [*klass[outside][:1], *np.flatnonzero(counts == 0)[:1]]
         if bad:  # the lowest class at fault, as a class-by-class check finds it
             k = min(bad)
             raise ShapeError(f"class {k + 1}: " + (
                 f"placement outside the {self.ell} x {self.q} grid" if counts[k]
                 else "placements must be a nonempty (eta, 2) array"))
-        flat = cells[:, 0] * self.q + cells[:, 1]
+        flat = i * self.q + j
         ids, first = np.unique(flat, return_index=True)  # ids: the cells row-major
         if len(first) < len(flat):
             repeated = np.ones(len(flat), dtype=bool)
@@ -199,15 +200,8 @@ def _band_cells(ell: int, band: int) -> np.ndarray:
     return np.argwhere(np.abs(grid[:, None] - grid) <= band)
 
 
-def build_pattern(
-    kind: str,
-    ell: int,
-    q: int,
-    m: int,
-    n: int,
-    band: int | None = None,
-    block_symmetric: bool = False,
-) -> BlockPattern:
+def build_pattern(kind: str, ell: int, q: int, m: int, n: int, band: int | None = None,
+                  block_symmetric: bool = False) -> BlockPattern:
     """Construct one of the named block patterns.
 
     Args:
@@ -449,12 +443,8 @@ def _classify(cells: np.ndarray, klass: np.ndarray, ell: int, q: int) -> str:
     return f"banded:{b}" if b < max(ell, q) - 1 else "general"
 
 
-def detect_pattern(
-    a,
-    m: int,
-    n: int,
-    tol: float = 0.0,
-) -> tuple[BlockPattern, tuple[np.ndarray, ...]]:
+def detect_pattern(a, m: int, n: int,
+                   tol: float = 0.0) -> tuple[BlockPattern, tuple[np.ndarray, ...]]:
     """Partition ``a`` into ``m x n`` blocks and group the repeated ones.
 
     ``a`` is a dense array or a scipy sparse matrix.  With ``tol == 0``
@@ -475,7 +465,7 @@ def detect_pattern(
 
     Raises:
         ShapeError: If ``a``'s shape is not divisible into ``m x n`` blocks.
-        PatternMismatchError: If ``a`` holds no nonzero value.
+        PatternMismatchError: If ``a`` holds no nonzero value, or a NaN or an infinity.
     """
     if a.ndim != 2:
         raise ShapeError("detect_pattern expects a matrix")
@@ -490,6 +480,7 @@ def detect_pattern(
     order = np.argsort(klass, kind="stable")
     at, klass = np.column_stack(np.divmod(ids[order], q)), klass[order]
     pattern = BlockPattern(ell, q, m, n, at, klass, _classify(at, klass, ell, q))
+    _check_finite(pattern, reps)
     return pattern, tuple(reps)
 
 
@@ -628,7 +619,7 @@ def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarr
     class claims are within ``tol`` of zero (see :func:`_to_check`).
 
     Raises:
-        PatternMismatchError: On any disagreement.
+        PatternMismatchError: On any disagreement, or a NaN or an infinity in a checked cell.
         ShapeError: If ``a``'s shape is not ``pattern.shape``.
     """
     if a.shape != pattern.shape:
@@ -637,6 +628,7 @@ def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarr
     ids, klass = _to_check(cells, pattern)
     first = np.cumsum([0, *pattern.counts])[:-1]
     reps = cells.take(ids[first])
+    _check_finite(pattern, reps)
     later = np.ones(len(ids), dtype=bool)
     later[first] = False  # a first copy is its class's representative
     ids, klass = ids[later], klass[later]
@@ -647,7 +639,7 @@ def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarr
         stack[:claimed] -= reps[k[:claimed]]
         return np.max(np.abs(stack, out=stack), axis=(1, 2))
 
-    bad = np.flatnonzero(_per_cell(cells, ids, deviation) > tol)
+    bad = np.flatnonzero(~(_per_cell(cells, ids, deviation) <= tol))  # a NaN is bad too
     if bad.size:
         i, j = divmod(int(ids[bad[0]]), pattern.q)
         k = klass[bad[0]]
@@ -657,6 +649,15 @@ def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarr
         raise PatternMismatchError(f"grid cell ({i + 1}, {j + 1}) is outside every class "
                                    "but not zero")
     return tuple(reps)
+
+
+def _check_finite(pattern: BlockPattern, reps) -> None:
+    """Refuse a representative, its class's first cell, holding a NaN or an infinity."""
+    bad = np.flatnonzero(~np.isfinite(reps).all(axis=(1, 2)))
+    if bad.size:
+        i, j = pattern.placements[bad[0]][0]
+        raise PatternMismatchError(f"class {bad[0] + 1}: block at grid cell ({i + 1}, {j + 1}) "
+                                   "is not finite")
 
 
 def blocks_to_tensor(pattern: BlockPattern, blocks, classes=None) -> np.ndarray:

@@ -19,7 +19,6 @@ level plus Tucker factor markers.
 
 from __future__ import annotations
 
-import re
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +35,7 @@ __all__ = ["container_write", "container_read", "MAGIC"]
 
 MAGIC = "blockten-container/1"
 _MAX_RANK = 6  # no stored array has more than core-order extents
+_POWERS = 10 ** np.arange(18, -1, -1)[:, None]
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +47,16 @@ def _pattern_lines(prefix: str, pat: BlockPattern) -> list[str]:
     lines = [f"{prefix}{key}: {value}" for key, value in (
         ("ell", pat.ell), ("q", pat.q), ("m", pat.m), ("n", pat.n),
         ("structure_class", pat.structure_class), ("classes", pat.p))]
-    if pat.p:  # one line of 1-based "i,j" cells per class, formatted in one go
-        fmt = "\n".join([" ".join(["%d,%d"] * eta) for eta in pat.counts])
-        bodies = (fmt % tuple((pat.cells + 1).ravel().tolist())).split("\n")
+    if pat.p:  # one line of 1-based "i,j" cells per class, written as one byte table: a
+        # column per number holding its digits (a leading zero as a 0 byte) and a separator
+        v = pat.cells.ravel() + 1
+        q = v // _POWERS[-len(str(v.max())):]  # its last row is v
+        table = np.empty((len(q) + 1, len(v)), dtype=np.uint8)
+        table[:-1] = np.where(q, q % 10 + ord("0"), 0)
+        table[-1] = ord(" ")
+        table[-1, ::2] = ord(",")
+        table[-1, 1:-1:2][pat.klass[1:] != pat.klass[:-1]] = ord("\n")  # sorted by class
+        bodies = table.T.tobytes().replace(b"\0", b"").decode()[:-1].split("\n")
         lines += [f"{prefix}class.{k}: {body}" for k, body in enumerate(bodies, start=1)]
     return lines
 
@@ -67,25 +74,49 @@ def _take_int(kv: dict, key: str) -> int:
         raise ContainerFormatError(f"header key {key!r} is not an integer") from exc
 
 
-_BAD_CELL = re.compile(r"(?<!\S)(?![+-]?[0-9]+,[+-]?[0-9]+(?!\S))\S+")  # not an "i,j" token
+_BLANKS = b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"  # the ASCII bytes str.split() splits on
+_TO_SPACE = bytes.maketrans(_BLANKS, b" " * len(_BLANKS))
+_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
+_BYTE_CLASS = np.full(256, 4, dtype=np.uint8)  # blank 0, digit 1, sign 2, comma 3, other 4
+for _cls, _chars in enumerate((_BLANKS, b"0123456789", b"+-", b",")):
+    _BYTE_CLASS[list(_chars)] = _cls
+# _STEP[5 * a + b]: what a byte of class b after one of class a adds to a running count.  An
+# "i,j" cell ([+-]?[0-9]+,[+-]?[0-9]+ between blanks) takes it 0 -> 1 -> 2 (its comma) -> 0; a
+# pair no cell holds adds 9, so any other token leaves [0, 2] inside itself (to -1, 3 or more).
+_STEP = np.array([[0, 1, 1, 9, 9], [-2, 0, 9, 1, 9], [9, 0, 9, 9, 9], [9, 0, 0, 9, 9],
+                  [9, 9, 9, 9, 9]], dtype=np.int8).ravel()
 
 
 def _parse_pattern(kv: dict, prefix: str) -> BlockPattern:
+    """The pattern of the ``{prefix}*`` header lines; its cell lines are checked
+    by one scan of their bytes and parsed by one numeric read."""
     p = _take_int(kv, f"{prefix}classes")
     text = "\n".join([_take(kv, f"{prefix}class.{k}") for k in range(1, p + 1)])
-    bad = _BAD_CELL.search(text)
-    if bad:
-        k = text.count("\n", 0, bad.start()) + 1
-        raise ContainerFormatError(f"bad cell {bad.group()!r} in {prefix}class.{k}")
+    if not text.isascii():  # other blanks become spaces; other non-ASCII is in a bad cell
+        text = "\n".join([" ".join(line.split()) for line in text.split("\n")])
+    data = f" {text} ".encode()
+    code = np.frombuffer(data, dtype=np.uint8)
+    kind = _BYTE_CLASS[code]
+    # the int8 sum wraps only once out of [0, 2]; as uint8, every count out reads above 2
+    count = np.cumsum(_STEP[5 * kind[:-1] + kind[1:]], dtype=np.int8).view(np.uint8)
+    spaced = data.translate(_TO_SPACE)
+    if count.max() > 2:  # the first bad token holds byte i + 1 of the first pair out, or byte i
+        i = int(np.argmax(count > 2)) + 1
+        i -= kind[i] == 0
+        start, end = spaced.rfind(b" ", 0, i) + 1, spaced.find(b" ", i)
+        k = data.count(b"\n", 0, start) + 1
+        raise ContainerFormatError(f"bad cell {data[start:end].decode()!r} in {prefix}class.{k}")
+    spaced = spaced.replace(b",", b" ").strip()  # numpy reads an all-blank text as one 0
+    overflow = b"0" * 19 in data.translate(_TO_ZERO)  # 19 digits: numpy may overflow silently
+    values = (np.array([v if -2**63 <= v < 2**63 else 2**62 for v in map(int, spaced.split())])
+              if overflow else np.fromstring(spaced, np.int64, sep=" "))  # 2**62 is off every grid
     # one class per line and one comma per cell: a cell's class is the
     # number of line ends before its comma
-    code = np.frombuffer(text.encode(), dtype=np.uint8)
     klass = np.cumsum(code == ord("\n"))[code == ord(",")]
-    cells = np.array(text.replace(",", " ").split(), dtype=np.int64).reshape(-1, 2) - 1
     pattern = BlockPattern(
         _take_int(kv, f"{prefix}ell"), _take_int(kv, f"{prefix}q"),
         _take_int(kv, f"{prefix}m"), _take_int(kv, f"{prefix}n"),
-        cells, klass, _take(kv, f"{prefix}structure_class"))
+        values.reshape(-1, 2) - 1, klass, _take(kv, f"{prefix}structure_class"))
     if pattern.p < p:  # the last classes have no cells
         raise ShapeError(f"class {pattern.p + 1}: placements must be a nonempty (eta, 2) array")
     return pattern
@@ -184,9 +215,8 @@ def _split(blob: bytes) -> tuple[dict, list[str], bytes]:
         raise ContainerFormatError(f"header is not UTF-8: {exc}") from exc
     head, *rest = text.split("\n")
     if head != MAGIC:
-        raise ContainerFormatError(
-            f"unsupported container version {head.split('/')[-1] if head.startswith('blockten-container/') else head!r}"
-        )
+        version = head.split("/")[-1] if head.startswith("blockten-container/") else head
+        raise ContainerFormatError(f"unsupported container version {version!r}")
     kv = {}
     for line in rest:
         if not line:

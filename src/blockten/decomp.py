@@ -342,21 +342,15 @@ def _tucker(t: np.ndarray, ranks, tail_budget: float | None) -> TuckerRep:
     return TuckerRep.project(t, factors)
 
 
-def hosvd(
-    t: np.ndarray,
-    ranks: tuple[int, ...] | list[int],
-    tail_budget: float | None = None,
-) -> TuckerRep:
+def hosvd(t: np.ndarray, ranks: tuple[int, ...] | list[int],
+          tail_budget: float | None = None) -> TuckerRep:
     """Higher-order SVD: :func:`tucker_partial` with every mode compressed,
     ``1 <= ranks[k] <= t.shape[k]``."""
     return _tucker(t, ranks, tail_budget)
 
 
-def tucker_partial(
-    t: np.ndarray,
-    ranks: list[int | None] | tuple[int | None, ...],
-    tail_budget: float | None = None,
-) -> TuckerRep:
+def tucker_partial(t: np.ndarray, ranks: list[int | None] | tuple[int | None, ...],
+                   tail_budget: float | None = None) -> TuckerRep:
     """Tucker compression of a chosen subset of modes: an int entry
     ``ranks[k]`` in ``1..t.shape[k]`` compresses mode ``k`` to that many
     leading left singular vectors of its unfolding, ``None`` leaves it alone
@@ -391,12 +385,7 @@ def _cp_init(unfoldings: list[np.ndarray], r: int) -> list[np.ndarray | None]:
     return factors
 
 
-def cp_als(
-    t: np.ndarray,
-    r: int,
-    max_iters: int = 500,
-    tol: float = 1e-10,
-) -> CpResult:
+def cp_als(t: np.ndarray, r: int, max_iters: int = 500, tol: float = 1e-10) -> CpResult:
     """Rank-``r`` CP decomposition of an order-3 tensor by alternating LS.
 
     Factors are initialized from the per-mode HOSVD bases (seeded random
@@ -478,13 +467,8 @@ def cp_als(
         fit_prev = fit
 
     rep = KruskalRep(x=factors[0] * np.ldexp(lam, e), y=factors[1], z=factors[2])
-    return CpResult(
-        rep=rep,
-        fit=fit_history[-1],
-        fit_history=tuple(fit_history),
-        n_iters=n_iters,
-        converged=converged,
-    )
+    return CpResult(rep=rep, fit=fit_history[-1], fit_history=tuple(fit_history),
+                    n_iters=n_iters, converged=converged)
 
 
 # ---------------------------------------------------------------------------

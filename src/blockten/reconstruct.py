@@ -236,11 +236,8 @@ def _cp_as_tucker(k: KruskalRep, qr_modes: tuple[int, ...] = ()) -> TuckerRep:
     return TuckerRep(core=KruskalRep(*small).reconstruct(), factors=tuple(factors))
 
 
-def kron_sum_from_kruskal(
-    k: KruskalRep,
-    pattern: BlockPattern,
-    split: str = "factor",
-) -> KronSumRep:
+def kron_sum_from_kruskal(k: KruskalRep, pattern: BlockPattern,
+                          split: str = "factor") -> KronSumRep:
     """Kron-sum of a CP factorization's Tucker form: one term per component.
 
     The mode-2 factor ``Y`` is split as ``Y = F G^T``; column ``j`` of ``F``

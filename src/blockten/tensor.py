@@ -68,8 +68,7 @@ def fold(mat: np.ndarray, mode: int, dims: tuple[int, ...]) -> np.ndarray:
     expected = (dims[ax], int(np.prod(rest, dtype=np.int64)) if rest else 1)
     if mat.shape != expected:
         raise ShapeError(f"unfolding of shape {mat.shape} cannot fold into {dims} along mode {mode}")
-    arr = np.reshape(mat, (dims[ax], *rest), order="F")
-    return np.moveaxis(arr, 0, ax)
+    return np.moveaxis(np.reshape(mat, (dims[ax], *rest), order="F"), 0, ax)
 
 
 def mode_multiply(t: np.ndarray, mode: int, u: np.ndarray) -> np.ndarray:

@@ -23,6 +23,7 @@ from blockten.blocks import (
 )
 from blockten.decomp import tucker_partial
 from blockten.errors import PatternMismatchError, ShapeError
+from blockten.psd import spsd_compress
 from blockten.reconstruct import error_fro, kron_sum_from_tucker
 from blockten.tensor import fro_norm
 
@@ -434,6 +435,38 @@ def test_sparse_duplicates_add_up_and_stored_zeros_drop_out():
     assert coo.nnz == 2 * rows.size + len(zeros)
     assert mat_to_tensor(coo, pat).tobytes() == mat_to_tensor(coo.toarray(), pat).tobytes()
     assert len(block_maps._cells(coo, 4, 4, 3, 3).ids) == sum(pat.counts)  # no zero cell kept
+
+
+@pytest.mark.parametrize("kind, entry, message", [
+    ("toeplitz", (2, 2), "class 1: block at grid cell (2, 2) differs from its representative"),
+    ("toeplitz", (0, 0), "class 1: block at grid cell (1, 1) is not finite"),
+    ("toeplitz", (0, 4), "class 5: block at grid cell (1, 3) is not finite"),  # a one-cell class
+    ("banded", (0, 4), "grid cell (1, 3) is outside every class but not zero"),
+])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_extraction_refuses_non_finite_entries(kind, entry, message, bad):
+    # a NaN compares false with every tolerance, so it once passed every check
+    pat = build_pattern(kind, 3, 3, 2, 2, band=1 if kind == "banded" else None)
+    a = struct_assemble(pat, random_blocks(np.random.default_rng(34), pat))
+    a[entry] = bad
+    for m in (a, *sparse_copies(a)):
+        for fn in (extract_blocks, mat_to_tensor, spsd_compress):
+            args = (m, pat, 1) if fn is spsd_compress else (m, pat)
+            with pytest.raises(PatternMismatchError) as err:
+                fn(*args)
+            assert str(err.value) == message, fn.__name__
+
+
+@pytest.mark.parametrize("tol", [0.0, 0.5])
+def test_detection_refuses_non_finite_entries(tol):
+    pat = build_pattern("toeplitz", 3, 3, 2, 2)
+    a = struct_assemble(pat, random_blocks(np.random.default_rng(35), pat))
+    a[2, 3] = np.nan  # cell (2, 2), a copy of class 1: its own class, the fifth met
+    a[5, 0] = -np.inf  # cell (3, 1), met later
+    for m in (a, *sparse_copies(a)):
+        with pytest.raises(PatternMismatchError, match=r"^class 5: block at grid cell \(2, 2\) "
+                                                       "is not finite$"):
+            detect_pattern(m, 2, 2, tol=tol)
 
 
 def test_fingerprint_collisions_split_into_exact_classes(monkeypatch):

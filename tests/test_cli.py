@@ -19,6 +19,7 @@ from blockten.cli import main
 from blockten.container import container_read, container_write
 from blockten.decomp import hosvd
 from blockten.multilevel import MultilevelPattern, MultilevelTuckerRep, psf_weighted_tensor
+from blockten.reconstruct import KronSumRep
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
 from blockten.blocks import DENSIFY_LIMIT
 
@@ -761,6 +762,22 @@ def test_exit_3_corrupted_extent_field(toep, tmp_path, capsys):
     code, _, err = run_cli(capsys, "reconstruct", bad, "-o", tmp_path / "z.mtx")
     assert code == 3
     assert "extents" in err
+
+
+@pytest.mark.parametrize("cell, code, message", [
+    (b"-5,1", 3, "error: class 2: placement outside the 3 x 3 grid"),
+    (b"99999999999999999999,1", 3, "error: class 2: placement outside the 3 x 3 grid"),
+    (b"2,2,1", 2, "error: bad cell '2,2,1' in pattern.class.2"),
+])
+def test_a_bad_cell_in_a_container_exits_with_its_code(tmp_path, capsys, cell, code, message):
+    pat = build_pattern("diagonal", 3, 3, 2, 2)
+    good = tmp_path / "good.btc"
+    container_write(good, KronSumRep(pattern=pat, coeffs=np.ones((3, 1)), terms=np.ones((1, 2, 2))))
+    bad = tmp_path / "bad.btc"
+    bad.write_bytes(good.read_bytes().replace(b"class.2: 2,2\n", b"class.2: " + cell + b"\n"))
+    assert bad.read_bytes() != good.read_bytes()
+    got, _, err = run_cli(capsys, "report", bad)
+    assert (got, err.strip()) == (code, message)
 
 
 def test_exit_4_indefinite_matrix_for_spd(tmp_path, capsys):

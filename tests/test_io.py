@@ -1,10 +1,13 @@
 """File formats: Matrix Market, vectors, and the container."""
 
 import hashlib
+import re
 
 import numpy as np
 import pytest
 import scipy.sparse
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from blockten import (
     BlockLowRankRep,
@@ -19,12 +22,15 @@ from blockten import (
     mat_to_tensor,
     struct_assemble,
 )
-from blockten.container import MAGIC, _pattern_lines
+from blockten.blocks import BlockPattern
+from blockten.container import MAGIC, _parse_pattern, _pattern_lines
 from blockten.errors import ContainerExtentError, ContainerFormatError, ShapeError
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
 from blockten.multilevel import ml_mat_to_tensor
 from blockten.psd import spd_compress, spsd_compress
 from blockten.reconstruct import blr_from_tucker, densify, kron_sum_from_tucker
+
+from helpers import PATTERN_KINDS, random_pattern
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +348,6 @@ def test_container_rejects_shape_inconsistent_with_pattern(tmp_path):
 def test_container_bytes_are_stable(tmp_path):
     # digests pin the header layout, the placements order and the payload
     # encoding across versions, not just two writes of one version
-    from blockten import BlockPattern
-
     toep = build_pattern("toeplitz", 4, 4, 2, 2, block_symmetric=True)
     kron = KronSumRep(
         pattern=toep,
@@ -357,14 +361,41 @@ def test_container_bytes_are_stable(tmp_path):
         right=np.array([[0.25], [-1.5]]),
         middles=np.arange(4, dtype=np.float64).reshape(2, 2, 1) - 1.5,
     )
+    # multi-digit indices over many classes
+    toep12 = build_pattern("toeplitz", 12, 12, 2, 3, block_symmetric=True)
+    kron12 = KronSumRep(
+        pattern=toep12,
+        coeffs=np.arange(2 * toep12.p, dtype=np.float64).reshape(toep12.p, 2) / 8.0 - 0.25,
+        terms=np.arange(12, dtype=np.float64).reshape(2, 2, 3) * 0.75 + 1.0,
+    )
     expected = {
         "kron_sum": "2c4ca9b86e1d005c5b807c8aa57f56b5d35aa3ac84fff3d6d4fe31db31fbf21f",
         "blr": "51be502e6adf4b4c8f8a2503b4fb9b425aebb98e28963c07d900cf1ffe8ff26b",
+        "kron_sum_12": "91e55421409346b1a73cdf4b3073d97f6548b840747c76fd316cbe59c3331620",
     }
-    for name, rep in (("kron_sum", kron), ("blr", blr)):
+    for name, rep in (("kron_sum", kron), ("blr", blr), ("kron_sum_12", kron12)):
         path = tmp_path / f"{name}.btc"
         container_write(path, rep, seed=3, ranks=(2,))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[name], name
+
+
+def _reference_cell_lines(pat) -> list[str]:
+    """The cell lines as a %-format of the cell list writes them."""
+    fmt = "\n".join([" ".join(["%d,%d"] * eta) for eta in pat.counts])
+    bodies = (fmt % tuple((pat.cells + 1).ravel().tolist())).split("\n")
+    return [f"pattern.class.{k}: {body}" for k, body in enumerate(bodies, start=1)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS))
+def test_cell_lines_are_written_as_a_format_of_the_cell_list_writes_them(seed, kind):
+    pat = random_pattern(np.random.default_rng(seed), kind, max_grid=12)
+    assert _pattern_lines("pattern.", pat)[6:] == _reference_cell_lines(pat)
+
+
+def test_cell_lines_of_one_to_four_digit_indices_keep_their_bytes():
+    wide = build_pattern("banded", 1001, 1001, 1, 1, band=1)
+    assert _pattern_lines("pattern.", wide)[6:] == _reference_cell_lines(wide)
 
 
 def _header_digest(pat) -> str:
@@ -403,3 +434,78 @@ def test_detected_and_spd_remainder_headers_are_pinned():
     rem = spd_compress(struct_assemble(pat, blocks), pat, 2).remainder.pattern
     assert rem.structure_class == "toeplitz"
     assert _header_digest(rem) == "b5f3636fceb76947a3f993f3e71acefccd47e97a88a0b454ec1fb2490bbf7522"
+
+
+# The cell-line reader as a regular expression and a token split: the
+# reference the bulk reader must agree with, header for header.
+_BAD_CELL = re.compile(r"(?<!\S)(?![+-]?[0-9]+,[+-]?[0-9]+(?!\S))\S+")  # not an "i,j" token
+
+
+def _reference_parse(kv: dict, prefix: str) -> BlockPattern:
+    p = int(kv[f"{prefix}classes"])
+    text = "\n".join([kv[f"{prefix}class.{k}"] for k in range(1, p + 1)])
+    bad = _BAD_CELL.search(text)
+    if bad:
+        k = text.count("\n", 0, bad.start()) + 1
+        raise ContainerFormatError(f"bad cell {bad.group()!r} in {prefix}class.{k}")
+    code = np.frombuffer(text.encode(), dtype=np.uint8)
+    klass = np.cumsum(code == ord("\n"))[code == ord(",")]
+    # a number beyond int64 lies outside every grid (the token split raised
+    # OverflowError on it)
+    values = [v if -2**63 <= v < 2**63 else 2**62
+              for v in map(int, text.replace(",", " ").split())]
+    cells = np.array(values, dtype=np.int64).reshape(-1, 2) - 1
+    pattern = BlockPattern(int(kv[f"{prefix}ell"]), int(kv[f"{prefix}q"]), 2, 2, cells, klass)
+    if pattern.p < p:
+        raise ShapeError(f"class {pattern.p + 1}: placements must be a nonempty (eta, 2) array")
+    return pattern
+
+
+_numbers = st.one_of(st.integers(0, 4).map(str), st.integers(-10**20, 10**20).map(str),
+                     st.sampled_from(["+1", "-0", "007", "0" * 22 + "3", "9" * 20, "-" + "9" * 19,
+                                      "9223372036854775807", "-9223372036854775808"]))
+_cells = st.tuples(_numbers, _numbers).map(",".join)
+_pieces = st.one_of(_cells, _cells, _numbers, st.sampled_from(
+    list("0123456789+-,  \t\n\r\x0b\x1c_ax\x00\u0661\xa0\x85\u2028\u3000\xe9")))
+_texts = st.one_of(
+    st.lists(_pieces, max_size=12).map("".join),  # mostly malformed
+    st.lists(st.tuples(_cells, st.sampled_from([" ", "\n", "\t ", "\xa0", "\n\n"])),
+             max_size=8).map(lambda parts: "".join(c + sep for c, sep in parts)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_texts, ell=st.integers(1, 4), q=st.integers(1, 4))
+@example(text="1,2,3 4", ell=3, q=3)
+@example(text="1,1 99999999999999999999,1", ell=3, q=3)
+@example(text="1,1\n2,2 \u0661,1", ell=3, q=3)
+@example(text="1_0,1", ell=3, q=3)
+@example(text=" 1,1\xa02,2\u3000\n+3,-0\n", ell=3, q=3)
+@example(text="", ell=1, q=1)
+def test_cell_lines_read_as_the_reference_parser_reads_them(text, ell, q):
+    lines = text.split("\n")
+    kv = {"p.classes": str(len(lines)), "p.ell": str(ell), "p.q": str(q), "p.m": "2",
+          "p.n": "2", "p.structure_class": "general"}
+    kv.update({f"p.class.{k}": line for k, line in enumerate(lines, start=1)})
+    try:
+        want = _reference_parse(kv, "p.")
+    except (ContainerFormatError, ShapeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            _parse_pattern(kv, "p.")
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+    else:
+        assert _parse_pattern(kv, "p.") == want
+
+
+def test_an_index_beyond_int64_is_outside_the_grid_however_numpy_parses_it(monkeypatch):
+    # np.fromstring saturates an overflowing int64 today; were it to wrap, 2**64 + 2
+    # would read as 2, inside the grid, so such an index must not reach it
+    def wrapping(text, dtype, sep):
+        return np.array([(int(v) + 2**63) % 2**64 - 2**63 for v in text.split()], dtype=dtype)
+
+    monkeypatch.setattr(np, "fromstring", wrapping)
+    kv = {"p.classes": "1", "p.class.1": f"{2**64 + 2},1", "p.ell": "3", "p.q": "3", "p.m": "2",
+          "p.n": "2", "p.structure_class": "general"}
+    with pytest.raises(ShapeError, match=r"^class 1: placement outside the 3 x 3 grid$"):
+        _parse_pattern(kv, "p.")
+    kv["p.class.1"] = "2,1"
+    assert _parse_pattern(kv, "p.").cells.tolist() == [[1, 0]]  # the fake parses in-range cells
