@@ -2,13 +2,14 @@
 
 Layout: a UTF-8 text header of ``key: value`` lines opened by the version
 line ``blockten-container/1``, a ``---`` separator line, then a binary
-payload.  The header names every payload array with its extents; the payload
-stores, per array, an ``int64`` little-endian rank, the extents, then the
-elements as little-endian ``float64`` in first-index-fastest order.  The
-prefix must agree with the header (disagreement means a corrupted length
-field and raises the extent error); running out of bytes is a truncation
-and raises the format error.  Writers emit no timestamps, so identical
-representations produce identical bytes.
+payload.  The header names every payload array with its extents, and its
+integers are ASCII digits after an optional ``-``; the payload stores, per
+array, an ``int64`` little-endian rank, the extents, then the elements as
+little-endian ``float64`` in first-index-fastest order.  The prefix must
+agree with the header (disagreement means a corrupted length field and
+raises the extent error); running out of bytes is a truncation and raises
+the format error.  Writers emit no timestamps, so identical representations
+produce identical bytes.
 
 Representation kinds, one entry each in the kind table ``_KINDS`` keyed by
 class: ``kron_sum``, ``blr`` and ``spsd`` are a block pattern plus named
@@ -67,11 +68,15 @@ def _take(kv: dict, key: str) -> str:
     return kv[key]
 
 
+def _as_int(text: str, error: str) -> int:
+    """``text`` as a writer emits an integer: ASCII digits after an optional ``-``."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ContainerFormatError(error)
+    return int(text)
+
+
 def _take_int(kv: dict, key: str) -> int:
-    try:
-        return int(_take(kv, key))
-    except ValueError as exc:
-        raise ContainerFormatError(f"header key {key!r} is not an integer") from exc
+    return _as_int(_take(kv, key), f"header key {key!r} is not an integer")
 
 
 _BLANKS = b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"  # the ASCII bytes str.split() splits on
@@ -154,10 +159,8 @@ def _read_arrays(kv: dict, names: list[str], payload: bytes) -> dict[str, np.nda
     out = {}
     for name in names:
         spec = _take(kv, f"array.{name}")
-        try:
-            declared = tuple(int(tok) for tok in spec.split())
-        except ValueError as exc:
-            raise ContainerFormatError(f"bad extents for array {name!r}: {spec!r}") from exc
+        bad = f"bad extents for array {name!r}: {spec!r}"
+        declared = tuple(_as_int(tok, bad) for tok in spec.split(" "))
         ndim = int(take(1, "<i8", "(length prefix)")[0])
         if not 1 <= ndim <= _MAX_RANK:
             raise ContainerExtentError(f"array {name!r}: implausible rank {ndim}")

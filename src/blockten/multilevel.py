@@ -26,7 +26,7 @@ import numpy as np
 from .blocks import BlockPattern, _band_cells, _dense_class_grid as _level_stack, extract_blocks
 from .decomp import TuckerRep
 from .errors import PatternMismatchError, ShapeError
-from .reconstruct import _check_vector, densify
+from .reconstruct import _check_vector, _form, densify
 
 __all__ = [
     "MultilevelPattern",
@@ -120,7 +120,7 @@ def ml_tensor_to_mat(t: np.ndarray, mlp: MultilevelPattern) -> np.ndarray:
     return densify(MultilevelTuckerRep(pattern=mlp, tucker=TuckerRep(t, (None,) * t.ndim)))
 
 
-@dataclass(frozen=True)
+@_form
 class MultilevelTuckerRep:
     """A level chain paired with the Tucker factorization of its weighted
     order-``L+2`` tensor."""
@@ -131,10 +131,6 @@ class MultilevelTuckerRep:
     def __post_init__(self) -> None:
         if self.tucker.dims != self.pattern.dims:
             raise ShapeError(f"tucker dims {self.tucker.dims} != pattern dims {self.pattern.dims}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pattern.shape
 
     def matvec(self, x: np.ndarray, counter=None) -> np.ndarray:
         """``A x`` level by level, innermost first, never forming ``A``.
@@ -186,9 +182,6 @@ class MultilevelTuckerRep:
 
     def stored_scalars(self) -> int:
         return self.tucker.core.size + sum(f.size for f in self.tucker.factors if f is not None)
-
-    def densify(self) -> np.ndarray:
-        return densify(self)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ block):
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from .blocks import BlockPattern, _classify, blocks_to_tensor, extract_blocks
 from .decomp import _mode_basis, cholesky
 from .errors import PatternMismatchError, ShapeError
-from .reconstruct import BlockLowRankRep, FlopCounter, _check_vector, densify
+from .reconstruct import BlockLowRankRep, FlopCounter, _check_vector, _form
 
 __all__ = [
     "SpsdRep",
@@ -45,13 +44,13 @@ __all__ = [
 _TRANSPOSE_TOL = 1e-12  # transpose partners may differ by this share of the largest entry
 
 
-@dataclass(frozen=True)
+@_form
 class SpsdRep:
     """Shared-basis projection of a symmetric block matrix.
 
     Attributes:
         pattern: The (square, transpose-closed) source pattern.
-        basis: ``n x r`` shared orthonormal basis ``U``.
+        basis: ``n x r`` shared orthonormal basis ``U`` (``n x 0`` with no class).
         blocks: ``(p, r, r)`` projected distinct blocks ``U^T A_k U``.
     """
 
@@ -69,10 +68,6 @@ class SpsdRep:
     @property
     def rank(self) -> int:
         return self.basis.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pattern.shape
 
     def as_blr(self) -> BlockLowRankRep:
         """The same operator as a block-low-rank representation."""
@@ -92,14 +87,11 @@ class SpsdRep:
         return self.pattern, self.basis @ self.blocks @ self.basis.T
 
     def stored_scalars(self) -> int:
-        return (self.basis.size if self.pattern.p else 0) + self.blocks.size  # unread if p = 0
+        return self.basis.size + self.blocks.size
 
     def distinct_scalars(self) -> int:
         """Scalars of the ``p`` distinct dense blocks the form replaces."""
         return self.pattern.p * self.pattern.m * self.pattern.n
-
-    def densify(self) -> np.ndarray:
-        return densify(self)
 
     def trace(self) -> float:
         """Trace of the represented matrix, computed without densifying."""
@@ -108,7 +100,7 @@ class SpsdRep:
                          for k, c in zip(classes, diag_cells) if k >= 0))
 
 
-@dataclass(frozen=True)
+@_form
 class SpdRep:
     """SPD-preserving compression ``(I (x) chol)(I + M)(I (x) chol^T)``.
 
@@ -169,9 +161,6 @@ class SpdRep:
     def distinct_scalars(self) -> int:
         return self.remainder.distinct_scalars() + self.chol.size  # plus the anchor block
 
-    def densify(self) -> np.ndarray:
-        return densify(self)
-
 
 def _split_diagonal(pattern: BlockPattern, items, shift: np.ndarray, nonzero: bool = False):
     """Every class ``k`` split into part ``2k``, its diagonal cells holding
@@ -225,6 +214,7 @@ def _shared_basis_rep(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
     nz = [k for k, blk in enumerate(blocks) if np.any(blk)]
     # the nonzero classes' mode-1 unfolding, columns permuted: no basis depends on either
     x = blocks_to_tensor(pattern, blocks, nz).reshape(n, -1)
+    r = r if pattern.p else 0  # no class to project: an n x 0 basis, (0, 0, 0) blocks
     u = _mode_basis(x, r) if nz else np.eye(n, r)  # the basis of a zero unfolding
     proj = np.zeros((pattern.p, r, r))  # a zero class projects to a zero block
     for k in nz:

@@ -3,8 +3,9 @@
 Every compressed form answers ``shape``, ``matvec(x, counter=None)``,
 ``densify()``, ``stored_scalars()`` and ``cell_blocks()`` -- a pattern and
 the ``(p, m, n)`` stack of blocks every cell of class ``k`` holds, over which
-:func:`densify` and :func:`error_fro` are written once.  The two forms built
-here keep the source pattern without materializing Kronecker products:
+:func:`densify` and :func:`error_fro` are written once; ``shape`` and
+``densify`` come from one class decorator.  The two forms built here keep
+the source pattern without materializing Kronecker products:
 
 * :class:`KronSumRep` -- a sum ``sum_j C_j (x) D_j`` where each ``C_j`` is a
   sparse scalar assembly over the pattern's placements (support inside the
@@ -71,7 +72,28 @@ def _check_vector(x: np.ndarray, cols: int) -> None:
         raise ShapeError(f"vector length {x.shape} != {(cols,)}")
 
 
-@dataclass(frozen=True)
+def densify(rep) -> np.ndarray:
+    """Materialize any representation from its ``cell_blocks()``.
+
+    Raises:
+        ShapeError: If the dense result would exceed ``DENSIFY_LIMIT``
+            entries.
+    """
+    _check_dense_size(*rep.shape)
+    return struct_assemble(*rep.cell_blocks())
+
+
+def _form(cls):
+    """A frozen dataclass with :func:`densify` and, unless its body defines one, ``shape``
+    (``self.pattern.shape``) in its own ``__dict__``, where the benchmark tracer reads them."""
+    cls = dataclass(frozen=True)(cls)
+    if "shape" not in cls.__dict__:
+        cls.shape = property(lambda self: self.pattern.shape)
+    cls.densify = densify
+    return cls
+
+
+@_form
 class KronSumRep:
     """``sum_j C_j (x) terms[j]`` with ``C_j = sum_k coeffs[k, j] E_k``.
 
@@ -99,10 +121,6 @@ class KronSumRep:
     def n_terms(self) -> int:
         return self.coeffs.shape[1]
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pattern.shape
-
     @cached_property
     def _c_stack(self) -> np.ndarray | sp.csr_matrix:
         """``sum_k E_k (x) coeffs[k]``, whose column ``c * r + j`` holds ``C_j[:, c]``,
@@ -129,11 +147,8 @@ class KronSumRep:
     def stored_scalars(self) -> int:
         return self.coeffs.size + int(np.count_nonzero(self.terms))
 
-    def densify(self) -> np.ndarray:
-        return densify(self)
 
-
-@dataclass(frozen=True)
+@_form
 class BlockLowRankRep:
     """``(I (x) left) S (I (x) right^T)`` with a block-sparse middle ``S``.
 
@@ -154,10 +169,6 @@ class BlockLowRankRep:
             raise ShapeError("side bases do not match the pattern's block extents")
         if self.middles.shape != (self.pattern.p, rl, rr):
             raise ShapeError(f"middles shape {self.middles.shape} != {(self.pattern.p, rl, rr)}")
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.pattern.shape
 
     @cached_property
     def _middle_stack(self) -> np.ndarray:
@@ -190,9 +201,6 @@ class BlockLowRankRep:
 
     def stored_scalars(self) -> int:
         return self.left.size + self.right.size + self.middles.size
-
-    def densify(self) -> np.ndarray:
-        return densify(self)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +306,6 @@ def matvec(rep, x: np.ndarray, counter: FlopCounter | None = None) -> np.ndarray
     length ``rep.shape[1]`` to one of length ``rep.shape[0]``; ``counter``
     optionally receives the multiply-add count of the product."""
     return rep.matvec(x, counter)
-
-
-def densify(rep) -> np.ndarray:
-    """Materialize any representation from its ``cell_blocks()``.
-
-    Raises:
-        ShapeError: If the dense result would exceed ``DENSIFY_LIMIT``
-            entries.
-    """
-    _check_dense_size(*rep.shape)
-    return struct_assemble(*rep.cell_blocks())
 
 
 def _squared_error(cells, pat: BlockPattern, blocks, e: int) -> tuple[float, float]:

@@ -277,6 +277,47 @@ def test_spd_container_off_its_grid_is_an_extent_error(tmp_path, capsys):
             assert out == "" and (written is None or not written.exists()), (name, command[0])
 
 
+# `compress --method spd --rank 2 --block-rows 3 --block-cols 3` on kron(I_4, B) as the
+# library wrote it before an empty remainder stored an n x 0 basis: the unused
+# eye(3, 2) basis beside no blocks
+_OLD_EMPTY_REMAINDER_SPD = (
+    b"blockten-container/1\ncreated_by: blockten 0.1.0\nseed: 0\nranks: 2\nkind: spd\n"
+    b"ell: 4\npattern.ell: 4\npattern.q: 4\npattern.m: 3\npattern.n: 3\n"
+    b"pattern.structure_class: general\npattern.classes: 0\narrays: chol basis blocks\n"
+    b"array.chol: 3 3\narray.basis: 3 2\narray.blocks: 0 2 2\n---\n" + bytes.fromhex(
+        "0200000000000000030000000000000003000000000000000000000000000040"
+        "000000000000e03f00000000000000000000000000000000346ffd937288fa3f"
+        "2668153df64be33f00000000000000000000000000000000fc2f16ed9e77f43f"
+        "020000000000000003000000000000000200000000000000000000000000f03f"
+        "000000000000000000000000000000000000000000000000000000000000f03f"
+        "0000000000000000030000000000000000000000000000000200000000000000"
+        "0200000000000000"))
+
+
+def test_old_empty_remainder_spd_containers_still_read(tmp_path, capsys):
+    b = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    write_matrix(tmp_path / "a.mtx", np.kron(np.eye(4), b))
+    fresh, old = tmp_path / "fresh.btc", tmp_path / "old.btc"
+    code, _, _ = run_cli(capsys, "compress", tmp_path / "a.mtx", "-o", fresh, "--block-rows", 3,
+                         "--block-cols", 3, "--method", "spd", "--rank", 2)
+    assert code == 0
+    old.write_bytes(_OLD_EMPTY_REMAINDER_SPD)
+    header = fresh.read_bytes().partition(b"\n---\n")[0].split(b"\n")
+    assert b"array.basis: 3 0" in header and b"array.blocks: 0 0 0" in header
+    new_rep, old_rep = container_read(fresh), container_read(old)
+    assert old_rep.remainder.basis.shape == (3, 2) and new_rep.remainder.basis.shape == (3, 0)
+    np.testing.assert_array_equal(old_rep.densify(), new_rep.densify())
+    x = np.random.default_rng(5).standard_normal(12)
+    np.testing.assert_array_equal(old_rep.matvec(x), new_rep.matvec(x))
+    # each file's ratio counts the arrays it holds: 6 + 6 of the old file's
+    # scalars and 6 of the fresh one's over the 9 of the anchor block
+    for path, rep, rank, ratio in ((old, old_rep, "2", 12 / 9), (fresh, new_rep, "0", 6 / 9)):
+        code, out, _ = run_cli(capsys, "report", path)
+        assert code == 0 and kv(out)["rank"] == rank
+        assert float(kv(out)["storage_ratio"]) == rep.stored_scalars() / rep.distinct_scalars()
+        assert rep.stored_scalars() / rep.distinct_scalars() == pytest.approx(ratio)
+
+
 @pytest.mark.parametrize("kind", ["kron_sum", "blr", "multilevel"])
 def test_report_against_a_zero_matrix_leaves_the_ratio_out(toep, tmp_path, capsys, kind):
     if kind == "multilevel":

@@ -23,6 +23,7 @@ from blockten import (
     struct_assemble,
 )
 from blockten.blocks import BlockPattern
+from blockten.cli import main
 from blockten.container import MAGIC, _parse_pattern, _pattern_lines
 from blockten.errors import ContainerExtentError, ContainerFormatError, ShapeError
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
@@ -343,6 +344,39 @@ def test_container_rejects_shape_inconsistent_with_pattern(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(ShapeError):
         container_read(path)
+
+
+def test_header_integers_are_the_digits_a_writer_emits(tmp_path, capsys):
+    # int() reads each of these as the right value; none is what a writer emits
+    arabic = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+    forms = (lambda v: f"0_{v}", lambda v: v.translate(arabic), lambda v: f" {v} ",
+             lambda v: f"+{v}")
+    kron = _toy_container(tmp_path, "kron.btc")
+    spd = tmp_path / "spd.btc"
+    b = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    container_write(spd, spd_compress(np.kron(np.eye(4), b),
+                                      build_pattern("diagonal", 4, 4, 3, 3), 2))
+    multilevel = tmp_path / "multilevel.btc"
+    mlp = MultilevelPattern(levels=(build_pattern("diagonal", 2, 2, 4, 4),
+                                    build_pattern("banded", 2, 2, 2, 2, band=1)))
+    container_write(multilevel, MultilevelTuckerRep(
+        pattern=mlp, tucker=hosvd(np.random.default_rng(3).standard_normal(mlp.dims),
+                                  [2, 2, 3, 2])))
+    cases = ((kron, "pattern.ell", "3"), (kron, "pattern.classes", "5"),
+             (kron, "array.coeffs", "5 4"), (spd, "ell", "4"), (multilevel, "levels", "2"))
+    for path, key, value in cases:
+        blob = path.read_bytes()
+        line = f"\n{key}: {value}\n".encode()
+        assert line in blob
+        first = value.split(" ")[0]
+        for form in forms:  # the first integer of the value rewritten
+            text = form(first) + value[len(first):]
+            bad = tmp_path / "bad.btc"
+            bad.write_bytes(blob.replace(line, f"\n{key}: {text}\n".encode(), 1))
+            with pytest.raises(ContainerFormatError):
+                container_read(bad)
+            assert main(["report", str(bad)]) == 2, (key, text)
+            assert capsys.readouterr().out == ""
 
 
 def test_container_bytes_are_stable(tmp_path):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from blockten import reconstruct
+from blockten import container, reconstruct
 from blockten.apps import spacetime_build
 from blockten.blocks import (
     BlockPattern,
@@ -486,6 +486,20 @@ def test_optional_members_exist_only_on_the_kinds_that_compute_them(form, tmp_pa
     keys = {line.partition(": ")[0] for line in capsys.readouterr().out.splitlines()}
     assert ("terms" in keys) == (form == "kron")
     assert ("rank" in keys) == (form in ("spsd", "spd"))
+
+
+def test_every_container_kind_is_drawn_by_the_protocol_test():
+    # a form the container can write cannot skip test_every_kind_answers_the_protocol
+    drawn = {type(_any_rep(form, np.random.default_rng(0))) for form in REP_KINDS}
+    assert set(container._KINDS) <= drawn
+
+
+def test_every_form_holds_shape_and_densify_in_its_own_dict():
+    # perfbench/tracing.py patches members it reads from cls.__dict__
+    for cls in container._KINDS:
+        assert cls.__dict__["densify"] is densify, cls.__name__
+        assert isinstance(cls.__dict__["shape"], property), cls.__name__
+    assert SpdRep.shape.fget.__qualname__ == "SpdRep.shape"
 
 
 @settings(max_examples=60, deadline=None)
