@@ -267,10 +267,10 @@ def _cmd_compress(args) -> int:
         print(f"cp_converged: {result.converged}")
         rep = (blr_from_kruskal(result.rep, pattern) if args.output == "blr"
                else kron_sum_from_kruskal(result.rep, pattern, split=args.split or "factor"))
-    else:  # spsd / spd
-        ranks = [args.rank]
+    else:  # spsd / spd; the rank is the form's (0 when nothing is left to project)
         compress = spsd_compress_blocks if args.method == "spsd" else spd_compress_blocks
         rep = compress(pattern, blocks, args.rank)
+        ranks = [rep.rank]
 
     container_write(args.output_file, rep, seed=args.seed, ranks=ranks)
     print(f"kind: {type(rep).__name__}")

@@ -20,6 +20,7 @@ level plus Tucker factor markers.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -79,44 +80,30 @@ def _take_int(kv: dict, key: str) -> int:
     return _as_int(_take(kv, key), f"header key {key!r} is not an integer")
 
 
-_BLANKS = b" \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f"  # the ASCII bytes str.split() splits on
-_TO_SPACE = bytes.maketrans(_BLANKS, b" " * len(_BLANKS))
-_TO_ZERO = bytes.maketrans(b"123456789", b"000000000")
-_BYTE_CLASS = np.full(256, 4, dtype=np.uint8)  # blank 0, digit 1, sign 2, comma 3, other 4
-for _cls, _chars in enumerate((_BLANKS, b"0123456789", b"+-", b",")):
-    _BYTE_CLASS[list(_chars)] = _cls
-# _STEP[5 * a + b]: what a byte of class b after one of class a adds to a running count.  An
-# "i,j" cell ([+-]?[0-9]+,[+-]?[0-9]+ between blanks) takes it 0 -> 1 -> 2 (its comma) -> 0; a
-# pair no cell holds adds 9, so any other token leaves [0, 2] inside itself (to -1, 3 or more).
-_STEP = np.array([[0, 1, 1, 9, 9], [-2, 0, 9, 1, 9], [9, 0, 9, 9, 9], [9, 0, 0, 9, 9],
-                  [9, 9, 9, 9, 9]], dtype=np.int8).ravel()
+# what the writer emits: 1-based indices of at most 18 digits (so int64 holds every one),
+# one space between cells and one line end between classes
+_WRITTEN = re.compile(r"[1-9][0-9]{0,17},[1-9][0-9]{0,17}(?:[ \n][1-9][0-9]{0,17},[1-9][0-9]{0,17})*")
+_BAD_CELL = re.compile(r"(?<!\S)(?![+-]?[0-9]+,[+-]?[0-9]+(?!\S))\S+")  # not an "i,j" token
 
 
 def _parse_pattern(kv: dict, prefix: str) -> BlockPattern:
-    """The pattern of the ``{prefix}*`` header lines; its cell lines are checked
-    by one scan of their bytes and parsed by one numeric read."""
+    """The pattern of the ``{prefix}*`` header lines.  Cell lines as the writer
+    emits them are parsed by one numeric read; any other text is read as
+    ``[+-]?[0-9]+,[+-]?[0-9]+`` tokens between blanks."""
     p = _take_int(kv, f"{prefix}classes")
     text = "\n".join([_take(kv, f"{prefix}class.{k}") for k in range(1, p + 1)])
-    if not text.isascii():  # other blanks become spaces; other non-ASCII is in a bad cell
-        text = "\n".join([" ".join(line.split()) for line in text.split("\n")])
-    data = f" {text} ".encode()
-    code = np.frombuffer(data, dtype=np.uint8)
-    kind = _BYTE_CLASS[code]
-    # the int8 sum wraps only once out of [0, 2]; as uint8, every count out reads above 2
-    count = np.cumsum(_STEP[5 * kind[:-1] + kind[1:]], dtype=np.int8).view(np.uint8)
-    spaced = data.translate(_TO_SPACE)
-    if count.max() > 2:  # the first bad token holds byte i + 1 of the first pair out, or byte i
-        i = int(np.argmax(count > 2)) + 1
-        i -= kind[i] == 0
-        start, end = spaced.rfind(b" ", 0, i) + 1, spaced.find(b" ", i)
-        k = data.count(b"\n", 0, start) + 1
-        raise ContainerFormatError(f"bad cell {data[start:end].decode()!r} in {prefix}class.{k}")
-    spaced = spaced.replace(b",", b" ").strip()  # numpy reads an all-blank text as one 0
-    overflow = b"0" * 19 in data.translate(_TO_ZERO)  # 19 digits: numpy may overflow silently
-    values = (np.array([v if -2**63 <= v < 2**63 else 2**62 for v in map(int, spaced.split())])
-              if overflow else np.fromstring(spaced, np.int64, sep=" "))  # 2**62 is off every grid
+    if _WRITTEN.fullmatch(text):
+        values = np.fromstring(text.replace(",", " "), np.int64, sep=" ")
+    else:
+        bad = _BAD_CELL.search(text)
+        if bad:
+            k = text.count("\n", 0, bad.start()) + 1
+            raise ContainerFormatError(f"bad cell {bad.group()!r} in {prefix}class.{k}")
+        values = np.array([v if -2**63 <= v < 2**63 else 2**62  # 2**62 is off every grid
+                           for v in map(int, text.replace(",", " ").split())], dtype=np.int64)
     # one class per line and one comma per cell: a cell's class is the
     # number of line ends before its comma
+    code = np.frombuffer(text.encode(), dtype=np.uint8)
     klass = np.cumsum(code == ord("\n"))[code == ord(",")]
     pattern = BlockPattern(
         _take_int(kv, f"{prefix}ell"), _take_int(kv, f"{prefix}q"),

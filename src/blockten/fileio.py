@@ -130,6 +130,8 @@ def read_vector(path) -> np.ndarray:
             if not text or text.startswith("%"):
                 continue
             try:
+                if not text.isascii() or "_" in text:  # float() also reads 1_0 and ١٢
+                    raise ValueError(text)
                 values.append(float(text))
             except ValueError as exc:
                 raise ContainerFormatError(

@@ -136,8 +136,7 @@ class SpdRep:
         z = (x.reshape(ell, nb) @ self.chol).ravel()  # blockwise L^T x_i
         if counter is not None:
             counter.add(4 * ell * nb * nb)
-        if self.remainder.pattern.p:
-            z = z + self.remainder.matvec(z, counter)
+        z = z + self.remainder.matvec(z, counter)
         return (z.reshape(ell, nb) @ self.chol.T).ravel()
 
     def cell_blocks(self) -> tuple[BlockPattern, np.ndarray]:
@@ -179,12 +178,13 @@ def _split_diagonal(pattern: BlockPattern, items, shift: np.ndarray, nonzero: bo
     return pattern.cells[order], (np.cumsum(keep) - 1)[part[order]], stack[keep]
 
 
-def check_transpose_closed(pattern: BlockPattern, blocks, tol: float = 0.0) -> list[int]:
+def check_transpose_closed(pattern: BlockPattern, blocks) -> list[int]:
     """Verify that transposing the matrix permutes the classes.
 
     For every class ``k``, the transposed support must be the support of
     some class ``j`` (possibly ``k`` itself) whose block equals ``A_k^T``
-    within ``tol``.  Returns the partner ``j`` of every class.
+    within ``_TRANSPOSE_TOL * max(1, max |A|)``.  Returns the partner ``j``
+    of every class.
 
     Raises:
         PatternMismatchError: If any class has no transpose partner.
@@ -193,6 +193,7 @@ def check_transpose_closed(pattern: BlockPattern, blocks, tol: float = 0.0) -> l
     grid = np.full((max(ell, q),) * 2, -1)
     grid[:ell, :q] = pattern.class_of
     mirror = grid.T[:ell, :q]  # class of the transposed cell, -1 if none
+    tol = _TRANSPOSE_TOL * max([1.0, *(float(np.abs(b).max(initial=0.0)) for b in blocks)])
     found = []
     for k, cells in enumerate(pattern.placements):
         partners = mirror[cells[:, 0], cells[:, 1]]
@@ -227,8 +228,7 @@ def spsd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
     for matrices too large to assemble densely."""
     if pattern.ell != pattern.q or pattern.m != pattern.n:
         raise ShapeError("shared-basis compression needs a square grid of square blocks")
-    scale = max(float(np.max(np.abs(b))) for b in blocks) if len(blocks) else 1.0
-    check_transpose_closed(pattern, blocks, tol=_TRANSPOSE_TOL * max(scale, 1.0))
+    check_transpose_closed(pattern, blocks)
     return _shared_basis_rep(pattern, blocks, r)
 
 
@@ -285,9 +285,8 @@ def spd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpdRep:
     cells, klass, parts = _split_diagonal(pattern, blocks, -anchor, nonzero=True)
     rem_pattern = BlockPattern(pattern.ell, pattern.q, pattern.m, pattern.n, cells, klass,
                                _classify(cells, klass, pattern.ell, pattern.q))
-    tol = _TRANSPOSE_TOL * max(1.0, float(np.abs(parts).max(initial=0.0)))
     scaled = np.empty_like(parts)
-    for k, j in enumerate(check_transpose_closed(rem_pattern, parts, tol)):
+    for k, j in enumerate(check_transpose_closed(rem_pattern, parts)):
         if k <= j:
             s = solve_triangular(low, solve_triangular(low, parts[k], lower=True).T, lower=True).T
             scaled[j] = s.T

@@ -18,6 +18,7 @@ from blockten.blocks import build_pattern, struct_assemble
 from blockten.cli import main
 from blockten.container import container_read, container_write
 from blockten.decomp import hosvd
+from blockten.errors import ContainerFormatError
 from blockten.multilevel import MultilevelPattern, MultilevelTuckerRep, psf_weighted_tensor
 from blockten.reconstruct import KronSumRep
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
@@ -316,6 +317,19 @@ def test_old_empty_remainder_spd_containers_still_read(tmp_path, capsys):
         assert code == 0 and kv(out)["rank"] == rank
         assert float(kv(out)["storage_ratio"]) == rep.stored_scalars() / rep.distinct_scalars()
         assert rep.stored_scalars() / rep.distinct_scalars() == pytest.approx(ratio)
+
+
+def test_spd_compress_records_the_rank_of_the_form_it_wrote(tmp_path, capsys):
+    # kron(I_4, B) leaves nothing for the rank-2 basis to project: the form has rank 0
+    b = np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 1.0], [0.0, 1.0, 2.0]])
+    write_matrix(tmp_path / "a.mtx", np.kron(np.eye(4), b))
+    out_c = tmp_path / "spd.btc"
+    code, out, _ = run_cli(capsys, "compress", tmp_path / "a.mtx", "-o", out_c, "--block-rows", 3,
+                           "--block-cols", 3, "--method", "spd", "--rank", 2)
+    assert code == 0 and kv(out)["ranks"] == "0"
+    assert b"\nranks: 0\n" in out_c.read_bytes().partition(b"\n---\n")[0]
+    code, out, _ = run_cli(capsys, "report", out_c)
+    assert code == 0 and kv(out)["rank"] == "0"
 
 
 @pytest.mark.parametrize("kind", ["kron_sum", "blr", "multilevel"])
@@ -808,6 +822,7 @@ def test_exit_3_corrupted_extent_field(toep, tmp_path, capsys):
 @pytest.mark.parametrize("cell, code, message", [
     (b"-5,1", 3, "error: class 2: placement outside the 3 x 3 grid"),
     (b"99999999999999999999,1", 3, "error: class 2: placement outside the 3 x 3 grid"),
+    (b"999999999999999999,1", 3, "error: class 2: placement outside the 3 x 3 grid"),
     (b"2,2,1", 2, "error: bad cell '2,2,1' in pattern.class.2"),
 ])
 def test_a_bad_cell_in_a_container_exits_with_its_code(tmp_path, capsys, cell, code, message):
@@ -819,6 +834,65 @@ def test_a_bad_cell_in_a_container_exits_with_its_code(tmp_path, capsys, cell, c
     assert bad.read_bytes() != good.read_bytes()
     got, _, err = run_cli(capsys, "report", bad)
     assert (got, err.strip()) == (code, message)
+
+
+def _payload_int(blob: bytes, index: int, value: int) -> bytes:
+    """``blob`` with the ``index``-th int64 of its payload set to ``value``."""
+    at = blob.find(b"\n---\n") + 5 + 8 * index
+    return blob[:at] + struct.pack("<q", value) + blob[at + 8:]
+
+
+def _edit(old: bytes, new: bytes):
+    def edit(blob):
+        assert old in blob
+        return blob.replace(old, new, 1)
+    return edit
+
+
+@pytest.mark.parametrize("kind, edit, code, message", [
+    ("kron_sum", _edit(b"kind: kron_sum\n", b""), 2, "missing header key 'kind'"),
+    ("kron_sum", lambda blob: _payload_int(blob, 0, 7), 3, "array 'coeffs': implausible rank 7"),
+    ("kron_sum", lambda blob: _payload_int(blob, 1, -1), 3,
+     "array 'coeffs': negative extent (-1, 1)"),
+    ("kron_sum", lambda blob: blob + bytes(8), 2, "8 trailing bytes after the last array"),
+    ("kron_sum", _edit(b"blockten 0.1.0", b"blockten \xff"), 2, "header is not UTF-8"),
+    ("kron_sum", _edit(b"kind: kron_sum\n", b"kind: kron_sum\nbogus\n"), 2,
+     "malformed header line 'bogus'"),
+    ("kron_sum", _edit(b"kind: kron_sum\n", b"kind: kron_sum\nkind: kron_sum\n"), 2,
+     "duplicate header key 'kind'"),
+    ("kron_sum", lambda blob: blob.replace(b"terms", b"terns", 2), 2,
+     "array 'terms' missing from payload"),
+    ("multilevel", _edit(b"factors: dense dense dense dense", b"factors: dense dense dense"), 2,
+     "expected 4 factor markers, got 3"),
+    ("multilevel", _edit(b"factors: dense dense dense dense", b"factors: dense dense dense sparse"),
+     2, "unknown factor marker 'sparse'"),
+])
+def test_a_damaged_container_is_refused_with_its_code(tmp_path, capsys, kind, edit, code, message):
+    if kind == "multilevel":
+        good, _ = _multilevel_container(tmp_path)
+    else:
+        good = tmp_path / "good.btc"
+        container_write(good, KronSumRep(pattern=build_pattern("diagonal", 3, 3, 2, 2),
+                                         coeffs=np.ones((3, 1)), terms=np.ones((1, 2, 2))))
+    bad = tmp_path / "bad.btc"
+    bad.write_bytes(edit(good.read_bytes()))
+    got, out, err = run_cli(capsys, "report", bad)
+    assert (got, out) == (code, "") and err.startswith(f"error: {message}"), err
+
+
+def test_unsupported_objects_are_not_written(tmp_path):
+    with pytest.raises(ContainerFormatError, match="^unsupported representation object$"):
+        container_write(tmp_path / "x.btc", object())
+    assert not (tmp_path / "x.btc").exists()
+
+
+def test_a_named_pattern_that_does_not_tile_the_matrix_exits_3(toep, tmp_path, capsys):
+    path, _ = toep
+    code, out, err = run_cli(capsys, "compress", path, "-o", tmp_path / "o.btc", "--block-rows",
+                             5, "--block-cols", 4, "--pattern", "toeplitz", "--method", "hosvd",
+                             "--rank", 2)
+    assert (code, out) == (3, "")
+    assert err.strip() == "error: matrix (24, 24) is not tiled by 5 x 4 blocks"
 
 
 def test_exit_4_indefinite_matrix_for_spd(tmp_path, capsys):

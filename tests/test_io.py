@@ -24,11 +24,11 @@ from blockten import (
 )
 from blockten.blocks import BlockPattern
 from blockten.cli import main
-from blockten.container import MAGIC, _parse_pattern, _pattern_lines
+from blockten.container import _WRITTEN, MAGIC, _parse_pattern, _pattern_lines
 from blockten.errors import ContainerExtentError, ContainerFormatError, ShapeError
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
 from blockten.multilevel import ml_mat_to_tensor
-from blockten.psd import spd_compress, spsd_compress
+from blockten.psd import SpdRep, SpsdRep, spd_compress, spsd_compress
 from blockten.reconstruct import blr_from_tucker, densify, kron_sum_from_tucker
 
 from helpers import PATTERN_KINDS, random_pattern
@@ -130,6 +130,10 @@ def test_vector_rejects_garbage(tmp_path):
     empty.write_text("\n")
     with pytest.raises(ContainerFormatError):
         read_vector(empty)
+    for text in ("1_0", "\u0661\u0662"):  # float() reads these as 10.0 and 12.0
+        path.write_text(f"1.0\n{text}\n", encoding="utf-8")
+        with pytest.raises(ContainerFormatError, match="not a decimal literal"):
+            read_vector(path)
 
 
 # ---------------------------------------------------------------------------
@@ -402,12 +406,19 @@ def test_container_bytes_are_stable(tmp_path):
         coeffs=np.arange(2 * toep12.p, dtype=np.float64).reshape(toep12.p, 2) / 8.0 - 0.25,
         terms=np.arange(12, dtype=np.float64).reshape(2, 2, 3) * 0.75 + 1.0,
     )
+    # the shared-basis kinds, the SPD one over a nonempty remainder
+    spsd = SpsdRep(pattern=toep, basis=np.array([[0.6], [0.8]]),
+                   blocks=np.arange(toep.p, dtype=np.float64).reshape(toep.p, 1, 1) - 1.5)
+    spd = SpdRep(chol=np.array([[2.0, 0.0], [0.5, 1.5]]), remainder=spsd, ell=4)
     expected = {
         "kron_sum": "2c4ca9b86e1d005c5b807c8aa57f56b5d35aa3ac84fff3d6d4fe31db31fbf21f",
         "blr": "51be502e6adf4b4c8f8a2503b4fb9b425aebb98e28963c07d900cf1ffe8ff26b",
         "kron_sum_12": "91e55421409346b1a73cdf4b3073d97f6548b840747c76fd316cbe59c3331620",
+        "spsd": "62746ec090cfdd409c0656c7244e6876062436487e6372b39e8738456ff9dd75",
+        "spd": "f4a0f33485aa49d2452be0283bb935d0e2bae6fdd9423a638e767e87f3eadf46",
     }
-    for name, rep in (("kron_sum", kron), ("blr", blr), ("kron_sum_12", kron12)):
+    for name, rep in (("kron_sum", kron), ("blr", blr), ("kron_sum_12", kron12), ("spsd", spsd),
+                      ("spd", spd)):
         path = tmp_path / f"{name}.btc"
         container_write(path, rep, seed=3, ranks=(2,))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == expected[name], name
@@ -424,7 +435,11 @@ def _reference_cell_lines(pat) -> list[str]:
 @given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS))
 def test_cell_lines_are_written_as_a_format_of_the_cell_list_writes_them(seed, kind):
     pat = random_pattern(np.random.default_rng(seed), kind, max_grid=12)
-    assert _pattern_lines("pattern.", pat)[6:] == _reference_cell_lines(pat)
+    lines = _pattern_lines("pattern.", pat)[6:]
+    assert lines == _reference_cell_lines(pat)
+    # the reader's fast path takes exactly this grammar, so a writer that drifts off it
+    # fails here instead of slowing every read
+    assert _WRITTEN.fullmatch("\n".join(line.partition(": ")[2] for line in lines))
 
 
 def test_cell_lines_of_one_to_four_digit_indices_keep_their_bytes():
@@ -515,6 +530,11 @@ _texts = st.one_of(
 @example(text="1_0,1", ell=3, q=3)
 @example(text=" 1,1\xa02,2\u3000\n+3,-0\n", ell=3, q=3)
 @example(text="", ell=1, q=1)
+@example(text="999999999999999999,1", ell=3, q=3)  # 18 digits: the numeric read, off the grid
+@example(text="1000000000000000000,1", ell=3, q=3)  # 19 digits: the token grammar
+@example(text="01,1", ell=3, q=3)
+@example(text="+1,1", ell=3, q=3)
+@example(text="1,1 2,2 ", ell=3, q=3)
 def test_cell_lines_read_as_the_reference_parser_reads_them(text, ell, q):
     lines = text.split("\n")
     kv = {"p.classes": str(len(lines)), "p.ell": str(ell), "p.q": str(q), "p.m": "2",
@@ -543,3 +563,6 @@ def test_an_index_beyond_int64_is_outside_the_grid_however_numpy_parses_it(monke
         _parse_pattern(kv, "p.")
     kv["p.class.1"] = "2,1"
     assert _parse_pattern(kv, "p.").cells.tolist() == [[1, 0]]  # the fake parses in-range cells
+    kv["p.class.1"] = "9" * 18 + ",1"  # the longest index the numeric read takes
+    with pytest.raises(ShapeError, match=r"^class 1: placement outside the 3 x 3 grid$"):
+        _parse_pattern(kv, "p.")
