@@ -70,14 +70,6 @@ class MarkovSequence:
         """Hankel block count per side."""
         return (self.params.shape[0] + 1) // 2
 
-    @property
-    def d_out(self) -> int:
-        return self.params.shape[1]
-
-    @property
-    def d_in(self) -> int:
-        return self.params.shape[2]
-
 
 @dataclass(frozen=True)
 class LtiSystem:
@@ -117,7 +109,7 @@ def hankel_pattern_from_markov(seq: MarkovSequence) -> tuple[BlockPattern, np.nd
     The classes are the ``2s - 1`` anti-diagonals with multiplicities
     ``eta_k = k`` for ``k <= s`` and ``2s - k`` beyond.
     """
-    return build_pattern("hankel", seq.s, seq.s, seq.d_out, seq.d_in), seq.params
+    return build_pattern("hankel", seq.s, seq.s, *seq.params.shape[1:]), seq.params
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,6 @@ from .blocks import blocks_to_tensor, build_pattern, detect_pattern, extract_blo
 from .container import container_read, container_write
 from .decomp import TuckerRep, cp_als, hosvd, randomized_mode_basis, tucker_partial
 from .errors import (
-    ContainerExtentError,
     ContainerFormatError,
     ConvergenceError,
     NotPositiveDefiniteError,
@@ -40,12 +39,18 @@ from .psd import spd_compress_blocks, spsd_compress_blocks
 from .reconstruct import (
     blr_from_kruskal,
     blr_from_tucker,
+    class_error_fro,
     kron_sum_from_kruskal,
     kron_sum_from_tucker,
 )
 from .tensor import fro_norm, scale_exponent, unfold
 
 __all__ = ["main"]
+
+# the exit code of every error a command reports, found along the error's class hierarchy
+_EXIT_CODES = {ContainerFormatError: 2, OSError: 2, ShapeError: 3, PatternMismatchError: 3,
+               NotPositiveDefiniteError: 4, ConvergenceError: 4, FloatingPointError: 4,
+               ZeroDivisionError: 4, np.linalg.LinAlgError: 4}
 
 _PATTERN_CHOICES = ("auto", "banded", "toeplitz", "hankel", "diagonal")
 # the compress flags each method takes besides --rank; --seed goes with every
@@ -253,6 +258,9 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compress(args) -> int:
+    """Factor the matrix, write the container and print its certificate, which at
+    ``--detect-tol 0`` on a form that keeps the source pattern (all kinds but ``spd``)
+    comes from the verified blocks, reading the matrix again only for its trace."""
     a = read_matrix(args.input)
     pattern, blocks = _resolve_pattern(a, args)
     if args.method in ("hosvd", "mode2"):
@@ -278,7 +286,16 @@ def _cmd_compress(args) -> int:
     print("ranks: " + ",".join(str(r) for r in ranks))
     if hasattr(rep, "n_terms"):
         print(f"terms: {rep.n_terms}")
-    _print_metrics(report_metrics(a, rep))
+    cell_pattern, approx = rep.cell_blocks()
+    if args.detect_tol or cell_pattern != pattern:
+        _print_metrics(report_metrics(a, rep))
+        return 0
+    metrics = report_metrics(pattern, rep, trace_ref=float(a.diagonal().sum()))
+    nnz = sum(eta * np.count_nonzero(b) for eta, b in zip(pattern.counts, blocks))
+    if nnz:  # else the matrix is zero, and report_metrics(a, rep) prints neither
+        metrics.setdefault("storage_ratio", rep.stored_scalars() / nnz)  # spsd's is set
+        metrics["relerr_fro"] = class_error_fro(pattern, blocks, approx)
+    _print_metrics(metrics)
     return 0
 
 
@@ -333,16 +350,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (ContainerFormatError, OSError) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ShapeError, PatternMismatchError, ContainerExtentError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (NotPositiveDefiniteError, ConvergenceError, FloatingPointError,
-            ZeroDivisionError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        return next(_EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in _EXIT_CODES)
 
 
 if __name__ == "__main__":

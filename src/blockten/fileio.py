@@ -7,7 +7,6 @@ IEEE doubles exactly.
 
 from __future__ import annotations
 
-import math
 import os
 from pathlib import Path
 
@@ -64,22 +63,25 @@ def read_matrix(path):
     skew-symmetric storage is expanded to full.
 
     Raises:
-        ContainerFormatError: Malformed header, complex/pattern fields, or
-            a NaN or infinite entry.
+        ContainerFormatError: Malformed header or body, complex/pattern
+            fields, or a NaN or infinite entry.
         ShapeError: Array file too large to hold densely.
     """
-    try:
-        rows, cols, _, fmt, field, _ = scipy.io.mminfo(path)
-    except ValueError as exc:
-        raise ContainerFormatError(f"malformed Matrix Market file: {exc}") from exc
+    def parse(read):  # scipy raises ValueError, OverflowError for an index beyond int64
+        try:
+            return read(path)
+        except (ValueError, OverflowError) as exc:
+            raise ContainerFormatError(f"malformed Matrix Market file: {exc}") from exc
+
+    rows, cols, _, fmt, field, _ = parse(scipy.io.mminfo)
     if field not in ("real", "integer", "unsigned-integer"):
         raise ContainerFormatError(f"unsupported Matrix Market field {field!r}")
     if fmt == "coordinate":
-        mat = SparseMatrix(scipy.io.mmread(path).tocsr(), dtype=np.float64)
+        mat = SparseMatrix(parse(scipy.io.mmread).tocsr(), dtype=np.float64)
         values = mat.data
     else:
         _check_dense_size(rows, cols)
-        mat = values = np.asarray(scipy.io.mmread(path), dtype=np.float64)
+        mat = values = np.asarray(parse(scipy.io.mmread), dtype=np.float64)
     # a finite sum of the stored values proves every entry finite without a
     # mask; the exact scan runs only when it is not (non-finite entries or
     # overflow)
@@ -122,10 +124,27 @@ def write_matrix(path, a) -> None:
 
 
 def read_vector(path) -> np.ndarray:
-    """Read a vector stored as one decimal literal per line."""
-    values = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+    """Read a vector stored as one decimal literal per line: lines end at ``\\n``,
+    ``\\r\\n`` or ``\\r`` (not at the other breaks of ``str.splitlines``), and blank
+    and ``%`` lines are skipped.  One ``np.array`` call converts the stripped rest as
+    ``float()`` does; a file it refuses, or one with a ``_`` or a non-ASCII byte, is read
+    line by line, which raises :class:`ContainerFormatError` naming the first line that
+    is not one finite ASCII literal without ``_``, as do non-UTF-8 bytes and no values."""
+    try:
+        with open(path, encoding="utf-8") as fh:  # text mode: lines end at \n, \r\n or \r
+            data = fh.read()
+    except UnicodeDecodeError as exc:  # raised on the whole file, where bytes split as text mode
+        lineno = len((exc.object[:exc.start] + b".").splitlines())
+        raise ContainerFormatError(f"{path}:{lineno}: not UTF-8 text ({exc.reason})") from exc
+    lines = data.split("\n")
+    tokens = [text for text in map(str.strip, lines) if text and text[0] != "%"]
+    try:
+        values = np.array(tokens, dtype=np.float64)
+    except ValueError:
+        values = None
+    if values is None or not (data.isascii() and "_" not in data and np.isfinite(values).all()):
+        values = []
+        for lineno, line in enumerate(lines, start=1):
             text = line.strip()
             if not text or text.startswith("%"):
                 continue
@@ -136,18 +155,14 @@ def read_vector(path) -> np.ndarray:
             except ValueError as exc:
                 raise ContainerFormatError(
                     f"{path}:{lineno}: not a decimal literal: {text!r}") from exc
-            if not math.isfinite(values[-1]):
+            if not np.isfinite(values[-1]):
                 raise ContainerFormatError(f"{path}:{lineno}: non-finite value {text!r}")
-    if not values:
+    if not len(values):
         raise ContainerFormatError(f"{path}: no values")
-    return np.array(values, dtype=np.float64)
+    return np.asarray(values, dtype=np.float64)
 
 
 def write_vector(path, x) -> None:
-    x = np.asarray(x, dtype=np.float64).ravel()
-
-    def _write(tmp):
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.writelines(repr(v) + "\n" for v in x.tolist())
-
-    _replace_into(path, _write)
+    """Write ``x`` as one ``repr`` literal per line, in one write (an empty file for no values)."""
+    text = "\n".join([*map(repr, np.asarray(x, dtype=np.float64).ravel().tolist()), ""])
+    _replace_into(path, lambda tmp: tmp.write_text(text, encoding="utf-8"))

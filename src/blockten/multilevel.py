@@ -65,17 +65,9 @@ class MultilevelPattern:
         return len(self.levels)
 
     @property
-    def m(self) -> int:
-        return self.levels[-1].m
-
-    @property
-    def n(self) -> int:
-        return self.levels[-1].n
-
-    @property
     def dims(self) -> tuple[int, ...]:
         """Extents of the weighted tensor: ``(m, p_1, ..., p_L, n)``."""
-        return (self.m, *(lv.p for lv in self.levels), self.n)
+        return (self.levels[-1].m, *(lv.p for lv in self.levels), self.levels[-1].n)
 
     @property
     def shape(self) -> tuple[int, int]:

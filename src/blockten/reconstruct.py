@@ -39,7 +39,7 @@ from .blocks import (
 )
 from .decomp import KruskalRep, TuckerRep, qr_thin
 from .errors import ShapeError
-from .tensor import in_normal_range
+from .tensor import in_normal_range, scale_exponent
 
 __all__ = [
     "KronSumRep",
@@ -52,6 +52,7 @@ __all__ = [
     "matvec",
     "densify",
     "error_fro",
+    "class_error_fro",
 ]
 
 
@@ -347,10 +348,30 @@ def error_fro(a, rep) -> float:
         raise ShapeError(f"matrix shape {a.shape} != representation shape {rep.shape}")
     pat, blocks = rep.cell_blocks()
     cells = _cells(a, pat.ell, pat.q, pat.m, pat.n)
-    base, resid = _squared_error(cells, pat, blocks, 0)
+    return _relative(lambda e: _squared_error(cells, pat, blocks, e), cells.scale_exponent)
+
+
+def class_error_fro(pattern: BlockPattern, blocks, approx) -> float:
+    """:func:`error_fro` of the matrix holding ``blocks[k]`` on every cell of class ``k`` and
+    zeros elsewhere, against a form whose ``cell_blocks()`` are ``(pattern, approx)``: the sums
+    ``sum_k eta_k ||B_k - approx_k||^2`` over ``sum_k eta_k ||B_k||^2``, class by class."""
+    def squares(e: int) -> tuple[float, float]:
+        base = resid = 0.0
+        for eta, b, b_hat in zip(pattern.counts, blocks, approx):
+            if e:
+                b, b_hat = np.ldexp(b, -e), np.ldexp(b_hat, -e)
+            d = b - b_hat
+            base, resid = base + eta * np.vdot(b, b), resid + eta * np.vdot(d, d)
+        return base, resid
+
+    return _relative(squares, lambda: max(map(scale_exponent, blocks)))
+
+
+def _relative(squares, exponent) -> float:
+    """``sqrt(resid / base)`` of ``squares(0)``, redone at ``exponent()`` off the normal range."""
+    base, resid = squares(0)
     if not (in_normal_range(base) and in_normal_range(resid)):
-        e = cells.scale_exponent()
-        base, resid = _squared_error(cells, pat, blocks, e)
+        base, resid = squares(exponent())
     if base == 0.0:
         raise ShapeError("relative error undefined for a zero matrix")
     return float(np.sqrt(resid) / np.sqrt(base))

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import scipy.sparse
 from scipy.ndimage import convolve
 
+from blockten import apps
 from blockten import blocks as block_maps
 from blockten import psd
 from blockten.blocks import build_pattern, struct_assemble
@@ -605,6 +606,58 @@ def test_cp_fit_is_one_minus_the_certified_error(toep, tmp_path, capsys, extra):
     assert abs(float(pairs["cp_fit"]) - (1.0 - float(pairs["relerr_fro"]))) <= 1e-12
 
 
+# compress certifies from the blocks it verified (every kind but spd at
+# --detect-tol 0); report --matrix reads the matrix again, so the two must agree
+_CERTIFIED_RUNS = [
+    *[("--method", method, "--rank", "2", "--output", output)
+      for method in ("hosvd", "mode2", "cp") for output in ("kron_sum", "blr")],
+    ("--method", "spsd", "--rank", "2"),
+    ("--method", "spd", "--rank", "2"),
+    ("--method", "mode2", "--rank", "2", "--detect-tol", "1e-12"),
+]
+
+
+@pytest.fixture(scope="module")
+def certified_matrix(tmp_path_factory):
+    a = spd_block_toeplitz(np.random.default_rng(112), s=5, m=3)
+    root = tmp_path_factory.mktemp("certificate")
+    paths = {"array": root / "array.mtx", "coordinate": root / "coordinate.mtx"}
+    write_matrix(paths["array"], a)
+    write_matrix(paths["coordinate"], scipy.sparse.csr_matrix(a))
+    return paths
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+@pytest.mark.parametrize("flags", _CERTIFIED_RUNS, ids=" ".join)
+def test_compress_certificate_equals_report_against_the_matrix(certified_matrix, tmp_path,
+                                                               capsys, fmt, flags):
+    path, out_c = certified_matrix[fmt], tmp_path / "c.btc"
+    assert path.read_text().split("\n")[0].split()[2] == fmt
+    code, out, err = run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", 3,
+                             "--block-cols", 3, *flags)
+    assert code == 0, err
+    code, out_r, err = run_cli(capsys, "report", out_c, "--matrix", path)
+    assert code == 0, err
+    keys = ("relerr_fro", "storage_ratio", "relerr_trace")
+    got, want = ({k: float(v) for k, v in kv(o).items() if k in keys} for o in (out, out_r))
+    assert got.keys() == want.keys() and "relerr_fro" in got
+    assert got.pop("relerr_fro") == pytest.approx(want.pop("relerr_fro"), rel=1e-12, abs=0)
+    assert got == want  # storage_ratio and relerr_trace exactly
+
+
+def test_compress_at_tol_zero_reads_the_matrix_once(toep, tmp_path, capsys, monkeypatch):
+    def reread(*_):
+        raise AssertionError("the matrix was read again for its error")
+
+    monkeypatch.setattr(apps, "error_fro", reread)
+    for flags in (("--method", "mode2", "--rank", "2"), ("--pattern", "toeplitz", "--method",
+                                                        "hosvd", "--rank", "2", "--output", "blr")):
+        code, out, err = run_cli(capsys, "compress", toep[0], "-o", tmp_path / "c.btc",
+                                 "--block-rows", 4, "--block-cols", 4, *flags)
+        assert code == 0, err
+        assert {"relerr_fro", "storage_ratio"} <= kv(out).keys()
+
+
 # ---------------------------------------------------------------------------
 # failure taxonomy
 # ---------------------------------------------------------------------------
@@ -742,6 +795,56 @@ def test_exit_2_nonfinite_matrix(toep, tmp_path, capsys):
         assert code == 2
         assert f"non-finite entry {where}" in err
         assert not out_c.exists()
+
+
+_MM_ARRAY = "%%MatrixMarket matrix array real general\n2 2\n"
+_MM_COORD = "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+
+
+@pytest.mark.parametrize("body", [
+    _MM_ARRAY + "1.0\nabc\n3.0\n4.0\n",  # a bad float, array format
+    _MM_COORD + "1 1 1.0\n2 2 x\n",  # a bad float, coordinate format
+    _MM_COORD + "1 1 1.0\n2 2\n",  # a missing value
+    _MM_ARRAY + "1.0\n2.0\n3.0\n",  # a truncated array body
+    _MM_COORD + "1 1 1.0\n",  # a truncated coordinate body
+    _MM_COORD + "0 1 1.0\n2 2 1.0\n",  # a row index of 0
+    _MM_COORD + "3 1 1.0\n2 2 1.0\n",  # a row index beyond the extent
+    _MM_COORD + "1 1 1.0\n2 2 1.0\n1 2 1.0\n",  # surplus entries
+    _MM_COORD + "99999999999999999999 1 1.0\n2 2 1.0\n",  # an index beyond int64
+], ids=["array_float", "coordinate_float", "missing_value", "array_truncated",
+        "coordinate_truncated", "row_0", "row_beyond", "surplus", "index_overflow"])
+def test_exit_2_malformed_matrix_market_body(tmp_path, capsys, body):
+    good, out_c = tmp_path / "good.mtx", tmp_path / "c.btc"
+    write_matrix(good, np.eye(2))
+    assert run_cli(capsys, "compress", good, "-o", out_c, "--block-rows", 1,
+                   "--block-cols", 1, "--method", "mode2", "--rank", 1)[0] == 0
+    path = tmp_path / "bad.mtx"
+    path.write_text(body)
+    blocks = ("--block-rows", 1, "--block-cols", 1)
+    for argv in (("analyze", path, *blocks),
+                 ("compress", path, "-o", tmp_path / "d.btc", *blocks, "--method", "mode2",
+                  "--rank", 1),
+                 ("report", out_c, "--matrix", path)):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, (argv[0], err)
+        assert err.startswith("error: malformed Matrix Market file: "), err
+        assert "Traceback" not in err
+    assert not (tmp_path / "d.btc").exists()
+
+
+@pytest.mark.parametrize("blob, line", [(b"1.0\n\xff\n", 2), (b"1.0\r2.0\r\n3.0\r\xc3(\n", 4),
+                                        (b"\xe2\x82", 1)])
+def test_exit_2_vector_that_is_not_utf8(toep, tmp_path, capsys, blob, line):
+    path, _ = toep
+    out_c = tmp_path / "c.btc"
+    run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", 4,
+            "--block-cols", 4, "--method", "hosvd", "--rank", 2)
+    xp = tmp_path / "bad.txt"
+    xp.write_bytes(blob)
+    code, _, err = run_cli(capsys, "matvec", out_c, xp, "-o", tmp_path / "y.txt")
+    assert code == 2
+    assert err.startswith(f"error: {xp}:{line}: not UTF-8 text ("), err
+    assert not (tmp_path / "y.txt").exists()
 
 
 def test_exit_2_argparse_level(capsys):

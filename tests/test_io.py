@@ -1,6 +1,7 @@
 """File formats: Matrix Market, vectors, and the container."""
 
 import hashlib
+import math
 import re
 
 import numpy as np
@@ -134,6 +135,81 @@ def test_vector_rejects_garbage(tmp_path):
         path.write_text(f"1.0\n{text}\n", encoding="utf-8")
         with pytest.raises(ContainerFormatError, match="not a decimal literal"):
             read_vector(path)
+    path.write_bytes(b"1.0\n\xff\n")
+    with pytest.raises(ContainerFormatError, match=r"bad\.txt:2: not UTF-8 text"):
+        read_vector(path)
+
+
+def _reference_read_vector(path) -> np.ndarray:
+    """The line-by-line reader ``read_vector`` must agree with, file for file."""
+    values = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            text = line.strip()
+            if not text or text.startswith("%"):
+                continue
+            try:
+                if not text.isascii() or "_" in text:  # float() also reads 1_0 and ١٢
+                    raise ValueError(text)
+                values.append(float(text))
+            except ValueError as exc:
+                raise ContainerFormatError(
+                    f"{path}:{lineno}: not a decimal literal: {text!r}") from exc
+            if not math.isfinite(values[-1]):
+                raise ContainerFormatError(f"{path}:{lineno}: non-finite value {text!r}")
+    if not values:
+        raise ContainerFormatError(f"{path}: no values")
+    return np.array(values, dtype=np.float64)
+
+
+_blanks = st.sampled_from(["", "", " ", "\t", "\x0c", "\x1c", "\x85", "\xa0", "\u2028"])
+_literals = st.one_of(
+    st.floats().map(repr), st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1_0", "\u0661\u0662", "0x10", "nan", "-inf", "1e400", "1e-400", ".5",
+                     "-0", "+7.", "1e5", "abc", "%", "% a comment", "", "1.0\x00"]))
+_vector_lines = st.one_of(
+    st.tuples(_blanks, _literals, _blanks).map("".join),
+    st.tuples(_literals, _literals).map(" ".join))  # two literals on one line
+_vector_texts = st.one_of(
+    st.just(""),
+    st.lists(st.tuples(_vector_lines, st.sampled_from(["\n", "\r\n", "\r"])), max_size=8)
+    .map(lambda parts: "".join(line + end for line, end in parts)),
+    st.lists(_vector_lines, max_size=8).map("\n".join))  # no line end after the last line
+
+
+def _outcome(read, path):
+    try:
+        return read(path)
+    except ContainerFormatError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(text=_vector_texts)
+@example(text="1.0\r2.0\r\n\r3.0")
+@example(text=" 1.0\xa0\n\u20282.0\x85\n\x0c3.0\x1c")
+@example(text="1.0\n% 1_0 \u0661\n2.0\n")
+@example(text="1.0 2.0\n")
+@example(text="1.0\n1e400\nabc\n")
+@example(text="\n\n% only a comment\n")
+def test_vector_reads_as_the_line_by_line_reader_reads_it(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("vector") / "x.txt"
+    path.write_bytes(text.encode("utf-8"))
+    want, got = _outcome(_reference_read_vector, path), _outcome(read_vector, path)
+    if isinstance(want, np.ndarray):
+        assert isinstance(got, np.ndarray) and got.dtype == np.float64
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()  # bit for bit
+    else:
+        assert got == want
+
+
+@pytest.mark.parametrize("x", [
+    [0.0, -0.0, 5e-324, 1e-310, 1e308, -1e308, np.inf, -np.inf, np.nan, 0.1, 1e16], []])
+def test_vector_bytes_are_the_repr_of_every_value(tmp_path, x):
+    x = np.array(x, dtype=np.float64)
+    path = tmp_path / "x.txt"
+    write_vector(path, x)
+    assert path.read_bytes() == "".join(repr(v) + "\n" for v in x.tolist()).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +592,14 @@ _numbers = st.one_of(st.integers(0, 4).map(str), st.integers(-10**20, 10**20).ma
 _cells = st.tuples(_numbers, _numbers).map(",".join)
 _pieces = st.one_of(_cells, _cells, _numbers, st.sampled_from(
     list("0123456789+-,  \t\n\r\x0b\x1c_ax\x00\u0661\xa0\x85\u2028\u3000\xe9")))
+_index = st.one_of(st.integers(1, 5), st.integers(1, 10**18 - 1)).map(str)  # 1..18 digits
 _texts = st.one_of(
     st.lists(_pieces, max_size=12).map("".join),  # mostly malformed
     st.lists(st.tuples(_cells, st.sampled_from([" ", "\n", "\t ", "\xa0", "\n\n"])),
-             max_size=8).map(lambda parts: "".join(c + sep for c, sep in parts)))
+             max_size=8).map(lambda parts: "".join(c + sep for c, sep in parts)),
+    # the writer's own grammar: one space between cells, one line end between classes
+    st.lists(st.lists(st.tuples(_index, _index).map(",".join), min_size=1, max_size=4)
+             .map(" ".join), min_size=1, max_size=4).map("\n".join))
 
 
 @settings(max_examples=400, deadline=None)
