@@ -31,7 +31,7 @@ from .blocks import (
 )
 from .decomp import hosvd, tucker_partial
 from .errors import ConvergenceError, ShapeError
-from .reconstruct import blr_from_tucker, error_fro
+from .reconstruct import blr_from_tucker, class_error_fro, error_fro
 
 __all__ = [
     "MarkovSequence",
@@ -267,51 +267,51 @@ def spacetime_build(points: np.ndarray, times: np.ndarray,
     return pattern, blocks
 
 
-def report_metrics(a_or_pattern, rep, trace_ref: float | None = None) -> dict[str, float]:
+def report_metrics(source, rep, trace_ref: float | None = None) -> dict[str, float]:
     """Quality/size metrics for a compressed representation.
 
     Args:
-        a_or_pattern: The source matrix (dense or scipy sparse), or its
-            :class:`BlockPattern` (or ``None``) when the matrix is not at
-            hand; then only the metrics the representation certifies alone
-            are reported.  A matrix must have the representation's shape.
+        source: The source matrix (dense or scipy sparse); the ``(pattern, blocks)``
+            verified to hold it exactly, which certify without it (:func:`class_error_fro`);
+            or its :class:`BlockPattern` (or ``None``), for only the metrics the
+            representation certifies alone.
         rep: Any representation produced by this package.
         trace_ref: Reference trace when the matrix itself is not supplied
             (e.g. ``N * T`` for a unit-diagonal covariance kernel).
 
     Returns:
-        The computable subset of ``relerr_fro`` (nonzero matrix supplied),
+        The computable subset of ``relerr_fro`` (a nonzero source supplied),
         ``relerr_trace`` (kinds with ``trace()``) and ``storage_ratio``:
         ``rep.stored_scalars()`` over ``rep.distinct_scalars()`` on kinds
-        with it, else over the matrix's ``nnz`` (nonzero values, a sparse
-        matrix's duplicates added first; none for a zero matrix).
+        with it, else over the source's ``nnz`` (nonzero values, a sparse
+        matrix's duplicates added first, ``sum_k eta_k nnz(B_k)`` for blocks).
 
     Raises:
-        ShapeError: If the matrix shape differs from the representation's.
+        ShapeError: If the source's shape differs from the representation's.
     """
     metrics: dict[str, float] = {}
-    matrix = None if isinstance(a_or_pattern, BlockPattern) else a_or_pattern
-    if matrix is not None and matrix.shape != rep.shape:
-        raise ShapeError(f"matrix shape {matrix.shape} != representation shape {rep.shape}")
+    given, blocks = source if isinstance(source, tuple) else (source, None)  # matrix or pattern
+    matrix = None if isinstance(given, BlockPattern) else given
+    if given is not None and given.shape != rep.shape:
+        raise ShapeError(f"matrix shape {given.shape} != representation shape {rep.shape}")
 
-    if hasattr(rep, "distinct_scalars"):
-        metrics["storage_ratio"] = rep.stored_scalars() / rep.distinct_scalars()
-    elif matrix is not None:
-        # a copy: counting sums a sparse matrix's duplicates in place
+    nnz = 0
+    if blocks is not None:
+        nnz = sum(eta * np.count_nonzero(b) for eta, b in zip(given.counts, blocks))
+    elif matrix is not None:  # a copy: counting sums a sparse matrix's duplicates in place
         sparse = scipy.sparse.issparse(matrix)
         nnz = matrix.tocsr(copy=True).count_nonzero() if sparse else np.count_nonzero(matrix)
-        if nnz:
-            metrics["storage_ratio"] = rep.stored_scalars() / nnz
-
-    if matrix is not None:
-        try:
-            metrics["relerr_fro"] = error_fro(matrix, rep)
-        except ShapeError:
-            pass  # shapes agree, so the matrix is zero
+    if hasattr(rep, "distinct_scalars"):
+        metrics["storage_ratio"] = rep.stored_scalars() / rep.distinct_scalars()
+    elif nnz:
+        metrics["storage_ratio"] = rep.stored_scalars() / nnz
+    if nnz:
+        metrics["relerr_fro"] = (error_fro(matrix, rep) if blocks is None
+                                 else class_error_fro(given, blocks, rep))
 
     if hasattr(rep, "trace"):
         if trace_ref is None and matrix is not None:
             trace_ref = float(matrix.diagonal().sum())
-        if trace_ref is not None and trace_ref != 0.0:
+        if trace_ref:  # neither None nor zero
             metrics["relerr_trace"] = abs(trace_ref - rep.trace()) / abs(trace_ref)
     return metrics

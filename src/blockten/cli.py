@@ -39,7 +39,6 @@ from .psd import spd_compress_blocks, spsd_compress_blocks
 from .reconstruct import (
     blr_from_kruskal,
     blr_from_tucker,
-    class_error_fro,
     kron_sum_from_kruskal,
     kron_sum_from_tucker,
 )
@@ -79,6 +78,7 @@ def _flag_type(convert, ok, expected: str):
 
 
 _positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
+_band = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
 _tolerance = _flag_type(float, lambda v: np.isfinite(v) and v >= 0, "a finite number >= 0")
 _three_ints = _flag_type(lambda text: [int(tok) for tok in text.split(",")],
                          lambda v: len(v) == 3 and min(v) > 0, "three positive integers")
@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="columns of one block")
         p.add_argument("--pattern", choices=_PATTERN_CHOICES, default="auto",
                        help="block pattern; 'auto' groups equal blocks greedily")
-        p.add_argument("--band", type=int, default=None,
+        p.add_argument("--band", type=_band, default=None,
                        help="semibandwidth for --pattern banded/toeplitz")
         p.add_argument("--symmetric", action="store_true",
                        help="share classes across the diagonal (banded/toeplitz)")
@@ -258,9 +258,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_compress(args) -> int:
-    """Factor the matrix, write the container and print its certificate, which at
-    ``--detect-tol 0`` on a form that keeps the source pattern (all kinds but ``spd``)
-    comes from the verified blocks, reading the matrix again only for its trace."""
+    """Factor the matrix, write the container and print its certificate: from the verified
+    blocks (the matrix only for its trace), unless ``--detect-tol`` is positive."""
     a = read_matrix(args.input)
     pattern, blocks = _resolve_pattern(a, args)
     if args.method in ("hosvd", "mode2"):
@@ -286,16 +285,8 @@ def _cmd_compress(args) -> int:
     print("ranks: " + ",".join(str(r) for r in ranks))
     if hasattr(rep, "n_terms"):
         print(f"terms: {rep.n_terms}")
-    cell_pattern, approx = rep.cell_blocks()
-    if args.detect_tol or cell_pattern != pattern:
-        _print_metrics(report_metrics(a, rep))
-        return 0
-    metrics = report_metrics(pattern, rep, trace_ref=float(a.diagonal().sum()))
-    nnz = sum(eta * np.count_nonzero(b) for eta, b in zip(pattern.counts, blocks))
-    if nnz:  # else the matrix is zero, and report_metrics(a, rep) prints neither
-        metrics.setdefault("storage_ratio", rep.stored_scalars() / nnz)  # spsd's is set
-        metrics["relerr_fro"] = class_error_fro(pattern, blocks, approx)
-    _print_metrics(metrics)
+    _print_metrics(report_metrics(a if args.detect_tol else (pattern, blocks), rep,
+                                  trace_ref=float(a.diagonal().sum())))
     return 0
 
 

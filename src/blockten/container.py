@@ -125,8 +125,7 @@ def _pack_arrays(arrays: list[tuple[str, np.ndarray]]) -> tuple[list[str], bytes
     for name, arr in arrays:
         arr = np.asarray(arr, dtype=np.float64)
         lines.append(f"array.{name}: " + " ".join(str(s) for s in arr.shape))
-        chunks.append(np.array([arr.ndim], dtype="<i8").tobytes())
-        chunks.append(np.array(arr.shape, dtype="<i8").tobytes())
+        chunks.append(np.array([arr.ndim, *arr.shape], dtype="<i8").tobytes())
         chunks.append(arr.astype("<f8", copy=False).tobytes(order="F"))
     return lines, b"".join(chunks)
 

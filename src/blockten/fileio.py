@@ -8,6 +8,7 @@ IEEE doubles exactly.
 from __future__ import annotations
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,8 @@ def read_matrix(path):
     skew-symmetric storage is expanded to full.
 
     Raises:
-        ContainerFormatError: Malformed header or body, complex/pattern
-            fields, or a NaN or infinite entry.
+        ContainerFormatError: Malformed header or body (a value with a fraction or an
+            exponent in an integer file too), complex/pattern fields, or a NaN or infinite entry.
         ShapeError: Array file too large to hold densely.
     """
     def parse(read):  # scipy raises ValueError, OverflowError for an index beyond int64
@@ -76,25 +77,25 @@ def read_matrix(path):
     rows, cols, _, fmt, field, _ = parse(scipy.io.mminfo)
     if field not in ("real", "integer", "unsigned-integer"):
         raise ContainerFormatError(f"unsupported Matrix Market field {field!r}")
+    if field != "real":  # scipy reads 1.5 or 1e3 in an integer file as 1: scan what it reads
+        import bz2, gzip  # deferred: only an integer file needs them
+        unzip = {".gz": gzip.decompress, ".bz2": bz2.decompress}.get(Path(path).suffix, bytes)
+        if re.search(rb"^(?!%)[^\n]*?[^\d\s+-]", unzip(Path(path).read_bytes()), re.M):
+            raise ContainerFormatError(f"malformed Matrix Market file: {path}: a value "
+                                       f"that is not an integer in an {field} file")
     if fmt == "coordinate":
         mat = SparseMatrix(parse(scipy.io.mmread).tocsr(), dtype=np.float64)
         values = mat.data
     else:
         _check_dense_size(rows, cols)
         mat = values = np.asarray(parse(scipy.io.mmread), dtype=np.float64)
-    # a finite sum of the stored values proves every entry finite without a
-    # mask; the exact scan runs only when it is not (non-finite entries or
-    # overflow)
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(values.sum())
-    if not finite:
-        bad = np.flatnonzero(~np.isfinite(values.ravel()))
-        if bad.size:
-            k = int(bad[0])  # canonical CSR stores its entries in row-major order
-            i, j = ((np.searchsorted(mat.indptr, k, side="right") - 1, mat.indices[k])
-                    if fmt == "coordinate" else divmod(k, cols))
-            raise ContainerFormatError(f"{path}: non-finite entry {float(values.flat[k])!r} "
-                                       f"at row {i + 1}, column {j + 1}")
+    bad = np.flatnonzero(~np.isfinite(values.ravel()))
+    if bad.size:
+        k = int(bad[0])  # canonical CSR stores its entries in row-major order
+        i, j = ((np.searchsorted(mat.indptr, k, side="right") - 1, mat.indices[k])
+                if fmt == "coordinate" else divmod(k, cols))
+        raise ContainerFormatError(f"{path}: non-finite entry {float(values.flat[k])!r} "
+                                   f"at row {i + 1}, column {j + 1}")
     return mat
 
 

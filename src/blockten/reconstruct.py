@@ -3,9 +3,9 @@
 Every compressed form answers ``shape``, ``matvec(x, counter=None)``,
 ``densify()``, ``stored_scalars()`` and ``cell_blocks()`` -- a pattern and
 the ``(p, m, n)`` stack of blocks every cell of class ``k`` holds, over which
-:func:`densify` and :func:`error_fro` are written once; ``shape`` and
-``densify`` come from one class decorator.  The two forms built here keep
-the source pattern without materializing Kronecker products:
+:func:`densify`, :func:`error_fro` and, against verified blocks, :func:`class_error_fro`
+are written once; ``shape`` and ``densify`` come from one class decorator.  The two
+forms built here keep the source pattern without materializing Kronecker products:
 
 * :class:`KronSumRep` -- a sum ``sum_j C_j (x) D_j`` where each ``C_j`` is a
   sparse scalar assembly over the pattern's placements (support inside the
@@ -351,20 +351,29 @@ def error_fro(a, rep) -> float:
     return _relative(lambda e: _squared_error(cells, pat, blocks, e), cells.scale_exponent)
 
 
-def class_error_fro(pattern: BlockPattern, blocks, approx) -> float:
-    """:func:`error_fro` of the matrix holding ``blocks[k]`` on every cell of class ``k`` and
-    zeros elsewhere, against a form whose ``cell_blocks()`` are ``(pattern, approx)``: the sums
-    ``sum_k eta_k ||B_k - approx_k||^2`` over ``sum_k eta_k ||B_k||^2``, class by class."""
+def class_error_fro(pattern: BlockPattern, blocks, rep) -> float:
+    """:func:`error_fro` of the matrix holding ``blocks[i]`` on each cell of class ``i`` of
+    ``pattern`` (zeros elsewhere) against ``rep``: class ``i`` meeting class ``j`` of
+    ``rep.cell_blocks()`` on ``c`` cells (no class: a zero block) adds ``c ||B_i||^2`` and
+    ``c ||B_i - A_j||^2``; a form keeping ``pattern`` meets it ``(k, k)`` on ``eta_k`` cells."""
+    form, approx = rep.cell_blocks()
+    if (form.ell, form.q, form.m, form.n) != (pattern.ell, pattern.q, pattern.m, pattern.n):
+        raise ShapeError("the form's block grid differs from the source pattern's")
+    key = (pattern.class_of + 1) * (form.p + 1) + form.class_of + 1  # 0 where neither claims
+    pairs, counts = np.unique(key[key > 0], return_counts=True)
+    src, dst = ([*stack, np.zeros((pattern.m, pattern.n))] for stack in (blocks, approx))
+
     def squares(e: int) -> tuple[float, float]:
         base = resid = 0.0
-        for eta, b, b_hat in zip(pattern.counts, blocks, approx):
+        for pair, c in zip(pairs.tolist(), counts):
+            b, b_hat = src[pair // (form.p + 1) - 1], dst[pair % (form.p + 1) - 1]
             if e:
                 b, b_hat = np.ldexp(b, -e), np.ldexp(b_hat, -e)
             d = b - b_hat
-            base, resid = base + eta * np.vdot(b, b), resid + eta * np.vdot(d, d)
+            base, resid = base + c * np.vdot(b, b), resid + c * np.vdot(d, d)
         return base, resid
 
-    return _relative(squares, lambda: max(map(scale_exponent, blocks)))
+    return _relative(squares, lambda: scale_exponent(np.asarray(blocks)))  # a zero block's is 0
 
 
 def _relative(squares, exponent) -> float:

@@ -606,8 +606,8 @@ def test_cp_fit_is_one_minus_the_certified_error(toep, tmp_path, capsys, extra):
     assert abs(float(pairs["cp_fit"]) - (1.0 - float(pairs["relerr_fro"]))) <= 1e-12
 
 
-# compress certifies from the blocks it verified (every kind but spd at
-# --detect-tol 0); report --matrix reads the matrix again, so the two must agree
+# compress certifies from the blocks it verified (every kind at --detect-tol 0);
+# report --matrix reads the matrix again, so the two must agree
 _CERTIFIED_RUNS = [
     *[("--method", method, "--rank", "2", "--output", output)
       for method in ("hosvd", "mode2", "cp") for output in ("kron_sum", "blr")],
@@ -645,16 +645,21 @@ def test_compress_certificate_equals_report_against_the_matrix(certified_matrix,
     assert got == want  # storage_ratio and relerr_trace exactly
 
 
-def test_compress_at_tol_zero_reads_the_matrix_once(toep, tmp_path, capsys, monkeypatch):
+def test_compress_at_tol_zero_reads_the_matrix_once(toep, certified_matrix, tmp_path, capsys,
+                                                    monkeypatch):
     def reread(*_):
         raise AssertionError("the matrix was read again for its error")
 
     monkeypatch.setattr(apps, "error_fro", reread)
-    for flags in (("--method", "mode2", "--rank", "2"), ("--pattern", "toeplitz", "--method",
-                                                        "hosvd", "--rank", "2", "--output", "blr")):
-        code, out, err = run_cli(capsys, "compress", toep[0], "-o", tmp_path / "c.btc",
-                                 "--block-rows", 4, "--block-cols", 4, *flags)
-        assert code == 0, err
+    runs = [(toep[0], 4, flags) for flags in (
+        ("--method", "mode2", "--rank", "2"),
+        ("--pattern", "toeplitz", "--method", "hosvd", "--rank", "2", "--output", "blr"))]
+    runs += [(certified_matrix[fmt], 3, ("--method", method, "--rank", "2"))
+             for fmt in ("array", "coordinate") for method in ("spd", "spsd", "cp")]
+    for path, extent, flags in runs:
+        code, out, err = run_cli(capsys, "compress", path, "-o", tmp_path / "c.btc",
+                                 "--block-rows", extent, "--block-cols", extent, *flags)
+        assert code == 0, (flags, err)
         assert {"relerr_fro", "storage_ratio"} <= kv(out).keys()
 
 
@@ -703,6 +708,8 @@ def test_exit_2_usage_errors(toep, tmp_path, capsys):
         ("--method", "spd", "--rank", 2, "--output", "kron_sum"),
         ("--method", "mode2", "--tol", "1e-3", "--randomized"),
         ("--method", "hosvd", "--rank", 2, "--randomized", "--seed", -1),
+        ("--method", "hosvd", "--rank", 2, "--pattern", "banded", "--band", -1),
+        ("--method", "hosvd", "--rank", 2, "--pattern", "toeplitz", "--band", -1),
     ]
     for extra in cases:
         code, _, err = run_cli(capsys, "compress", path, "-o", out_c,
@@ -799,6 +806,8 @@ def test_exit_2_nonfinite_matrix(toep, tmp_path, capsys):
 
 _MM_ARRAY = "%%MatrixMarket matrix array real general\n2 2\n"
 _MM_COORD = "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
+_MM_INT_ARRAY = "%%MatrixMarket matrix array integer general\n2 2\n"
+_MM_INT_COORD = "%%MatrixMarket matrix coordinate integer general\n2 2 2\n"
 
 
 @pytest.mark.parametrize("body", [
@@ -811,15 +820,20 @@ _MM_COORD = "%%MatrixMarket matrix coordinate real general\n2 2 2\n"
     _MM_COORD + "3 1 1.0\n2 2 1.0\n",  # a row index beyond the extent
     _MM_COORD + "1 1 1.0\n2 2 1.0\n1 2 1.0\n",  # surplus entries
     _MM_COORD + "99999999999999999999 1 1.0\n2 2 1.0\n",  # an index beyond int64
+    _MM_INT_COORD + "1 1 1.5\n2 2 1\n",  # scipy would read these integer values as 1
+    _MM_INT_COORD + "1 1 1e3\n2 2 1\n",
+    _MM_INT_ARRAY + "1.5\n2\n3\n4\n",
+    _MM_INT_COORD.encode() + b"1 1 \xff\n2 2 1\n",  # not UTF-8
 ], ids=["array_float", "coordinate_float", "missing_value", "array_truncated",
-        "coordinate_truncated", "row_0", "row_beyond", "surplus", "index_overflow"])
+        "coordinate_truncated", "row_0", "row_beyond", "surplus", "index_overflow",
+        "integer_fraction", "integer_exponent", "integer_array_fraction", "integer_not_utf8"])
 def test_exit_2_malformed_matrix_market_body(tmp_path, capsys, body):
     good, out_c = tmp_path / "good.mtx", tmp_path / "c.btc"
     write_matrix(good, np.eye(2))
     assert run_cli(capsys, "compress", good, "-o", out_c, "--block-rows", 1,
                    "--block-cols", 1, "--method", "mode2", "--rank", 1)[0] == 0
     path = tmp_path / "bad.mtx"
-    path.write_text(body)
+    path.write_bytes(body if isinstance(body, bytes) else body.encode())
     blocks = ("--block-rows", 1, "--block-cols", 1)
     for argv in (("analyze", path, *blocks),
                  ("compress", path, "-o", tmp_path / "d.btc", *blocks, "--method", "mode2",
@@ -861,6 +875,12 @@ def test_exit_3_dimension_mismatch(toep, tmp_path, capsys):
                            "--method", "hosvd", "--rank", 2)
     assert code == 3
     assert "does not tile" in err
+    # a band the 6 x 6 grid cannot hold shows only after the read
+    for kind, why in (("banded", "needs 0 <= band < 6"), ("toeplitz", "must lie in [0, 5]")):
+        code, _, err = run_cli(capsys, "compress", path, "-o", tmp_path / "o.btc",
+                               "--block-rows", 4, "--block-cols", 4, "--pattern", kind,
+                               "--band", 6, "--method", "hosvd", "--rank", 2)
+        assert code == 3 and why in err, err
 
 
 def test_exit_3_matvec_length_mismatch(toep, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """File formats: Matrix Market, vectors, and the container."""
 
+import bz2
+import gzip
 import hashlib
 import math
 import re
@@ -19,6 +21,7 @@ from blockten import (
     container_read,
     container_write,
     detect_pattern,
+    fileio,
     hosvd,
     mat_to_tensor,
     struct_assemble,
@@ -107,6 +110,35 @@ def test_mm_coordinate_file_names_its_first_nonfinite_entry(tmp_path):
                     "3 3 3\n3 1 inf\n2 3 nan\n1 2 2.0\n")
     with pytest.raises(ContainerFormatError, match="nan at row 2, column 3"):
         read_matrix(path)
+
+
+def test_mm_finite_values_whose_sum_overflows_read(tmp_path):
+    path = tmp_path / "big.mtx"
+    write_matrix(path, np.full((2, 2), 1e308))
+    np.testing.assert_array_equal(read_matrix(path), np.full((2, 2), 1e308))
+
+
+_MM_INT = "%%MatrixMarket matrix coordinate integer general\n% a comment\r\n2 2 2\n"
+
+
+@pytest.mark.parametrize("opener", [open, gzip.open, bz2.open], ids=["plain", "gz", "bz2"])
+def test_mm_integer_file_reads_whole_values_and_refuses_others(tmp_path, opener):
+    suffix = {open: "", gzip.open: ".gz", bz2.open: ".bz2"}[opener]
+    good, bad = tmp_path / f"good.mtx{suffix}", tmp_path / f"bad.mtx{suffix}"
+    with opener(good, "wb") as fh:  # scipy decompresses by the suffix; so does the check
+        fh.write((_MM_INT + "1 1 -3\r\n2 2 40\n").encode())
+    np.testing.assert_array_equal(read_matrix(good).toarray(), [[-3.0, 0.0], [0.0, 40.0]])
+    with opener(bad, "wb") as fh:
+        fh.write((_MM_INT + "1 1 -3\n2 2 4.5\n").encode())
+    with pytest.raises(ContainerFormatError, match="not an integer in an integer file"):
+        read_matrix(bad)
+
+
+def test_mm_real_file_is_not_scanned_for_integers(tmp_path, monkeypatch):
+    path = tmp_path / "real.mtx"
+    write_matrix(path, np.eye(3))
+    monkeypatch.setattr(fileio, "re", None)  # the integer scan is the reader's only use of re
+    np.testing.assert_array_equal(read_matrix(path), np.eye(3))
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from blockten.blocks import (
     BlockPattern,
     _grid_is_filled,
     build_pattern,
+    detect_pattern,
     mat_to_tensor,
     struct_assemble,
     tensor_to_mat,
@@ -27,20 +28,21 @@ from blockten.container import container_read, container_write
 from blockten.decomp import KruskalRep, TuckerRep, cp_als, hosvd, qr_thin, tucker_partial
 from blockten.errors import ShapeError
 from blockten.multilevel import MAX_LEVELS, MultilevelPattern, MultilevelTuckerRep
-from blockten.psd import SpdRep, SpsdRep
+from blockten.psd import SpdRep, SpsdRep, spd_compress_blocks
 from blockten.reconstruct import (
     BlockLowRankRep,
     FlopCounter,
     KronSumRep,
     blr_from_kruskal,
     blr_from_tucker,
+    class_error_fro,
     densify,
     error_fro,
     kron_sum_from_kruskal,
     kron_sum_from_tucker,
     matvec,
 )
-from blockten.tensor import fro_norm
+from blockten.tensor import fro_norm, scale_exponent
 
 from helpers import (PATTERN_KINDS, c_term_dense, placement_matrix, random_blocks,
                      random_pattern, random_ranks)
@@ -529,3 +531,102 @@ def test_every_kind_answers_the_protocol(seed, form):
         container_write(path.with_suffix(".again"), back)
         assert path.with_suffix(".again").read_bytes() == path.read_bytes()
         assert np.array_equal(back.matvec(x), y)
+
+
+# ---------------------------------------------------------------------------
+# the certificate from verified blocks
+# ---------------------------------------------------------------------------
+
+
+def _class_by_class_error_fro(pattern, blocks, approx):
+    """The certificate of a form whose ``cell_blocks()`` are ``(pattern, approx)``, summed
+    class by class: the pair sums of a form that keeps its source pattern must match it bit
+    for bit."""
+    def squares(e):
+        base = resid = 0.0
+        for eta, b, b_hat in zip(pattern.counts, blocks, approx):
+            if e:
+                b, b_hat = np.ldexp(b, -e), np.ldexp(b_hat, -e)
+            d = b - b_hat
+            base, resid = base + eta * np.vdot(b, b), resid + eta * np.vdot(d, d)
+        return base, resid
+
+    return reconstruct._relative(squares, lambda: max(map(scale_exponent, blocks)))
+
+
+def _random_source(rng, grid):
+    """A random pattern on ``grid``'s block grid: a random nonempty subset of its cells in
+    random classes."""
+    claimed = rng.random((grid.ell, grid.q)) < 0.7
+    claimed.flat[rng.integers(claimed.size)] = True
+    cells = np.argwhere(claimed)
+    klass = np.unique(rng.integers(0, len(cells) // 2 + 1, len(cells)), return_inverse=True)[1]
+    return BlockPattern(grid.ell, grid.q, grid.m, grid.n, cells, klass)
+
+
+def _assert_certifies(pattern, blocks, rep):
+    got = class_error_fro(pattern, blocks, rep)
+    assert got == pytest.approx(error_fro(struct_assemble(pattern, blocks), rep), rel=1e-12)
+    return got
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), form=st.sampled_from(REP_KINDS))
+def test_class_error_fro_is_error_fro_of_the_assembled_blocks(seed, form):
+    rng = np.random.default_rng(seed)
+    rep = _any_rep(form, rng)
+    grid, approx = rep.cell_blocks()
+    # a source on the form's own pattern: pairs (k, k), summed as class by class
+    blocks = approx + 0.1 * rng.standard_normal(approx.shape)
+    blocks[rng.random(grid.p) < 0.2] = 0.0  # zero blocks pair too
+    assume(np.any(blocks))
+    got = _assert_certifies(grid, blocks, rep)
+    assert got == _class_by_class_error_fro(grid, blocks, approx)
+    # a source whose classes the form's split, merge and miss
+    sources = [_random_source(rng, grid)]
+    if form == "spd":  # the remainder pattern, which the form's cells refine
+        sources.append(rep.remainder.pattern)
+    for src in sources:
+        if src.p:
+            _assert_certifies(src, random_blocks(rng, src), rep)
+
+
+def _spd_case(case, m=3):
+    """``(pattern, blocks)`` of an SPD-anchored source whose form splits it."""
+    rng = np.random.default_rng(["merged", "dropped", "unclaimed"].index(case))
+    g = rng.standard_normal((m, m))
+    t0, t1 = g @ g.T + m * np.eye(m), 0.3 * rng.standard_normal((m, m))
+    if case == "merged":  # one class on the diagonal and off it: kron(ones((2, 2)), B)
+        return detect_pattern(np.kron(np.ones((2, 2)), t0), m, m)
+    if case == "dropped":  # the lag-2 classes hold zero blocks, which the remainder drops
+        pat = build_pattern("toeplitz", 3, 3, m, m)
+        blocks = np.zeros((pat.p, m, m))
+        for (i, j), blk in {(0, 0): t0, (0, 1): t1, (1, 0): t1.T}.items():
+            blocks[pat.class_of[i, j]] = blk
+        return pat, blocks
+    # diagonal cell (3, 3) belongs to no class; the form puts the anchor there
+    cells = [(0, 0), (1, 1), (0, 1), (1, 2), (1, 0), (2, 1)]
+    pat = BlockPattern(3, 3, m, m, np.array(cells), np.array([0, 0, 1, 1, 2, 2]))
+    return pat, np.stack([t0, t1, t1.T])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-170])
+@pytest.mark.parametrize("case", ["merged", "dropped", "unclaimed"])
+def test_class_error_fro_certifies_spd_forms_that_split_the_source(case, scale):
+    pattern, blocks = _spd_case(case)
+    blocks = np.asarray(blocks) * scale
+    rep = spd_compress_blocks(pattern, blocks, 1)
+    assert rep.cell_blocks()[0] != pattern
+    got = class_error_fro(pattern, blocks, rep)
+    assert got > 0.0
+    assert got == pytest.approx(error_fro(struct_assemble(pattern, blocks), rep), rel=1e-12)
+
+
+def test_class_error_fro_refuses_another_grid_and_a_zero_source():
+    rep = _any_rep("kron", np.random.default_rng(3))
+    grid, approx = rep.cell_blocks()
+    other = BlockPattern(grid.ell + 1, grid.q, grid.m, grid.n, grid.cells, grid.klass)
+    with pytest.raises(ShapeError, match="block grid differs"):
+        class_error_fro(other, approx, rep)
+    with pytest.raises(ShapeError, match="zero matrix"):
+        class_error_fro(grid, np.zeros_like(approx), rep)
