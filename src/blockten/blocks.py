@@ -660,16 +660,14 @@ def _check_finite(pattern: BlockPattern, reps) -> None:
                                    "is not finite")
 
 
-def blocks_to_tensor(pattern: BlockPattern, blocks, classes=None) -> np.ndarray:
-    """The ``m x p x n`` tensor whose lateral slice ``k`` holds
-    ``sqrt(eta_k) * blocks[k]``; with ``classes``, the slices of those classes only."""
+def blocks_to_tensor(pattern: BlockPattern, blocks) -> np.ndarray:
+    """The ``m x p x n`` tensor whose lateral slice ``k`` holds ``sqrt(eta_k) * blocks[k]``."""
     if len(blocks) != pattern.p:
         raise ShapeError(f"expected {pattern.p} blocks, got {len(blocks)}")
-    classes = np.arange(pattern.p) if classes is None else np.asarray(classes, dtype=np.intp)
-    if classes.size == 0:
+    if not pattern.p:
         return np.zeros((pattern.m, 0, pattern.n))
-    t = np.stack([blocks[k] for k in classes], axis=1)  # one allocation, scaled in place
-    t *= np.sqrt(pattern.counts)[classes, None]
+    t = np.stack(list(blocks), axis=1)  # one allocation, scaled in place
+    t *= np.sqrt(pattern.counts)[:, None]
     return t
 
 

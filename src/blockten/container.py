@@ -276,7 +276,7 @@ def _read_spd(kv, arrays) -> SpdRep:
 
 
 def _write_multilevel(rep: MultilevelTuckerRep):
-    lines = [f"levels: {rep.pattern.depth}"]
+    lines = [f"levels: {len(rep.pattern.levels)}"]
     for t, lv in enumerate(rep.pattern.levels, start=1):
         lines += _pattern_lines(f"pattern{t}.", lv)
     # a factor left as None (identity) is marked and stores no array

@@ -8,13 +8,13 @@ Cholesky pivots.  The tensor routines (:func:`hosvd`,
 :func:`tucker_partial`, :func:`cp_als`, :func:`randomized_mode_basis`) are
 implemented directly on top of the mode arithmetic in :mod:`blockten.tensor`.
 
-Exact mode bases (HOSVD, partial Tucker, the shared SPSD basis) come from
-:func:`_mode_basis`, which first drops an unfolding's all-zero columns.
-Unfoldings are short and fat (``m x pn`` or ``p x mn``): a wide unfolding ``M``
-takes the eigenvectors of ``M M^T`` when they pass the certificate of
-:func:`_gram_basis`, else the SVD of the triangular factor ``L`` of ``M = L Q``
-(:func:`_lq_basis`), which shares ``M``'s left singular vectors and is as
-accurate as the full SVD at every spectrum.
+Exact mode bases come from :func:`_mode_basis`, which first drops an unfolding's
+all-zero columns.  Unfoldings are short and fat (``m x pn`` or ``p x mn``): a wide
+unfolding ``M`` takes the eigenvectors of ``M M^T`` when they pass the certificate
+of :func:`_certified_gram_basis`, else the SVD of the triangular factor ``L`` of
+``M = L Q`` (:func:`_lq_basis`), as accurate as the full SVD.  The certificate also
+takes ``G`` summed over column blocks: the shared SPSD basis certifies ``sum eta_k
+B_k B_k^T`` without stacking the ``B_k``, and stacks them only when it fails.
 
 Randomness: sketching matrices are drawn from ``numpy.random.default_rng``
 (PCG64) via ``standard_normal`` (ziggurat sampling), so a fixed seed fixes
@@ -240,13 +240,8 @@ def tail_rank(sv: np.ndarray, budget: float) -> int:
     ``budget`` exactly by the power of two of :func:`scale_exponent`, so they
     neither overflow nor underflow at any scale of ``sv``."""
     e = scale_exponent(sv)
-    sq = np.ldexp(sv, -e) ** 2
-    limit = np.ldexp(budget, -e) ** 2
-    tails = np.concatenate([np.cumsum(sq[::-1])[::-1], [0.0]])
-    r = 1
-    while r < len(sv) and tails[r] > limit:
-        r += 1
-    return r
+    tails = np.cumsum((np.ldexp(sv, -e) ** 2)[::-1])[::-1]  # tails[r] = sum(sv[r:]^2), falling
+    return 1 + int(np.count_nonzero(tails[1:] > np.ldexp(budget, -e) ** 2))
 
 
 def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.ndarray:
@@ -268,19 +263,24 @@ def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np
     return _lq_basis(mat, r, tail_budget) if u is None else u
 
 
-@np.errstate(all="ignore")  # an overflow or a NaN only fails the certificate
 def _gram_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.ndarray | None:
-    """The leading eigenvectors ``U`` of ``G = mat mat^T``, or ``None``.  The
-    eigenvalues ``lam`` of ``G`` resolve ``sigma_i`` only down to about
-    ``sqrt(eps) sigma_1``, so ``U`` is kept only when ``R = ||mat - U U^T mat||_F``,
-    summed directly as nonnegative squares, is at least ``100 sqrt(rows eps)
-    sigma_1`` and ``R^2`` is within ``rows eps lam_1`` of the tail of ``lam``;
-    a budget must also clear that floor, ``R`` and each tail by the rounding
-    of forming ``G``, so it picks the rank the exact spectrum picks."""
-    rows, cols = mat.shape
+    """:func:`_certified_gram_basis` of ``mat``'s columns at weight 1."""
+    return _certified_gram_basis([(1.0, mat)], r, tail_budget, lambda: mat @ mat.T)
+
+
+@np.errstate(all="ignore")  # an overflow or a NaN only fails the certificate
+def _certified_gram_basis(blocks, r: int, tail_budget: float | None = None, gram=None):
+    """The leading eigenvectors ``U`` of ``G = sum w B B^T`` over the ``(w, B)``
+    column blocks of one unfolding (``gram()`` when given, called only for a wide
+    unfolding), or ``None``.  ``lam`` resolves ``sigma_i`` only down to about
+    ``sqrt(eps) sigma_1``, so ``U`` is kept only when ``R^2 = sum w ||B - U U^T B||^2``,
+    summed directly as nonnegative squares, is at least ``100^2 rows eps lam_1`` and
+    within ``rows eps lam_1`` of the tail of ``lam``; a budget must also clear that floor,
+    ``R`` and each tail by the rounding of forming ``G``, so it picks the exact rank."""
+    rows, cols = blocks[0][1].shape[0], sum(b.shape[1] for _, b in blocks)
     if not (rows < cols and r <= rows - (tail_budget is None)):
         return None  # tall, or a fixed full basis: no tail to certify
-    g = mat @ mat.T
+    g = gram() if gram else sum(w * (b @ b.T) for w, b in blocks)
     if not in_normal_range(np.trace(g)):  # also NaN; the exact kernel rescales
         return None
     try:
@@ -306,10 +306,10 @@ def _gram_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np
         return None  # R cannot reach the floor
     u = _positive_lead(vec[:, rows - r :][:, ::-1])[0]
     resid2, step = 0.0, max(1, 2**14 // rows)  # column chunks: no full-size temporary
-    for j in range(0, cols, step):
-        chunk = mat[:, j : j + step]
-        d = chunk - u @ (u.T @ chunk)
-        resid2 += float(np.vdot(d, d))
+    for w, b in blocks:
+        for j in range(0, b.shape[1], step):
+            d = b[:, j : j + step] - u @ (u.T @ b[:, j : j + step])
+            resid2 += w * float(np.vdot(d, d))
     return u if floor2 <= resid2 <= min(tails[r] + slack, budget2) else None
 
 

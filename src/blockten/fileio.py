@@ -64,31 +64,41 @@ def read_matrix(path):
     skew-symmetric storage is expanded to full.
 
     Raises:
-        ContainerFormatError: Malformed header or body (a value with a fraction or an
-            exponent in an integer file too), complex/pattern fields, or a NaN or infinite entry.
+        ContainerFormatError: Malformed header or body (surplus tokens on a line, a value with
+            a fraction or an exponent in an integer file), complex/pattern fields, a NaN or an inf.
         ShapeError: Array file too large to hold densely.
     """
+    import bz2, gzip, io  # deferred: gzip is slow to import
+    unzip = {".gz": gzip.decompress, ".bz2": bz2.decompress}.get(Path(path).suffix, bytes)
+    data = unzip(Path(path).read_bytes()) + b"\n"  # scipy crashes on a last line without one
     def parse(read):  # scipy raises ValueError, OverflowError for an index beyond int64
         try:
-            return read(path)
+            return read(io.BytesIO(data))
         except (ValueError, OverflowError) as exc:
             raise ContainerFormatError(f"malformed Matrix Market file: {exc}") from exc
 
-    rows, cols, _, fmt, field, _ = parse(scipy.io.mminfo)
+    rows, cols, entries, fmt, field, symmetry = parse(scipy.io.mminfo)
     if field not in ("real", "integer", "unsigned-integer"):
         raise ContainerFormatError(f"unsupported Matrix Market field {field!r}")
-    if field != "real":  # scipy reads 1.5 or 1e3 in an integer file as 1: scan what it reads
-        import bz2, gzip  # deferred: only an integer file needs them
-        unzip = {".gz": gzip.decompress, ".bz2": bz2.decompress}.get(Path(path).suffix, bytes)
-        if re.search(rb"^(?!%)[^\n]*?[^\d\s+-]", unzip(Path(path).read_bytes()), re.M):
-            raise ContainerFormatError(f"malformed Matrix Market file: {path}: a value "
-                                       f"that is not an integer in an {field} file")
+    # scipy reads 1.5 or 1e3 in an integer file as 1
+    if field != "real" and re.search(rb"^(?!%)[^\n]*?[^\d\s+-]", data, re.M):
+        raise ContainerFormatError(f"malformed Matrix Market file: {path}: a value "
+                                   f"that is not an integer in an {field} file")
     if fmt == "coordinate":
         mat = SparseMatrix(parse(scipy.io.mmread).tocsr(), dtype=np.float64)
         values = mat.data
     else:
         _check_dense_size(rows, cols)
         mat = values = np.asarray(parse(scipy.io.mmread), dtype=np.float64)
+    head = io.BytesIO(data)  # read up to the size line, the first line neither blank nor comment
+    next(line for line in head if line.strip()[:1] not in (b"", b"%"))
+    word = np.frombuffer(data, np.uint8, offset=head.tell() - 1) > 32  # from the size line's end
+    found = np.count_nonzero(word[1:] > word[:-1])  # scipy skips a line's surplus tokens
+    stored = {"symmetric": rows * (rows + 1) // 2, "skew-symmetric": rows * (rows - 1) // 2}
+    expect = 3 * entries if fmt == "coordinate" else stored.get(symmetry, rows * cols)
+    if found != expect:
+        raise ContainerFormatError(f"malformed Matrix Market file: {path}: {found} tokens "
+                                   f"in the body where the header implies {expect}")
     bad = np.flatnonzero(~np.isfinite(values.ravel()))
     if bad.size:
         k = int(bad[0])  # canonical CSR stores its entries in row-major order

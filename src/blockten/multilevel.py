@@ -61,10 +61,6 @@ class MultilevelPattern:
                                  f"level {t + 2} assembled shape {inner.shape}")
 
     @property
-    def depth(self) -> int:
-        return len(self.levels)
-
-    @property
     def dims(self) -> tuple[int, ...]:
         """Extents of the weighted tensor: ``(m, p_1, ..., p_L, n)``."""
         return (self.levels[-1].m, *(lv.p for lv in self.levels), self.levels[-1].n)
@@ -85,12 +81,10 @@ def ml_mat_to_tensor(a: np.ndarray, mlp: MultilevelPattern, tol: float = 0.0) ->
     Raises:
         PatternMismatchError: On any disagreement at any level.
     """
-    if a.shape != mlp.shape:
-        raise ShapeError(f"matrix shape {a.shape} != pattern shape {mlp.shape}")
-    out = np.zeros(mlp.dims)
+    out = np.zeros(mlp.dims)  # extract_blocks checks the shape of ``a``
 
     def descend(block: np.ndarray, level: int, prefix: tuple[int, ...], weight: float) -> None:
-        if level == mlp.depth:
+        if level == len(mlp.levels):
             out[(slice(None), *prefix, slice(None))] = weight * block
             return
         pat = mlp.levels[level]

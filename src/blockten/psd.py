@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .blocks import BlockPattern, _classify, blocks_to_tensor, extract_blocks
-from .decomp import _mode_basis, cholesky
+from .decomp import _certified_gram_basis, _mode_basis, cholesky
 from .errors import PatternMismatchError, ShapeError
 from .reconstruct import BlockLowRankRep, FlopCounter, _check_vector, _form
 
@@ -166,16 +166,17 @@ def _split_diagonal(pattern: BlockPattern, items, shift: np.ndarray, nonzero: bo
     ``items[k] + shift``, and part ``2k + 1``, its other cells holding
     ``items[k]``.  Returns the ``(cells, klass, items)`` table of the parts
     that have cells (and, with ``nonzero``, an item not all zero), numbered
-    and sorted in part order."""
-    items = np.asarray(items, dtype=np.float64)
+    and sorted in part order; only the parts kept are copied."""
     part = 2 * pattern.klass + (pattern.cells[:, 0] != pattern.cells[:, 1])
-    stack = np.stack([items + shift, items], axis=1).reshape(-1, *shift.shape)
-    keep = np.bincount(part, minlength=len(stack)) > 0
-    if nonzero:
-        keep &= stack.any(axis=(1, 2))
+    keep = np.bincount(part, minlength=2 * pattern.p) > 0
+    parts = [items[j // 2] + shift if j % 2 == 0 else items[j // 2] for j in np.flatnonzero(keep)]
+    if nonzero:  # a diagonal part is a sum, any other a view of its item
+        keep[keep] = live = [np.any(x) for x in parts]
+        parts = [x for x, ok in zip(parts, live) if ok]
     order = np.argsort(part, kind="stable")
     order = order[keep[part[order]]]
-    return pattern.cells[order], (np.cumsum(keep) - 1)[part[order]], stack[keep]
+    parts = np.array(parts, dtype=np.float64).reshape(-1, *shift.shape)
+    return pattern.cells[order], (np.cumsum(keep) - 1)[part[order]], parts
 
 
 def check_transpose_closed(pattern: BlockPattern, blocks) -> list[int]:
@@ -187,12 +188,12 @@ def check_transpose_closed(pattern: BlockPattern, blocks) -> list[int]:
     of every class.
 
     Raises:
+        ShapeError: If the grid or the blocks are not square.
         PatternMismatchError: If any class has no transpose partner.
     """
-    ell, q = pattern.ell, pattern.q
-    grid = np.full((max(ell, q),) * 2, -1)
-    grid[:ell, :q] = pattern.class_of
-    mirror = grid.T[:ell, :q]  # class of the transposed cell, -1 if none
+    if pattern.ell != pattern.q or pattern.m != pattern.n:
+        raise ShapeError("transpose closure needs a square grid of square blocks")
+    mirror = pattern.class_of.T  # class of the transposed cell, -1 if none
     tol = _TRANSPOSE_TOL * max([1.0, *(float(np.abs(b).max(initial=0.0)) for b in blocks)])
     found = []
     for k, cells in enumerate(pattern.placements):
@@ -208,15 +209,17 @@ def check_transpose_closed(pattern: BlockPattern, blocks) -> list[int]:
 
 
 def _shared_basis_rep(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
-    """Mode-1 basis of the weighted tensor, shared with mode 3."""
+    """Mode-1 basis of the weighted tensor, shared with mode 3: certified from
+    ``G = sum eta_k B_k B_k^T`` over the nonzero classes, else the stacked one."""
     n = pattern.m
     if not 1 <= r <= n:
         raise ShapeError(f"rank {r} out of range for block extent {n}")
     nz = [k for k, blk in enumerate(blocks) if np.any(blk)]
-    # the nonzero classes' mode-1 unfolding, columns permuted: no basis depends on either
-    x = blocks_to_tensor(pattern, blocks, nz).reshape(n, -1)
+    weighted = [(pattern.counts[k], blocks[k]) for k in nz]
     r = r if pattern.p else 0  # no class to project: an n x 0 basis, (0, 0, 0) blocks
-    u = _mode_basis(x, r) if nz else np.eye(n, r)  # the basis of a zero unfolding
+    u = _certified_gram_basis(weighted, r) if nz else np.eye(n, r)  # the basis of a zero unfolding
+    if u is None:  # its zero classes add zero columns, which _mode_basis drops
+        u = _mode_basis(blocks_to_tensor(pattern, blocks).reshape(n, -1), r)
     proj = np.zeros((pattern.p, r, r))  # a zero class projects to a zero block
     for k in nz:
         proj[k] = u.T @ blocks[k] @ u
@@ -224,10 +227,8 @@ def _shared_basis_rep(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
 
 
 def spsd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpsdRep:
-    """:func:`spsd_compress` starting from the distinct blocks directly,
-    for matrices too large to assemble densely."""
-    if pattern.ell != pattern.q or pattern.m != pattern.n:
-        raise ShapeError("shared-basis compression needs a square grid of square blocks")
+    """:func:`spsd_compress` from the distinct blocks, for matrices too large to
+    assemble densely; they are stacked only when the basis's Gram certificate fails."""
     check_transpose_closed(pattern, blocks)
     return _shared_basis_rep(pattern, blocks, r)
 
@@ -271,8 +272,6 @@ def spd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpdRep:
         PatternMismatchError: If cell (1, 1) belongs to no class or the
             remainder is not transpose-closed.
     """
-    if pattern.ell != pattern.q or pattern.m != pattern.n:
-        raise ShapeError("spd_compress needs a square grid of square blocks")
     anchor_class = pattern.class_of[0, 0]
     if anchor_class < 0:
         raise PatternMismatchError("grid cell (1, 1) belongs to no class; no anchor block")
@@ -285,10 +284,9 @@ def spd_compress_blocks(pattern: BlockPattern, blocks, r: int) -> SpdRep:
     cells, klass, parts = _split_diagonal(pattern, blocks, -anchor, nonzero=True)
     rem_pattern = BlockPattern(pattern.ell, pattern.q, pattern.m, pattern.n, cells, klass,
                                _classify(cells, klass, pattern.ell, pattern.q))
-    scaled = np.empty_like(parts)
     for k, j in enumerate(check_transpose_closed(rem_pattern, parts)):
-        if k <= j:
+        if k <= j:  # scaled in place: part j, the partner of k, is not read again
             s = solve_triangular(low, solve_triangular(low, parts[k], lower=True).T, lower=True).T
-            scaled[j] = s.T
-            scaled[k] = s if k < j else (s + s.T) / 2
-    return SpdRep(chol=low, remainder=_shared_basis_rep(rem_pattern, scaled, r), ell=pattern.ell)
+            parts[j] = s.T
+            parts[k] = s if k < j else (s + s.T) / 2
+    return SpdRep(chol=low, remainder=_shared_basis_rep(rem_pattern, parts, r), ell=pattern.ell)

@@ -824,9 +824,16 @@ _MM_INT_COORD = "%%MatrixMarket matrix coordinate integer general\n2 2 2\n"
     _MM_INT_COORD + "1 1 1e3\n2 2 1\n",
     _MM_INT_ARRAY + "1.5\n2\n3\n4\n",
     _MM_INT_COORD.encode() + b"1 1 \xff\n2 2 1\n",  # not UTF-8
+    _MM_COORD + "1 1 1.0 5\n2 2 1.0\n",  # scipy would skip these surplus tokens
+    _MM_COORD + "1 1 1.0\n2 2 1.0 % a comment\n",
+    _MM_ARRAY + "1.0 7\n2.0\n3.0\n4.0\n",
+    _MM_COORD + "1 1 1.0\n2 2 1.0 5",  # and crash on them without a last line end
+    "%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n3.0\n4.0\n",
 ], ids=["array_float", "coordinate_float", "missing_value", "array_truncated",
         "coordinate_truncated", "row_0", "row_beyond", "surplus", "index_overflow",
-        "integer_fraction", "integer_exponent", "integer_array_fraction", "integer_not_utf8"])
+        "integer_fraction", "integer_exponent", "integer_array_fraction", "integer_not_utf8",
+        "coordinate_surplus_token", "coordinate_trailing_comment", "array_surplus_token",
+        "unterminated_surplus_token", "symmetric_array_surplus_value"])
 def test_exit_2_malformed_matrix_market_body(tmp_path, capsys, body):
     good, out_c = tmp_path / "good.mtx", tmp_path / "c.btc"
     write_matrix(good, np.eye(2))

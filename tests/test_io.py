@@ -134,6 +134,32 @@ def test_mm_integer_file_reads_whole_values_and_refuses_others(tmp_path, opener)
         read_matrix(bad)
 
 
+_SYM_ARRAY = "%%MatrixMarket matrix array real symmetric\n% a\n  % b c\n\n3 3\n"
+_SKEW_ARRAY = "%%MatrixMarket matrix array real skew-symmetric\n3 3\n"
+_SYM_COORD = "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n"
+
+
+@pytest.mark.parametrize("opener", [open, gzip.open, bz2.open], ids=["plain", "gz", "bz2"])
+@pytest.mark.parametrize("text, dense", [
+    (_SYM_ARRAY + "1\n2\n3\n4\n5\n6", [[1, 2, 3], [2, 4, 5], [3, 5, 6]]),  # no last line end
+    (_SKEW_ARRAY + "1\r\n2\r\n\r\n3\r\n", [[0, -1, -2], [1, 0, -3], [2, 3, 0]]),
+    (_SYM_COORD + "1 1 1.0\n\n2 1 3.0  ", [[1, 3], [3, 0]]),  # scipy crashed on these
+    (_MM_INT + "1 1 -3\r\n2 2 40\n", [[-3, 0], [0, 40]]),
+], ids=["symmetric_array", "skew_array", "symmetric_coordinate", "integer_coordinate"])
+def test_mm_body_holds_the_tokens_its_header_implies(tmp_path, opener, text, dense):
+    suffix = {open: "", gzip.open: ".gz", bz2.open: ".bz2"}[opener]
+    good, bad = tmp_path / f"good.mtx{suffix}", tmp_path / f"bad.mtx{suffix}"
+    with opener(good, "wb") as fh:
+        fh.write(text.encode())
+    np.testing.assert_array_equal(np.asarray(read_matrix(good)), dense)
+    lines = text.rstrip().split("\n")
+    lines[-1] += " 7"  # scipy reads the line and skips the surplus token
+    with opener(bad, "wb") as fh:
+        fh.write("\n".join(lines).encode())
+    with pytest.raises(ContainerFormatError, match="tokens in the body where the header"):
+        read_matrix(bad)
+
+
 def test_mm_real_file_is_not_scanned_for_integers(tmp_path, monkeypatch):
     path = tmp_path / "real.mtx"
     write_matrix(path, np.eye(3))

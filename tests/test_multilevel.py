@@ -78,7 +78,7 @@ def _assembled_by_recursion(t, mlp):
     reference assembly of the weighted tensor."""
 
     def assemble(level, prefix):
-        if level == mlp.depth:
+        if level == len(mlp.levels):
             return t[(slice(None), *prefix, slice(None))]
         pat = mlp.levels[level]
         return struct_expand(pat, [assemble(level + 1, prefix + (k,)) for k in range(pat.p)])

@@ -1,10 +1,13 @@
 """Symmetry- and definiteness-preserving compression."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from blockten import build_pattern, struct_assemble
-from blockten.blocks import BlockPattern
+from blockten.blocks import BlockPattern, blocks_to_tensor
+from blockten.decomp import _mode_basis
 from blockten.errors import NotPositiveDefiniteError, PatternMismatchError, ShapeError
 from blockten import psd
 from blockten.psd import (
@@ -15,6 +18,8 @@ from blockten.psd import (
     spsd_compress_blocks,
 )
 from blockten.reconstruct import densify
+
+from helpers import random_pattern
 
 
 def _spd_block_toeplitz(rng, ell=4, nb=5, decay=0.3):
@@ -93,6 +98,12 @@ def test_spsd_rejects_rectangular_grid_or_blocks():
         spsd_compress_blocks(pat, np.zeros((5, 2, 3)), 1)
     with pytest.raises(ShapeError):
         spsd_compress(np.zeros((6, 7)), pat, 1)
+    with pytest.raises(ShapeError, match="square grid of square blocks"):
+        check_transpose_closed(pat, np.ones((5, 2, 3)))
+    wide = BlockPattern(2, 3, 2, 2, np.array([[0, 0], [1, 1]]), [0, 0])  # a 2 x 3 grid
+    for compress in (spsd_compress_blocks, psd.spd_compress_blocks):
+        with pytest.raises(ShapeError):
+            compress(wide, [np.eye(2)], 1)
 
 
 def test_spsd_rank_out_of_range():
@@ -188,3 +199,174 @@ def test_spsd_rep_validates_extents():
     pat = build_pattern("toeplitz", 2, 2, 3, 3)
     with pytest.raises(ShapeError):
         SpsdRep(pattern=pat, basis=np.eye(3)[:, :2], blocks=np.zeros((pat.p, 3, 3)))
+
+
+# ---------------------------------------------------------------------------
+# the shared basis from the class-by-class Gram matrix
+# ---------------------------------------------------------------------------
+
+_CLOSED_KINDS = (("toeplitz", {}), ("toeplitz", {"block_symmetric": True}),
+                 ("banded", {"band": 1}), ("banded", {"band": 2, "block_symmetric": True}),
+                 ("hankel", {}), ("diagonal", {}))
+
+
+def _closed_blocks(rng, pat, rank=None):
+    """Random blocks making ``pat`` transpose-closed: a class mirrored by another
+    holds the transpose of its partner's block, one mirrored by itself a symmetric
+    block.  With ``rank``, every block is ``X C X^T`` for one ``n x rank`` ``X``."""
+    n = pat.m
+    if rank is None:
+        blocks = rng.standard_normal((pat.p, n, n))
+    else:
+        x = rng.standard_normal((n, rank))
+        blocks = x @ rng.standard_normal((pat.p, rank, rank)) @ x.T
+    for k, cells in enumerate(pat.placements):
+        i, j = cells[0]
+        partner = pat.class_of[j, i]
+        if partner == k:
+            blocks[k] = (blocks[k] + blocks[k].T) / 2
+        elif partner > k:
+            blocks[partner] = blocks[k].T
+    check_transpose_closed(pat, blocks)
+    return blocks
+
+
+def _stacked_basis(pat, blocks, r):
+    """The reference: the exact basis of the stacked mode-1 unfolding."""
+    return _mode_basis(blocks_to_tensor(pat, blocks).reshape(pat.m, -1), r)
+
+
+def _assert_matches_stacked(pat, blocks, r):
+    rep = spsd_compress_blocks(pat, blocks, r)
+    ref = _stacked_basis(pat, blocks, r)
+    u = rep.basis
+    proj, proj_ref = u @ u.T, ref @ ref.T
+    assert np.linalg.norm(proj - proj_ref) <= 1e-10 * np.linalg.norm(proj_ref)
+    cells = rep.cell_blocks()[1]
+    cells_ref = proj_ref @ blocks @ proj_ref
+    assert np.linalg.norm(cells - cells_ref) <= 1e-10 * np.linalg.norm(cells_ref)
+    return rep
+
+
+def test_shared_basis_matches_the_stacked_unfolding_on_random_closed_patterns(monkeypatch):
+    certified, real = [], psd._certified_gram_basis
+
+    def spy(*args):
+        u = real(*args)
+        certified.append(u is not None)
+        return u
+
+    monkeypatch.setattr(psd, "_certified_gram_basis", spy)
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        kind, kwargs = _CLOSED_KINDS[trial % len(_CLOSED_KINDS)]
+        ell, n = int(rng.integers(3, 6)), int(rng.integers(4, 13))
+        pat = build_pattern(kind, ell, ell, n, n, **kwargs)
+        blocks = _closed_blocks(rng, pat)
+        if trial % 3 == 0:  # zero classes: a class and its partner
+            k = int(rng.integers(pat.p))
+            i, j = pat.placements[k][0]
+            blocks[[k, pat.class_of[j, i]]] = 0.0
+        for r in sorted({1, int(rng.integers(1, n)), n - 1}):
+            rep = _assert_matches_stacked(pat, blocks, r)
+            zero = ~blocks.any(axis=(1, 2))
+            assert not rep.blocks[zero].any()
+    assert sum(certified) >= 100  # the Gram path, not its fallback, is what was compared
+
+
+def test_shared_basis_stacks_nothing_when_the_gram_certificate_passes(monkeypatch):
+    rng = np.random.default_rng(32)
+    pat = build_pattern("toeplitz", 4, 4, 10, 10)
+    blocks = _closed_blocks(rng, pat)
+    ref = _stacked_basis(pat, blocks, 3)
+
+    def refuse(*args):
+        raise AssertionError("the stacked unfolding was built")
+
+    monkeypatch.setattr(psd, "blocks_to_tensor", refuse)
+    monkeypatch.setattr(psd, "_mode_basis", refuse)
+    rep = spsd_compress_blocks(pat, blocks, 3)
+    assert np.linalg.norm(rep.basis @ rep.basis.T - ref @ ref.T) < 1e-10
+
+
+@pytest.mark.parametrize("case", ["one nonzero class", "exactly low rank"])
+def test_shared_basis_falls_back_to_the_stacked_unfolding(monkeypatch, case):
+    rng = np.random.default_rng(33)
+    if case == "one nonzero class":  # an n x n unfolding is not wide: the exact kernel runs
+        pat = build_pattern("toeplitz", 3, 3, 6, 6, block_symmetric=True)
+        blocks = _closed_blocks(rng, pat)
+        blocks[1:] = 0.0
+    else:  # rank 2 at r = 3: no tail reaches the certificate's floor
+        pat = build_pattern("toeplitz", 4, 4, 8, 8)
+        blocks = _closed_blocks(rng, pat, rank=2)
+    stacked = []
+    real = psd.blocks_to_tensor
+    monkeypatch.setattr(psd, "blocks_to_tensor", lambda *a: stacked.append(1) or real(*a))
+    rep = spsd_compress_blocks(pat, blocks, 3)
+    assert stacked == [1]
+    np.testing.assert_array_equal(rep.basis, _stacked_basis(pat, blocks, 3))
+
+
+def _reference_split_diagonal(pattern, items, shift, nonzero=False):
+    """The stacking implementation of ``psd._split_diagonal``, kept as its oracle."""
+    items = np.asarray(items, dtype=np.float64)
+    part = 2 * pattern.klass + (pattern.cells[:, 0] != pattern.cells[:, 1])
+    stack = np.stack([items + shift, items], axis=1).reshape(-1, *shift.shape)
+    keep = np.bincount(part, minlength=len(stack)) > 0
+    if nonzero:
+        keep &= stack.any(axis=(1, 2))
+    order = np.argsort(part, kind="stable")
+    order = order[keep[part[order]]]
+    return pattern.cells[order], (np.cumsum(keep) - 1)[part[order]], stack[keep]
+
+
+def test_split_diagonal_keeps_the_stacked_parts_bit_for_bit():
+    rng = np.random.default_rng(34)
+    for trial in range(60):
+        pat = random_pattern(rng, max_grid=5, max_block=3)
+        items = rng.standard_normal((pat.p, pat.m, pat.n))
+        shift = rng.standard_normal((pat.m, pat.n))
+        items[rng.random(pat.p) < 0.3] = 0.0  # zero off-diagonal parts
+        hit = rng.random(pat.p) < 0.3
+        items[hit] = -shift  # zero diagonal parts
+        nonzero = bool(trial % 2)
+        got = psd._split_diagonal(pat, tuple(items), shift, nonzero)
+        want = _reference_split_diagonal(pat, items, shift, nonzero)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape and np.array_equal(g, w)
+
+
+def _twenty_class_input(nb=128, ell=10, seed=35):
+    """A seeded transpose-closed 10 x 10 grid of ``nb x nb`` blocks in 20 classes:
+    the even and the odd diagonal cells (an SPD anchor and a symmetric block), and
+    nine lags, each split into a subdiagonal class and its transposed partner."""
+    rng = np.random.default_rng(seed)
+    cells, klass = [], []
+    for i in range(ell):
+        cells.append((i, i))
+        klass.append(i % 2)
+    for d in range(1, ell):
+        for i in range(ell - d):
+            cells += [(i + d, i), (i, i + d)]
+            klass += [2 * d, 2 * d + 1]
+    pat = BlockPattern(ell, ell, nb, nb, np.array(cells), np.array(klass))
+    blocks = rng.standard_normal((pat.p, nb, nb)) / nb
+    blocks[0] = blocks[0] @ blocks[0].T + np.eye(nb)
+    blocks[1] = (blocks[1] + blocks[1].T) / 2
+    blocks[3::2] = blocks[2::2].transpose(0, 2, 1)
+    return pat, blocks
+
+
+@pytest.mark.parametrize("compress, bound", [(spsd_compress_blocks, 0.5),
+                                             (psd.spd_compress_blocks, 1.5)])
+def test_compressing_from_blocks_allocates_less_than_copies_of_them(compress, bound):
+    pat, blocks = _twenty_class_input()
+    assert pat.p == 20
+    compress(pat, blocks, 16)  # imports and cached pattern members first
+    tracemalloc.start()
+    try:
+        compress(pat, blocks, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * blocks.nbytes
