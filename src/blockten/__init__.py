@@ -66,6 +66,7 @@ from .psd import (
     SpsdRep,
     check_transpose_closed,
     spd_compress,
+    spd_compress_blocks,
     spsd_compress,
     spsd_compress_blocks,
 )
@@ -75,6 +76,7 @@ from .reconstruct import (
     KronSumRep,
     blr_from_kruskal,
     blr_from_tucker,
+    class_error_fro,
     densify,
     error_fro,
     kron_sum_from_kruskal,

@@ -56,7 +56,7 @@ _PATTERN_CHOICES = ("auto", "banded", "toeplitz", "hankel", "diagonal")
 # method, since every container records it
 _METHOD_FLAGS = {
     "hosvd": ("ranks", "tol", "output", "randomized", "sketch"),
-    "cp": ("output", "split"),
+    "cp": ("output",),
     "mode2": ("tol", "output", "randomized", "sketch"),
     "spsd": (),
     "spd": (),
@@ -129,9 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
                               "split evenly across compressed modes (hosvd/mode2)")
     co.add_argument("--output", choices=("kron_sum", "blr"), default=None,
                     help="structured output format (hosvd/mode2/cp; default kron_sum)")
-    co.add_argument("--split", choices=("factor", "qr"), default=None,
-                    help="how CP components map to Kronecker terms "
-                         "(--method cp --output kron_sum only; default factor)")
     co.add_argument("--randomized", action="store_true", default=None,
                     help="sketched range finder instead of exact SVD (hosvd/mode2, no --tol)")
     co.add_argument("--sketch", type=_positive_int, default=None, metavar="S",
@@ -169,7 +166,7 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--pattern banded needs --band")
     if args.command != "compress":
         return
-    for flag in ("ranks", "tol", "output", "split", "randomized", "sketch"):
+    for flag in ("ranks", "tol", "output", "randomized", "sketch"):
         if getattr(args, flag) is not None and flag not in _METHOD_FLAGS[args.method]:
             parser.error(f"--{flag} does not apply to --method {args.method}")
     if args.sketch is not None and not args.randomized:
@@ -178,8 +175,6 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
         parser.error("--randomized takes --rank or --ranks, not --tol")
     if args.randomized and args.seed < 0:
         parser.error("--randomized needs a --seed >= 0")
-    if args.split is not None and args.output == "blr":
-        parser.error("--split needs --output kron_sum")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +268,7 @@ def _cmd_compress(args) -> int:
         print(f"cp_iterations: {result.n_iters}")
         print(f"cp_converged: {result.converged}")
         rep = (blr_from_kruskal(result.rep, pattern) if args.output == "blr"
-               else kron_sum_from_kruskal(result.rep, pattern, split=args.split or "factor"))
+               else kron_sum_from_kruskal(result.rep, pattern))
     else:  # spsd / spd; the rank is the form's (0 when nothing is left to project)
         compress = spsd_compress_blocks if args.method == "spsd" else spd_compress_blocks
         rep = compress(pattern, blocks, args.rank)

@@ -64,8 +64,9 @@ def read_matrix(path):
     skew-symmetric storage is expanded to full.
 
     Raises:
-        ContainerFormatError: Malformed header or body (surplus tokens on a line, a value with
-            a fraction or an exponent in an integer file), complex/pattern fields, a NaN or an inf.
+        ContainerFormatError: Malformed header or body (surplus tokens on a line, a byte no
+            number holds glued to a value, a fraction or an exponent in an integer file),
+            complex/pattern fields, a NaN or an inf.
         ShapeError: Array file too large to hold densely.
     """
     import bz2, gzip, io  # deferred: gzip is slow to import
@@ -80,10 +81,6 @@ def read_matrix(path):
     rows, cols, entries, fmt, field, symmetry = parse(scipy.io.mminfo)
     if field not in ("real", "integer", "unsigned-integer"):
         raise ContainerFormatError(f"unsupported Matrix Market field {field!r}")
-    # scipy reads 1.5 or 1e3 in an integer file as 1
-    if field != "real" and re.search(rb"^(?!%)[^\n]*?[^\d\s+-]", data, re.M):
-        raise ContainerFormatError(f"malformed Matrix Market file: {path}: a value "
-                                   f"that is not an integer in an {field} file")
     if fmt == "coordinate":
         mat = SparseMatrix(parse(scipy.io.mmread).tocsr(), dtype=np.float64)
         values = mat.data
@@ -99,6 +96,14 @@ def read_matrix(path):
     if found != expect:
         raise ContainerFormatError(f"malformed Matrix Market file: {path}: {found} tokens "
                                    f"in the body where the header implies {expect}")
+    # scipy reads a value up to the first byte no number holds (4x as 4, 1.5 or 1e3 in an
+    # integer file as 1); only whole inf and nan tokens go on to the located message below
+    keep, body = b"0123456789+- \t\n\r\v\f" + b".eE" * (field == "real"), data[head.tell():]
+    if body.translate(None, keep) and (field != "real" or re.sub(
+            rb"(?i)(?<!\S)[+-]?(inf|infinity|nan)(?!\S)", b"", body).translate(None, keep)):
+        kind = "a number in a" if field == "real" else "an integer in an"
+        raise ContainerFormatError(f"malformed Matrix Market file: {path}: a value "
+                                   f"that is not {kind} {field} file")
     bad = np.flatnonzero(~np.isfinite(values.ravel()))
     if bad.size:
         k = int(bad[0])  # canonical CSR stores its entries in row-major order

@@ -236,36 +236,21 @@ def kron_sum_from_tucker(t: TuckerRep, pattern: BlockPattern) -> KronSumRep:
 
 
 def _cp_as_tucker(k: KruskalRep, qr_modes: tuple[int, ...] = ()) -> TuckerRep:
-    """``k`` as a Tucker form: factors ``(X, Y, Z)`` on a superdiagonal core of
-    ones, where each mode in ``qr_modes`` swaps its factor for the ``Q`` of its
-    thin QR and the core becomes the CP tensor of those ``R`` and identities."""
+    """``k`` as a Tucker form: factors ``(X, Y, Z)`` on a superdiagonal core of ones, as the
+    Kronecker sum takes it; each mode in ``qr_modes`` (1 and 3 for the block-low-rank form)
+    swaps its factor for its thin QR's ``Q``, the core becoming the CP of those ``R``."""
     factors, small = [k.x, k.y, k.z], [np.eye(k.rank)] * 3
     for mode in qr_modes:
         factors[mode - 1], small[mode - 1] = qr_thin(factors[mode - 1])
     return TuckerRep(core=KruskalRep(*small).reconstruct(), factors=tuple(factors))
 
 
-def kron_sum_from_kruskal(k: KruskalRep, pattern: BlockPattern,
-                          split: str = "factor") -> KronSumRep:
-    """Kron-sum of a CP factorization's Tucker form: one term per component.
-
-    The mode-2 factor ``Y`` is split as ``Y = F G^T``; column ``j`` of ``F``
-    supplies the class scalars of ``C_j`` and ``D_j = X diag(G[:, j]) Z^T``.
-
-    Args:
-        split: ``"factor"`` takes ``F = Y, G = I`` (so ``D_j`` is the rank-1
-            outer product ``X[:, j] Z[:, j]^T``); ``"qr"`` takes the thin QR
-            ``Y = Q R`` with ``F = Q``, giving orthonormal coefficient
-            columns at the price of dense ``D_j``.  Either way every ``D_j``
-            is stored as a dense ``m x n`` block, so the form can store more
-            than :func:`blr_from_kruskal`'s.
-    """
-    _check_dims("CP", k.dims, pattern)
-    if split not in ("factor", "qr"):
-        raise ValueError(f"unknown split {split!r}")
-    if split == "qr" and k.y.shape[0] < k.rank:
-        raise ShapeError("qr split needs p >= r")
-    return kron_sum_from_tucker(_cp_as_tucker(k, (2,) if split == "qr" else ()), pattern)
+def kron_sum_from_kruskal(k: KruskalRep, pattern: BlockPattern) -> KronSumRep:
+    """Kron-sum of a CP factorization's Tucker form, one term per component: column ``j``
+    of ``Y`` gives the class scalars of ``C_j`` and ``D_j`` is the rank-one
+    ``X[:, j] Z[:, j]^T``, stored as a dense ``m x n`` block (so the form can store more
+    than :func:`blr_from_kruskal`'s)."""
+    return kron_sum_from_tucker(_cp_as_tucker(k), pattern)
 
 
 def blr_from_tucker(t: TuckerRep, pattern: BlockPattern) -> BlockLowRankRep:

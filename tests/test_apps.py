@@ -71,6 +71,12 @@ def test_markov_sequence_validation():
         MarkovSequence(params=np.zeros((4, 2, 2)))  # even count
     with pytest.raises(ShapeError):
         MarkovSequence(params=np.zeros((3, 2)))
+    a, b, c = np.eye(3), np.ones((3, 2)), np.ones((2, 3))
+    for bad in (dict(a=a[:2]), dict(b=b[:2]), dict(c=c[:, :2])):
+        with pytest.raises(ShapeError, match="must"):
+            LtiSystem(**{"a": a, "b": b, "c": c, **bad})
+    with pytest.raises(ShapeError, match="count must be odd"):
+        markov_from_lti(LtiSystem(a=a, b=b, c=c), 4)
 
 
 def test_markov_from_lti_matches_power_formula():
@@ -203,6 +209,8 @@ def test_covariance_entries_match_kernel_oracle():
     pts = np.array([[0.0], [10.0], [25.0]])  # collinear
     times = np.array([0.0, 0.5])
     pat, blocks = spacetime_build(pts, times)
+    flat_pat, flat_blocks = spacetime_build(pts.ravel(), times)  # 1-D points read as (N, 1)
+    assert flat_pat == pat and np.array_equal(flat_blocks, blocks)
     c = struct_assemble(pat, blocks)
     for ti in range(2):
         for tj in range(2):

@@ -149,9 +149,16 @@ def test_pattern_table_is_sorted_by_class_and_read_only():
     assert pat.placements is pat.placements  # derived once
     for arr in (pat.cells, pat.klass, pat.class_of, *pat.placements):
         assert not arr.flags.writeable
+    # equal tables, however the cells came in, make equal patterns with equal hashes
+    same = BlockPattern(2, 3, 1, 1, np.array([[0, 2], [0, 0], [1, 1]]), np.array([0, 0, 1]))
+    assert same == pat and hash(same) == hash(pat) and len({pat, same}) == 1
+    assert pat != "a pattern" and pat.__eq__(pat.cells) is NotImplemented
 
 
 def test_pattern_validation():
+    for extents in ((0, 2, 1, 1), (2, 2, 0, 1)):
+        with pytest.raises(ShapeError, match="extents must be positive"):
+            BlockPattern(*extents, np.zeros((0, 2), dtype=int), np.zeros(0, dtype=int))
     with pytest.raises(ShapeError):
         BlockPattern(2, 2, 1, 1, np.array([[0, 0], [0, 0]]), np.array([0, 1]))  # overlap
     with pytest.raises(ShapeError):
@@ -224,6 +231,8 @@ def test_detect_rejects_zero_and_indivisible():
         detect_pattern(np.zeros((4, 4)), 2, 2)
     with pytest.raises(ShapeError):
         detect_pattern(np.zeros((5, 4)), 2, 2)
+    with pytest.raises(ShapeError, match="expects a matrix"):
+        detect_pattern(np.zeros((4, 4, 1)), 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,19 @@
 
 import contextlib
 import io
+import re
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 import scipy.sparse
 from scipy.ndimage import convolve
 
-from blockten import apps
+from blockten import apps, cli
 from blockten import blocks as block_maps
 from blockten import psd
 from blockten.blocks import build_pattern, struct_assemble
@@ -592,7 +594,7 @@ def test_cp_compress_runs(toep, tmp_path, capsys):
     assert "cp_fit" in pairs
 
 
-@pytest.mark.parametrize("extra", [(), ("--split", "qr"), ("--output", "blr")])
+@pytest.mark.parametrize("extra", [(), ("--output", "blr")])
 def test_cp_fit_is_one_minus_the_certified_error(toep, tmp_path, capsys, extra):
     # the fit cp_als reports without forming the model agrees with the error
     # certified on the written representation
@@ -694,9 +696,7 @@ def test_exit_2_usage_errors(toep, tmp_path, capsys):
         ("--method", "hosvd", "--rank", 2, "--detect-tol", "nan"),
         ("--method", "hosvd", "--rank", 2, "--randomized", "--sketch", 0),
         ("--method", "mode2", "--rank", 2, "--randomized", "--sketch", -3),
-        ("--method", "hosvd", "--rank", 2, "--split", "qr"),
-        ("--method", "spsd", "--rank", 2, "--split", "factor"),
-        ("--method", "cp", "--rank", 2, "--output", "blr", "--split", "qr"),
+        ("--method", "cp", "--rank", 2, "--split", "qr"),  # no such flag
         ("--method", "hosvd", "--rank", 2, "--band", 1),
         ("--method", "hosvd", "--rank", 2, "--symmetric"),
         ("--method", "hosvd", "--rank", 2, "--pattern", "hankel", "--band", 1),
@@ -733,6 +733,10 @@ def test_misplaced_flag_is_reported_before_the_input_is_read(tmp_path, capsys):
     code, _, err = run_cli(capsys, "analyze", missing, "--block-rows", 2, "--block-cols", 2,
                            "--band", 1)
     assert code == 2 and "--band" in err and "nope.mtx" not in err
+    code, _, err = run_cli(capsys, "compress", missing, "-o", tmp_path / "o.btc",
+                           "--block-rows", 2, "--block-cols", 2, "--method", "cp",
+                           "--rank", 2, "--split", "qr")
+    assert code == 2 and "unrecognized arguments: --split qr" in err
 
 
 @pytest.mark.parametrize("pattern", [(), ("--pattern", "toeplitz")])
@@ -802,6 +806,15 @@ def test_exit_2_nonfinite_matrix(toep, tmp_path, capsys):
         assert code == 2
         assert f"non-finite entry {where}" in err
         assert not out_c.exists()
+    # whole inf and nan tokens, in any case, pass the byte check to reach the located message
+    for text, where in ((_MM_COORD + "1 1 1.0\n2 2 inf\n", "inf at row 2, column 2"),
+                        (_MM_ARRAY + "1.0\n-Infinity\n3.0\nNaN\n", "-inf at row 2, column 1")):
+        path = tmp_path / "bad.mtx"
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", 1,
+                               "--block-cols", 1, "--method", "hosvd", "--rank", 1)
+        assert code == 2 and f"non-finite entry {where}" in err, err
+        assert not out_c.exists()
 
 
 _MM_ARRAY = "%%MatrixMarket matrix array real general\n2 2\n"
@@ -829,11 +842,16 @@ _MM_INT_COORD = "%%MatrixMarket matrix coordinate integer general\n2 2 2\n"
     _MM_ARRAY + "1.0 7\n2.0\n3.0\n4.0\n",
     _MM_COORD + "1 1 1.0\n2 2 1.0 5",  # and crash on them without a last line end
     "%%MatrixMarket matrix array real symmetric\n2 2\n1.0\n2.0\n3.0\n4.0\n",
+    _MM_COORD + "1 1 1.0\n2 2 4x\n",  # scipy would read these values up to the garbage
+    _MM_COORD + "1 1 1.0%\n2 2 1.0\n",
+    _MM_COORD + "1 1 1.0\n2 2 4n\n",
+    _MM_ARRAY + "1.0\n2x\n3.0\n4.0\n",
 ], ids=["array_float", "coordinate_float", "missing_value", "array_truncated",
         "coordinate_truncated", "row_0", "row_beyond", "surplus", "index_overflow",
         "integer_fraction", "integer_exponent", "integer_array_fraction", "integer_not_utf8",
         "coordinate_surplus_token", "coordinate_trailing_comment", "array_surplus_token",
-        "unterminated_surplus_token", "symmetric_array_surplus_value"])
+        "unterminated_surplus_token", "symmetric_array_surplus_value", "glued_letter",
+        "glued_percent", "glued_n", "array_glued_letter"])
 def test_exit_2_malformed_matrix_market_body(tmp_path, capsys, body):
     good, out_c = tmp_path / "good.mtx", tmp_path / "c.btc"
     write_matrix(good, np.eye(2))
@@ -1053,14 +1071,27 @@ def test_exit_4_indefinite_matrix_for_spd(tmp_path, capsys):
 # the flag contract of compress
 # ---------------------------------------------------------------------------
 
-# the compress flags each method takes besides --rank, as the README tables them
-_TAKES = {
-    "hosvd": {"--ranks", "--tol", "--output", "--randomized", "--sketch"},
-    "mode2": {"--tol", "--output", "--randomized", "--sketch"},
-    "cp": {"--output", "--split"},
-    "spsd": set(),
-    "spd": set(),
-}
+
+def _readme_flag_table() -> dict:
+    """The compress flags each method takes besides --rank, read from README's table."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = text.split("| `--method` | other compress flags it takes |\n")[1].split("\n\n")[0]
+    takes = {}
+    for row in rows.splitlines()[1:]:  # past the |---|---| line
+        methods, flags = row.strip().strip("|").split("|")
+        for method in re.findall(r"`([^`]+)`", methods):
+            takes[method] = set(re.findall(r"`([^`]+)`", flags))
+    return takes
+
+
+_TAKES = _readme_flag_table()
+
+
+def test_readme_flag_table_is_the_cli_table():
+    assert _TAKES == {method: {f"--{flag}" for flag in flags}
+                      for method, flags in cli._METHOD_FLAGS.items()}
+
+
 _SCALES = (0.0, 1e-310, 1.0, 1e300)
 
 
@@ -1092,23 +1123,34 @@ def _finite_text(text: str) -> bool:
        rank=st.sampled_from([("--rank", "2"), ("--ranks", "2,2,2"), ("--tol", "1e-3"),
                              ("--tol", "0")]),
        output=st.sampled_from([(), ("--output", "kron_sum"), ("--output", "blr")]),
-       split=st.booleans(), randomized=st.booleans(), sketch=st.booleans(),
+       randomized=st.booleans(), sketch=st.booleans(),
        seed=st.sampled_from(["0", "7", "-1"]),
        pattern=st.sampled_from([(), ("--pattern", "toeplitz"), ("--symmetric",),
                                 ("--pattern", "banded", "--band", "1")]),
        scale=st.sampled_from(_SCALES))
+# one run per row of the table: each with a flag its row does not list, but hosvd, whose row
+# lists every drawn flag, with all of them
+@example(method="hosvd", rank=("--ranks", "2,2,2"), output=("--output", "blr"),
+         randomized=True, sketch=True, seed="7", pattern=(), scale=1.0)
+@example(method="mode2", rank=("--ranks", "2,2,2"), output=(), randomized=False,
+         sketch=False, seed="0", pattern=(), scale=1.0)
+@example(method="cp", rank=("--rank", "2"), output=("--output", "blr"), randomized=True,
+         sketch=False, seed="0", pattern=(), scale=1.0)
+@example(method="spsd", rank=("--rank", "2"), output=("--output", "kron_sum"),
+         randomized=False, sketch=False, seed="0", pattern=(), scale=1.0)
+@example(method="spd", rank=("--tol", "0"), output=(), randomized=False, sketch=False,
+         seed="0", pattern=(), scale=1.0)
 def test_compress_exits_2_exactly_when_a_flag_rule_is_broken(
-        scaled_inputs, method, rank, output, split, randomized, sketch, seed, pattern, scale):
+        scaled_inputs, method, rank, output, randomized, sketch, seed, pattern, scale):
     work, paths = scaled_inputs
     flags = [*rank, *output, *pattern, "--seed", seed]
-    flags += ["--split", "qr"] * split + ["--randomized"] * randomized + ["--sketch", "6"] * sketch
+    flags += ["--randomized"] * randomized + ["--sketch", "6"] * sketch
     table_flags = {f for f in flags if f[:2] == "--"} - {
         "--rank", "--seed", "--pattern", "--band", "--symmetric"}
     broken = (pattern == ("--symmetric",)  # --symmetric needs banded or toeplitz
               or not table_flags <= _TAKES[method]
               or (sketch and not randomized)
-              or (randomized and (rank[0] == "--tol" or seed == "-1"))
-              or (split and output == ("--output", "blr")))
+              or (randomized and (rank[0] == "--tol" or seed == "-1")))
     out_c = work / "c.btc"
     out_c.unlink(missing_ok=True)
     code, out, err = _run_quiet("compress", paths[scale], "-o", out_c, "--block-rows", 3,

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockten.decomp import (
+    KruskalRep,
     TuckerRep,
     _gram_basis,
     _lq_basis,
@@ -55,6 +56,8 @@ def test_svd_truncated_rank_range():
         svd_truncated(a, 0)
     with pytest.raises(ShapeError):
         svd_truncated(a, 4)
+    with pytest.raises(ShapeError, match="expects a matrix"):
+        svd_truncated(np.ones(3), 1)
 
 
 def test_qr_thin_contract():
@@ -82,6 +85,8 @@ def test_cholesky_rejects_indefinite_and_asymmetric():
         cholesky(np.diag([1.0, -1.0]))
     with pytest.raises(ShapeError):
         cholesky(np.array([[1.0, 2.0], [0.0, 1.0]]))
+    with pytest.raises(ShapeError, match="expects a square matrix"):
+        cholesky(np.eye(3)[:2])
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +351,11 @@ def test_tucker_partial_identity_modes():
 def test_tucker_rep_validates_factor_shapes():
     with pytest.raises(ShapeError):
         TuckerRep(core=np.zeros((2, 2, 2)), factors=(np.zeros((4, 3)), None, None))
+    with pytest.raises(ShapeError, match="core order 3 does not match 2 factors"):
+        TuckerRep(core=np.zeros((2, 2, 2)), factors=(None, None))
+    for y, z in ((np.ones((3, 3)), np.ones((4, 2))), (np.ones((3, 2)), np.ones((4, 1)))):
+        with pytest.raises(ShapeError, match="share the same number of columns"):
+            KruskalRep(x=np.ones((2, 2)), y=y, z=z)
 
 
 # ---------------------------------------------------------------------------
@@ -465,6 +475,8 @@ def test_cp_als_rejects_zero_tensor_and_bad_args():
         cp_als(np.zeros((2, 2)), 1)
     with pytest.raises(ShapeError):
         cp_als(np.ones((2, 2, 2)), 0)
+    with pytest.raises(ValueError, match="max_iters must be at least 1"):
+        cp_als(np.ones((2, 2, 2)), 1, max_iters=0)
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +512,9 @@ def test_randomized_mode_basis_validation():
     t = np.zeros((3, 4, 3))
     with pytest.raises(ShapeError):
         randomized_mode_basis(t, 2, 2, 1, seed=0)  # sketch below rank
+    for mode in (0, 4):
+        with pytest.raises(ShapeError, match=f"mode {mode} out of range"):
+            randomized_mode_basis(t, mode, 2, 4, seed=0)
 
 
 def test_cp_als_is_scale_invariant():

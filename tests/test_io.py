@@ -93,6 +93,9 @@ def test_mm_rejects_complex_and_malformed(tmp_path):
     )
     with pytest.raises(ContainerFormatError):
         read_matrix(pattern_field)
+    with pytest.raises(ShapeError, match="write_matrix expects a matrix"):
+        write_matrix(tmp_path / "cube.mtx", np.zeros((2, 2, 2)))
+    assert not (tmp_path / "cube.mtx").exists()
 
 
 def test_mm_coordinate_file_sums_duplicates_and_converts_to_dense(tmp_path):
@@ -296,6 +299,9 @@ def test_container_kron_sum_roundtrip(tmp_path):
     container_write(path, rep, seed=11, ranks=(3, 4, 3))
     header = path.read_bytes().split(b"\n---\n")[0].decode()
     assert "seed: 11" in header and "ranks: 3 4 3" in header
+    blank = tmp_path / "blank.btc"  # a blank header line is skipped
+    blank.write_bytes(path.read_bytes().replace(b"\nseed: 11\n", b"\n\nseed: 11\n", 1))
+    np.testing.assert_array_equal(container_read(blank).terms, rep.terms)
     back = container_read(path)
     assert isinstance(back, KronSumRep)
     np.testing.assert_array_equal(back.coeffs, rep.coeffs)

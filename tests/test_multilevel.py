@@ -132,6 +132,9 @@ def test_mismatched_levels_rejected():
     outer = build_pattern("toeplitz", 2, 2, 5, 5)  # 5 != inner assembled 6
     with pytest.raises(ShapeError):
         MultilevelPattern(levels=(outer, inner))
+    for levels in ((), (inner,) * (MAX_LEVELS + 1)):
+        with pytest.raises(ShapeError, match=f"between 1 and {MAX_LEVELS} levels"):
+            MultilevelPattern(levels=levels)
 
 
 def test_nonconforming_matrix_rejected():

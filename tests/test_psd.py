@@ -199,6 +199,8 @@ def test_spsd_rep_validates_extents():
     pat = build_pattern("toeplitz", 2, 2, 3, 3)
     with pytest.raises(ShapeError):
         SpsdRep(pattern=pat, basis=np.eye(3)[:, :2], blocks=np.zeros((pat.p, 3, 3)))
+    with pytest.raises(ShapeError, match="basis rows must equal the square block extent"):
+        SpsdRep(pattern=pat, basis=np.eye(4)[:, :2], blocks=np.zeros((pat.p, 2, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -370,3 +372,11 @@ def test_compressing_from_blocks_allocates_less_than_copies_of_them(compress, bo
     finally:
         tracemalloc.stop()
     assert peak < bound * blocks.nbytes
+
+
+def test_package_root_exports_the_block_entries():
+    from blockten import class_error_fro, spd_compress_blocks
+    from blockten import reconstruct
+
+    assert spd_compress_blocks is psd.spd_compress_blocks
+    assert class_error_fro is reconstruct.class_error_fro

@@ -99,15 +99,14 @@ def test_error_equals_tensor_error():
     assert abs(e_mat - e_ten) < 1e-12 * max(fro_norm(a), 1.0)
 
 
-def test_kron_sum_from_kruskal_splits_agree():
+def test_kron_sum_from_kruskal_has_rank_one_partners():
     rng, pat, a, t = _setup(4)
     res = cp_als(t, min(pat.m * pat.n, pat.p, 3), max_iters=120)
-    k_f = kron_sum_from_kruskal(res.rep, pat, split="factor")
-    k_q = kron_sum_from_kruskal(res.rep, pat, split="qr")
-    np.testing.assert_allclose(densify(k_f), densify(k_q), atol=1e-11)
-    # factor split gives rank-1 partners
-    for j in range(k_f.n_terms):
-        assert np.linalg.matrix_rank(k_f.terms[j], tol=1e-10) <= 1
+    rep = kron_sum_from_kruskal(res.rep, pat)
+    want = tensor_to_mat(res.rep.reconstruct(), pat)
+    np.testing.assert_allclose(densify(rep), want, atol=1e-11)
+    for j in range(rep.n_terms):
+        assert np.linalg.matrix_rank(rep.terms[j], tol=1e-10) <= 1
 
 
 def test_blr_from_kruskal_orthonormal_bases():
@@ -134,19 +133,17 @@ def test_blr_from_kruskal_rejects_rank_above_block_extent():
 
 @pytest.mark.parametrize("r", [1, 2, 3, 5])
 def test_kruskal_converters_keep_their_term_formulas(r):
-    # the per-term formulas D_j = X diag(G[:, j]) Z^T and R_x diag(Y[k]) R_z^T,
+    # the per-term formulas D_j = X diag(e_j) Z^T and R_x diag(Y[k]) R_z^T,
     # an oracle independent of the route through the superdiagonal Tucker
     # form; r = 5 exceeds the 3 x 4 blocks, which only the Kronecker sum allows
     rng = np.random.default_rng(50 + r)
     pat = build_pattern("toeplitz", 4, 4, 3, 4)
     x, y, z = (rng.standard_normal((d, r)) for d in (pat.m, pat.p, pat.n))
     cp = KruskalRep(x=x, y=y, z=z)
-    q_y, r_y = qr_thin(y)
-    for split, coeffs, g in (("factor", y, np.eye(r)), ("qr", q_y, r_y.T)):
-        rep = kron_sum_from_kruskal(cp, pat, split=split)
-        assert np.array_equal(rep.coeffs, coeffs), split
-        for j in range(r):
-            assert np.array_equal(rep.terms[j], (x * g[:, j]) @ z.T), (split, j)
+    rep = kron_sum_from_kruskal(cp, pat)
+    assert np.array_equal(rep.coeffs, y)
+    for j in range(r):
+        assert np.array_equal(rep.terms[j], (x * np.eye(r)[:, j]) @ z.T), j
     if r > min(pat.m, pat.n):
         with pytest.raises(ShapeError, match="exceeds a block extent"):
             blr_from_kruskal(cp, pat)
@@ -414,9 +411,21 @@ def test_rep_shape_validation():
     pat = build_pattern("diagonal", 2, 2, 2, 2)
     with pytest.raises(ShapeError):
         KronSumRep(pattern=pat, coeffs=np.ones((3, 1)), terms=np.ones((1, 2, 2)))
+    for terms in (np.ones((2, 2, 2)), np.ones((1, 2, 3))):  # a term too many; wrong extents
+        with pytest.raises(ShapeError, match="terms shape"):
+            KronSumRep(pattern=pat, coeffs=np.ones((2, 1)), terms=terms)
     with pytest.raises(ShapeError):
         BlockLowRankRep(pattern=pat, left=np.ones((2, 1)), right=np.ones((2, 1)),
                         middles=np.ones((1, 1, 1)))
+    for left, right in ((np.ones((3, 1)), np.ones((2, 1))), (np.ones((2, 1)), np.ones((1, 1)))):
+        with pytest.raises(ShapeError, match="side bases do not match"):
+            BlockLowRankRep(pattern=pat, left=left, right=right, middles=np.ones((2, 1, 1)))
+    # a Tucker form of another pattern's m x p x n tensor
+    other = build_pattern("toeplitz", 2, 2, 2, 2)
+    tk = hosvd(np.ones((2, other.p, 2)), (1, 1, 1))
+    for convert in (kron_sum_from_tucker, blr_from_tucker):
+        with pytest.raises(ShapeError, match=r"Tucker dims \(2, 3, 2\) do not match pattern"):
+            convert(tk, pat)
 
 
 # ---------------------------------------------------------------------------
