@@ -59,6 +59,7 @@ __all__ = [
 
 DENSIFY_LIMIT = 10**8  # refuse to build dense matrices beyond this many entries
 _DENSE_FILL = 4  # the densest class grid still multiplied dense, in blocks per claimed cell
+_CHUNK = 2**15  # entries of the cells checked together (scripts/cell_pass_sweep.py)
 
 
 def _check_dense_size(rows: int, cols: int) -> None:
@@ -376,7 +377,8 @@ def _cells(a, ell: int, q: int, m: int, n: int):
     * ``present(rows)`` -- the ``(len(rows), q)`` presence mask of the block
       rows ``rows`` (a dense array reads only those rows);
     * ``take(ids)`` -- a fresh ``(len(ids), m, n)`` stack of the cells with
-      flat ids ``row * q + col``, an absent cell reading as zeros;
+      flat ids ``row * q + col``, an absent cell reading as zeros; the checks
+      take a chunk of about ``_CHUNK`` entries at a time (:func:`_per_cell`);
     * ``nonzero_fingerprints(keys)`` -- the flat ids, in row-major order, of
       the cells holding a nonzero value, and their :func:`_fingerprint`;
     * ``scale_exponent()`` of the whole matrix.
@@ -391,25 +393,26 @@ def _cells(a, ell: int, q: int, m: int, n: int):
 
 
 def _per_cell(cells, ids: np.ndarray, reduce) -> np.ndarray:
-    """``reduce(stack, where)`` over the cells ``ids``, taken at most one block
-    row's worth at a time: ``stack`` holds the cells ``ids[where]``."""
-    step = cells.q
+    """``reduce(stack, where)`` over the cells ``ids``, about ``_CHUNK`` entries (at least one
+    cell) at a time, so a chunk stays in cache: ``stack`` holds the cells ``ids[where]``."""
+    step = max(1, _CHUNK // (cells.m * cells.n))
     parts = [reduce(cells.take(ids[s:s + step]), slice(s, s + step))
              for s in range(0, len(ids), step)]
-    return np.concatenate(parts) if parts else np.zeros(0)
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=bool)
 
 
 def _to_check(cells, pattern: BlockPattern) -> tuple[np.ndarray, np.ndarray]:
-    """Flat ids of every copy of every class, in table order, then of the
-    present cells no class claims (row-major), and the class of each (``p``
-    for an unclaimed cell).  Only dense block rows holding an unclaimed cell
-    are read."""
+    """Flat ids of every claimed cell, then of the present cells no class claims (only dense
+    block rows holding an unclaimed cell are read), each row-major, so neighbouring cells of
+    a dense array are read together; and the class of each (``p`` for an unclaimed cell)."""
+    indptr, cols, klass = pattern.row_major
+    claimed = np.repeat(np.arange(pattern.ell) * pattern.q, np.diff(indptr)) + cols
     free = pattern.class_of < 0
     rows = np.flatnonzero(free.any(axis=1))
     grid = rows[:, None] * pattern.q + np.arange(pattern.q)
     unclaimed = grid[free[rows] & cells.present(rows)]
-    ids = np.concatenate([pattern.cells[:, 0] * pattern.q + pattern.cells[:, 1], unclaimed])
-    return ids, np.concatenate([pattern.klass, np.full(len(unclaimed), pattern.p)])
+    return (np.concatenate([claimed, unclaimed]),
+            np.concatenate([klass, np.full(len(unclaimed), pattern.p)]))
 
 
 # ---------------------------------------------------------------------------
@@ -613,10 +616,13 @@ def struct_expand(pattern: BlockPattern, items) -> np.ndarray:
 def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarray, ...]:
     """Pull the representative block of every class out of ``a``.
 
-    ``a`` is a dense array or a scipy sparse matrix.  Verifies that every
+    ``a`` is a dense array or a scipy sparse matrix.  Verifies, in the chunks
+    and order of :func:`_per_cell` and :func:`_to_check`, that every later
     copy of a class agrees with its representative (the first copy) within
     ``tol``, an absent copy reading as zeros, and that the present cells no
-    class claims are within ``tol`` of zero (see :func:`_to_check`).
+    class claims are within ``tol`` of zero.  At ``tol == 0`` the test is
+    ``copy == rep``: ``|copy - rep| <= 0`` for a finite representative.  The
+    first bad cell in table order, unclaimed cells last, is reported.
 
     Raises:
         PatternMismatchError: On any disagreement, or a NaN or an infinity in a checked cell.
@@ -626,26 +632,30 @@ def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarr
         raise ShapeError(f"matrix shape {a.shape} != pattern shape {pattern.shape}")
     cells = _cells(a, pattern.ell, pattern.q, pattern.m, pattern.n)
     ids, klass = _to_check(cells, pattern)
-    first = np.cumsum([0, *pattern.counts])[:-1]
-    reps = cells.take(ids[first])
+    table = pattern.cells[:, 0] * pattern.q + pattern.cells[:, 1]
+    first = table[np.cumsum([0, *pattern.counts])[:-1]]  # the first copies: the representatives
+    reps = cells.take(first)
     _check_finite(pattern, reps)
-    later = np.ones(len(ids), dtype=bool)
-    later[first] = False  # a first copy is its class's representative
+    later = np.isin(ids, first, invert=True, kind="table")
     ids, klass = ids[later], klass[later]
 
-    def deviation(stack, where):
+    def agrees(stack, where):
         k = klass[where]
         claimed = np.searchsorted(k, pattern.p)  # unclaimed cells come last
+        if tol == 0.0:
+            return np.concatenate([(stack[:claimed] == reps[k[:claimed]]).all(axis=(1, 2)),
+                                   ~stack[claimed:].any(axis=(1, 2))])
         stack[:claimed] -= reps[k[:claimed]]
-        return np.max(np.abs(stack, out=stack), axis=(1, 2))
+        return np.max(np.abs(stack, out=stack), axis=(1, 2)) <= tol  # a NaN is bad too
 
-    bad = np.flatnonzero(~(_per_cell(cells, ids, deviation) <= tol))  # a NaN is bad too
+    bad = ids[~_per_cell(cells, ids, agrees)]
     if bad.size:
-        i, j = divmod(int(ids[bad[0]]), pattern.q)
-        k = klass[bad[0]]
-        if k < pattern.p:
+        hit = np.flatnonzero(np.isin(table, bad))  # the claimed bad cells, in table order
+        if hit.size:
+            (i, j), k = pattern.cells[hit[0]], pattern.klass[hit[0]]
             raise PatternMismatchError(f"class {k + 1}: block at grid cell ({i + 1}, {j + 1}) "
                                        "differs from its representative")
+        i, j = divmod(int(bad[0]), pattern.q)
         raise PatternMismatchError(f"grid cell ({i + 1}, {j + 1}) is outside every class "
                                    "but not zero")
     return tuple(reps)

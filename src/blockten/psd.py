@@ -194,16 +194,19 @@ def check_transpose_closed(pattern: BlockPattern, blocks) -> list[int]:
     if pattern.ell != pattern.q or pattern.m != pattern.n:
         raise ShapeError("transpose closure needs a square grid of square blocks")
     mirror = pattern.class_of.T  # class of the transposed cell, -1 if none
-    tol = _TRANSPOSE_TOL * max([1.0, *(float(np.abs(b).max(initial=0.0)) for b in blocks)])
+    scale = None  # max(1, max |A|), read at the first pair that is not exactly equal
     found = []
     for k, cells in enumerate(pattern.placements):
         partners = mirror[cells[:, 0], cells[:, 1]]
         partner = int(partners[0])
         if partner < 0 or np.any(partners != partner) or pattern.counts[partner] != len(cells):
             raise PatternMismatchError(f"class {k + 1}: transposed support matches no class")
-        if np.max(np.abs(np.asarray(blocks[partner]) - np.asarray(blocks[k]).T)) > tol:
-            raise PatternMismatchError(f"class {k + 1}: block transpose differs from class "
-                                       f"{partner + 1}")
+        pair, transpose = np.asarray(blocks[partner]), np.asarray(blocks[k]).T
+        if not np.array_equal(pair, transpose):
+            scale = scale or max([1.0, *(float(np.abs(b).max(initial=0.0)) for b in blocks)])
+            if np.max(np.abs(pair - transpose)) > _TRANSPOSE_TOL * scale:
+                raise PatternMismatchError(f"class {k + 1}: block transpose differs from class "
+                                           f"{partner + 1}")
         found.append(partner)
     return found
 

@@ -34,6 +34,7 @@ from .blocks import (
     _class_grid,
     _dense_class_grid,
     _grid_is_filled,
+    _per_cell,
     _to_check,
     struct_assemble,
 )
@@ -298,22 +299,21 @@ def _squared_error(cells, pat: BlockPattern, blocks, e: int) -> tuple[float, flo
     """``(||a||^2, ||a - densify(rep)||^2)`` with ``a`` and the blocks scaled
     by ``2**-e``, summed over each class's copies (an absent copy reads as
     zeros, so it adds ``||B_k||^2``) and the present cells no class claims
-    (whole energy), one block row's worth of cells at a time."""
+    (whole energy), chunk by chunk of ``blocks._per_cell``."""
     ids, klass = _to_check(cells, pat)
     blocks = np.asarray(blocks, dtype=np.float64)
     if e:
         blocks = np.ldexp(blocks, -e)
-    base = resid = 0.0
-    for s in range(0, len(ids), pat.q):
-        x = cells.take(ids[s:s + pat.q])  # a fresh copy, scaled in place
+
+    def squares(x, where):  # x is a fresh copy, scaled in place
         if e:
             np.ldexp(x, -e, out=x)
-        base += np.vdot(x, x)
-        k = klass[s:s + pat.q]
+        base, k = np.vdot(x, x), klass[where]
         claimed = np.searchsorted(k, pat.p)  # unclaimed cells come last
         x[:claimed] -= blocks[k[:claimed]]
-        resid += np.vdot(x, x)
-    return base, resid
+        return [(base, np.vdot(x, x))]
+
+    return tuple(_per_cell(cells, ids, squares).reshape(-1, 2).sum(axis=0))
 
 
 def error_fro(a, rep) -> float:

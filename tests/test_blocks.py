@@ -450,7 +450,7 @@ def test_sparse_duplicates_add_up_and_stored_zeros_drop_out():
     ("toeplitz", (0, 4), "class 5: block at grid cell (1, 3) is not finite"),  # a one-cell class
     ("banded", (0, 4), "grid cell (1, 3) is outside every class but not zero"),
 ])
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_extraction_refuses_non_finite_entries(kind, entry, message, bad):
     # a NaN compares false with every tolerance, so it once passed every check
     pat = build_pattern(kind, 3, 3, 2, 2, band=1 if kind == "banded" else None)
@@ -462,6 +462,63 @@ def test_extraction_refuses_non_finite_entries(kind, entry, message, bad):
             with pytest.raises(PatternMismatchError) as err:
                 fn(*args)
             assert str(err.value) == message, fn.__name__
+
+
+@pytest.mark.parametrize("chunk", [8, block_maps._CHUNK])  # 2 cells a chunk, or all at once
+@pytest.mark.parametrize("tol", [0.0, 0.25])
+def test_mismatch_is_reported_at_the_first_bad_cell_in_table_order(tol, chunk, monkeypatch):
+    # read row-major, the unclaimed (1, 3), class 3's (2, 3) and class 2's (3, 2)
+    # come before class 1's (3, 3); the table lists class 1 first, unclaimed cells last
+    monkeypatch.setattr(block_maps, "_CHUNK", chunk)
+    pat = build_pattern("toeplitz", 3, 3, 2, 2, band=1)
+    a = struct_assemble(pat, random_blocks(np.random.default_rng(36), pat))
+    unclaimed_only = a.copy()
+    for i, j in ((0, 2), (1, 2), (2, 1), (2, 2)):
+        a[2 * i + 1, 2 * j] += 1.0
+    for i, j in ((2, 0), (0, 2)):
+        unclaimed_only[2 * i, 2 * j + 1] = 1.0
+    for matrix, message in ((a, "class 1: block at grid cell (3, 3) differs from its "
+                                "representative"),
+                            (unclaimed_only, "grid cell (1, 3) is outside every class but not "
+                                             "zero")):
+        for m in (matrix, *sparse_copies(matrix)):
+            for fn, args in ((extract_blocks, (m, pat, tol)), (mat_to_tensor, (m, pat, tol)),
+                             (spsd_compress, (m, pat, 1))):  # it extracts at tol 0
+                with pytest.raises(PatternMismatchError) as err:
+                    fn(*args)
+                assert str(err.value) == message, fn.__name__
+
+
+def test_exact_extraction_matches_a_signed_zero():
+    # at tol 0 a copy is compared by ==, which is |copy - rep| <= 0: -0.0 == +0.0,
+    # but the smallest subnormal is not zero
+    pat = build_pattern("toeplitz", 3, 3, 2, 2)
+    blocks = random_blocks(np.random.default_rng(37), pat)
+    blocks[0][0, 0], blocks[1][1, 0] = 0.0, -0.0
+    a = struct_assemble(pat, blocks)
+    a[2, 2], a[5, 2] = -0.0, 0.0  # copies at (2, 2) of class 1 and (3, 2) of class 2
+    for m in (a, *sparse_copies(a)):
+        reps = extract_blocks(m, pat)
+        assert [r.tobytes() for r in reps] == [b.tobytes() for b in blocks]  # first copies
+    a[5, 2] = np.nextafter(0.0, 1.0)
+    for m in (a, *sparse_copies(a)):
+        with pytest.raises(PatternMismatchError, match=r"^class 2: block at grid cell \(3, 2\) "
+                                                       "differs from its representative$"):
+            extract_blocks(m, pat)
+
+
+def test_block_maps_leave_their_input_unchanged():
+    rng = np.random.default_rng(38)
+    pat = build_pattern("toeplitz", 4, 4, 3, 2, band=2)
+    a = signed_zero_matrix(rng, pat)
+    rep = kron_sum_from_tucker(tucker_partial(mat_to_tensor(a, pat), [None, 1, None]), pat)
+    for scaled in (a, 1e160 * a):  # error_fro rescales its chunks on the second
+        before = scaled.tobytes()
+        for fn, args in ((extract_blocks, (scaled, pat)), (extract_blocks, (scaled, pat, 1e-3)),
+                         (mat_to_tensor, (scaled, pat)), (detect_pattern, (scaled, 3, 2)),
+                         (detect_pattern, (scaled, 3, 2, 1e-3)), (error_fro, (scaled, rep))):
+            outcome(fn, *args)
+            assert scaled.tobytes() == before, fn.__name__
 
 
 @pytest.mark.parametrize("tol", [0.0, 0.5])

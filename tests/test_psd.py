@@ -92,6 +92,23 @@ def test_transpose_closure_rejects_asymmetric_population():
         check_transpose_closed(pat_up, blocks[:1])
 
 
+def test_transpose_closure_holds_inexact_pairs_to_the_tolerance():
+    # an exactly mirrored pair needs no tolerance; any other is held to
+    # _TRANSPOSE_TOL * max(1, max |A|)
+    pat = build_pattern("toeplitz", 3, 3, 2, 2)  # classes: d = 0, -1, -2, +1, +2
+    blocks = np.random.default_rng(20).standard_normal((5, 2, 2))
+    blocks[0] += blocks[0].T
+    blocks[3], blocks[4] = blocks[1].T, blocks[2].T
+    assert check_transpose_closed(pat, blocks) == [0, 3, 4, 1, 2]
+    step = psd._TRANSPOSE_TOL * max(1.0, np.abs(blocks).max())
+    blocks[4, 0, 1] += 0.5 * step
+    assert check_transpose_closed(pat, blocks) == [0, 3, 4, 1, 2]
+    blocks[4, 0, 1] += step
+    with pytest.raises(PatternMismatchError,
+                       match=r"^class 3: block transpose differs from class 5$"):
+        check_transpose_closed(pat, blocks)
+
+
 def test_spsd_rejects_rectangular_grid_or_blocks():
     pat = build_pattern("toeplitz", 3, 3, 2, 3)
     with pytest.raises(ShapeError):

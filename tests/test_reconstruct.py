@@ -9,6 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -320,6 +321,23 @@ def test_error_fro_does_not_depend_on_the_matrix_scale(scale):
 
 def _oracle_error(a, dense):
     return float(np.linalg.norm(a - dense) / np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("chunk", [1, 4 * 6, 2**15])  # 1 cell a chunk, 4 of 25, all at once
+@pytest.mark.parametrize("scale", [1.0, 1e160, 1e-160])
+def test_error_fro_is_exact_at_chunk_edges(chunk, scale, monkeypatch):
+    monkeypatch.setattr("blockten.blocks._CHUNK", chunk)
+    rng = np.random.default_rng(19)
+    pat = build_pattern("toeplitz", 5, 5, 2, 3, band=2)  # 19 claimed cells, 6 unclaimed
+    a = scale * struct_assemble(pat, random_blocks(rng, pat))
+    rep = kron_sum_from_tucker(hosvd(mat_to_tensor(a, pat), (2, 4, 2)), pat)
+    view = a.reshape(pat.ell, pat.m, pat.q, pat.n)
+    view.transpose(0, 2, 1, 3)[pat.class_of < 0] = scale * rng.standard_normal((6, pat.m, pat.n))
+    s = np.abs(a).max()  # the oracle's squares stay in range
+    want = _oracle_error(a / s, densify(rep) / s)
+    assert want > 1e-3
+    for m in (a, sp.csr_matrix(a)):
+        assert error_fro(m, rep) == pytest.approx(want, rel=1e-12)
 
 
 def _form_of(form, pat, t, rng):
