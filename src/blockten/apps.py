@@ -31,20 +31,11 @@ from .blocks import (
 )
 from .decomp import hosvd, tucker_partial
 from .errors import ConvergenceError, ShapeError
-from .reconstruct import blr_from_tucker, class_error_fro, error_fro
+from .reconstruct import blr_from_tucker, class_error_fro, error_fro, rows_error_fro
 
-__all__ = [
-    "MarkovSequence",
-    "LtiSystem",
-    "EraResult",
-    "KernelConfig",
-    "markov_from_lti",
-    "hankel_pattern_from_markov",
-    "era_identify_compressed",
-    "hausdorff_eigs",
-    "spacetime_build",
-    "report_metrics",
-]
+__all__ = ["MarkovSequence", "LtiSystem", "EraResult", "KernelConfig", "markov_from_lti",
+           "hankel_pattern_from_markov", "era_identify_compressed", "hausdorff_eigs",
+           "spacetime_build", "report_metrics"]
 
 
 @dataclass(frozen=True)
@@ -273,8 +264,11 @@ def report_metrics(source, rep, trace_ref: float | None = None) -> dict[str, flo
     Args:
         source: The source matrix (dense or scipy sparse); the ``(pattern, blocks)``
             verified to hold it exactly, which certify without it (:func:`class_error_fro`);
-            or its :class:`BlockPattern` (or ``None``), for only the metrics the
-            representation certifies alone.
+            ``(pattern, rows, basis)``, the rows of its verified mode-2 unfolding on their
+            support and the mode-2 basis of a form holding their projection, certified as
+            ``||M - V V^T M|| / ||M||`` (:func:`rows_error_fro`); or its
+            :class:`BlockPattern` (or ``None``), for only the metrics the representation
+            certifies alone.
         rep: Any representation produced by this package.
         trace_ref: Reference trace when the matrix itself is not supplied
             (e.g. ``N * T`` for a unit-diagonal covariance kernel).
@@ -284,20 +278,20 @@ def report_metrics(source, rep, trace_ref: float | None = None) -> dict[str, flo
         ``relerr_trace`` (kinds with ``trace()``) and ``storage_ratio``:
         ``rep.stored_scalars()`` over ``rep.distinct_scalars()`` on kinds
         with it, else over the source's ``nnz`` (nonzero values, a sparse
-        matrix's duplicates added first, ``sum_k eta_k nnz(B_k)`` for blocks).
+        matrix's duplicates added first, ``sum_k eta_k nnz(B_k)`` for blocks or rows).
 
     Raises:
         ShapeError: If the source's shape differs from the representation's.
     """
     metrics: dict[str, float] = {}
-    given, blocks = source if isinstance(source, tuple) else (source, None)  # matrix or pattern
+    given, *held = source if isinstance(source, tuple) else (source,)  # then what was verified
     matrix = None if isinstance(given, BlockPattern) else given
     if given is not None and given.shape != rep.shape:
         raise ShapeError(f"matrix shape {given.shape} != representation shape {rep.shape}")
 
     nnz = 0
-    if blocks is not None:
-        nnz = sum(eta * np.count_nonzero(b) for eta, b in zip(given.counts, blocks))
+    if held:  # the blocks, or the mode-2 rows, whose support holds every nonzero of a block
+        nnz = sum(eta * np.count_nonzero(b) for eta, b in zip(given.counts, held[0]))
     elif matrix is not None:  # a copy: counting sums a sparse matrix's duplicates in place
         sparse = scipy.sparse.issparse(matrix)
         nnz = matrix.tocsr(copy=True).count_nonzero() if sparse else np.count_nonzero(matrix)
@@ -306,8 +300,9 @@ def report_metrics(source, rep, trace_ref: float | None = None) -> dict[str, flo
     elif nnz:
         metrics["storage_ratio"] = rep.stored_scalars() / nnz
     if nnz:
-        metrics["relerr_fro"] = (error_fro(matrix, rep) if blocks is None
-                                 else class_error_fro(given, blocks, rep))
+        metrics["relerr_fro"] = (rows_error_fro(*held) if len(held) == 2 else
+                                 class_error_fro(given, *held, rep) if held else
+                                 error_fro(matrix, rep))
 
     if hasattr(rep, "trace"):
         if trace_ref is None and matrix is not None:

@@ -44,18 +44,9 @@ import scipy.sparse
 from .errors import PatternMismatchError, ShapeError
 from .tensor import scale_exponent
 
-__all__ = [
-    "BlockPattern",
-    "build_pattern",
-    "detect_pattern",
-    "struct_assemble",
-    "struct_expand",
-    "extract_blocks",
-    "mat_to_tensor",
-    "blocks_to_tensor",
-    "tensor_to_mat",
-    "DENSIFY_LIMIT",
-]
+__all__ = ["BlockPattern", "build_pattern", "detect_pattern", "struct_assemble", "struct_expand",
+           "extract_blocks", "mat_to_tensor", "blocks_to_tensor", "blocks_to_rows", "extract_rows",
+           "tensor_to_mat", "DENSIFY_LIMIT"]
 
 DENSIFY_LIMIT = 10**8  # refuse to build dense matrices beyond this many entries
 _DENSE_FILL = 4  # the densest class grid still multiplied dense, in blocks per claimed cell
@@ -327,24 +318,14 @@ class _SparseCells:
 
     def __init__(self, a, ell: int, q: int, m: int, n: int) -> None:
         self.ell, self.q, self.m, self.n = ell, q, m, n
-        coo = a.tocoo()
-        flat = coo.row.astype(np.int64) * (q * n) + coo.col
-        values = np.asarray(coo.data, dtype=np.float64)
-        # duplicates add up in storage order, as toarray() adds them
-        order = np.argsort(flat, kind="stable")
-        flat, values = flat[order], values[order]
-        first = np.flatnonzero(np.diff(flat, prepend=-1))
-        if len(first) < len(flat):
-            flat, values = flat[first], np.add.reduceat(values, first)
-        keep = values.view(np.uint64) != 0  # a stored +0.0 is no entry; -0.0 is one
-        rows, cols = np.divmod(flat[keep], q * n)
+        rows, cols, values = _stored_entries(a, q * n)
         self.ids, slot = np.unique((rows // m) * q + cols // n, return_inverse=True)
         size = len(self.ids) * m * n
         if size > DENSIFY_LIMIT:
             raise ShapeError(f"the {len(self.ids)} nonzero {m} x {n} cells would hold "
                              f"{size} entries (limit {DENSIFY_LIMIT})")
         self.stack = np.zeros((len(self.ids), m, n))
-        self.stack[slot, rows % m, cols % n] = values[keep]
+        self.stack[slot, rows % m, cols % n] = values
 
     def present(self, rows) -> np.ndarray:
         mask = np.zeros(self.ell * self.q, dtype=bool)
@@ -366,6 +347,23 @@ class _SparseCells:
 
     def scale_exponent(self) -> int:
         return scale_exponent(self.stack)
+
+
+def _stored_entries(a, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, cols, values)`` of the entries of a scipy sparse matrix ``width`` columns wide,
+    row-major: duplicates add up in storage order, as ``toarray()`` adds them, and a stored
+    ``+0.0`` is no entry (``-0.0`` is one)."""
+    coo = a.tocoo()
+    flat = coo.row.astype(np.int64) * width + coo.col
+    values = np.asarray(coo.data, dtype=np.float64)
+    if np.any(flat[1:] <= flat[:-1]):  # else row-major with no duplicate, as canonical CSR is
+        order = np.argsort(flat, kind="stable")
+        flat, values = flat[order], values[order]
+        first = np.flatnonzero(np.diff(flat, prepend=-1))
+        if len(first) < len(flat):
+            flat, values = flat[first], np.add.reduceat(values, first)
+    keep = values.view(np.uint64) != 0
+    return (*np.divmod(flat[keep], width), values[keep])
 
 
 def _cells(a, ell: int, q: int, m: int, n: int):
@@ -483,7 +481,7 @@ def detect_pattern(a, m: int, n: int,
     order = np.argsort(klass, kind="stable")
     at, klass = np.column_stack(np.divmod(ids[order], q)), klass[order]
     pattern = BlockPattern(ell, q, m, n, at, klass, _classify(at, klass, ell, q))
-    _check_finite(pattern, reps)
+    _check_finite(pattern, np.flatnonzero(~np.isfinite(reps).all(axis=(1, 2))))
     return pattern, tuple(reps)
 
 
@@ -635,7 +633,7 @@ def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarr
     table = pattern.cells[:, 0] * pattern.q + pattern.cells[:, 1]
     first = table[np.cumsum([0, *pattern.counts])[:-1]]  # the first copies: the representatives
     reps = cells.take(first)
-    _check_finite(pattern, reps)
+    _check_finite(pattern, np.flatnonzero(~np.isfinite(reps).all(axis=(1, 2))))
     later = np.isin(ids, first, invert=True, kind="table")
     ids, klass = ids[later], klass[later]
 
@@ -648,26 +646,81 @@ def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarr
         stack[:claimed] -= reps[k[:claimed]]
         return np.max(np.abs(stack, out=stack), axis=(1, 2)) <= tol  # a NaN is bad too
 
-    bad = ids[~_per_cell(cells, ids, agrees)]
-    if bad.size:
-        hit = np.flatnonzero(np.isin(table, bad))  # the claimed bad cells, in table order
-        if hit.size:
-            (i, j), k = pattern.cells[hit[0]], pattern.klass[hit[0]]
-            raise PatternMismatchError(f"class {k + 1}: block at grid cell ({i + 1}, {j + 1}) "
-                                       "differs from its representative")
-        i, j = divmod(int(bad[0]), pattern.q)
-        raise PatternMismatchError(f"grid cell ({i + 1}, {j + 1}) is outside every class "
-                                   "but not zero")
+    _refuse(pattern, ids[~_per_cell(cells, ids, agrees)])
     return tuple(reps)
 
 
-def _check_finite(pattern: BlockPattern, reps) -> None:
-    """Refuse a representative, its class's first cell, holding a NaN or an infinity."""
-    bad = np.flatnonzero(~np.isfinite(reps).all(axis=(1, 2)))
-    if bad.size:
-        i, j = pattern.placements[bad[0]][0]
-        raise PatternMismatchError(f"class {bad[0] + 1}: block at grid cell ({i + 1}, {j + 1}) "
+def _refuse(pattern: BlockPattern, bad: np.ndarray) -> None:
+    """Refuse the first of the flat ids ``bad`` in table order, else (no class claims any)
+    the first row-major: the cells that fail :func:`extract_blocks`'s check."""
+    if not bad.size:
+        return
+    hit = np.flatnonzero(np.isin(pattern.cells[:, 0] * pattern.q + pattern.cells[:, 1], bad))
+    if hit.size:
+        (i, j), k = pattern.cells[hit[0]], pattern.klass[hit[0]]
+        raise PatternMismatchError(f"class {k + 1}: block at grid cell ({i + 1}, {j + 1}) "
+                                   "differs from its representative")
+    i, j = divmod(int(np.min(bad)), pattern.q)
+    raise PatternMismatchError(f"grid cell ({i + 1}, {j + 1}) is outside every class but not zero")
+
+
+def _check_finite(pattern: BlockPattern, bad) -> None:
+    """Refuse the lowest of the classes ``bad``, whose representative (the class's first cell)
+    holds a NaN or an infinity."""
+    if len(bad):
+        k = int(np.min(bad))
+        i, j = pattern.placements[k][0]
+        raise PatternMismatchError(f"class {k + 1}: block at grid cell ({i + 1}, {j + 1}) "
                                    "is not finite")
+
+
+def blocks_to_rows(pattern: BlockPattern, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """``(support, rows)``: the mode-2 unfolding of :func:`blocks_to_tensor` on its columns
+    holding a nonzero value.  ``support`` lists them ascending as in-block positions
+    ``l * m + i`` (the unfolding's column order), and row ``k`` of the ``p x len(support)``
+    ``rows`` holds ``sqrt(eta_k) blocks[k]`` there."""
+    b = np.asarray(blocks, dtype=np.float64).reshape(pattern.p, pattern.m, pattern.n)
+    cols, i = np.nonzero(np.any(b != 0, axis=0).T)
+    return cols * pattern.m + i, b[:, i, cols] * np.sqrt(pattern.counts)[:, None]
+
+
+def extract_rows(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`blocks_to_rows` of :func:`extract_blocks`, which it raises alike.  A scipy sparse
+    ``a`` at ``tol == 0`` is read from its stored entries alone, with every check of
+    :func:`extract_blocks` made and the same first bad cell refused.  No cell is scattered:
+    only a block, or the ``p x len(support)`` rows, beyond ``DENSIFY_LIMIT`` entries is refused."""
+    if tol or not scipy.sparse.issparse(a):
+        return blocks_to_rows(pattern, extract_blocks(a, pattern, tol))
+    if a.shape != pattern.shape:
+        raise ShapeError(f"matrix shape {a.shape} != pattern shape {pattern.shape}")
+    m, n, q = pattern.m, pattern.n, pattern.q
+    _check_dense_size(m, n)  # the support mask below spans a block
+    rows, cols, values = _stored_entries(a, q * n)
+    (bi, i), (bj, j) = np.divmod(rows, m), np.divmod(cols, n)
+    cell, pos, nz = bi * q + bj, j * m + i, values != 0  # -0.0 equals an absent entry
+    grid = pattern.class_of.ravel()  # the class of each cell, -1 where none claims it
+    first = pattern.cells[np.cumsum([0, *pattern.counts])[:-1]] @ np.array([q, 1])
+    klass, rep = grid[cell], np.isin(cell, first, kind="table")  # first: the representatives
+    _check_finite(pattern, klass[rep & ~np.isfinite(values)])
+    key, held, later = klass * (m * n) + pos, rep & nz, nz & (klass >= 0) & ~rep
+    order = np.argsort(key[held])
+    rkey, rval = (np.append(x[held][order], end) for x, end in ((key, -1), (values, 0.0)))
+    near = np.searchsorted(rkey[:-1], key[later])  # a key the representative lacks may meet -1
+    same = (rkey[near] == key[later]) & (rval[near] == values[later])  # NaN differs
+    need = np.append(np.bincount(klass[held], minlength=pattern.p), 0)[grid]  # entries a copy holds
+    wrong = np.bincount(cell[later][same], minlength=grid.size) != need
+    wrong |= np.bincount(cell[later], minlength=grid.size) != need
+    wrong[first] = False
+    _refuse(pattern, np.concatenate([np.flatnonzero(wrong), cell[nz & (klass < 0)]]))
+    mask = np.zeros(m * n, dtype=bool)  # a position holding only -0.0 is outside the support
+    mask[pos[held]] = True
+    support = np.flatnonzero(mask)
+    _check_dense_size(pattern.p, len(support))
+    rep &= mask[pos]
+    mat = np.zeros((pattern.p, len(support)))
+    mat[klass[rep], np.searchsorted(support, pos[rep])] = (
+        values[rep] * np.sqrt(pattern.counts)[klass[rep]])
+    return support, mat
 
 
 def blocks_to_tensor(pattern: BlockPattern, blocks) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 The pipeline behind ``compress`` is: resolve the block pattern (detected, or
 named via ``--pattern``) and the blocks it verifies, map them to the weighted
-tensor, factor it (HOSVD, single-mode Tucker, CP, or the definiteness-preserving
-paths), and serialize the structured representation to a container file.
+tensor, factor it (HOSVD, CP, or the definiteness-preserving paths; an exact
+mode2 factors the verified mode-2 rows on their support instead, with no tensor),
+and serialize the structured representation to a container file.
 
 Flags check their values as they are parsed, and ``_check_flags`` refuses every
 combination a command does not take, before any input is read.  Every reported
@@ -24,9 +25,10 @@ from collections import Counter
 import numpy as np
 
 from .apps import report_metrics
-from .blocks import blocks_to_tensor, build_pattern, detect_pattern, extract_blocks
+from .blocks import (blocks_to_rows, blocks_to_tensor, build_pattern, detect_pattern,
+                     extract_blocks, extract_rows)
 from .container import container_read, container_write
-from .decomp import TuckerRep, cp_als, hosvd, randomized_mode_basis, tucker_partial
+from .decomp import TuckerRep, cp_als, hosvd, mode2_tucker, randomized_mode_basis
 from .errors import (
     ContainerFormatError,
     ConvergenceError,
@@ -182,24 +184,33 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _resolve_pattern(a, args):
-    """``(pattern, blocks)``: the pattern of ``a``, detected or named by
-    ``--pattern``, and the blocks verified against it within ``--detect-tol``."""
+def _resolve_pattern(a, args, rows: bool = False):
+    """``(pattern, blocks)``: the pattern of ``a``, detected or named by ``--pattern``, and the
+    blocks verified against it within ``--detect-tol``; with ``rows``, their ``(support, rows)``
+    (:func:`extract_rows`: under a named pattern, a coordinate file's entries give them)."""
     m, n = args.block_rows, args.block_cols
     if args.pattern == "auto":
-        return detect_pattern(a, m, n, tol=args.detect_tol)
+        pattern, blocks = detect_pattern(a, m, n, tol=args.detect_tol)
+        return pattern, blocks_to_rows(pattern, blocks) if rows else blocks
     if a.shape[0] % m or a.shape[1] % n:
         raise ShapeError(f"matrix {a.shape} is not tiled by {m} x {n} blocks")
     pattern = build_pattern(
         args.pattern, a.shape[0] // m, a.shape[1] // n, m, n,
         band=args.band, block_symmetric=args.symmetric,
     )
-    return pattern, extract_blocks(a, pattern, tol=args.detect_tol)
+    return pattern, (extract_rows if rows else extract_blocks)(a, pattern, tol=args.detect_tol)
 
 
-def _tucker_for(args, t):
-    """The Tucker factorization of ``t`` the flags ask for, and the ranks of
-    its compressed modes (all three for hosvd, mode 2 for mode2)."""
+def _tucker_for(args, pattern, held, rows: bool):
+    """The Tucker factorization the flags ask for, and the ranks of its compressed modes (all
+    three for hosvd, mode 2 for mode2): with ``rows`` (an exact mode2), of the mode-2 rows
+    ``held`` on their support (:func:`mode2_tucker`, no tensor), else of the tensor of the
+    blocks ``held``."""
+    if rows:
+        tk = mode2_tucker(*held, pattern.m, pattern.n, min(args.rank or pattern.p, pattern.p),
+                          None if args.tol is None else args.tol * fro_norm(held[1]))
+        return tk, [tk.ranks[1]]
+    t = blocks_to_tensor(pattern, held)
     modes = (1, 2, 3) if args.method == "hosvd" else (2,)
     # --rank is clipped to each extent; under --tol the extents are caps, and
     # the budget picks each rank from the spectrum that also yields the basis
@@ -213,8 +224,7 @@ def _tucker_for(args, t):
         # each mode's tail gets an equal share of the squared budget
         # (eps * ||T||_F)^2, passed as a norm; ||T|| = ||A|| for a conforming matrix
         budget = None if args.tol is None else args.tol * fro_norm(t) / np.sqrt(len(modes))
-        tk = (hosvd(t, caps, tail_budget=budget) if args.method == "hosvd"
-              else tucker_partial(t, [None, caps[0], None], tail_budget=budget))
+        tk = hosvd(t, caps, tail_budget=budget)
     return tk, [tk.ranks[k - 1] for k in modes]
 
 
@@ -254,15 +264,16 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_compress(args) -> int:
     """Factor the matrix, write the container and print its certificate: from the verified
-    blocks (the matrix only for its trace), unless ``--detect-tol`` is positive."""
+    blocks or mode-2 rows (the matrix only for its trace), unless ``--detect-tol`` is positive."""
     a = read_matrix(args.input)
-    pattern, blocks = _resolve_pattern(a, args)
+    rows = args.method == "mode2" and not args.randomized  # the route with no tensor
+    pattern, held = _resolve_pattern(a, args, rows)
     if args.method in ("hosvd", "mode2"):
-        tk, ranks = _tucker_for(args, blocks_to_tensor(pattern, blocks))
+        tk, ranks = _tucker_for(args, pattern, held, rows)
         rep = (blr_from_tucker(tk, pattern) if args.output == "blr"
                else kron_sum_from_tucker(tk, pattern))
     elif args.method == "cp":
-        result = cp_als(blocks_to_tensor(pattern, blocks), args.rank)
+        result = cp_als(blocks_to_tensor(pattern, held), args.rank)
         ranks = [args.rank]
         print(f"cp_fit: {result.fit!r}")
         print(f"cp_iterations: {result.n_iters}")
@@ -271,7 +282,7 @@ def _cmd_compress(args) -> int:
                else kron_sum_from_kruskal(result.rep, pattern))
     else:  # spsd / spd; the rank is the form's (0 when nothing is left to project)
         compress = spsd_compress_blocks if args.method == "spsd" else spd_compress_blocks
-        rep = compress(pattern, blocks, args.rank)
+        rep = compress(pattern, held, args.rank)
         ranks = [rep.rank]
 
     container_write(args.output_file, rep, seed=args.seed, ranks=ranks)
@@ -280,7 +291,8 @@ def _cmd_compress(args) -> int:
     print("ranks: " + ",".join(str(r) for r in ranks))
     if hasattr(rep, "n_terms"):
         print(f"terms: {rep.n_terms}")
-    _print_metrics(report_metrics(a if args.detect_tol else (pattern, blocks), rep,
+    source = (pattern, held[1], tk.factors[1]) if rows else (pattern, held)
+    _print_metrics(report_metrics(a if args.detect_tol else source, rep,
                                   trace_ref=float(a.diagonal().sum())))
     return 0
 

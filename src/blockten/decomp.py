@@ -27,22 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import _check_dense_size
 from .errors import ConvergenceError, NotPositiveDefiniteError, ShapeError
 from .tensor import fro_norm, in_normal_range, mode_multiply, scale_exponent, unfold
 
-__all__ = [
-    "TuckerRep",
-    "KruskalRep",
-    "CpResult",
-    "svd_truncated",
-    "tail_rank",
-    "qr_thin",
-    "cholesky",
-    "hosvd",
-    "tucker_partial",
-    "cp_als",
-    "randomized_mode_basis",
-]
+__all__ = ["TuckerRep", "KruskalRep", "CpResult", "svd_truncated", "tail_rank", "qr_thin",
+           "cholesky", "hosvd", "tucker_partial", "mode2_tucker", "cp_als", "randomized_mode_basis"]
 
 _CP_FALLBACK_SEED = 0  # fixed seed for random init columns when r exceeds an extent
 # cp_als trusts its Gram-matrix residual^2 only above this share of the
@@ -251,7 +241,8 @@ def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np
     tail_budget))`` vectors, the rank the exact spectrum picks.
 
     All-zero columns (a sparse block support leaves many) are dropped first, unless
-    every column is zero: they change neither the basis nor the residual.
+    every column is zero: they change neither the basis nor the residual.  Rows kept on
+    their support (:func:`mode2_tucker`) have none, and are factored as they are.
 
     Raises:
         ConvergenceError: If the SVD fails (for example on NaN entries).
@@ -358,6 +349,23 @@ def tucker_partial(t: np.ndarray, ranks: list[int | None] | tuple[int | None, ..
     ints are caps: mode ``k`` keeps ``min(ranks[k], tail_rank(sv_k,
     tail_budget))`` vectors, ``sv_k`` the spectrum of its unfolding."""
     return _tucker(t, ranks, tail_budget)
+
+
+def mode2_tucker(support: np.ndarray, rows: np.ndarray, m: int, n: int, r: int,
+                 tail_budget: float | None = None) -> TuckerRep:
+    """``tucker_partial(t, [None, r, None], tail_budget)`` of the ``m x p x n`` ``t`` whose
+    mode-2 unfolding holds ``rows`` on the columns ``support`` and zeros elsewhere
+    (``blocks.blocks_to_rows``), without ``t``: ``V`` is the basis of ``rows`` (that of a zero
+    unfolding if there is no support), the core ``V^T rows`` scattered onto the support.  An
+    ``r`` out of range, or a core beyond ``DENSIFY_LIMIT`` entries, raises ShapeError."""
+    if not 1 <= r <= len(rows):
+        raise ShapeError(f"mode-2 rank {r} out of range for extent {len(rows)}")
+    v = (_mode_basis(rows, r, tail_budget) if rows.size
+         else np.eye(len(rows), r if tail_budget is None else 1))
+    _check_dense_size(v.shape[1], m * n)  # the core, and the terms a form makes of it
+    core = np.zeros((v.shape[1], n * m))
+    core[:, support] = v.T @ rows
+    return TuckerRep(core.reshape(-1, n, m).transpose(2, 0, 1), (None, v, None))
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,6 @@ file could not even be parsed" exits 2, shape/pattern disagreements exit 3,
 and numerical failures (indefiniteness, non-convergence) exit 4.
 """
 
-from __future__ import annotations
-
 
 class ShapeError(ValueError):
     """Dimensions, ranks, or extents are inconsistent with the operation."""

@@ -42,19 +42,9 @@ from .decomp import KruskalRep, TuckerRep, qr_thin
 from .errors import ShapeError
 from .tensor import in_normal_range, scale_exponent
 
-__all__ = [
-    "KronSumRep",
-    "BlockLowRankRep",
-    "FlopCounter",
-    "kron_sum_from_tucker",
-    "kron_sum_from_kruskal",
-    "blr_from_tucker",
-    "blr_from_kruskal",
-    "matvec",
-    "densify",
-    "error_fro",
-    "class_error_fro",
-]
+__all__ = ["KronSumRep", "BlockLowRankRep", "FlopCounter", "kron_sum_from_tucker",
+           "kron_sum_from_kruskal", "blr_from_tucker", "blr_from_kruskal", "matvec", "densify",
+           "error_fro", "class_error_fro", "rows_error_fro"]
 
 
 class FlopCounter:
@@ -359,6 +349,15 @@ def class_error_fro(pattern: BlockPattern, blocks, rep) -> float:
         return base, resid
 
     return _relative(squares, lambda: scale_exponent(np.asarray(blocks)))  # a zero block's is 0
+
+
+def rows_error_fro(rows: np.ndarray, basis: np.ndarray) -> float:
+    """``||M - V V^T M|| / ||M||`` of the verified mode-2 rows ``M`` on their support
+    (``blocks.blocks_to_rows``) and a basis ``V``: by the isometry, the error of a form
+    holding ``V V^T M`` there, both norms summed as nonnegative squares."""
+    pair = (rows, rows - basis @ (basis.T @ rows))
+    return _relative(lambda e: [np.vdot(x, x) for x in (np.ldexp(y, -e) for y in pair)],
+                     lambda: scale_exponent(rows))
 
 
 def _relative(squares, exponent) -> float:

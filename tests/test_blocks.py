@@ -13,9 +13,12 @@ from hypothesis import strategies as st
 from blockten import blocks as block_maps
 from blockten.blocks import (
     BlockPattern,
+    blocks_to_rows,
+    blocks_to_tensor,
     build_pattern,
     detect_pattern,
     extract_blocks,
+    extract_rows,
     mat_to_tensor,
     struct_assemble,
     struct_expand,
@@ -25,7 +28,7 @@ from blockten.decomp import tucker_partial
 from blockten.errors import PatternMismatchError, ShapeError
 from blockten.psd import spsd_compress
 from blockten.reconstruct import error_fro, kron_sum_from_tucker
-from blockten.tensor import fro_norm
+from blockten.tensor import fro_norm, unfold
 
 from helpers import (PATTERN_KINDS, classify_placements, placement_matrix, random_blocks,
                      random_pattern, struct_scalars)
@@ -564,3 +567,127 @@ def test_block_maps_allocate_nothing_the_size_of_a_dense_matrix():
         finally:
             tracemalloc.stop()
         assert peak < a.nbytes / 4, f"{fn.__name__}: peak {peak} of {a.nbytes}"
+
+
+# ---------------------------------------------------------------------------
+# the mode-2 rows on their support, from the blocks or from stored entries
+# ---------------------------------------------------------------------------
+
+
+def stored_forms(rng, a: np.ndarray) -> dict:
+    """``a`` dense, and as sparse matrices holding the same values: a CSR storing every entry
+    with a nonzero bit (``-0.0`` too), a COO whose duplicates add up to it (two halves of every
+    entry, and pairs cancelling to ``+0.0`` at zeros), and a CSR storing explicit ``+0.0``."""
+    rows, cols = np.nonzero(a.view(np.uint64))
+    zr, zc = np.nonzero(a.view(np.uint64) == 0)
+    pick = rng.random(zr.size) < 0.3
+    zr, zc, c = zr[pick], zc[pick], rng.standard_normal(np.count_nonzero(pick))
+    half = a[rows, cols] / 2  # adds back exactly: no test value is subnormal
+    dup = scipy.sparse.coo_matrix((np.concatenate([half, c, half, -c]),
+                                   (np.concatenate([rows, zr, rows, zr]),
+                                    np.concatenate([cols, zc, cols, zc]))), shape=a.shape)
+    zeros = scipy.sparse.csr_matrix((np.concatenate([a[rows, cols], np.zeros(zr.size)]),
+                                     (np.concatenate([rows, zr]), np.concatenate([cols, zc]))),
+                                    shape=a.shape)
+    assert zeros.nnz == rows.size + zr.size and dup.nnz == 2 * (rows.size + zr.size)
+    return {"dense": a, "csr": sparse_copies(a)[0], "coo_cancelling": dup, "stored_zeros": zeros}
+
+
+def rows_outcome(fn, *args):
+    """:func:`outcome` with the ``(support, rows)`` pair as bytes, ``-0.0`` told apart."""
+    got = outcome(fn, *args)
+    return got if isinstance(got, str) else (got[0].tolist(), got[1].shape, got[1].tobytes())
+
+
+_MUTATIONS = ("none", "later_differs", "later_misses", "later_signed_zero", "rep_signed_zero",
+              "unclaimed", "rep_nan", "rep_inf", "later_nan", "later_-inf")
+
+
+@settings(max_examples=120, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS),
+       mutation=st.sampled_from(_MUTATIONS))
+def test_rows_from_stored_entries_verify_as_extract_blocks(seed, kind, mutation):
+    rng = np.random.default_rng(seed)
+    pat = random_pattern(rng, kind)
+    a = signed_zero_matrix(rng, pat)
+    view = a.reshape(pat.ell, pat.m, pat.q, pat.n)
+    reps = [c[0] for c in pat.placements]
+    later = [(k, c) for k, cells in enumerate(pat.placements) for c in cells[1:]]
+    (i, j), e = reps[rng.integers(pat.p)], (rng.integers(pat.m), rng.integers(pat.n))
+    if mutation.startswith("later"):
+        if not later:
+            return
+        k, (i, j) = later[rng.integers(len(later))]
+        held = np.argwhere(view[reps[k][0], :, reps[k][1], :] != 0)
+        if mutation == "later_misses" and held.size:
+            e = tuple(held[rng.integers(len(held))])
+    if mutation == "unclaimed":
+        free = np.argwhere(pat.class_of < 0)
+        if not free.size:
+            return
+        i, j = free[rng.integers(len(free))]
+    value = {"later_differs": view[i, e[0], j, e[1]] + 1.0, "later_misses": 0.0,
+             "unclaimed": 1.0, "rep_nan": np.nan, "later_nan": np.nan, "rep_inf": np.inf,
+             "later_-inf": -np.inf}.get(mutation)
+    if mutation.endswith("signed_zero"):  # a -0.0 where the other copies hold zero, or +0.0
+        view[i, :, j, :][view[i, :, j, :] == 0] = -0.0 if mutation == "later_signed_zero" else 0.0
+    elif value is not None:
+        view[i, e[0], j, e[1]] = value
+    for name, form in stored_forms(rng, a).items():
+        blocks = outcome(extract_blocks, form, pat)
+        want = blocks if isinstance(blocks, str) else rows_outcome(blocks_to_rows, pat, blocks)
+        assert rows_outcome(extract_rows, form, pat) == want, (name, mutation)
+    if mutation in ("later_differs", "later_misses", "unclaimed", "later_nan", "later_-inf"):
+        assert isinstance(want, str) or mutation == "later_misses" and not held.size
+
+
+def test_rows_refuse_what_extraction_refuses_with_its_message():
+    pat = build_pattern("toeplitz", 3, 3, 2, 2, band=1)
+    a = struct_assemble(pat, random_blocks(np.random.default_rng(40), pat))
+    cases = {(2, 2): "class 1: block at grid cell (2, 2) differs from its representative",
+             (0, 4): "grid cell (1, 3) is outside every class but not zero",
+             (2, 0): "class 2: block at grid cell (2, 1) is not finite"}
+    for (r, c), message in cases.items():
+        bad = a.copy()
+        bad[r, c] = np.nan if "finite" in message else bad[r, c] + 1.0
+        for m in (bad, *sparse_copies(bad)):
+            with pytest.raises(PatternMismatchError) as err:
+                extract_rows(m, pat)
+            assert str(err.value) == message
+    with pytest.raises(ShapeError, match="matrix shape"):
+        extract_rows(scipy.sparse.csr_matrix(a[:-2]), pat)
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_rows_are_the_mode2_unfolding_on_its_support(kind):
+    rng = np.random.default_rng(41)
+    pat = random_pattern(rng, kind)
+    blocks = extract_blocks(signed_zero_matrix(rng, pat), pat)
+    support, rows = blocks_to_rows(pat, blocks)
+    full = unfold(blocks_to_tensor(pat, blocks), 2)
+    assert np.array_equal(support, np.flatnonzero(full.any(axis=0)))
+    assert rows.tobytes() == full[:, support].tobytes()  # -0.0 kept where the support holds it
+    assert not np.delete(full, support, axis=1).any()
+
+
+def test_rows_from_stored_entries_build_no_cell_stack(monkeypatch):
+    # one class per cell of a 10 x 10 banded grid of 400 x 400 blocks sharing a tridiagonal
+    # support: 28 classes, 1198 support columns out of 160000
+    pat = build_pattern("banded", 10, 10, 400, 400, band=1)
+    rng = np.random.default_rng(42)
+    grid = [[None] * pat.q for _ in range(pat.ell)]
+    for i, j in pat.cells:
+        grid[i][j] = scipy.sparse.diags([rng.standard_normal(400 - abs(d)) for d in (-1, 0, 1)],
+                                        [-1, 0, 1])
+    a = scipy.sparse.bmat(grid, format="csr")
+    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", 10**6)  # below the 28 cells' 4480000 entries
+    with pytest.raises(ShapeError, match="28 nonzero 400 x 400 cells would hold 4480000"):
+        extract_blocks(a, pat)
+    tracemalloc.start()
+    try:
+        support, rows = extract_rows(a, pat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (pat.p, support.size) == (28, 1198)
+    assert peak < pat.p * pat.m * pat.n * 8 / 4, peak  # a quarter of the stack of the blocks

@@ -17,13 +17,16 @@ from scipy.ndimage import convolve
 from blockten import apps, cli
 from blockten import blocks as block_maps
 from blockten import psd
-from blockten.blocks import build_pattern, struct_assemble
+from blockten import decomp
+from blockten.blocks import (blocks_to_tensor, build_pattern, detect_pattern, extract_blocks,
+                             struct_assemble)
 from blockten.cli import main
 from blockten.container import container_read, container_write
-from blockten.decomp import hosvd
+from blockten.decomp import hosvd, tucker_partial
 from blockten.errors import ContainerFormatError
 from blockten.multilevel import MultilevelPattern, MultilevelTuckerRep, psf_weighted_tensor
-from blockten.reconstruct import KronSumRep
+from blockten.reconstruct import KronSumRep, blr_from_tucker, kron_sum_from_tucker
+from blockten.tensor import fro_norm
 from blockten.fileio import read_matrix, read_vector, write_matrix, write_vector
 from blockten.blocks import DENSIFY_LIMIT
 
@@ -663,6 +666,151 @@ def test_compress_at_tol_zero_reads_the_matrix_once(toep, certified_matrix, tmp_
                                  "--block-rows", extent, "--block-cols", extent, *flags)
         assert code == 0, (flags, err)
         assert {"relerr_fro", "storage_ratio"} <= kv(out).keys()
+
+
+# compress --method mode2 factors the verified mode-2 rows on their support; the tensor path
+# it replaced, tucker_partial on the tensor of the verified blocks, is its oracle
+
+@pytest.fixture(scope="module")
+def mode2_matrix(tmp_path_factory):
+    """A 6 x 6 block-Toeplitz matrix of band 2 whose 5 x 5 blocks share a random support; the
+    +2 diagonal's block is zero, so a named pattern has a class that holds only zeros."""
+    rng = np.random.default_rng(120)
+    pat = build_pattern("toeplitz", 6, 6, 5, 5, band=2)
+    mask = rng.random((5, 5)) < 0.6
+    blocks = [rng.standard_normal((5, 5)) * mask for _ in range(pat.p)]
+    blocks[-1][:] = 0.0
+    a = struct_assemble(pat, blocks)
+    root = tmp_path_factory.mktemp("mode2")
+    paths = {"array": root / "array.mtx", "coordinate": root / "coordinate.mtx"}
+    write_matrix(paths["array"], a)
+    write_matrix(paths["coordinate"], scipy.sparse.csr_matrix(a))
+    return a, paths
+
+
+def tensor_path(a, named: bool, rank, tol, output):
+    """The form the parent's path writes: tucker_partial on the tensor of the verified blocks."""
+    if named:
+        pattern = build_pattern("toeplitz", 6, 6, 5, 5, band=2)
+        blocks = extract_blocks(a, pattern)
+    else:
+        pattern, blocks = detect_pattern(a, 5, 5)
+    t = blocks_to_tensor(pattern, blocks)
+    tk = tucker_partial(t, [None, min(rank or pattern.p, pattern.p), None],
+                        None if tol is None else tol * fro_norm(t))
+    return (blr_from_tucker if output == "blr" else kron_sum_from_tucker)(tk, pattern)
+
+
+def close(got, want):
+    return fro_norm(got - want) <= 1e-12 * fro_norm(want)
+
+
+@pytest.mark.parametrize("fmt", ["array", "coordinate"])
+@pytest.mark.parametrize("named", [True, False], ids=["toeplitz", "auto"])
+@pytest.mark.parametrize("select", [("--rank", "2"), ("--tol", "0.6")], ids=" ".join)
+@pytest.mark.parametrize("output", ["kron_sum", "blr"])
+def test_mode2_matches_the_tensor_path(mode2_matrix, tmp_path, capsys, fmt, named, select,
+                                       output):
+    a, paths = mode2_matrix
+    out_c = tmp_path / "c.btc"
+    pattern = ("--pattern", "toeplitz", "--band", "2") if named else ()
+    code, out, err = run_cli(capsys, "compress", paths[fmt], "-o", out_c, "--block-rows", 5,
+                             "--block-cols", 5, "--method", "mode2", *select, *pattern,
+                             "--output", output)
+    assert code == 0, err
+    got = container_read(out_c)
+    want = tensor_path(a, named, int(select[1]) if select[0] == "--rank" else None,
+                       float(select[1]) if select[0] == "--tol" else None, output)
+    assert got.pattern == want.pattern
+    if output == "kron_sum":
+        assert np.array_equal(got.coeffs, want.coeffs)  # the same basis, bit for bit
+        assert close(got.terms, want.terms)
+        assert kv(out)["ranks"] == str(want.n_terms)
+    else:
+        assert np.array_equal(got.left, want.left) and np.array_equal(got.right, want.right)
+        assert close(got.middles, want.middles)
+    code, out_r, err = run_cli(capsys, "report", out_c, "--matrix", paths[fmt])
+    assert code == 0, err
+    relerr = float(kv(out)["relerr_fro"])
+    assert 1e-3 < relerr == pytest.approx(float(kv(out_r)["relerr_fro"]), rel=1e-12, abs=0)
+    assert kv(out)["storage_ratio"] == kv(out_r)["storage_ratio"]
+
+
+def test_mode2_on_a_coordinate_file_builds_no_cell_stack(tmp_path, capsys, monkeypatch):
+    # block-tridiagonal Toeplitz, 200 x 200 cells of 10 x 10 sparse blocks: the 598 nonzero
+    # cells' stack would hold 59800 entries
+    s, m = 200, 10
+    terms = [scipy.sparse.kron(scipy.sparse.eye(s, k=d),
+                               scipy.sparse.random(m, m, density=0.3, random_state=d + 5)
+                               + scipy.sparse.eye(m))
+             for d in (-1, 0, 1)]
+    path = tmp_path / "tri.mtx"
+    write_matrix(path, (terms[0] + terms[1] + terms[2]).tocsr())
+    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", 59800 - 1)
+    flags = ("--block-rows", m, "--block-cols", m, "--pattern", "toeplitz", "--band", 1,
+             "--rank", 2)
+    code, out, err = run_cli(capsys, "compress", path, "-o", tmp_path / "m.btc", *flags,
+                             "--method", "mode2")
+    assert code == 0, err
+    assert kv(out)["ranks"] == "2" and float(kv(out)["relerr_fro"]) > 0
+    code, _, err = run_cli(capsys, "compress", path, "-o", tmp_path / "h.btc", *flags,
+                           "--method", "hosvd")
+    assert code == 3 and "598 nonzero 10 x 10 cells would hold 59800 entries" in err
+
+
+@pytest.mark.parametrize("limit, refused", [(192, None), (191, 192), (149, 150), (63, 64)],
+                         ids=["holds", "core", "rows", "block"])
+def test_mode2_refuses_what_it_cannot_hold(tmp_path, capsys, monkeypatch, limit, refused):
+    # a 20 x 20 block-tridiagonal Toeplitz grid of 8 x 8 blocks sharing a 50-entry support:
+    # the rows hold 3 x 50 entries, a rank-3 core 3 x 64 and a block 64
+    rng = np.random.default_rng(121)
+    pat = build_pattern("toeplitz", 20, 20, 8, 8, band=1)
+    mask = np.zeros(64, dtype=bool)
+    mask[rng.permutation(64)[:50]] = True
+    blocks = [rng.standard_normal((8, 8)) * mask.reshape(8, 8) for _ in range(pat.p)]
+    path = tmp_path / "tri.mtx"
+    write_matrix(path, scipy.sparse.csr_matrix(struct_assemble(pat, blocks)))
+    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", limit)
+    code, _, err = run_cli(capsys, "compress", path, "-o", tmp_path / "m.btc", "--block-rows", 8,
+                           "--block-cols", 8, "--pattern", "toeplitz", "--band", 1, "--rank", 3,
+                           "--method", "mode2")
+    if refused is None:
+        assert code == 0, err
+    else:
+        assert code == 3 and f"dense result would hold {refused} entries (limit {limit})" in err
+
+
+@pytest.mark.parametrize("entries, select, want", [
+    ("", ("--rank", 2), "ranks: 2\nterms: 2\n"),  # no entry: no error and no ratio printed
+    ("", ("--tol", 0.1), "ranks: 1\nterms: 1\n"),
+    ("1 1 -0.0\n6 5 -0.0\n", ("--rank", 2), "ranks: 2\nterms: 2\n"),  # cells holding -0.0
+    ("1 1 -0.0\n3 3 2.5\n", ("--rank", 2),
+     "ranks: 2\nterms: 2\nrelerr_fro: 0.0\nstorage_ratio: 21.0\n"),  # classes holding zeros
+])
+def test_mode2_on_degenerate_input_prints_what_the_tensor_path_prints(
+        tmp_path, capsys, monkeypatch, entries, select, want):
+    path = tmp_path / "z.mtx"
+    count = entries.count("\n")
+    path.write_text(f"%%MatrixMarket matrix coordinate real general\n8 8 {count}\n{entries}")
+    basis = decomp._mode_basis
+
+    def nonempty_basis(mat, *args, **kwargs):
+        assert mat.shape[1] > 0, "an empty unfolding reached the basis kernel"
+        return basis(mat, *args, **kwargs)
+
+    monkeypatch.setattr(decomp, "_mode_basis", nonempty_basis)
+    code, out, err = run_cli(capsys, "compress", path, "-o", tmp_path / "z.btc",
+                             "--block-rows", 2, "--block-cols", 2, "--pattern", "banded",
+                             "--band", 1, "--method", "mode2", *select)
+    assert code == 0, err
+    assert out == "kind: KronSumRep\nmethod: mode2\n" + want
+    a = read_matrix(path)
+    pattern = build_pattern("banded", 4, 4, 2, 2, band=1)
+    t = blocks_to_tensor(pattern, extract_blocks(a, pattern))
+    rank, budget = (select[1], None) if select[0] == "--rank" else (pattern.p, 0.1 * fro_norm(t))
+    ref = kron_sum_from_tucker(tucker_partial(t, [None, rank, None], budget), pattern)
+    got = container_read(tmp_path / "z.btc")
+    assert np.array_equal(got.coeffs, ref.coeffs) and np.array_equal(got.terms, ref.terms)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from blockten.decomp import (
     cholesky,
     cp_als,
     hosvd,
+    mode2_tucker,
     qr_thin,
     randomized_mode_basis,
     svd_truncated,
@@ -25,7 +26,10 @@ from blockten.decomp import (
     tucker_partial,
 )
 from blockten.errors import ConvergenceError, NotPositiveDefiniteError, ShapeError
+from blockten.blocks import blocks_to_rows, blocks_to_tensor
 from blockten.tensor import fro_norm, mode_multiply, unfold
+
+from helpers import PATTERN_KINDS, random_blocks, random_pattern
 
 
 def test_svd_truncated_reconstructs_at_full_rank():
@@ -585,3 +589,53 @@ def test_mode_basis_factors_the_nonzero_columns_and_copies_nothing_else(monkeypa
     _mode_basis(_with_zero_columns(mat, rng, 60), 3)
     assert seen[0] is mat
     np.testing.assert_array_equal(seen[1], mat)
+
+
+def _sparse_blocks(rng, pat, zero_class=False):
+    """Random blocks on a shared random support, one class zeroed when asked."""
+    mask = rng.random((pat.m, pat.n)) < 0.5
+    blocks = [b * mask for b in random_blocks(rng, pat)]
+    if zero_class:
+        blocks[rng.integers(pat.p)][:] = 0.0
+    return blocks
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS), zero_class=st.booleans(),
+       tol=st.sampled_from([None, 0.0, 0.05, 0.5]))
+def test_mode2_on_rows_is_tucker_partial_on_the_tensor(seed, kind, zero_class, tol):
+    rng = np.random.default_rng(seed)
+    pat = random_pattern(rng, kind, max_grid=6, max_block=5)
+    blocks = _sparse_blocks(rng, pat, zero_class)
+    t = blocks_to_tensor(pat, blocks)
+    support, rows = blocks_to_rows(pat, blocks)
+    r = int(rng.integers(1, pat.p + 1))
+    budget = None if tol is None else tol * fro_norm(t)
+    want = tucker_partial(t, [None, r, None], budget)
+    got = mode2_tucker(support, rows, pat.m, pat.n, r, budget)
+    assert got.factors[0] is None and got.factors[2] is None
+    assert np.array_equal(got.factors[1], want.factors[1])  # the same basis, bit for bit
+    assert got.core.shape == want.core.shape
+    scale = max(fro_norm(want.core), 1e-300)
+    assert fro_norm(got.core - want.core) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("shape", [(6, 3, 4), (2, 9, 1)])  # wide and tall unfoldings
+@pytest.mark.parametrize("budget", [None, 0.0])
+def test_mode2_on_no_support_is_the_zero_unfoldings_basis(shape, budget, monkeypatch):
+    m, p, n = shape
+    want = tucker_partial(np.zeros(shape), [None, 2, None], budget)
+
+    def no_lapack(*_):
+        raise AssertionError("an empty unfolding reached the basis kernel")
+
+    monkeypatch.setattr("blockten.decomp._mode_basis", no_lapack)
+    got = mode2_tucker(np.zeros(0, dtype=np.int64), np.zeros((p, 0)), m, n, 2, budget)
+    assert np.array_equal(got.factors[1], want.factors[1])
+    assert got.core.tobytes() == want.core.tobytes()
+
+
+def test_mode2_on_rows_checks_its_rank():
+    with pytest.raises(ShapeError, match="mode-2 rank 4 out of range for extent 3"):
+        mode2_tucker(np.arange(2), np.ones((3, 2)), 1, 2, 4)
+
