@@ -9,7 +9,8 @@ size runs in a fresh interpreter, which times, in process, one
 
     blockten compress A.mtx --method mode2 --pattern banded --band 1 --rank 6
 
-from the read of the file to the write of the container, and prints:
+(``--pattern auto`` detects the pattern instead of naming it), from the read of
+the file to the write of the container, and prints:
 
 * ``compress_s`` -- its wall time, and ``max_rss_mb`` the process's own
   maximum resident set size after it (the matrix and the file included);
@@ -57,17 +58,18 @@ def grid_operator_csr(n: int, rng: np.random.Generator) -> scipy.sparse.csr_matr
     return (scipy.sparse.diags(kappa.ravel()) @ stencil).tocsr()
 
 
-def run(n: int, rank: int, repeats: int, seed: int) -> None:
+def run(n: int, rank: int, repeats: int, seed: int, pattern: str) -> None:
     a = grid_operator_csr(n, np.random.default_rng(seed))
     with tempfile.TemporaryDirectory() as tmp:
         matrix, form = os.path.join(tmp, "A.mtx"), os.path.join(tmp, "A.btc")
         fileio.write_matrix(matrix, a)
         out = io.StringIO()
         t0 = time.perf_counter()
+        named = ["--band", "1"] if pattern == "banded" else []
         with contextlib.redirect_stdout(out):
             code = cli.main(["compress", matrix, "-o", form, "--block-rows", str(n),
-                             "--block-cols", str(n), "--method", "mode2", "--pattern", "banded",
-                             "--band", "1", "--rank", str(rank)])
+                             "--block-cols", str(n), "--method", "mode2", "--pattern", pattern,
+                             *named, "--rank", str(rank)])
         seconds = time.perf_counter() - t0
         rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         if code:
@@ -91,18 +93,20 @@ def main() -> None:
     parser.add_argument("--rank", type=int, default=6, help="the mode-2 rank")
     parser.add_argument("--repeats", type=int, default=20, help="products timed per size")
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pattern", choices=("banded", "auto"), default="banded",
+                        help="name the banded pattern, or detect it")
     parser.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args()
     sizes = [int(tok) for tok in args.sizes.split(",")]
     if args.child:
-        run(sizes[0], args.rank, args.repeats, args.seed)
+        run(sizes[0], args.rank, args.repeats, args.seed, args.pattern)
         return
     print(f"{'n':>5} {'nnz':>9} {'compress_s':>11} {'max_rss_mb':>11} {'relerr_fro':>11}"
           f" {'csr_us':>9} {'form_us':>9} {'product_relerr':>15}", flush=True)
     for n in sizes:  # a fresh interpreter each, so the maximum RSS is that size's own
         subprocess.run([sys.executable, __file__, "--child", "--sizes", str(n),
                         "--rank", str(args.rank), "--repeats", str(args.repeats),
-                        "--seed", str(args.seed)], check=True)
+                        "--seed", str(args.seed), "--pattern", args.pattern], check=True)
 
 
 if __name__ == "__main__":

@@ -54,12 +54,11 @@ _EXIT_CODES = {ContainerFormatError: 2, OSError: 2, ShapeError: 3, PatternMismat
                ZeroDivisionError: 4, np.linalg.LinAlgError: 4}
 
 _PATTERN_CHOICES = ("auto", "banded", "toeplitz", "hankel", "diagonal")
-# the compress flags each method takes besides --rank; --seed goes with every
-# method, since every container records it
+# the compress flags each method takes besides --rank
 _METHOD_FLAGS = {
-    "hosvd": ("ranks", "tol", "output", "randomized", "sketch"),
+    "hosvd": ("ranks", "tol", "output", "randomized", "sketch", "seed"),
     "cp": ("output",),
-    "mode2": ("tol", "output", "randomized", "sketch"),
+    "mode2": ("tol", "output", "randomized", "sketch", "seed"),
     "spsd": (),
     "spd": (),
 }
@@ -80,7 +79,7 @@ def _flag_type(convert, ok, expected: str):
 
 
 _positive_int = _flag_type(int, lambda v: v >= 1, "a positive integer")
-_band = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
+_nonnegative_int = _flag_type(int, lambda v: v >= 0, "an integer >= 0")
 _tolerance = _flag_type(float, lambda v: np.isfinite(v) and v >= 0, "a finite number >= 0")
 _three_ints = _flag_type(lambda text: [int(tok) for tok in text.split(",")],
                          lambda v: len(v) == 3 and min(v) > 0, "three positive integers")
@@ -101,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="columns of one block")
         p.add_argument("--pattern", choices=_PATTERN_CHOICES, default="auto",
                        help="block pattern; 'auto' groups equal blocks greedily")
-        p.add_argument("--band", type=_band, default=None,
+        p.add_argument("--band", type=_nonnegative_int, default=None,
                        help="semibandwidth for --pattern banded/toeplitz")
         p.add_argument("--symmetric", action="store_true",
                        help="share classes across the diagonal (banded/toeplitz)")
@@ -135,8 +134,8 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="sketched range finder instead of exact SVD (hosvd/mode2, no --tol)")
     co.add_argument("--sketch", type=_positive_int, default=None, metavar="S",
                     help="Gaussian sketch size (--randomized only; default rank + 5)")
-    co.add_argument("--seed", type=int, default=0,
-                    help="seed for the sketch stream (recorded in the container)")
+    co.add_argument("--seed", type=_nonnegative_int, default=None,
+                    help="seed for the sketch stream (--randomized only; default 0; recorded)")
     co.set_defaults(func=_cmd_compress, parser=co)
 
     re = sub.add_parser("reconstruct", help="container back to Matrix Market")
@@ -168,15 +167,14 @@ def _check_flags(parser: argparse.ArgumentParser, args) -> None:
             parser.error("--pattern banded needs --band")
     if args.command != "compress":
         return
-    for flag in ("ranks", "tol", "output", "randomized", "sketch"):
+    for flag in ("ranks", "tol", "output", "randomized", "sketch", "seed"):
         if getattr(args, flag) is not None and flag not in _METHOD_FLAGS[args.method]:
             parser.error(f"--{flag} does not apply to --method {args.method}")
-    if args.sketch is not None and not args.randomized:
-        parser.error("--sketch needs --randomized")
+    for flag in ("sketch", "seed"):
+        if getattr(args, flag) is not None and not args.randomized:
+            parser.error(f"--{flag} needs --randomized")
     if args.randomized and args.tol is not None:
         parser.error("--randomized takes --rank or --ranks, not --tol")
-    if args.randomized and args.seed < 0:
-        parser.error("--randomized needs a --seed >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +215,7 @@ def _tucker_for(args, pattern, held, rows: bool):
     caps = args.ranks or [min(args.rank or t.shape[k - 1], t.shape[k - 1]) for k in modes]
     if args.randomized:
         sketch = args.sketch or max(caps) + 5
-        bases = {k: randomized_mode_basis(t, k, r, sketch, args.seed + k)
+        bases = {k: randomized_mode_basis(t, k, r, sketch, (args.seed or 0) + k)
                  for k, r in zip(modes, caps)}
         tk = TuckerRep.project(t, [bases.get(k) for k in (1, 2, 3)])
     else:
@@ -285,7 +283,8 @@ def _cmd_compress(args) -> int:
         rep = compress(pattern, held, args.rank)
         ranks = [rep.rank]
 
-    container_write(args.output_file, rep, seed=args.seed, ranks=ranks)
+    seed = (args.seed or 0) if args.randomized else None  # recorded for a sketched basis only
+    container_write(args.output_file, rep, seed=seed, ranks=ranks)
     print(f"kind: {type(rep).__name__}")
     print(f"method: {args.method}")
     print("ranks: " + ",".join(str(r) for r in ranks))

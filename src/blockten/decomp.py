@@ -236,7 +236,7 @@ def tail_rank(sv: np.ndarray, budget: float) -> int:
 
 def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.ndarray:
     """Leading ``r`` left singular vectors of ``mat``, each with its largest-magnitude
-    entry positive: :func:`_gram_basis` when it is certified, else :func:`_lq_basis`.
+    entry positive: :func:`_certified_gram_basis` when it is certified, else :func:`_lq_basis`.
     With ``tail_budget``, ``r`` is a cap: the basis keeps ``min(r, tail_rank(sv,
     tail_budget))`` vectors, the rank the exact spectrum picks.
 
@@ -250,20 +250,15 @@ def _mode_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np
     nonzero = mat.any(axis=0)  # NaN counts as nonzero
     if 0 < np.count_nonzero(nonzero) < len(nonzero):
         mat = mat[:, nonzero]
-    u = _gram_basis(mat, r, tail_budget)
+    u = _certified_gram_basis([(1.0, mat)], r, tail_budget)
     return _lq_basis(mat, r, tail_budget) if u is None else u
 
 
-def _gram_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.ndarray | None:
-    """:func:`_certified_gram_basis` of ``mat``'s columns at weight 1."""
-    return _certified_gram_basis([(1.0, mat)], r, tail_budget, lambda: mat @ mat.T)
-
-
 @np.errstate(all="ignore")  # an overflow or a NaN only fails the certificate
-def _certified_gram_basis(blocks, r: int, tail_budget: float | None = None, gram=None):
-    """The leading eigenvectors ``U`` of ``G = sum w B B^T`` over the ``(w, B)``
-    column blocks of one unfolding (``gram()`` when given, called only for a wide
-    unfolding), or ``None``.  ``lam`` resolves ``sigma_i`` only down to about
+def _certified_gram_basis(blocks, r: int, tail_budget: float | None = None):
+    """The leading eigenvectors ``U`` of ``G = sum w B B^T`` over the ``(w, B)`` column
+    blocks of one unfolding (``[(1.0, M)]`` for a whole ``M``; ``G`` is formed only for a
+    wide one), or ``None``.  ``lam`` resolves ``sigma_i`` only down to about
     ``sqrt(eps) sigma_1``, so ``U`` is kept only when ``R^2 = sum w ||B - U U^T B||^2``,
     summed directly as nonnegative squares, is at least ``100^2 rows eps lam_1`` and
     within ``rows eps lam_1`` of the tail of ``lam``; a budget must also clear that floor,
@@ -271,7 +266,7 @@ def _certified_gram_basis(blocks, r: int, tail_budget: float | None = None, gram
     rows, cols = blocks[0][1].shape[0], sum(b.shape[1] for _, b in blocks)
     if not (rows < cols and r <= rows - (tail_budget is None)):
         return None  # tall, or a fixed full basis: no tail to certify
-    g = gram() if gram else sum(w * (b @ b.T) for w, b in blocks)
+    g = sum(w * (b @ b.T) for w, b in blocks)
     if not in_normal_range(np.trace(g)):  # also NaN; the exact kernel rescales
         return None
     try:
@@ -322,21 +317,23 @@ def _lq_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.n
 
 
 def _tucker(t: np.ndarray, ranks, tail_budget: float | None) -> TuckerRep:
-    """:func:`tucker_partial`, checking one rank per mode: ``None`` or ``1..extent``."""
+    """:func:`tucker_partial`, checking one rank per mode: ``None`` or ``1..extent``.  With an
+    empty extent each unfolding is zero: ``eye(extent, r)``, one column under a budget."""
     if len(ranks) != t.ndim:
         raise ShapeError(f"expected {t.ndim} ranks, got {len(ranks)}")
     for k, r in enumerate(ranks):
         if r is not None and not 1 <= r <= t.shape[k]:
             raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
-    factors = [None if r is None else _mode_basis(unfold(t, k + 1), r, tail_budget)
+    factors = [None if r is None else _mode_basis(unfold(t, k + 1), r, tail_budget) if t.size
+               else np.eye(t.shape[k], r if tail_budget is None else 1)
                for k, r in enumerate(ranks)]
     return TuckerRep.project(t, factors)
 
 
 def hosvd(t: np.ndarray, ranks: tuple[int, ...] | list[int],
           tail_budget: float | None = None) -> TuckerRep:
-    """Higher-order SVD: :func:`tucker_partial` with every mode compressed,
-    ``1 <= ranks[k] <= t.shape[k]``."""
+    """Higher-order SVD: :func:`tucker_partial` with every mode compressed by default; a
+    ``None`` rank leaves its mode alone there too."""
     return _tucker(t, ranks, tail_budget)
 
 
@@ -354,18 +351,13 @@ def tucker_partial(t: np.ndarray, ranks: list[int | None] | tuple[int | None, ..
 def mode2_tucker(support: np.ndarray, rows: np.ndarray, m: int, n: int, r: int,
                  tail_budget: float | None = None) -> TuckerRep:
     """``tucker_partial(t, [None, r, None], tail_budget)`` of the ``m x p x n`` ``t`` whose
-    mode-2 unfolding holds ``rows`` on the columns ``support`` and zeros elsewhere
-    (``blocks.blocks_to_rows``), without ``t``: ``V`` is the basis of ``rows`` (that of a zero
-    unfolding if there is no support), the core ``V^T rows`` scattered onto the support.  An
-    ``r`` out of range, or a core beyond ``DENSIFY_LIMIT`` entries, raises ShapeError."""
-    if not 1 <= r <= len(rows):
-        raise ShapeError(f"mode-2 rank {r} out of range for extent {len(rows)}")
-    v = (_mode_basis(rows, r, tail_budget) if rows.size
-         else np.eye(len(rows), r if tail_budget is None else 1))
-    _check_dense_size(v.shape[1], m * n)  # the core, and the terms a form makes of it
-    core = np.zeros((v.shape[1], n * m))
-    core[:, support] = v.T @ rows
-    return TuckerRep(core.reshape(-1, n, m).transpose(2, 0, 1), (None, v, None))
+    mode-2 unfolding is ``rows`` on the columns ``support`` and zero elsewhere, without ``t``:
+    that of ``rows[None]``, its core scattered onto the support (at most ``DENSIFY_LIMIT``)."""
+    thin = tucker_partial(rows[None], [None, r, None], tail_budget)
+    _check_dense_size(thin.ranks[1], m * n)  # the core, and the terms a form makes of it
+    core = np.zeros((thin.ranks[1], n * m))
+    core[:, support] = thin.core[0]
+    return TuckerRep(core.reshape(-1, n, m).transpose(2, 0, 1), (None, thin.factors[1], None))
 
 
 # ---------------------------------------------------------------------------

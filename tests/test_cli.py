@@ -224,6 +224,26 @@ def test_matvec_matches_dense_product(toep, tmp_path, capsys):
     assert np.linalg.norm(a @ x - y) <= 1e-12 * np.linalg.norm(a @ x)
 
 
+def test_seed_needs_randomized_and_only_a_sketched_basis_records_one(toep, tmp_path, capsys):
+    path, _ = toep
+    args = ("--block-rows", 4, "--block-cols", 4, "--method", "mode2", "--rank", 3)
+    # refused before the input is read: the missing file is never reported
+    code, out, err = run_cli(capsys, "compress", tmp_path / "missing.mtx", "-o",
+                             tmp_path / "s.btc", *args, "--seed", 7)
+    assert code == 2 and "--seed needs --randomized" in err and out == ""
+    assert "usage: blockten compress" in err and not (tmp_path / "s.btc").exists()
+    headers = {}
+    for name, extra in (("exact", ()), ("sketched", ("--randomized",)),
+                        ("seeded", ("--randomized", "--seed", 0))):
+        code, _, _ = run_cli(capsys, "compress", path, "-o", tmp_path / f"{name}.btc", *args,
+                             *extra)
+        assert code == 0
+        headers[name] = (tmp_path / f"{name}.btc").read_bytes().partition(b"\n---\n")[0]
+    assert b"\nseed:" not in headers["exact"]
+    assert b"\nseed: 0\n" in headers["sketched"]
+    assert (tmp_path / "sketched.btc").read_bytes() == (tmp_path / "seeded.btc").read_bytes()
+
+
 def test_randomized_tol_is_a_usage_error(toep, tmp_path, capsys):
     # the range finder has no a posteriori tail estimate, so --randomized
     # takes explicit ranks only; the exact --tol run stays available
@@ -1272,7 +1292,7 @@ def _finite_text(text: str) -> bool:
                              ("--tol", "0")]),
        output=st.sampled_from([(), ("--output", "kron_sum"), ("--output", "blr")]),
        randomized=st.booleans(), sketch=st.booleans(),
-       seed=st.sampled_from(["0", "7", "-1"]),
+       seed=st.sampled_from([None, "0", "7", "-1"]),
        pattern=st.sampled_from([(), ("--pattern", "toeplitz"), ("--symmetric",),
                                 ("--pattern", "banded", "--band", "1")]),
        scale=st.sampled_from(_SCALES))
@@ -1281,23 +1301,23 @@ def _finite_text(text: str) -> bool:
 @example(method="hosvd", rank=("--ranks", "2,2,2"), output=("--output", "blr"),
          randomized=True, sketch=True, seed="7", pattern=(), scale=1.0)
 @example(method="mode2", rank=("--ranks", "2,2,2"), output=(), randomized=False,
-         sketch=False, seed="0", pattern=(), scale=1.0)
+         sketch=False, seed=None, pattern=(), scale=1.0)
 @example(method="cp", rank=("--rank", "2"), output=("--output", "blr"), randomized=True,
          sketch=False, seed="0", pattern=(), scale=1.0)
 @example(method="spsd", rank=("--rank", "2"), output=("--output", "kron_sum"),
-         randomized=False, sketch=False, seed="0", pattern=(), scale=1.0)
+         randomized=False, sketch=False, seed=None, pattern=(), scale=1.0)
 @example(method="spd", rank=("--tol", "0"), output=(), randomized=False, sketch=False,
-         seed="0", pattern=(), scale=1.0)
+         seed=None, pattern=(), scale=1.0)
 def test_compress_exits_2_exactly_when_a_flag_rule_is_broken(
         scaled_inputs, method, rank, output, randomized, sketch, seed, pattern, scale):
     work, paths = scaled_inputs
-    flags = [*rank, *output, *pattern, "--seed", seed]
+    flags = [*rank, *output, *pattern, *(() if seed is None else ("--seed", seed))]
     flags += ["--randomized"] * randomized + ["--sketch", "6"] * sketch
     table_flags = {f for f in flags if f[:2] == "--"} - {
         "--rank", "--seed", "--pattern", "--band", "--symmetric"}
     broken = (pattern == ("--symmetric",)  # --symmetric needs banded or toeplitz
               or not table_flags <= _TAKES[method]
-              or (sketch and not randomized)
+              or ((sketch or seed is not None) and not randomized)
               or (randomized and (rank[0] == "--tol" or seed == "-1")))
     out_c = work / "c.btc"
     out_c.unlink(missing_ok=True)

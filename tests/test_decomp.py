@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from blockten.decomp import (
     KruskalRep,
     TuckerRep,
-    _gram_basis,
+    _certified_gram_basis,
     _lq_basis,
     _mode_basis,
     cholesky,
@@ -167,7 +167,7 @@ def spacetime_sized():
 
 def test_gram_branch_meets_the_svd_bar_on_a_spacetime_sized_matrix(spacetime_sized):
     mat = spacetime_sized
-    u = _gram_basis(mat, 20)
+    u = _certified_gram_basis([(1.0, mat)], 20)
     assert u is not None  # the tail at rank 20 is far above the certificate's floor
     np.testing.assert_array_equal(_mode_basis(mat, 20), u)
     np.testing.assert_allclose(u.T @ u, np.eye(20), rtol=0, atol=1e-13)
@@ -179,7 +179,7 @@ def test_gram_branch_meets_the_svd_bar_on_a_spacetime_sized_matrix(spacetime_siz
 
 def test_gram_branch_allocates_nothing_the_size_of_the_unfolding(spacetime_sized):
     mat = spacetime_sized
-    assert _gram_basis(mat, 20) is not None
+    assert _certified_gram_basis([(1.0, mat)], 20) is not None
     tracemalloc.start()
     try:
         _mode_basis(mat, 20)
@@ -194,7 +194,7 @@ def test_gram_branch_allocates_nothing_the_size_of_the_unfolding(spacetime_sized
 def test_gram_fallbacks_are_the_exact_kernel_bit_for_bit(case):
     rng = np.random.default_rng(21)
     taken = _decaying_matrix(rng, 12, 60, 6, 1e-2, 0.0)  # tail at rank 4: 0.027
-    assert _gram_basis(taken, 4) is not None
+    assert _certified_gram_basis([(1.0, taken)], 4) is not None
     mat, r = {
         "tail below the floor": (_decaying_matrix(rng, 12, 60, 6, 1e-12, 0.0), 5),
         "1e250": (taken * 1e250, 4),
@@ -203,14 +203,14 @@ def test_gram_fallbacks_are_the_exact_kernel_bit_for_bit(case):
         "r > rows": (rng.standard_normal((4, 20)), 6),
         "r == rows": (rng.standard_normal((4, 20)), 4),
     }[case]
-    assert _gram_basis(mat, r) is None
+    assert _certified_gram_basis([(1.0, mat)], r) is None
     np.testing.assert_array_equal(_mode_basis(mat, r), _lq_basis(mat, r))
 
 
 def test_gram_branch_declines_nan():
     mat = np.ones((4, 20))
     mat[1, 2] = np.nan
-    assert _gram_basis(mat, 2) is None
+    assert _certified_gram_basis([(1.0, mat)], 2) is None
     with pytest.raises(ConvergenceError):
         _mode_basis(mat, 2)
 
@@ -221,15 +221,15 @@ def test_gram_budget_ranks_are_the_exact_ranks():
     tails = np.sqrt(np.cumsum(sv[::-1] ** 2)[::-1])  # tails[k] = norm(sv[k:])
     for k in range(1, 15):
         budget = np.sqrt(tails[k] * tails[k - 1])  # resolved: between two tails
-        u = _gram_basis(mat, 20, budget)
+        u = _certified_gram_basis([(1.0, mat)], 20, budget)
         assert u is not None and u.shape[1] == k == tail_rank(sv, budget)
         assert _lq_basis(mat, 20, budget).shape[1] == k
         assert _residual(mat, u) <= budget
         if k > 1:  # a binding cap keeps its rank, and its residual may exceed the budget
-            capped = _gram_basis(mat, k - 1, budget)
+            capped = _certified_gram_basis([(1.0, mat)], k - 1, budget)
             assert capped is not None and capped.shape[1] == k - 1
     for budget in (tails[6], 1e-7):  # on a tail boundary; below the floor
-        assert _gram_basis(mat, 20, budget) is None
+        assert _certified_gram_basis([(1.0, mat)], 20, budget) is None
         np.testing.assert_array_equal(_mode_basis(mat, 20, budget), _lq_basis(mat, 20, budget))
 
 
@@ -240,7 +240,7 @@ def test_gram_budget_within_the_rounding_of_forming_the_gram_falls_back():
     for k in (3, 6, 9):  # squared budget 10 slack above or below the tail at rank k
         for side in (1, -1):
             budget = np.sqrt(lam[k:].sum() + side * 10 * slack)
-            assert _gram_basis(mat, 20, budget) is None
+            assert _certified_gram_basis([(1.0, mat)], 20, budget) is None
             np.testing.assert_array_equal(_mode_basis(mat, 20, budget), _lq_basis(mat, 20, budget))
 
 
@@ -255,7 +255,7 @@ def test_gram_branch_is_taken_on_the_wide_matrix_generator():
         tau = float(meta.choice([1e-2, 1e-4, 1e-6, 1e-8, 1e-10, 1e-12]))
         k, r = (int(v) for v in meta.integers(1, rows + 1, size=2))
         mat = _decaying_matrix(meta, rows, cols, k, tau, tau * 1e-3 * int(meta.integers(2)))
-        u = _gram_basis(mat, r)
+        u = _certified_gram_basis([(1.0, mat)], r)
         if u is None:
             continue
         taken += 1
@@ -547,10 +547,10 @@ def test_mode_basis_residual_does_not_see_zero_columns(branch):
     rng = np.random.default_rng(30)
     if branch == "gram":  # a slowly decaying spectrum: the certificate passes
         mat, r = _decaying_matrix(rng, 12, 80, 12, 1e-2, 0.0), 5
-        assert _gram_basis(mat, r) is not None
+        assert _certified_gram_basis([(1.0, mat)], r) is not None
     else:  # exactly rank r: the Gram branch declines
         mat, r = _decaying_matrix(rng, 12, 80, 6, 1e-3, 0.0), 6
-        assert _gram_basis(mat, r) is None
+        assert _certified_gram_basis([(1.0, mat)], r) is None
     padded = _with_zero_columns(mat, rng, 160)
     scale = np.linalg.norm(mat)
     reference = _residual(padded, _lq_basis(padded, r))  # the exact kernel on every column
@@ -583,8 +583,9 @@ def test_mode_basis_factors_the_nonzero_columns_and_copies_nothing_else(monkeypa
     rng = np.random.default_rng(32)
     mat = _decaying_matrix(rng, 8, 40, 8, 1e-2, 0.0)
     seen = []
-    monkeypatch.setattr("blockten.decomp._gram_basis",
-                        lambda m, r, budget=None: seen.append(m) or _gram_basis(m, r, budget))
+    monkeypatch.setattr("blockten.decomp._certified_gram_basis",
+                        lambda blocks, r, budget=None: seen.append(blocks[0][1])
+                        or _certified_gram_basis(blocks, r, budget))
     _mode_basis(mat, 3)
     _mode_basis(_with_zero_columns(mat, rng, 60), 3)
     assert seen[0] is mat
@@ -633,6 +634,26 @@ def test_mode2_on_no_support_is_the_zero_unfoldings_basis(shape, budget, monkeyp
     got = mode2_tucker(np.zeros(0, dtype=np.int64), np.zeros((p, 0)), m, n, 2, budget)
     assert np.array_equal(got.factors[1], want.factors[1])
     assert got.core.tobytes() == want.core.tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 0.0, 1.0])
+def test_tucker_on_an_empty_extent_is_the_zero_unfoldings_basis(budget, monkeypatch):
+    # each mode's basis is the one a nonempty zero tensor of the same extents gets
+    want = hosvd(np.zeros((2, 3, 1)), [2, 2, None], budget).factors
+
+    def no_lapack(*_):
+        raise AssertionError("an empty unfolding reached the basis kernel")
+
+    monkeypatch.setattr("blockten.decomp._mode_basis", no_lapack)
+    for shape in ((2, 3, 0), (0, 2, 3)):
+        t = np.zeros(shape)
+        got = tucker_partial(t, [None, 2, None], budget)
+        assert np.array_equal(got.factors[1], np.eye(shape[1], 2 if budget is None else 1))
+        assert got.core.shape == (shape[0], got.factors[1].shape[1], shape[2])
+    got = hosvd(np.zeros((2, 3, 0)), [2, 2, None], budget)
+    for u, v in zip(got.factors, want):
+        assert (u is None and v is None) or np.array_equal(u, v)
+    assert got.core.shape == (*got.ranks[:2], 0)
 
 
 def test_mode2_on_rows_checks_its_rank():
