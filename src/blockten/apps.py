@@ -27,7 +27,6 @@ from .blocks import (
     blocks_to_tensor,
     build_pattern,
     struct_assemble,
-    struct_expand,
 )
 from .decomp import hosvd, tucker_partial
 from .errors import ConvergenceError, ShapeError
@@ -55,6 +54,8 @@ class MarkovSequence:
         count = self.params.shape[0]
         if count < 1 or count % 2 == 0:
             raise ShapeError(f"need an odd number 2s-1 of parameters, got {count}")
+        if not np.isfinite(self.params).all():
+            raise ShapeError("Markov parameters must be finite")
 
     @property
     def s(self) -> int:
@@ -80,6 +81,8 @@ class LtiSystem:
             raise ShapeError("input matrix rows must match the state dimension")
         if c.ndim != 2 or c.shape[1] != a.shape[0]:
             raise ShapeError("output matrix columns must match the state dimension")
+        if not all(np.isfinite(value).all() for value in (a, b, c)):
+            raise ShapeError("state-space matrices must be finite")
 
 
 def markov_from_lti(system: LtiSystem, count: int) -> MarkovSequence:
@@ -157,10 +160,11 @@ def era_identify_compressed(seq: MarkovSequence, ranks: tuple[int, int, int], or
     reduced_pattern = replace(pattern, m=r1, n=r3)
     if tera:  # the core slices are the projected parameters U^T h_k W
         tk = tucker_partial(np.transpose(blocks, (1, 0, 2)).copy(), [r1, None, r3])
-        reduced = struct_assemble(reduced_pattern, np.moveaxis(tk.core, 1, 0))
+        middles = np.moveaxis(tk.core, 1, 0)
     else:
         tk = hosvd(blocks_to_tensor(pattern, blocks), [r1, r2, r3])
-        reduced = struct_expand(reduced_pattern, blr_from_tucker(tk, pattern).middles)
+        middles = blr_from_tucker(tk, pattern).middles / np.sqrt(pattern.counts)[:, None, None]
+    reduced = struct_assemble(reduced_pattern, middles)
     u, _, w = tk.factors
 
     sing_u, sing_vals, sing_vt = np.linalg.svd(reduced, full_matrices=False)
@@ -204,10 +208,10 @@ class KernelConfig:
     nugget: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.spatial_scale <= 0 or self.temporal_scale <= 0:
+        if not (self.spatial_scale > 0 and self.temporal_scale > 0):  # NaN fails too
             raise ShapeError("kernel length-scales must be positive")
-        if self.nugget < 0:
-            raise ShapeError("nugget must be nonnegative")
+        if not 0 <= self.nugget < np.inf:
+            raise ShapeError("nugget must be finite and nonnegative")
 
     def __call__(self, r, tau) -> np.ndarray:
         r = np.asarray(r, dtype=np.float64)

@@ -22,7 +22,8 @@ With that normalization the matrix and its weighted tensor are isometric:
 ``mat_to_tensor`` stacks ``sqrt(eta_k) * A_k`` as lateral slices of an
 ``m x p x n`` tensor, ``tensor_to_mat`` sums ``E_k (x) slice_k`` back, and
 the Frobenius error of any tensor approximation equals the Frobenius error
-of the reassembled matrix.
+of the reassembled matrix.  ``tensor_to_mat`` and every ``densify`` end in
+``struct_assemble``, the one scatter of class blocks onto the grid.
 
 Every map reads a dense array or a scipy sparse matrix alike through one
 private view of its nonzero cells (:func:`_cells`), and no map builds
@@ -44,7 +45,7 @@ import scipy.sparse
 from .errors import PatternMismatchError, ShapeError
 from .tensor import scale_exponent
 
-__all__ = ["BlockPattern", "build_pattern", "detect_pattern", "struct_assemble", "struct_expand",
+__all__ = ["BlockPattern", "build_pattern", "detect_pattern", "struct_assemble",
            "extract_blocks", "mat_to_tensor", "blocks_to_tensor", "blocks_to_rows", "extract_rows",
            "tensor_to_mat", "DENSIFY_LIMIT"]
 
@@ -542,23 +543,6 @@ def _tolerant_classes(cells, tol: float) -> tuple[np.ndarray, np.ndarray, list[n
 # ---------------------------------------------------------------------------
 
 
-def _scatter(pattern: BlockPattern, items, divisors, block_shape=None) -> np.ndarray:
-    """Grid of blocks holding ``items[k] / divisors[k]`` on every cell of
-    class ``k`` and zeros elsewhere.  Every item must have ``block_shape``
-    (default: the first item's shape, or the pattern's block shape when
-    there are no classes)."""
-    if len(items) != pattern.p:
-        raise ShapeError(f"expected {pattern.p} blocks, got {len(items)}")
-    items = [np.atleast_2d(np.asarray(it, dtype=np.float64)) for it in items]
-    bm, bn = block_shape or (items[0].shape if items else (pattern.m, pattern.n))
-    out = np.zeros((pattern.ell, bm, pattern.q, bn))
-    for k, (item, divisor, cells) in enumerate(zip(items, divisors, pattern.placements)):
-        if item.shape != (bm, bn):
-            raise ShapeError(f"class {k + 1}: block shape {item.shape} != {(bm, bn)}")
-        out[cells[:, 0], :, cells[:, 1], :] = item / divisor
-    return out.reshape(pattern.ell * bm, pattern.q * bn)
-
-
 def _class_grid(pattern: BlockPattern, values: np.ndarray, key: str,
                 like: scipy.sparse.csr_matrix | None = None) -> scipy.sparse.csr_matrix:
     """The class-grid CSR matrix: block row ``i`` holds, for every claimed
@@ -596,19 +580,18 @@ def _dense_class_grid(pattern: BlockPattern, values: np.ndarray | None) -> np.nd
 
 
 def struct_assemble(pattern: BlockPattern, blocks) -> np.ndarray:
-    """Assemble ``sum_k E_k (x) sqrt(eta_k) A_k``: block ``A_k`` lands
-    verbatim on every cell of class ``k``."""
-    return _scatter(pattern, blocks, np.ones(pattern.p), (pattern.m, pattern.n))
-
-
-def struct_expand(pattern: BlockPattern, items) -> np.ndarray:
-    """Assemble ``sum_k E_k (x) item_k`` with the ``1/sqrt(eta_k)`` weights
-    kept inside ``E_k`` (so cell values are ``item_k / sqrt(eta_k)``).
-
-    ``items`` may have any common block shape; the output grid is
-    ``ell x q`` blocks of that shape.
-    """
-    return _scatter(pattern, items, np.sqrt(pattern.counts))
+    """Assemble ``sum_k E_k (x) sqrt(eta_k) A_k``: block ``A_k`` lands verbatim on every
+    cell of class ``k``, one class at a time (a gather would hold ``sum(eta) m n`` values)."""
+    if len(blocks) != pattern.p:
+        raise ShapeError(f"expected {pattern.p} blocks, got {len(blocks)}")
+    out = np.zeros((pattern.ell, pattern.m, pattern.q, pattern.n))
+    for k, (block, cells) in enumerate(zip(blocks, pattern.placements)):
+        block = np.atleast_2d(np.asarray(block, dtype=np.float64))
+        if block.shape != (pattern.m, pattern.n):
+            raise ShapeError(f"class {k + 1}: block shape {block.shape} != "
+                             f"{(pattern.m, pattern.n)}")
+        out[cells[:, 0], :, cells[:, 1], :] = block
+    return out.reshape(pattern.shape)
 
 
 def extract_blocks(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarray, ...]:
@@ -746,11 +729,11 @@ def mat_to_tensor(a, pattern: BlockPattern, tol: float = 0.0) -> np.ndarray:
 
 
 def tensor_to_mat(t: np.ndarray, pattern: BlockPattern) -> np.ndarray:
-    """Map an ``m x p x n`` tensor back to the block matrix
-    ``sum_k E_k (x) slice_k``; the exact inverse of :func:`mat_to_tensor`."""
+    """Map an ``m x p x n`` tensor back to ``sum_k E_k (x) slice_k``, the exact inverse of
+    :func:`mat_to_tensor`: :func:`struct_assemble` of ``slice_k / sqrt(eta_k)``."""
     if t.ndim != 3:
         raise ShapeError("tensor_to_mat expects an order-3 tensor")
     if t.shape[1] != pattern.p or t.shape[0] != pattern.m or t.shape[2] != pattern.n:
         raise ShapeError(f"tensor extents {t.shape} do not match pattern "
                          f"({pattern.m}, {pattern.p}, {pattern.n})")
-    return struct_expand(pattern, [t[:, k, :] for k in range(pattern.p)])
+    return struct_assemble(pattern, np.moveaxis(t, 1, 0) / np.sqrt(pattern.counts)[:, None, None])

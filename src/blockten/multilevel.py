@@ -194,6 +194,8 @@ def _checked_psf(psf) -> tuple[np.ndarray, int]:
         raise ShapeError("psf must be a K x K x K cube")
     if psf.shape[0] % 2 == 0:
         raise ShapeError("psf extent K must be odd")
+    if not np.isfinite(psf).all():
+        raise ShapeError("psf entries must be finite")
     return psf, psf.shape[0]
 
 

@@ -24,6 +24,7 @@ from blockten import blocks as block_maps
 from blockten.psd import spd_compress, spsd_compress_blocks
 from blockten.reconstruct import kron_sum_from_tucker
 from blockten.decomp import hosvd
+from blockten.multilevel import blur_operator_dense, psf_weighted_tensor
 from blockten.blocks import detect_pattern, mat_to_tensor
 
 
@@ -77,6 +78,11 @@ def test_markov_sequence_validation():
             LtiSystem(**{"a": a, "b": b, "c": c, **bad})
     with pytest.raises(ShapeError, match="count must be odd"):
         markov_from_lti(LtiSystem(a=a, b=b, c=c), 4)
+    for bad in (np.nan, np.inf):
+        params = np.ones((3, 2, 2))
+        params[1, 0, 1] = bad
+        with pytest.raises(ShapeError, match="must be finite"):
+            MarkovSequence(params=params)
 
 
 def test_markov_from_lti_matches_power_formula():
@@ -291,6 +297,30 @@ def test_kernel_config_validation():
         KernelConfig(spatial_scale=-1.0)
     with pytest.raises(ShapeError):
         KernelConfig(nugget=-1e-8)
+    for bad in (dict(spatial_scale=np.nan), dict(temporal_scale=np.nan), dict(nugget=np.nan),
+                dict(nugget=np.inf)):
+        with pytest.raises(ShapeError):
+            KernelConfig(**bad)
+
+
+def test_non_finite_system_and_psf_inputs_are_refused():
+    a, b, c = np.eye(3), np.ones((3, 2)), np.ones((2, 3))
+    for name in "abc":
+        bad = {"a": a, "b": b, "c": c}
+        bad[name] = bad[name].copy()
+        bad[name][0, 1] = np.nan
+        with pytest.raises(ShapeError, match="must be finite"):
+            LtiSystem(**bad)
+    psf = np.ones((3, 3, 3))
+    for value in (np.inf, -np.inf, np.nan):
+        psf[1, 2, 0] = value
+        for entry in (psf_weighted_tensor, blur_operator_dense):
+            with pytest.raises(ShapeError, match="psf entries must be finite"):
+                entry(psf)
+    # an infinite length-scale is the kernel's constant limit, finite everywhere
+    _, blocks = spacetime_build(np.arange(4.0), np.arange(3.0), KernelConfig(spatial_scale=np.inf))
+    np.testing.assert_allclose(blocks, np.exp(-(np.arange(3.0) / 0.5) ** 2)[:, None, None]
+                               * np.ones((3, 4, 4)), rtol=1e-15)
 
 
 def test_nugget_shifted_covariance_admits_cholesky():

@@ -21,7 +21,6 @@ from blockten.blocks import (
     extract_rows,
     mat_to_tensor,
     struct_assemble,
-    struct_expand,
     tensor_to_mat,
 )
 from blockten.decomp import tucker_partial
@@ -258,7 +257,7 @@ def test_struct_scalars_matches_weighted_sum_of_placements():
 
 def test_struct_expand_divides_by_sqrt_eta():
     pat = BlockPattern(2, 2, 1, 1, np.array([[0, 0], [1, 1]]), np.array([0, 0]))
-    out = struct_expand(pat, [np.array([[4.0]])])
+    out = tensor_to_mat(np.array([[[4.0]]]), pat)
     np.testing.assert_allclose(out, np.eye(2) * 4.0 / np.sqrt(2))
 
 
@@ -301,6 +300,32 @@ def test_mat_to_tensor_rejects_nonconforming_matrix():
     b[0, -1] = 1.0
     with pytest.raises(PatternMismatchError):
         extract_blocks(b, diag)
+
+
+def _per_class_scatter(t, pat):
+    """Reference assembly: ``slice_k / sqrt(eta_k)`` written class by class onto a zero grid."""
+    out = np.zeros((pat.ell, pat.m, pat.q, pat.n))
+    for k, cells in enumerate(pat.placements):
+        out[cells[:, 0], :, cells[:, 1], :] = t[:, k, :] / np.sqrt(pat.counts)[k]
+    return out.reshape(pat.shape)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000), kind=st.sampled_from(PATTERN_KINDS + ("no classes",)),
+       unit=st.booleans(), scale=st.sampled_from([1.0, 1e200, 3e-200, 7e199, 1e-200]),
+       negative_zero=st.booleans())
+def test_tensor_to_mat_is_the_per_class_scatter_bit_for_bit(seed, kind, unit, scale,
+                                                            negative_zero):
+    rng = np.random.default_rng(seed)
+    if kind == "no classes":
+        ell, q, m, n = (int(v) for v in rng.integers(1, 4, size=4))
+        pat = BlockPattern(ell, q, m, n, np.zeros((0, 2)), np.zeros(0))
+    else:
+        pat = random_pattern(rng, kind, max_block=1 if unit else 4)
+    t = scale * rng.standard_normal((pat.m, pat.p, pat.n))
+    if negative_zero and pat.p:  # a -0.0 slice keeps its sign on every cell of its class
+        t[:, rng.integers(pat.p), :] = -0.0
+    assert tensor_to_mat(t, pat).tobytes() == _per_class_scatter(t, pat).tobytes()
 
 
 def test_tensor_to_mat_shape_validation():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import re
+import runpy
 import struct
 import warnings
 from pathlib import Path
@@ -843,6 +844,17 @@ def test_exit_2_missing_input(tmp_path, capsys):
                            "--block-rows", 2, "--block-cols", 2)
     assert code == 2
     assert "error" in err
+
+
+def test_module_entry_point_exits_with_the_main_code(tmp_path, monkeypatch, capsys):
+    # ``python -m blockten.cli``, in process: runpy runs the module as ``__main__``
+    monkeypatch.setattr("sys.argv", ["blockten.cli", "report", str(tmp_path / "missing.btc")])
+    with warnings.catch_warnings():  # the package has imported blockten.cli already
+        warnings.filterwarnings("ignore", "'blockten.cli' found in sys.modules", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("blockten.cli", run_name="__main__")
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_exit_2_usage_errors(toep, tmp_path, capsys):

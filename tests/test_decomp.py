@@ -207,6 +207,33 @@ def test_gram_fallbacks_are_the_exact_kernel_bit_for_bit(case):
     np.testing.assert_array_equal(_mode_basis(mat, r), _lq_basis(mat, r))
 
 
+def test_gram_branch_falls_back_when_eigh_fails(monkeypatch):
+    mat = _decaying_matrix(np.random.default_rng(21), 12, 60, 6, 1e-2, 0.0)
+    assert _certified_gram_basis([(1.0, mat)], 4) is not None
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert _certified_gram_basis([(1.0, mat)], 4) is None
+    np.testing.assert_array_equal(_mode_basis(mat, 4), _lq_basis(mat, 4))
+
+
+def test_lq_basis_turns_a_failed_full_svd_into_convergence_error(monkeypatch):
+    svd = np.linalg.svd
+
+    def fail_full(a, full_matrices=True, **kwargs):
+        if full_matrices:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(a, full_matrices=full_matrices, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", fail_full)
+    mat = np.random.default_rng(33).standard_normal((10, 3))
+    _lq_basis(mat, 3)  # within the columns: the thin SVD only
+    with pytest.raises(ConvergenceError, match="SVD did not converge"):
+        _lq_basis(mat, 5)
+
+
 def test_gram_branch_declines_nan():
     mat = np.ones((4, 20))
     mat[1, 2] = np.nan

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockten import build_pattern, error_fro, hosvd, mat_to_tensor, struct_assemble
+from blockten import build_pattern, error_fro, hosvd, mat_to_tensor, struct_assemble, tensor_to_mat
 from blockten import blocks as block_maps
-from blockten.blocks import BlockPattern, _class_grid, struct_expand
+from blockten.blocks import BlockPattern, _class_grid
 from blockten.decomp import TuckerRep
 from blockten.errors import PatternMismatchError, ShapeError
 from blockten.multilevel import (
@@ -74,14 +74,15 @@ def test_random_nested_roundtrip_preserves_norm(seed, depth):
 
 
 def _assembled_by_recursion(t, mlp):
-    """``struct_expand`` at every level, innermost slices first: the
+    """``tensor_to_mat`` at every level, innermost slices first: the
     reference assembly of the weighted tensor."""
 
     def assemble(level, prefix):
         if level == len(mlp.levels):
             return t[(slice(None), *prefix, slice(None))]
         pat = mlp.levels[level]
-        return struct_expand(pat, [assemble(level + 1, prefix + (k,)) for k in range(pat.p)])
+        slices = [assemble(level + 1, prefix + (k,)) for k in range(pat.p)]
+        return tensor_to_mat(np.stack(slices, axis=1), pat)
 
     return assemble(0, ())
 
