@@ -4,9 +4,11 @@
 ``extract_blocks`` (so ``mat_to_tensor``), ``detect_pattern``'s byte check
 and ``error_fro`` read the cells of the block grid row-major, about
 ``blocks._CHUNK`` entries (at least one cell) at a time, so a chunk stays in
-cache while it is compared with its representatives.  This sweep times the
-three calls, each with the budget forced in turn, on two dense matrices, so
-that constant is checked against measurements rather than guessed:
+cache while it is compared with its representatives; a sparse matrix's
+chunk is scattered from the table of its stored entries.  This sweep times
+the three calls, each with the budget forced in turn, on two matrices, dense
+and as CSR copies (rows ``toeplitz/csr`` and ``banded/csr``), so that
+constant is checked against measurements rather than guessed:
 
 * ``toeplitz`` -- an ``ell x ell`` block-Toeplitz grid of ``m x m`` blocks:
   ``2 ell - 1`` classes, every cell claimed, heavy repetition;
@@ -26,16 +28,18 @@ import timeit
 from unittest import mock
 
 import numpy as np
+import scipy.sparse
 
 from blockten import blocks, build_pattern, decomp, reconstruct, struct_assemble
 
 
 def sweep_matrices(ell: int, m: int, n: int, rng) -> list[tuple[str, np.ndarray, object]]:
-    """``(name, a, pattern)`` of the two test matrices, with random blocks."""
+    """``(name, a, pattern)`` of the two test matrices, with random blocks, dense and as CSR."""
     out = []
     for name, pat in (("toeplitz", build_pattern("toeplitz", ell, ell, m, m)),
                       ("banded", build_pattern("banded", n, n, n, n, band=1))):
-        out.append((name, struct_assemble(pat, rng.standard_normal((pat.p, pat.m, pat.n))), pat))
+        a = struct_assemble(pat, rng.standard_normal((pat.p, pat.m, pat.n)))
+        out += [(name, a, pat), (f"{name}/csr", scipy.sparse.csr_matrix(a), pat)]
     return out
 
 
@@ -58,7 +62,7 @@ def main() -> None:
 
     rng = np.random.default_rng(args.seed)
     print(f"chunk: 2**{int(np.log2(blocks._CHUNK))} entries")
-    print(f"{'matrix':>9} {'chunk':>6} {'cells':>6} {'extract_ms':>11} {'detect_ms':>10}"
+    print(f"{'matrix':>12} {'chunk':>6} {'cells':>6} {'extract_ms':>11} {'detect_ms':>10}"
           f" {'error_ms':>9}")
     for name, a, pat in sweep_matrices(*args.toeplitz, args.banded, rng):
         r = min(args.rank, pat.m, pat.p)
@@ -78,7 +82,7 @@ def main() -> None:
                       and abs(err - seen[2]) <= 1e-12 * seen[2]):
                 raise SystemExit(f"{name}: chunk 2**{power} changes a result")
             mark = "*" if 2**power == blocks._CHUNK else " "
-            print(f"{name:>9} {mark}2**{power:<3} {max(1, 2**power // (pat.m * pat.n)):>6}"
+            print(f"{name:>12} {mark}2**{power:<3} {max(1, 2**power // (pat.m * pat.n)):>6}"
                   f" {t_ext:>11.2f} {t_det:>10.2f} {t_err:>9.2f}")
 
 

@@ -27,7 +27,9 @@ of the reassembled matrix.  ``tensor_to_mat`` and every ``densify`` end in
 
 Every map reads a dense array or a scipy sparse matrix alike through one
 private view of its nonzero cells (:func:`_cells`), and no map builds
-anything the size of a dense matrix.
+anything the size of a dense matrix.  A sparse matrix's entries are read
+once, into one table that the view and :func:`extract_rows` share, and a
+cell is scattered only when it is taken.
 
 Grid cells are 0-based ``(row, col)`` internally; file formats and printed
 reports are 1-based.
@@ -314,19 +316,29 @@ class _DenseCells:
 
 
 class _SparseCells:
-    """The present cells of a scipy sparse matrix, scattered once into a
-    ``(c, m, n)`` stack ordered by flat cell id."""
+    """The entries of a scipy sparse matrix, one table ordered by flat cell id, then row-major
+    inside a cell: the in-cell position ``pos`` (``i * n + j``) and the value of each.
+    Duplicates add up in storage order, as ``toarray()`` adds them, and a stored ``+0.0`` is
+    no entry (``-0.0`` is one).  Cell ``c`` holds the run ``runs[c]:runs[c + 1]``, and the
+    present cells are ``ids``, ascending; a cell is scattered only when it is taken."""
 
     def __init__(self, a, ell: int, q: int, m: int, n: int) -> None:
         self.ell, self.q, self.m, self.n = ell, q, m, n
-        rows, cols, values = _stored_entries(a, q * n)
-        self.ids, slot = np.unique((rows // m) * q + cols // n, return_inverse=True)
-        size = len(self.ids) * m * n
-        if size > DENSIFY_LIMIT:
-            raise ShapeError(f"the {len(self.ids)} nonzero {m} x {n} cells would hold "
-                             f"{size} entries (limit {DENSIFY_LIMIT})")
-        self.stack = np.zeros((len(self.ids), m, n))
-        self.stack[slot, rows % m, cols % n] = values
+        coo = a.tocoo()
+        r, c = np.arange(ell * m), np.arange(q * n)  # an entry's key: a row plus a column term
+        key = ((r // m * q * m + r % m) * n)[coo.row] + (c // n * m * n + c % n)[coo.col]
+        values = np.asarray(coo.data, dtype=np.float64)
+        if np.any(key[1:] <= key[:-1]):  # else sorted with no duplicate
+            order = np.argsort(key, kind="stable")
+            key, values = key[order], values[order]
+            if np.any(key[1:] == key[:-1]):
+                first = np.flatnonzero(np.diff(key, prepend=-1))
+                key, values = key[first], np.add.reduceat(values, first)
+        keep = values.view(np.uint64) != 0
+        key, self.values = key[keep], values[keep]
+        self.runs = np.searchsorted(key, m * n * np.arange(ell * q + 1))
+        self.ids = np.flatnonzero(np.diff(self.runs))
+        self.pos = key % (m * n)
 
     def present(self, rows) -> np.ndarray:
         mask = np.zeros(self.ell * self.q, dtype=bool)
@@ -334,37 +346,21 @@ class _SparseCells:
         return mask.reshape(self.ell, self.q)[rows]
 
     def take(self, ids) -> np.ndarray:
-        out = np.zeros((len(ids), self.m, self.n))
-        if len(self.ids):
-            pos = np.minimum(np.searchsorted(self.ids, ids), len(self.ids) - 1)
-            hit = self.ids[pos] == ids
-            out[hit] = self.stack[pos[hit]]
-        return out
+        _check_dense_size(len(ids), self.m * self.n)
+        lo, count = self.runs[ids], self.runs[ids + 1] - self.runs[ids]
+        at = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count, count)
+        out = np.zeros((len(ids), self.m * self.n))
+        out[np.repeat(np.arange(len(ids)), count), self.pos[at]] = self.values[at]
+        return out.reshape(-1, self.m, self.n)
 
     def nonzero_fingerprints(self, keys) -> tuple[np.ndarray, np.ndarray]:
-        nonzero = self.stack.any(axis=(1, 2))
-        bits = self.stack[nonzero].view(np.uint64).transpose(1, 0, 2)
-        return self.ids[nonzero], _fingerprint(bits, keys)
+        starts = self.runs[self.ids]
+        nonzero = np.logical_or.reduceat(self.values != 0, starts)  # NaN is nonzero
+        prints = np.add.reduceat(self.values.view(np.uint64) * keys.ravel()[self.pos], starts)
+        return self.ids[nonzero], prints[nonzero]
 
     def scale_exponent(self) -> int:
-        return scale_exponent(self.stack)
-
-
-def _stored_entries(a, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, cols, values)`` of the entries of a scipy sparse matrix ``width`` columns wide,
-    row-major: duplicates add up in storage order, as ``toarray()`` adds them, and a stored
-    ``+0.0`` is no entry (``-0.0`` is one)."""
-    coo = a.tocoo()
-    flat = coo.row.astype(np.int64) * width + coo.col
-    values = np.asarray(coo.data, dtype=np.float64)
-    if np.any(flat[1:] <= flat[:-1]):  # else row-major with no duplicate, as canonical CSR is
-        order = np.argsort(flat, kind="stable")
-        flat, values = flat[order], values[order]
-        first = np.flatnonzero(np.diff(flat, prepend=-1))
-        if len(first) < len(flat):
-            flat, values = flat[first], np.add.reduceat(values, first)
-    keep = values.view(np.uint64) != 0
-    return (*np.divmod(flat[keep], width), values[keep])
+        return scale_exponent(self.values)
 
 
 def _cells(a, ell: int, q: int, m: int, n: int):
@@ -377,14 +373,11 @@ def _cells(a, ell: int, q: int, m: int, n: int):
       rows ``rows`` (a dense array reads only those rows);
     * ``take(ids)`` -- a fresh ``(len(ids), m, n)`` stack of the cells with
       flat ids ``row * q + col``, an absent cell reading as zeros; the checks
-      take a chunk of about ``_CHUNK`` entries at a time (:func:`_per_cell`);
+      take a chunk of about ``_CHUNK`` entries at a time (:func:`_per_cell`),
+      and a sparse matrix's stack beyond ``DENSIFY_LIMIT`` entries raises ShapeError;
     * ``nonzero_fingerprints(keys)`` -- the flat ids, in row-major order, of
       the cells holding a nonzero value, and their :func:`_fingerprint`;
     * ``scale_exponent()`` of the whole matrix.
-
-    Raises:
-        ShapeError: If the present cells of a sparse matrix would hold more
-            than ``DENSIFY_LIMIT`` entries.
     """
     if scipy.sparse.issparse(a):
         return _SparseCells(a, ell, q, m, n)
@@ -669,8 +662,8 @@ def blocks_to_rows(pattern: BlockPattern, blocks) -> tuple[np.ndarray, np.ndarra
 
 def extract_rows(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """:func:`blocks_to_rows` of :func:`extract_blocks`, which it raises alike.  A scipy sparse
-    ``a`` at ``tol == 0`` is read from its stored entries alone, with every check of
-    :func:`extract_blocks` made and the same first bad cell refused.  No cell is scattered:
+    ``a`` at ``tol == 0`` is read from the entry table of its cell view alone, with every check
+    of :func:`extract_blocks` made and the same first bad cell refused.  No cell is scattered:
     only a block, or the ``p x len(support)`` rows, beyond ``DENSIFY_LIMIT`` entries is refused."""
     if tol or not scipy.sparse.issparse(a):
         return blocks_to_rows(pattern, extract_blocks(a, pattern, tol))
@@ -678,9 +671,10 @@ def extract_rows(a, pattern: BlockPattern, tol: float = 0.0) -> tuple[np.ndarray
         raise ShapeError(f"matrix shape {a.shape} != pattern shape {pattern.shape}")
     m, n, q = pattern.m, pattern.n, pattern.q
     _check_dense_size(m, n)  # the support mask below spans a block
-    rows, cols, values = _stored_entries(a, q * n)
-    (bi, i), (bj, j) = np.divmod(rows, m), np.divmod(cols, n)
-    cell, pos, nz = bi * q + bj, j * m + i, values != 0  # -0.0 equals an absent entry
+    table = _SparseCells(a, pattern.ell, q, m, n)
+    values, (i, j) = table.values, np.divmod(table.pos, n)
+    cell = np.repeat(table.ids, np.diff(table.runs)[table.ids])
+    pos, nz = j * m + i, values != 0  # -0.0 equals an absent entry
     grid = pattern.class_of.ravel()  # the class of each cell, -1 where none claims it
     first = pattern.cells[np.cumsum([0, *pattern.counts])[:-1]] @ np.array([q, 1])
     klass, rep = grid[cell], np.isin(cell, first, kind="table")  # first: the representatives

@@ -124,6 +124,8 @@ def _pack_arrays(arrays: list[tuple[str, np.ndarray]]) -> tuple[list[str], bytes
     chunks = []
     for name, arr in arrays:
         arr = np.asarray(arr, dtype=np.float64)
+        if not np.isfinite(arr).all():  # refused before any file is written
+            raise FloatingPointError(f"array {name!r} holds a NaN or an infinity")
         lines.append(f"array.{name}: " + " ".join(str(s) for s in arr.shape))
         chunks.append(np.array([arr.ndim, *arr.shape], dtype="<i8").tobytes())
         chunks.append(arr.astype("<f8", copy=False).tobytes(order="F"))
@@ -172,7 +174,8 @@ def container_write(path, rep, seed: int | None = None, ranks=None) -> None:
     """Serialize a representation (see module docstring for the format).
 
     ``seed``/``ranks`` are optional provenance fields recorded in the
-    header; they do not affect deserialization.
+    header; they do not affect deserialization.  An array holding a NaN or
+    an infinity raises :class:`FloatingPointError`, and no file is written.
     """
     lines = [MAGIC, "created_by: blockten 0.1.0"]
     if seed is not None:

@@ -171,12 +171,15 @@ def svd_truncated(a: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray, np.nda
 
     Raises:
         ShapeError: If ``r`` is out of range.
-        ConvergenceError: If the underlying LAPACK iteration fails.
+        ConvergenceError: If ``a`` holds a NaN or an infinity, on which LAPACK
+            may never return, or the underlying LAPACK iteration fails.
     """
     if a.ndim != 2:
         raise ShapeError("svd_truncated expects a matrix")
     if not 1 <= r <= min(a.shape):
         raise ShapeError(f"rank {r} out of range for shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ConvergenceError("SVD of a matrix holding a NaN or an infinity")
     try:
         u, s, vt = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -303,7 +306,9 @@ def _lq_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.n
     """The exact :func:`_mode_basis`: the SVD of a wide ``mat``'s LQ factor
     ``L``; a tall ``mat`` short of ``r`` columns is completed from its full SVD."""
     if mat.shape[0] < mat.shape[1]:
-        mat = np.linalg.qr(mat.T, mode="r").T
+        mat = np.linalg.qr(mat.T, mode="r").T  # overflows to inf near the float range
+    if not np.isfinite(mat).all():  # as svd_truncated, for the full SVD too
+        raise ConvergenceError("SVD of a matrix holding a NaN or an infinity")
     if tail_budget is not None:
         u, sv, _ = svd_truncated(mat, min(mat.shape))
         return u[:, : min(r, tail_rank(sv, tail_budget))]
@@ -316,25 +321,11 @@ def _lq_basis(mat: np.ndarray, r: int, tail_budget: float | None = None) -> np.n
     return _positive_lead(u[:, :r])[0]
 
 
-def _tucker(t: np.ndarray, ranks, tail_budget: float | None) -> TuckerRep:
-    """:func:`tucker_partial`, checking one rank per mode: ``None`` or ``1..extent``.  With an
-    empty extent each unfolding is zero: ``eye(extent, r)``, one column under a budget."""
-    if len(ranks) != t.ndim:
-        raise ShapeError(f"expected {t.ndim} ranks, got {len(ranks)}")
-    for k, r in enumerate(ranks):
-        if r is not None and not 1 <= r <= t.shape[k]:
-            raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
-    factors = [None if r is None else _mode_basis(unfold(t, k + 1), r, tail_budget) if t.size
-               else np.eye(t.shape[k], r if tail_budget is None else 1)
-               for k, r in enumerate(ranks)]
-    return TuckerRep.project(t, factors)
-
-
 def hosvd(t: np.ndarray, ranks: tuple[int, ...] | list[int],
           tail_budget: float | None = None) -> TuckerRep:
     """Higher-order SVD: :func:`tucker_partial` with every mode compressed by default; a
     ``None`` rank leaves its mode alone there too."""
-    return _tucker(t, ranks, tail_budget)
+    return tucker_partial(t, ranks, tail_budget)
 
 
 def tucker_partial(t: np.ndarray, ranks: list[int | None] | tuple[int | None, ...],
@@ -345,7 +336,16 @@ def tucker_partial(t: np.ndarray, ranks: list[int | None] | tuple[int | None, ..
     (identity factor).  With ``tail_budget`` (a Frobenius norm per mode) the
     ints are caps: mode ``k`` keeps ``min(ranks[k], tail_rank(sv_k,
     tail_budget))`` vectors, ``sv_k`` the spectrum of its unfolding."""
-    return _tucker(t, ranks, tail_budget)
+    if len(ranks) != t.ndim:
+        raise ShapeError(f"expected {t.ndim} ranks, got {len(ranks)}")
+    for k, r in enumerate(ranks):
+        if r is not None and not 1 <= r <= t.shape[k]:
+            raise ShapeError(f"mode-{k + 1} rank {r} out of range for extent {t.shape[k]}")
+    # with an empty extent each unfolding is zero: eye(extent, r), one column under a budget
+    factors = [None if r is None else _mode_basis(unfold(t, k + 1), r, tail_budget) if t.size
+               else np.eye(t.shape[k], r if tail_budget is None else 1)
+               for k, r in enumerate(ranks)]
+    return TuckerRep.project(t, factors)
 
 
 def mode2_tucker(support: np.ndarray, rows: np.ndarray, m: int, n: int, r: int,

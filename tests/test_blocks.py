@@ -472,6 +472,31 @@ def test_sparse_duplicates_add_up_and_stored_zeros_drop_out():
     assert len(block_maps._cells(coo, 4, 4, 3, 3).ids) == sum(pat.counts)  # no zero cell kept
 
 
+def cell_answers(cells, ids, rows, keys) -> tuple:
+    """What a cell view answers, as bytes: ``-0.0`` told apart from ``+0.0``."""
+    return (cells.take(ids).tobytes(), cells.present(rows).tobytes(),
+            [x.tobytes() for x in cells.nonzero_fingerprints(keys)], cells.scale_exponent())
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       kind=st.sampled_from(PATTERN_KINDS + ("all zero", "signed zeros only")))
+def test_entry_table_answers_as_the_dense_cells(seed, kind):
+    rng = np.random.default_rng(seed)
+    pat = random_pattern(rng, kind if kind in PATTERN_KINDS else "general")
+    a = signed_zero_matrix(rng, pat)
+    if kind not in PATTERN_KINDS:
+        a = np.where(rng.random(a.shape) < 0.3 * (kind != "all zero"), -0.0, 0.0)
+    a[rng.integers(a.shape[0]), rng.integers(a.shape[1])] *= rng.choice([1.0, 2.0**900, 2.0**-900])
+    dims, grid = (pat.ell, pat.q, pat.m, pat.n), pat.ell * pat.q
+    ids = rng.integers(0, grid, size=int(rng.integers(0, 2 * grid + 1)))  # repeats, absent cells
+    rows = rng.permutation(pat.ell)[: int(rng.integers(0, pat.ell + 1))]
+    keys = block_maps._fingerprint_keys(pat.m, pat.n)
+    want = cell_answers(block_maps._cells(a, *dims), ids, rows, keys)
+    for name, form in stored_forms(rng, a).items():
+        assert cell_answers(block_maps._cells(form, *dims), ids, rows, keys) == want, name
+
+
 @pytest.mark.parametrize("kind, entry, message", [
     ("toeplitz", (2, 2), "class 1: block at grid cell (2, 2) differs from its representative"),
     ("toeplitz", (0, 0), "class 1: block at grid cell (1, 1) is not finite"),
@@ -572,8 +597,9 @@ def test_fingerprint_collisions_split_into_exact_classes(monkeypatch):
     want = detect_pattern(a, 3, 3)
     assert want[0].p == pat.p
     assert {b.tobytes() for b in want[1]} == {b.tobytes() for b in blocks}
-    monkeypatch.setattr(block_maps, "_fingerprint",
-                        lambda bits, keys: np.zeros(bits.shape[1], dtype=np.uint64))
+    # zero keys: every cell of both views gets one fingerprint
+    monkeypatch.setattr(block_maps, "_fingerprint_keys",
+                        lambda m, n: np.zeros((m, n), dtype=np.uint64))
     for m in (a, *sparse_copies(a)):
         assert same_detection(detect_pattern(m, 3, 3), want)
 
@@ -705,9 +731,9 @@ def test_rows_from_stored_entries_build_no_cell_stack(monkeypatch):
         grid[i][j] = scipy.sparse.diags([rng.standard_normal(400 - abs(d)) for d in (-1, 0, 1)],
                                         [-1, 0, 1])
     a = scipy.sparse.bmat(grid, format="csr")
-    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", 10**6)  # below the 28 cells' 4480000 entries
-    with pytest.raises(ShapeError, match="28 nonzero 400 x 400 cells would hold 4480000"):
-        extract_blocks(a, pat)
+    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", 10**6)  # below the 28 blocks' 4480000
+    with pytest.raises(ShapeError, match=r"^dense result would hold 4480000 entries"):
+        extract_blocks(a, pat)  # it holds what it refuses: the representatives
     tracemalloc.start()
     try:
         support, rows = extract_rows(a, pat)

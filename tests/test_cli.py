@@ -2,9 +2,12 @@
 
 import contextlib
 import io
+import os
 import re
 import runpy
 import struct
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -443,11 +446,15 @@ def test_coordinate_file_beyond_the_dense_limit_stays_sparse(tmp_path, capsys, m
     code, out, err = run_cli(capsys, "report", out_c, "--matrix", path)
     assert code == 0, err
     assert float(kv(out)["relerr_fro"]) == pytest.approx(float(pairs["relerr_fro"]), rel=1e-12)
-    # the stack of nonzero cells keeps the dense-size guard
+    # the entries stay sparse: what is held dense is what the guard refuses, the cells of a
+    # checked chunk or, here, the three 20 x 20 representatives
+    flags = ("--block-rows", m, "--block-cols", m, "--method", "hosvd", "--rank", 2)
     monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", 10**6)
-    code, _, err = run_cli(capsys, "compress", path, "-o", out_c, "--block-rows", m,
-                           "--block-cols", m, "--method", "hosvd", "--rank", 2)
-    assert code == 3 and "nonzero 20 x 20 cells would hold 1199200 entries" in err
+    code, _, err = run_cli(capsys, "compress", path, "-o", out_c, *flags)
+    assert code == 0, err
+    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", 3 * m * m - 1)
+    code, _, err = run_cli(capsys, "compress", path, "-o", out_c, *flags)
+    assert code == 3 and "dense result would hold 1200 entries (limit 1199)" in err
 
 
 def spd_block_toeplitz(rng, s, m):
@@ -758,8 +765,8 @@ def test_mode2_matches_the_tensor_path(mode2_matrix, tmp_path, capsys, fmt, name
 
 
 def test_mode2_on_a_coordinate_file_builds_no_cell_stack(tmp_path, capsys, monkeypatch):
-    # block-tridiagonal Toeplitz, 200 x 200 cells of 10 x 10 sparse blocks: the 598 nonzero
-    # cells' stack would hold 59800 entries
+    # block-tridiagonal Toeplitz, 200 x 200 cells of 10 x 10 sparse blocks: a stack of the 598
+    # nonzero cells would hold 59800 entries, the three representatives 300
     s, m = 200, 10
     terms = [scipy.sparse.kron(scipy.sparse.eye(s, k=d),
                                scipy.sparse.random(m, m, density=0.3, random_state=d + 5)
@@ -776,7 +783,11 @@ def test_mode2_on_a_coordinate_file_builds_no_cell_stack(tmp_path, capsys, monke
     assert kv(out)["ranks"] == "2" and float(kv(out)["relerr_fro"]) > 0
     code, _, err = run_cli(capsys, "compress", path, "-o", tmp_path / "h.btc", *flags,
                            "--method", "hosvd")
-    assert code == 3 and "598 nonzero 10 x 10 cells would hold 59800 entries" in err
+    assert code == 0, err  # hosvd scatters the representatives and one chunk at a time
+    monkeypatch.setattr(block_maps, "DENSIFY_LIMIT", 3 * m * m - 1)
+    code, _, err = run_cli(capsys, "compress", path, "-o", tmp_path / "h.btc", *flags,
+                           "--method", "hosvd")
+    assert code == 3 and "dense result would hold 300 entries (limit 299)" in err
 
 
 @pytest.mark.parametrize("limit, refused", [(192, None), (191, 192), (149, 150), (63, 64)],
@@ -1245,6 +1256,27 @@ def test_exit_4_indefinite_matrix_for_spd(tmp_path, capsys):
                            "--pattern", "toeplitz", "--band", 1)
     assert code == 4
     assert "positive definite" in err
+
+
+@pytest.mark.parametrize("method", ["hosvd", "mode2", "cp"])
+def test_exit_4_at_once_near_the_float_limit(tmp_path, method):
+    # a 4 x 4 block-Toeplitz band-1 grid of 3 x 3 blocks scaled to a largest entry of 6e307:
+    # the LQ factor of an unfolding overflows to inf, on which LAPACK's SVD may never return,
+    # and CP-ALS ends with non-finite terms.  A hang cannot be caught in process.
+    pat = build_pattern("toeplitz", 4, 4, 3, 3, band=1)
+    a = struct_assemble(pat, np.random.default_rng(3).standard_normal((pat.p, 3, 3)))
+    path, out_c = tmp_path / "huge.mtx", tmp_path / "huge.btc"
+    write_matrix(path, a * (6e307 / np.max(np.abs(a))))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "blockten.cli", "compress", str(path), "-o",
+                           str(out_c), "--block-rows", "3", "--block-cols", "3", "--pattern",
+                           "toeplitz", "--band", "1", "--method", method, "--rank", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    message = ("array 'terms' holds a NaN or an infinity" if method == "cp"
+               else "SVD of a matrix holding a NaN or an infinity")
+    assert proc.returncode == 4 and proc.stderr.splitlines()[-1] == f"error: {message}"
+    assert not out_c.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,17 @@ def test_container_of_rank_zero_reads_and_multiplies_to_zero(tmp_path, form):
     np.testing.assert_array_equal(densify(back), np.zeros((6, 6)))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_container_refuses_a_non_finite_array_and_writes_no_file(tmp_path, bad):
+    pat = build_pattern("toeplitz", 3, 3, 2, 2)
+    terms = np.ones((1, 2, 2))
+    terms[0, 1, 0] = bad
+    path = tmp_path / "rep.btc"
+    with pytest.raises(FloatingPointError, match=r"^array 'terms' holds a NaN or an infinity$"):
+        container_write(path, KronSumRep(pat, np.ones((pat.p, 1)), terms))
+    assert list(tmp_path.iterdir()) == []  # neither the file nor a temporary
+
+
 def test_container_multilevel_keeps_identity_markers(tmp_path):
     rng = np.random.default_rng(7)
     inner = build_pattern("banded", 4, 4, 3, 3, band=1)
